@@ -31,19 +31,16 @@
 #include "lexer/Token.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <new>
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
-
-#ifndef NDEBUG
-#include <atomic>
-#include <thread>
-#endif
 
 namespace flap {
 
@@ -66,7 +63,10 @@ using ValueList = std::vector<Value>;
 /// announces itself with adoptOwner(). Assert-enabled builds (every
 /// preset here) enforce the rule: allocate/deallocate from a thread that
 /// neither adopted the pool nor created it aborts with the owner check
-/// below rather than racing the freelist.
+/// below rather than racing the freelist. The Owner field exists in every
+/// build so the class layout does not depend on NDEBUG: a consumer
+/// compiled with -DNDEBUG may construct a pool that an assert-enabled
+/// library then checks (tests/NdebugConsumerTest.cpp).
 class ValuePool {
 public:
   ValuePool() = default;
@@ -178,9 +178,7 @@ private:
   std::vector<std::unique_ptr<char[]>> Pages;
   char *Cur = nullptr;
   size_t Left = 0;
-#ifndef NDEBUG
   std::atomic<std::thread::id> Owner{std::this_thread::get_id()};
-#endif
 };
 
 /// Shared handle to a pool; nodes' control blocks hold a copy, so escaped

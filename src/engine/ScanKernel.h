@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-nonterminal longest-match scan of the staged machine, in a
-/// *resumable* form shared by the whole-buffer entry points
-/// (src/engine/Compile.cpp) and the push-style streaming parser
-/// (src/engine/Stream.cpp).
+/// The per-nonterminal longest-match scan of the staged machine — the
+/// one scan automaton every engine path runs: the whole-buffer drivers
+/// (parse / recognize / events, the record drivers, recovery and the
+/// trailing-skip matcher in src/engine/Compile.cpp), the push-style
+/// streaming parser (src/engine/Stream.cpp), and the standalone
+/// CompiledLexer / StreamLexer (src/lexer/CompiledLexer.cpp).
 ///
 /// The scan's complete register file is a ScanState: the current DFA
 /// state, the lexeme base (advanced in place over committed F2
@@ -38,24 +40,18 @@
 /// an empty window suspends *on the dispatch byte*: the parked register
 /// file is the entry state itself, and resuming simply re-enters the
 /// general kernel (which subsumes the dispatch classification byte by
-/// byte). FLAP_NO_DISPATCH compiles scanEnter down to the pre-dispatch
-/// entry path (scanBegin + scanCore) as a build-level differential
-/// reference.
+/// byte).
 ///
-/// The Final flag is a template parameter so a whole-buffer
-/// instantiation folds every More path away. Note the perf-gated
-/// whole-buffer driver in Compile.cpp (driveImpl — the sink-
-/// parameterized residual loop, engine/Sink.h) nevertheless keeps its
-/// own literal copy of the Final=true scan: routing it through this
-/// kernel (in any shape we tried — by-reference state, by-value state,
-/// scalar reference parameters) cost GCC 12 register-allocation churn
-/// worth 3-5% of recognition throughput. The sink seam shares the
-/// *residual loop* across parse/recognize/event modes with zero-cost
-/// templates, but the scan kernels stay two deliberate instantiations.
-/// The two must stay in lockstep; tests/StreamDiffTest.cpp and
-/// tests/SinkDiffTest.cpp assert byte-identical behaviour (values,
-/// events, error strings) at every chunk split point and
-/// tests/RunSkipDiffTest.cpp pins both to the Fig. 9 interpreter.
+/// The Final flag is a template parameter so the whole-buffer
+/// instantiation (scanEnter<Tab, true>) folds every More path away.
+/// scanEnter and scanCore are force-inlined: the whole-buffer residual
+/// loop keeps the register file in registers across the call, so the
+/// shared kernel costs nothing over a hand-inlined copy (BENCH_fig11.json
+/// gates this). tests/StreamDiffTest.cpp and tests/SinkDiffTest.cpp
+/// assert byte-identical streaming vs whole-buffer behaviour at every
+/// chunk split point, tests/RunSkipDiffTest.cpp pins the kernel to the
+/// Fig. 9 interpreter, and tests/LexerTest.cpp pins the lexer
+/// instantiation to the reference lexer interpreter.
 ///
 /// All positions in a ScanState are window-relative; streaming callers
 /// maintain the window-base-to-absolute-offset mapping and rebase the
@@ -100,8 +96,8 @@ struct Tab16 {
 };
 
 /// The dispatch-tier bounds of one machine (Compile.h has the range
-/// map). Bundled so the streaming pump and the lexer hand the kernel one
-/// value; the kernels unpack it into scalars immediately, before the
+/// map). Bundled so every caller hands the kernel one value; the
+/// kernels unpack it into scalars immediately, before the
 /// per-byte loop. A machine with no self-skip tiers (the standalone
 /// lexer DFA) passes PureSkip = SelfSkip = 0 — the encoding degenerates
 /// to terminal / pure-run / accepting / rest, sharing all kernel code.
@@ -148,33 +144,35 @@ enum class ScanOutcome : uint8_t { Match, Fail, More };
 ///   - a transition into the terminal-accept tier decides the match
 ///     without probing the next byte (no continuation exists), and a
 ///     self-loop run in the pure-accepting tier ends the lexeme at the
-///     run's end — both are register compares on the dispatch-tier id
-///     (compiled away under FLAP_NO_DISPATCH);
+///     run's end — both are register compares on the dispatch-tier id;
 ///   - a finished lexeme whose best state is in the self-skip tier is F2
 ///     whitespace — the machine would select a continuation that rescans
 ///     this same nonterminal, so the scan restarts in place instead of
-///     returning through the residual loop.
+///     returning through the residual loop. That holds at end of input
+///     too (with Final = true): the rescan is a jump back into the loop,
+///     not a recursive call, so the kernel stays inlinable.
 ///
 /// With Final = false, running out of window suspends (More) instead of
 /// treating the window end as end of input; the end-of-input self-skip
-/// commitment below must not run early, because one more byte could
-/// extend either the whitespace run or a longer token match.
+/// commitment must not run early, because one more byte could extend
+/// either the whitespace run or a longer token match.
 ///
 /// \returns the outcome; the final register file is stored to \p St.
 /// \p St is an out-parameter (not in/out) so the hot loop runs entirely
 /// on the by-value registers.
 template <typename Tab, bool Final>
-inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
-                            Tiers Tr, uint32_t Start, uint32_t Cur,
-                            int32_t Bs, size_t Base, size_t BestEnd,
-                            size_t I, const char *S, size_t Len,
-                            ScanState &St) {
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((always_inline))
+#endif
+inline ScanOutcome
+scanCore(const typename Tab::Cell *T, const SkipSet *Skip, Tiers Tr,
+         uint32_t Start, uint32_t Cur, int32_t Bs, size_t Base,
+         size_t BestEnd, size_t I, const char *S, size_t Len, ScanState &St) {
   const int32_t NumSelfSkip = Tr.SelfSkip;
   const int32_t NumAccept = Tr.Accept;
-#if !defined(FLAP_NO_DISPATCH)
   const int32_t NumTermAcc = Tr.TermAcc;
   const int32_t NumPureAcc = Tr.PureAcc;
-#endif
+Rescan:
   while (I < Len) {
     typename Tab::Cell Next =
         T[Cur * 256 + static_cast<unsigned char>(S[I])];
@@ -200,7 +198,6 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
       if (static_cast<int32_t>(Cur) < NumAccept) {
         Bs = static_cast<int32_t>(Cur);
         BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
         // Pure accepting run: nothing leaves the run but death, so the
         // run's end is the longest match — unless the window ended
         // mid-run (not Final), where one more byte could extend it.
@@ -210,7 +207,6 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
           St = {Start, Cur, Bs, Base, BestEnd, I};
           return ScanOutcome::Match;
         }
-#endif
       }
       continue;
     }
@@ -218,7 +214,6 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
     if (static_cast<int32_t>(Cur) < NumAccept) {
       Bs = static_cast<int32_t>(Cur);
       BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
       // Terminal accept: no continuation exists, the match is decided
       // without probing the next byte's transition (window-independent).
       if (static_cast<uint32_t>(Cur - static_cast<uint32_t>(NumSelfSkip)) <
@@ -226,7 +221,6 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
         St = {Start, Cur, Bs, Base, BestEnd, I};
         return ScanOutcome::Match;
       }
-#endif
     }
   }
   // Window exhausted.
@@ -237,14 +231,15 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
   // End of input. A best match in the self-skip tier is F2 whitespace:
   // consume it and rescan the remaining suffix — which may still hold a
   // shorter token match — exactly like the dead-transition path above.
-  // The tail call compiles to a jump; each rescan starts past a nonempty
-  // lexeme, so this terminates.
+  // Each rescan starts past a nonempty lexeme, so this terminates.
   if (static_cast<uint32_t>(Bs) < static_cast<uint32_t>(NumSelfSkip)) {
-    if (BestEnd < Len)
-      return scanCore<Tab, Final>(T, Skip, Tr, Start, Start, -1, BestEnd,
-                                  BestEnd, BestEnd, S, Len, St);
     Base = BestEnd;
     Bs = -1;
+    if (BestEnd < Len) {
+      I = BestEnd;
+      Cur = Start;
+      goto Rescan;
+    }
   }
   St = {Start, Cur, Bs, Base, BestEnd, I};
   return Bs >= 0 ? ScanOutcome::Match : ScanOutcome::Fail;
@@ -269,10 +264,13 @@ inline ScanOutcome scanStep(const typename Tab::Cell *T, const SkipSet *Skip,
 /// later scanStep re-enters the general kernel, which re-derives the
 /// classification byte by byte.
 template <typename Tab, bool Final>
-inline ScanOutcome scanEnter(const typename Tab::Cell *T, const SkipSet *Skip,
-                             Tiers Tr, uint32_t Start, size_t Pos,
-                             const char *S, size_t Len, ScanState &St) {
-#if !defined(FLAP_NO_DISPATCH)
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((always_inline))
+#endif
+inline ScanOutcome
+scanEnter(const typename Tab::Cell *T, const SkipSet *Skip, Tiers Tr,
+          uint32_t Start, size_t Pos, const char *S, size_t Len,
+          ScanState &St) {
   for (;;) {
     if (Pos >= Len) {
       St = scanBegin(Start, Pos);
@@ -286,33 +284,27 @@ inline ScanOutcome scanEnter(const typename Tab::Cell *T, const SkipSet *Skip,
     }
     const int32_t Ds = static_cast<int32_t>(static_cast<uint32_t>(D));
     const size_t I = Pos + 1;
-    if (Ds < Tr.SelfSkip) {
-      if (Ds < Tr.PureSkip) {
-        // Pure F2 whitespace run: nothing leaves the run but death, so
-        // the run's end *within the input* is the lexeme's end and the
-        // scan commits and re-dispatches in place. A run reaching the
-        // window's end is different: that is not a lexeme boundary (a
-        // comment interior, say, cannot restart a skip lexeme), so the
-        // scan suspends mid-run with the base uncommitted, exactly like
-        // the general kernel. One-byte lookahead: length-1 runs skip the
-        // bulk classifier's block set-up.
-        const SkipSet &SS = Skip[Ds];
-        const size_t E =
-            (I < Len && SS.test(static_cast<unsigned char>(S[I])))
-                ? skipRun(SS, S, I + 1, Len)
-                : I;
-        if (!Final && E == Len) {
-          St = {Start, static_cast<uint32_t>(Ds), Ds, Pos, E, E};
-          return ScanOutcome::More;
-        }
-        Pos = E;
-        continue; // re-dispatch in place
+    if (Ds < Tr.PureSkip) {
+      // Pure F2 whitespace run: nothing leaves the run but death, so the
+      // run's end *within the input* is the lexeme's end and the scan
+      // commits and re-dispatches in place. A run reaching the window's
+      // end is different: that is not a lexeme boundary (a comment
+      // interior, say, cannot restart a skip lexeme), so the scan
+      // suspends mid-run with the base uncommitted, exactly like the
+      // general kernel. One-byte lookahead: length-1 runs skip the bulk
+      // classifier's block set-up.
+      const SkipSet &SS = Skip[Ds];
+      const size_t E = (I < Len && SS.test(static_cast<unsigned char>(S[I])))
+                           ? skipRun(SS, S, I + 1, Len)
+                           : I;
+      if (!Final && E == Len) {
+        St = {Start, static_cast<uint32_t>(Ds), Ds, Pos, E, E};
+        return ScanOutcome::More;
       }
-      return scanCore<Tab, Final>(T, Skip, Tr, Start,
-                                  static_cast<uint32_t>(Ds), Ds, Pos, I, I,
-                                  S, Len, St);
+      Pos = E;
+      continue; // re-dispatch in place
     }
-    if (Ds < Tr.PureAcc) {
+    if (Ds >= Tr.SelfSkip && Ds < Tr.PureAcc) {
       if (Ds < Tr.TermAcc) { // terminal accept: decided by the dispatch
         St = {Start, static_cast<uint32_t>(Ds), Ds, Pos, I, I};
         return ScanOutcome::Match;
@@ -328,15 +320,11 @@ inline ScanOutcome scanEnter(const typename Tab::Cell *T, const SkipSet *Skip,
       St = {Start, static_cast<uint32_t>(Ds), Ds, Pos, E, E};
       return (Final || E < Len) ? ScanOutcome::Match : ScanOutcome::More;
     }
+    // General scan (impure self-skip, other accepting, non-accepting).
     const int32_t Bs0 = Ds < Tr.Accept ? Ds : -1;
-    return scanCore<Tab, Final>(T, Skip, Tr, Start,
-                                static_cast<uint32_t>(Ds), Bs0, Pos,
-                                Bs0 >= 0 ? I : Pos, I, S, Len, St);
+    return scanCore<Tab, Final>(T, Skip, Tr, Start, static_cast<uint32_t>(Ds),
+                                Bs0, Pos, Bs0 >= 0 ? I : Pos, I, S, Len, St);
   }
-#else
-  St = scanBegin(Start, Pos);
-  return scanStep<Tab, Final>(T, Skip, Tr, St, S, Len);
-#endif
 }
 
 } // namespace scankernel

@@ -168,109 +168,29 @@ CompiledLexer::CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer) {
   }
 }
 
-namespace {
-
-/// Width-generic longest-match scan with the staged machine's
-/// accelerations: first-byte dispatch over the tier-encoded ids (one
-/// load decides terminal punctuation and hands pure runs straight to
-/// the bulk classifier), per-byte acceptance as a compare against the
-/// accepting prefix, self-loop runs consumed by the bulk classifier,
-/// and terminal/pure-run early exits mid-lexeme. \p DeadV is the
-/// width's dead sentinel. Returns the best accepting state (or -1) and
-/// its end.
-template <typename Cell>
-inline int32_t lexScan(const Cell *T, Cell DeadV, const SkipSet *SkipTab,
-                       int32_t NumTerm, int32_t NumPureRun,
-                       int32_t NumAccept, uint32_t Start, const char *S,
-                       size_t Pos, size_t N, size_t &BestEndOut) {
-  int32_t BestState = -1;
-  size_t BestEnd = Pos, I = Pos;
-  uint32_t State = Start;
-#if !defined(FLAP_NO_DISPATCH)
-  {
-    // First-byte dispatch: the start state's row classifies the entry.
-    Cell D = T[Start * 256 + static_cast<unsigned char>(S[Pos])];
-    if (D == DeadV) {
-      BestEndOut = Pos;
-      return -1;
-    }
-    const int32_t Ds = static_cast<int32_t>(static_cast<uint32_t>(D));
-    I = Pos + 1;
-    if (Ds < NumPureRun) {
-      if (Ds >= NumTerm) {
-        // Pure run: the run is the rest of the lexeme. One-byte
-        // lookahead keeps length-1 runs off the bulk classifier.
-        const SkipSet &SS = SkipTab[Ds];
-        if (I < N && SS.test(static_cast<unsigned char>(S[I])))
-          I = skipRun(SS, S, I + 1, N);
-      }
-      BestEndOut = I; // terminal or run end: decided
-      return Ds;
-    }
-    State = static_cast<uint32_t>(Ds);
-    if (Ds < NumAccept) {
-      BestState = Ds;
-      BestEnd = I;
-    }
-  }
-#endif
-  while (I < N) {
-    Cell Next = T[State * 256 + static_cast<unsigned char>(S[I])];
-    if (Next == DeadV)
-      break;
-    ++I;
-    if (static_cast<uint32_t>(Next) == State) {
-      const SkipSet &SS = SkipTab[State];
-      if (I < N && SS.test(static_cast<unsigned char>(S[I])))
-        I = skipRun(SS, S, I + 1, N);
-      if (static_cast<int32_t>(State) < NumAccept) {
-        BestState = static_cast<int32_t>(State);
-        BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
-        if (static_cast<uint32_t>(State - static_cast<uint32_t>(NumTerm)) <
-            static_cast<uint32_t>(NumPureRun - NumTerm))
-          break; // pure run: nothing leaves it but death
-#endif
-      }
-      continue;
-    }
-    State = static_cast<uint32_t>(Next);
-    if (static_cast<int32_t>(State) < NumAccept) {
-      BestState = static_cast<int32_t>(State);
-      BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
-      if (static_cast<int32_t>(State) < NumTerm)
-        break; // terminal: no continuation exists
-#endif
-    }
-  }
-  BestEndOut = BestEnd;
-  return BestState;
-}
-
-} // namespace
-
 LexStatus CompiledLexer::nextRaw(std::string_view Input, uint32_t &Pos,
                                  Lexeme &Out) const {
   const uint32_t N = static_cast<uint32_t>(Input.size());
   if (Pos >= N)
     return LexStatus::Eof;
 
-  size_t BestEnd = Pos;
-  int32_t BestState =
+  // The staged machine's scan kernel with no self-skip tiers (see
+  // StreamLexer::pumpT below).
+  const scankernel::Tiers Tr{0, 0, NumTerm, NumPureRun, NumAccept};
+  scankernel::ScanState Sc;
+  const scankernel::ScanOutcome O =
       !Trans8.empty()
-          ? lexScan<uint8_t>(Trans8.data(), Dead8, Skip.data(), NumTerm,
-                             NumPureRun, NumAccept,
-                             static_cast<uint32_t>(Start), Input.data(),
-                             Pos, N, BestEnd)
-          : lexScan<int16_t>(Trans16.data(), static_cast<int16_t>(-1),
-                             Skip.data(), NumTerm, NumPureRun, NumAccept,
-                             static_cast<uint32_t>(Start), Input.data(),
-                             Pos, N, BestEnd);
-  if (BestState < 0)
+          ? scankernel::scanEnter<scankernel::Tab8, true>(
+                Trans8.data(), Skip.data(), Tr, static_cast<uint32_t>(Start),
+                Pos, Input.data(), N, Sc)
+          : scankernel::scanEnter<scankernel::Tab16, true>(
+                Trans16.data(), Skip.data(), Tr,
+                static_cast<uint32_t>(Start), Pos, Input.data(), N, Sc);
+  if (O != scankernel::ScanOutcome::Match)
     return LexStatus::Error;
-  Out = {Toks[Accept[BestState]], Pos, static_cast<uint32_t>(BestEnd)};
-  Pos = static_cast<uint32_t>(BestEnd);
+  const uint32_t BestEnd = static_cast<uint32_t>(Sc.BestEnd);
+  Out = {Toks[Accept[Sc.Bs]], Pos, BestEnd};
+  Pos = BestEnd;
   return LexStatus::Token;
 }
 

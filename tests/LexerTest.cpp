@@ -5,12 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "grammars/Grammars.h"
 #include "lexer/CompiledLexer.h"
 #include "lexer/LexerInterp.h"
 #include "lexer/LexerSpec.h"
 #include "support/Rng.h"
+#include "support/StrUtil.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 using namespace flap;
 
@@ -141,22 +146,105 @@ TEST(LexerInterpTest, EmptyInput) {
   EXPECT_TRUE(R->empty());
 }
 
+/// The spec lexer with its skip regex promoted to an ordinary rule tagged
+/// \p SkipTok, so the interpreter reports skip lexemes too (canonical
+/// rules and the skip regex are disjoint, so promotion changes nothing
+/// else).
+CanonicalLexer withVisibleSkips(RegexArena &A, CanonicalLexer C,
+                                TokenId SkipTok) {
+  if (C.SkipRe != A.empty())
+    C.Rules.push_back({C.SkipRe, SkipTok});
+  C.SkipRe = A.empty();
+  return C;
+}
+
+/// Drives nextRaw over \p In: every raw lexeme (skips tagged \p SkipTok),
+/// or the interpreter's error string at the offset nextRaw stopped at.
+Result<std::vector<Lexeme>> rawLexAll(const CompiledLexer &D,
+                                      std::string_view In, TokenId SkipTok) {
+  std::vector<Lexeme> Out;
+  uint32_t Pos = 0;
+  Lexeme L;
+  for (;;) {
+    switch (D.nextRaw(In, Pos, L)) {
+    case LexStatus::Eof:
+      return Out;
+    case LexStatus::Error:
+      return Err(format("lexing failed at offset %u (no rule matches)", Pos));
+    case LexStatus::Token:
+      if (L.Tok == NoToken)
+        L.Tok = SkipTok;
+      Out.push_back(L);
+      break;
+    }
+  }
+}
+
+/// Checks the compiled lexer against the interpreter on \p In: raw
+/// lexemes (skips included) and filtered lexemes, or the same error
+/// string (so the same error offset).
+void expectAgrees(RegexArena &A, const CanonicalLexer &C,
+                  const CanonicalLexer &Visible, const CompiledLexer &D,
+                  TokenId SkipTok, const std::string &In,
+                  const std::string &What) {
+  auto Ref = lexAll(A, C, In);
+  auto Got = D.lexAll(In);
+  ASSERT_EQ(Ref.ok(), Got.ok()) << What << " input: " << In;
+  if (Ref.ok())
+    EXPECT_EQ(*Ref, *Got) << What << " input: " << In;
+  else
+    EXPECT_EQ(Ref.error(), Got.error()) << What;
+  auto RawRef = lexAll(A, Visible, In);
+  auto RawGot = rawLexAll(D, In, SkipTok);
+  ASSERT_EQ(RawRef.ok(), RawGot.ok()) << What << " input: " << In;
+  if (RawRef.ok())
+    EXPECT_EQ(*RawRef, *RawGot) << What << " input: " << In;
+  else
+    EXPECT_EQ(RawRef.error(), RawGot.error()) << What;
+}
+
 TEST(CompiledLexerTest, AgreesWithInterpreter) {
-  SexpLexer L;
-  CanonicalLexer C = L.Spec.canonicalize().take();
-  CompiledLexer D(L.A, C);
-  Rng R(99);
-  static const char Chars[] = "abz() \n!()";
-  for (int Trial = 0; Trial < 300; ++Trial) {
-    std::string In;
-    size_t Len = R.below(40);
-    for (size_t I = 0; I < Len; ++I)
-      In += Chars[R.below(sizeof(Chars) - 1)];
-    auto Ref = lexAll(L.A, C, In);
-    auto Got = D.lexAll(In);
-    ASSERT_EQ(Ref.ok(), Got.ok()) << "input: " << In;
-    if (Ref.ok()) {
-      EXPECT_EQ(*Ref, *Got) << "input: " << In;
+  const TokenId SkipTok = std::numeric_limits<TokenId>::max();
+  {
+    SexpLexer L;
+    CanonicalLexer C = L.Spec.canonicalize().take();
+    CanonicalLexer V = withVisibleSkips(L.A, C, SkipTok);
+    CompiledLexer D(L.A, C);
+    Rng R(99);
+    static const char Chars[] = "abz() \n!()";
+    for (int Trial = 0; Trial < 300; ++Trial) {
+      std::string In;
+      size_t Len = R.below(40);
+      for (size_t I = 0; I < Len; ++I)
+        In += Chars[R.below(sizeof(Chars) - 1)];
+      expectAgrees(L.A, C, V, D, SkipTok, In, "sexp");
+    }
+  }
+  // Every benchmark lexer, on its generated corpus and on mutants of it:
+  // random bytes (mostly lexing errors), bytes copied from elsewhere in
+  // the corpus (mostly still lexable, with shifted lexeme boundaries),
+  // and truncations (end of input inside a lexeme).
+  Rng R(2024);
+  for (auto &Def : allBenchmarkGrammars()) {
+    Result<CanonicalLexer> C = Def->Lexer->canonicalize();
+    ASSERT_TRUE(C.ok()) << Def->Name << ": " << C.error();
+    RegexArena &A = *Def->Re;
+    CanonicalLexer V = withVisibleSkips(A, *C, SkipTok);
+    CompiledLexer D(A, *C);
+    const std::string Corpus = genWorkload(Def->Name, 5, 2000).Input;
+    expectAgrees(A, *C, V, D, SkipTok, Corpus, Def->Name);
+    for (int Trial = 0; Trial < 60; ++Trial) {
+      std::string In = Corpus;
+      const size_t Edits = 1 + R.below(3);
+      for (size_t E = 0; E < Edits; ++E) {
+        const size_t At = R.below(In.size());
+        In[At] = R.chance(1, 2) ? static_cast<char>(R.below(256))
+                                : Corpus[R.below(Corpus.size())];
+      }
+      if (R.chance(1, 3))
+        In.resize(R.below(In.size() + 1));
+      expectAgrees(A, *C, V, D, SkipTok, In,
+                   Def->Name + " mutant " + std::to_string(Trial));
     }
   }
 }

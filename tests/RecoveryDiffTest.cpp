@@ -24,8 +24,8 @@
 ///     no viable sync point yields SkipToEnd, not a phantom segment.
 ///
 /// The checked-in corrupted corpus (tests/corpus/) runs the same
-/// differential under every build preset (asan/nosimd/nodispatch
-/// included — the sync scan shares skipRun with the SIMD kernels).
+/// differential under every build preset (asan/nosimd included — the
+/// sync scan shares skipRun with the SIMD kernels).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -455,8 +455,8 @@ TEST(RecoveryDiffTest, CheckedInCorpusRecoversUnderEveryPreset) {
   // The corrupted-input corpus (tests/corpus/): every file must recover
   // with at least one diagnostic, at least one delivered value, and
   // whole-buffer/streamed/batch agreement. The same test runs under the
-  // asan/nosimd/nodispatch presets, which swap the scan kernels under
-  // the resynchronization scan.
+  // asan/nosimd presets, which swap the skip kernels under the
+  // resynchronization scan.
 #ifndef FLAP_CORPUS_DIR
   GTEST_SKIP() << "FLAP_CORPUS_DIR not configured";
 #else
