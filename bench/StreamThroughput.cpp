@@ -10,6 +10,12 @@
 /// chunk sizes 64 B (syscall-sized socket reads), 4 KiB (page-sized) and
 /// 64 KiB (jumbo reads), plus the carry-buffer high-water mark — the
 /// streaming memory footprint that replaces whole-document buffering.
+/// An events panel prices the SAX path on the same corpus: whole-buffer
+/// parseEvents into a reused vector (`events_whole`) and event-mode
+/// streaming at 4 KiB chunks, drained after every feed
+/// (`events_chunk4k`). Events are counted through auto-typed drains, so
+/// this file builds against any tree with the event API, whatever its
+/// event and batch types.
 ///
 /// `--json[=path]` writes BENCH_stream.json so PRs touching the
 /// streaming path record a trajectory (see bench/README.md).
@@ -44,8 +50,9 @@ int main(int argc, char **argv) {
               "(synthetic, seed 1). carry = high-water bytes held across "
               "chunks.\n\n",
               Bytes / 1e6);
-  std::printf("%-8s%10s%10s%10s%10s%12s\n", "", "whole", "64B", "4KB",
-              "64KB", "carry(4KB)");
+  std::printf("%-8s%10s%10s%10s%10s%12s%10s%10s%8s\n", "", "whole", "64B",
+              "4KB", "64KB", "carry(4KB)", "ev.whole", "ev.4KB",
+              "ev/val");
 
   FILE *F = nullptr;
   if (JsonPath) {
@@ -109,16 +116,53 @@ int main(int argc, char **argv) {
         Carry4K = CarryHW;
     }
 
-    std::printf("%-8s%10.0f%10.0f%10.0f%10.0f%12zu\n", Gr.c_str(), WholeMBs,
-                StreamMBs[0], StreamMBs[1], StreamMBs[2], Carry4K);
+    // Events panel. Both engines check the event count against the
+    // first whole-buffer run, so a drifting stream aborts the bench.
+    size_t EventCount = 0;
+    std::vector<ParseEvent> Events;
+    NamedEngine EvWhole{"events_whole", [&](std::string_view In) {
+                          Events.clear();
+                          bool Ok = P.M.parseEvents(P.M.Start, In, Scratch,
+                                                    Events)
+                                        .ok();
+                          if (!EventCount)
+                            EventCount = Events.size();
+                          return Ok && Events.size() == EventCount;
+                        }};
+    const double EvWholeMBs = throughputMBs(EvWhole, W.Input);
+    NamedEngine EvChunk{"events_chunk4k", [&](std::string_view In) {
+                          StreamOptions O;
+                          O.Events = true;
+                          StreamParser SP(P.M, O);
+                          size_t N = 0;
+                          for (size_t At = 0; At < In.size(); At += 4096) {
+                            if (SP.feed(In.substr(At, 4096)) ==
+                                StreamStatus::Error)
+                              return false;
+                            auto Batch = SP.takeEvents();
+                            N += Batch.size();
+                          }
+                          bool Ok = SP.finish() == StreamStatus::Done;
+                          auto Batch = SP.takeEvents();
+                          N += Batch.size();
+                          return Ok && N == EventCount;
+                        }};
+    const double EvChunkMBs = throughputMBs(EvChunk, W.Input);
+
+    std::printf("%-8s%10.0f%10.0f%10.0f%10.0f%12zu%10.0f%10.0f%8.2f\n",
+                Gr.c_str(), WholeMBs, StreamMBs[0], StreamMBs[1],
+                StreamMBs[2], Carry4K, EvWholeMBs, EvChunkMBs,
+                EvWholeMBs / WholeMBs);
     if (F) {
       std::fprintf(F,
                    "%s  \"%s\": {\"whole\": %.0f, \"chunk64\": %.0f, "
                    "\"chunk4k\": %.0f, \"chunk64k\": %.0f, "
-                   "\"carry_hw_4k\": %zu}",
+                   "\"carry_hw_4k\": %zu, \"events_whole\": %.0f, "
+                   "\"events_chunk4k\": %.0f}",
                    FirstRow ? "" : ",\n", Gr.c_str(), WholeMBs * 1e6,
                    StreamMBs[0] * 1e6, StreamMBs[1] * 1e6,
-                   StreamMBs[2] * 1e6, Carry4K);
+                   StreamMBs[2] * 1e6, Carry4K, EvWholeMBs * 1e6,
+                   EvChunkMBs * 1e6);
       FirstRow = false;
     }
   }

@@ -7,9 +7,10 @@
 //
 // The EventSink policy (engine/Sink.h) end to end: stream an arith
 // program through StreamParser in event mode, draining the SAX events
-// after every chunk. Token text arrives eagerly materialized, so the
-// parser never retains input beyond the in-progress lexeme — watch the
-// carry high-water stay lexeme-sized while the document grows.
+// after every chunk. Each token's text is copied at match time into the
+// drained batch, which owns it — so the parser never retains input
+// beyond the in-progress lexeme: watch the carry high-water stay
+// lexeme-sized while the document grows.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,11 +48,11 @@ int main() {
           std::printf("  Enter  %s\n", P.M.NtNames[E.Nt].c_str());
           break;
         case EventKind::Token:
-          std::printf("  Token  %s @%llu-%llu '%s'\n",
+          std::printf("  Token  %s @%llu-%llu '%.*s'\n",
                       Def->Toks->name(E.Tok).c_str(),
                       static_cast<unsigned long long>(E.Begin),
                       static_cast<unsigned long long>(E.End),
-                      E.Text.c_str());
+                      static_cast<int>(E.text().size()), E.text().data());
           break;
         case EventKind::Reduce:
           std::printf("  Reduce op#%u\n", E.Op);

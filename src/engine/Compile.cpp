@@ -1410,6 +1410,24 @@ bool CompiledParser::recognize(std::string_view Input,
   return drive(*this, Start, Input, Scratch.Stack, Sk);
 }
 
+void TextArena::grow(size_t N) {
+  // Geometric blocks: a batch drained after every 4 KiB feed costs one
+  // small allocation, a never-drained stream O(log size) of them.
+  constexpr size_t MinBlock = 4096, MaxBlock = size_t(1) << 20;
+  NextBlock = NextBlock ? std::min(NextBlock * 2, MaxBlock) : MinBlock;
+  const size_t Size = std::max(N, NextBlock);
+  Blocks.emplace_back(new char[Size]);
+  Cur = Blocks.back().get();
+  Left = Size;
+}
+
+void TextArena::clear() {
+  Blocks.clear();
+  Cur = nullptr;
+  Left = 0;
+  NextBlock = 0;
+}
+
 Status CompiledParser::parseEvents(NtId StartNt, std::string_view Input,
                                    ParseScratch &Scratch,
                                    std::vector<ParseEvent> &Events) const {

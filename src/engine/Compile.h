@@ -60,8 +60,10 @@
 #include "support/Result.h"
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace flap {
@@ -155,9 +157,17 @@ struct ParseScratch {
 /// Sink.h). The stream mirrors the *rewritten* machine the value engine
 /// runs: dead-token elision applies (elided tokens emit no event), and
 /// Reduce events name marker occurrences in CompiledParser::OpPool, not
-/// raw ActionIds. Token events carry the lexeme text *eagerly
-/// materialized* — an event outlives the input window that produced it,
-/// which is what bounds the streaming carry to the in-progress lexeme.
+/// raw ActionIds.
+///
+/// Lexeme-text lifetime: an event is a 32-byte trivially copyable record
+/// whose text() views bytes it does not own. The whole-buffer drivers
+/// (parseEvents, parseEventsRecover, parseEventsRecords, ShardParser)
+/// point it into the caller's input — valid while that input is, the
+/// same contract Value::token spans have. The streaming parser copies
+/// each lexeme at match time into a text arena owned by the undrained
+/// EventBatch (engine/Stream.h), so streamed text outlives the window
+/// that produced it — which is what bounds the streaming carry to the
+/// in-progress lexeme — and lives as long as the drained batch.
 ///
 /// Ordering contract (replayable into a value builder, see
 /// tests/SinkDiffTest.cpp): Enter(N) precedes every scan attempt of
@@ -171,24 +181,78 @@ struct ParseScratch {
 /// ValueSink result exactly.
 enum class EventKind : uint8_t {
   Enter, ///< a scan of nonterminal Nt begins
-  Token, ///< lexeme accepted: Tok over [Begin, End), text in Text
+  Token, ///< lexeme accepted: Tok over [Begin, End), text in text()
   Reduce, ///< marker occurrence Op (an index into CompiledParser::OpPool)
   Eps    ///< nonterminal Nt took its ε/lookahead continuation
 };
 struct ParseEvent {
   EventKind Kind = EventKind::Enter;
-  NtId Nt = NoNt;        ///< Enter / Eps
-  TokenId Tok = NoToken; ///< Token
-  uint32_t Op = 0;       ///< Reduce: OpPool occurrence index
-  uint64_t Begin = 0;    ///< Token: absolute span start
-  uint64_t End = 0;      ///< Token: absolute span end
-  std::string Text;      ///< Token: eagerly materialized lexeme text
+  union {
+    NtId Nt;         ///< Enter / Eps
+    TokenId Tok;     ///< Token
+    uint32_t Op = 0; ///< Reduce: OpPool occurrence index
+  };
+  uint64_t Begin = 0; ///< Token: absolute span start
+  uint64_t End = 0;   ///< Token: absolute span end
+  /// Token: the lexeme's first byte (End - Begin bytes; see the lifetime
+  /// contract above). Null for the other kinds.
+  const char *TextData = nullptr;
 
+  /// Token: the lexeme text; empty for the other kinds.
+  std::string_view text() const {
+    return {TextData, static_cast<size_t>(End - Begin)};
+  }
+  /// Whichever of Nt/Tok/Op the kind uses.
+  uint32_t id() const {
+    return Kind == EventKind::Token    ? static_cast<uint32_t>(Tok)
+           : Kind == EventKind::Reduce ? Op
+                                       : Nt;
+  }
+
+  /// Compares kind, id, span and text *content* — events viewing
+  /// different copies of the same bytes are equal.
   bool operator==(const ParseEvent &O) const {
-    return Kind == O.Kind && Nt == O.Nt && Tok == O.Tok && Op == O.Op &&
-           Begin == O.Begin && End == O.End && Text == O.Text;
+    return Kind == O.Kind && id() == O.id() && Begin == O.Begin &&
+           End == O.End && text() == O.text();
   }
   bool operator!=(const ParseEvent &O) const { return !(*this == O); }
+};
+
+/// Address-stable byte storage: bytes once copied never move, so views
+/// into them stay valid for the arena's lifetime, across moves of it.
+/// Backs the text of streamed events (EventBatch, engine/Stream.h).
+class TextArena {
+public:
+  TextArena() = default;
+  TextArena(TextArena &&O) noexcept { *this = std::move(O); }
+  TextArena &operator=(TextArena &&O) noexcept {
+    Blocks = std::move(O.Blocks);
+    Cur = std::exchange(O.Cur, nullptr);
+    Left = std::exchange(O.Left, 0);
+    NextBlock = std::exchange(O.NextBlock, 0);
+    O.Blocks.clear();
+    return *this;
+  }
+
+  /// Copies \p N bytes from \p P; returns where the copy lives.
+  const char *copy(const char *P, size_t N) {
+    if (!Cur || N > Left)
+      grow(N);
+    char *Dst = Cur;
+    std::memcpy(Dst, P, N);
+    Cur += N;
+    Left -= N;
+    return Dst;
+  }
+  /// Releases every block.
+  void clear();
+
+private:
+  void grow(size_t N);
+  std::vector<std::unique_ptr<char[]>> Blocks;
+  char *Cur = nullptr;
+  size_t Left = 0;
+  size_t NextBlock = 0; ///< next block's size; doubles up to a cap
 };
 
 /// A fully staged, token-free parser.
@@ -246,9 +310,9 @@ public:
 
   /// SAX entry point: runs the machine with the EventSink policy,
   /// appending the event stream (see ParseEvent for the ordering and
-  /// lifetime contract) to \p Events instead of building values. Token
-  /// text is materialized eagerly, so the events are self-contained —
-  /// they remain valid after Input is gone. Fails (with the same
+  /// lifetime contract) to \p Events instead of building values. No
+  /// per-event allocation: token text views \p Input, so the events'
+  /// text is valid as long as Input is. Fails (with the same
   /// diagnostics as parseFrom) on parse errors, and on ValueFree entry
   /// nonterminals, whose event stream was rewritten away by dead-token
   /// elision.

@@ -122,7 +122,7 @@ struct FlapParser {
 
   /// SAX event parse (the EventSink policy, engine/Sink.h): appends the
   /// machine's Enter/Token/Reduce/Eps stream to \p Events instead of
-  /// building values; token text arrives eagerly materialized.
+  /// building values; token text views \p Input.
   Status parseEvents(std::string_view Input,
                      std::vector<ParseEvent> &Events) const {
     return M.parseEvents(M.Start, Input, Events);

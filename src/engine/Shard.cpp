@@ -327,14 +327,19 @@ ShardedEvents ShardParser::parseEventsAt(std::string_view Input,
   ShardedEvents Out;
   Out.Stats.Shards = Tasks.size();
   runShards(MEvents, Input, Tasks);
+  // Events are flat records viewing Input, so the stitch is one
+  // reservation plus a block copy per shard.
+  size_t Total = 0;
+  for (const Task &T : Tasks)
+    Total += T.Events.size();
+  Out.Events.reserve(Total);
   const size_t Len = Input.size();
   size_t Expected = 0;
   for (size_t I = 0; I < Tasks.size(); ++I) {
     Task &T = Tasks[I];
     if (I && T.RR.First != Expected)
       reRun(MEvents, Input, T, Expected, Out.Stats);
-    for (ParseEvent &E : T.Events)
-      Out.Events.push_back(std::move(E));
+    Out.Events.insert(Out.Events.end(), T.Events.begin(), T.Events.end());
     Out.NumRecords += T.RR.NumRecords;
     if (T.RR.S == RecordRun::Stop::Error) {
       Out.Ok = false;

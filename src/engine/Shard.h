@@ -121,7 +121,8 @@ struct ShardedValues {
 };
 
 /// Strict SAX-mode result: the concatenated event stream, identical to
-/// the sequential parseEventsRecords stream.
+/// the sequential parseEventsRecords stream. Token text views the
+/// parsed input (the ParseEvent lifetime contract, engine/Compile.h).
 struct ShardedEvents {
   bool Ok = true;
   std::string ErrMsg;

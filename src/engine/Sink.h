@@ -15,10 +15,11 @@
 ///   - ValueSink: today's semantics — push token values, run the pooled
 ///     micro-ops, collect the final Value. Bit-for-bit the behaviour the
 ///     pre-sink hand-specialized loops had.
-///   - EventSink: SAX — append Enter/Token/Reduce/Eps events (see
-///     ParseEvent in Compile.h) with the lexeme text materialized
-///     eagerly, so a streaming driver never needs to retain input beyond
-///     the in-progress lexeme.
+///   - EventSink: SAX — append flat Enter/Token/Reduce/Eps events (see
+///     ParseEvent in Compile.h). Token text views the caller's input in
+///     the whole-buffer drivers; the streaming driver copies it into the
+///     undrained batch's arena at match time, so it never needs to
+///     retain input beyond the in-progress lexeme.
 ///   - NullSink: recognition — every hook is a no-op and the driver
 ///     walks the nonterminals-only NtPool.
 ///
@@ -193,10 +194,13 @@ private:
   const MicroOp *Ops;
 };
 
-/// The SAX sink: every hook appends a self-contained ParseEvent. Token
-/// text is materialized eagerly from the input window — the event stream
-/// never references the input after the hook returns, which is what lets
-/// the streaming driver drop every byte behind the in-progress lexeme.
+/// The SAX sink: every hook appends one flat ParseEvent — no per-event
+/// allocation. A Token event's text views the input window (the
+/// whole-buffer drivers: valid while the caller's input is), or, given
+/// a TextArena, a copy made inside the hook (the streaming pump: the
+/// event then never references the window after the hook returns,
+/// which is what lets the stream drop every byte behind the
+/// in-progress lexeme).
 class EventSink : public SinkDiagnostics {
 public:
   static constexpr bool Markers = true;
@@ -205,44 +209,45 @@ public:
   /// \p Window is the addressable input and \p Base its absolute stream
   /// offset (0 for whole-buffer parses; the carry-window base for the
   /// streaming pump, which reuses this sink so the two event streams
-  /// cannot drift).
+  /// cannot drift). \p Text, when set, receives a copy of every lexeme.
   EventSink(const CompiledParser &M, std::string_view Window,
-            std::vector<ParseEvent> &Out, uint64_t Base = 0)
-      : M(M), Input(Window), Base(Base), Out(Out) {}
+            std::vector<ParseEvent> &Out, uint64_t Base = 0,
+            TextArena *Text = nullptr)
+      : M(M), Input(Window), Base(Base), Out(Out), Text(Text) {}
 
   void enter(NtId N) {
     ParseEvent E;
     E.Kind = EventKind::Enter;
     E.Nt = N;
-    Out.push_back(std::move(E));
+    Out.push_back(E);
   }
 
   void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
     const uint32_t Tok = CompiledParser::metaTok(Meta);
     if (Tok == CompiledParser::MetaNoTok)
       return; // skip production, or dead-token elision: no value flows
+    const char *P = Input.data() + static_cast<size_t>(Begin - Base);
     ParseEvent E;
     E.Kind = EventKind::Token;
     E.Tok = static_cast<TokenId>(Tok);
     E.Begin = Begin;
     E.End = End;
-    E.Text.assign(Input.data() + static_cast<size_t>(Begin - Base),
-                  static_cast<size_t>(End - Begin));
-    Out.push_back(std::move(E));
+    E.TextData = Text ? Text->copy(P, static_cast<size_t>(End - Begin)) : P;
+    Out.push_back(E);
   }
 
   void marker(uint32_t OpIdx) {
     ParseEvent E;
     E.Kind = EventKind::Reduce;
     E.Op = OpIdx;
-    Out.push_back(std::move(E));
+    Out.push_back(E);
   }
 
   void eps(NtId N, int32_t) {
     ParseEvent E;
     E.Kind = EventKind::Eps;
     E.Nt = N;
-    Out.push_back(std::move(E));
+    Out.push_back(E);
   }
 
   void failParse(NtId N, uint64_t Pos) {
@@ -261,6 +266,7 @@ private:
   std::string_view Input;
   uint64_t Base = 0;
   std::vector<ParseEvent> &Out;
+  TextArena *Text;
 };
 
 /// The recognition sink: no values, no events, no diagnostics — every

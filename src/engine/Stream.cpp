@@ -57,7 +57,8 @@ void StreamParser::reset() {
   ErrMsg.clear();
   ErrOff = 0;
   Out = Value();
-  EvLog.clear();
+  EvLog.Events.clear();
+  EvLog.Text.clear();
   Errs.clear();
   SegVals.clear();
   Pending = ParseDiagnostic();
@@ -206,9 +207,9 @@ struct StreamParser::VSink {
 /// Event mode: delegates to the library EventSink over the current
 /// window (base = WinBase), so the streamed event stream is emitted by
 /// the *same code* as a whole-buffer parseEvents and the two cannot
-/// drift. Token text is materialized inside the hook — after it returns
-/// the window bytes are droppable, which is what keeps the carry at
-/// O(in-progress lexeme).
+/// drift. Token text is copied inside the hook into the undrained
+/// batch's arena — after it returns the window bytes are droppable,
+/// which is what keeps the carry at O(in-progress lexeme).
 struct StreamParser::ESink {
   static constexpr bool Markers = true;
   static constexpr bool Enters = true;
@@ -216,7 +217,8 @@ struct StreamParser::ESink {
   EventSink Inner;
 
   ESink(StreamParser &SP, ParseContext &Ctx)
-      : Inner(*SP.M, Ctx.Input, SP.EvLog, Ctx.Base) {}
+      : Inner(*SP.M, Ctx.Input, SP.EvLog.Events, Ctx.Base,
+              &SP.EvLog.Text) {}
 
   void enter(NtId N) { Inner.enter(N); }
   void marker(uint32_t Idx) { Inner.marker(Idx); }

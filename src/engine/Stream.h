@@ -45,9 +45,10 @@
 ///     dereference them in a *later* action; spans are only addressable
 ///     while a value referencing them is live on the value stack.
 ///   - *Event mode* (StreamOptions::Events) sidesteps value retention
-///     entirely: token text is materialized into the event at match
-///     time, so the carry is the in-progress lexeme — O(longest lexeme)
-///     even for the document-spanning bracket structures above.
+///     entirely: token text is copied at match time into the undrained
+///     EventBatch's arena, so the carry is the in-progress lexeme —
+///     O(longest lexeme) even for the document-spanning bracket
+///     structures above.
 ///
 /// Offsets: all reported offsets — token spans in values, error
 /// messages, offset() — are absolute stream offsets, identical to a
@@ -68,6 +69,7 @@
 #include <algorithm>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace flap {
@@ -89,13 +91,14 @@ struct StreamOptions {
   /// CompiledParser::recognize). Takes precedence over Events.
   bool Recognize = false;
   /// SAX event mode: instead of building values, the parser appends
-  /// ParseEvents (drained with takeEvents()) with token text
-  /// materialized *eagerly* at match time. Because an event never
-  /// references the window after its hook returns, the parser retains
-  /// no input beyond the in-progress lexeme — the carry stays
-  /// O(longest lexeme) even on a document-spanning bracket structure
-  /// that value mode would legitimately retain back to its opening
-  /// delimiter. take() yields unit on success.
+  /// ParseEvents to an EventBatch (drained with takeEvents()), copying
+  /// each token's text *eagerly* at match time into the batch's own
+  /// text arena. Because an event never references the window after
+  /// its hook returns, the parser retains no input beyond the
+  /// in-progress lexeme — the carry stays O(longest lexeme) even on a
+  /// document-spanning bracket structure that value mode would
+  /// legitimately retain back to its opening delimiter. take() yields
+  /// unit on success.
   bool Events = false;
   /// Runs every action through the retained std::function reference
   /// path (ActionTable::ref) with heap-allocated values instead of the
@@ -122,6 +125,26 @@ struct StreamOptions {
   size_t MaxErrors = 100;
 };
 
+/// A run of streamed events together with the bytes their token text
+/// views: the text arena travels with the events, so a drained batch is
+/// self-contained — its views stay valid after further feeds, reset()
+/// and destruction of the parser, for as long as the batch lives
+/// (moving it keeps them valid too). Iterates like a vector of events.
+class EventBatch {
+public:
+  using const_iterator = std::vector<ParseEvent>::const_iterator;
+
+  size_t size() const { return Events.size(); }
+  const ParseEvent &operator[](size_t I) const { return Events[I]; }
+  const_iterator begin() const { return Events.begin(); }
+  const_iterator end() const { return Events.end(); }
+
+private:
+  friend class StreamParser;
+  std::vector<ParseEvent> Events;
+  TextArena Text;
+};
+
 /// A resumable parse over one input stream. Not thread-safe; one
 /// instance per stream (reset() recycles buffers for the next stream).
 class StreamParser {
@@ -145,16 +168,16 @@ public:
   /// reset()).
   Result<Value> take();
 
-  /// Event mode: moves out the events accumulated since the last call.
-  /// Drain between feeds to keep consumer memory bounded — the parser
-  /// itself never retains input beyond the in-progress lexeme.
-  std::vector<ParseEvent> takeEvents() {
-    std::vector<ParseEvent> Out;
-    Out.swap(EvLog);
-    return Out;
-  }
-  /// The undrained events (event mode).
-  const std::vector<ParseEvent> &events() const { return EvLog; }
+  /// Event mode: moves out the events accumulated since the last call,
+  /// with the arena their token text lives in — the returned batch owns
+  /// its text. Drain between feeds to keep consumer memory bounded —
+  /// the parser itself never retains input beyond the in-progress
+  /// lexeme.
+  EventBatch takeEvents() { return std::exchange(EvLog, EventBatch()); }
+  /// The undrained events (event mode); their text lives until they are
+  /// drained with takeEvents() (then as long as that batch) or dropped
+  /// by reset().
+  const std::vector<ParseEvent> &events() const { return EvLog.Events; }
 
   /// Recovery mode: moves out the values of the segments completed
   /// since the last call (one Value per recovered record). Drain
@@ -323,7 +346,7 @@ private:
   std::string ErrMsg;
   uint64_t ErrOff = 0; ///< absolute error position (Phase::Fail only)
   Value Out;
-  std::vector<ParseEvent> EvLog; ///< event mode: undrained events
+  EventBatch EvLog; ///< event mode: undrained events and their text
   /// Recovery state. The scan cursor RePos is window-relative; the
   /// pending diagnostic is complete except for Act/ResumeOff, which the
   /// resynchronization scan fills in before it reaches Errs. ErrCount

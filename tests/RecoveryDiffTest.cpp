@@ -248,7 +248,7 @@ TEST(RecoveryDiffTest, StreamingEventRecoveryMatchesWholeBuffer) {
       SP.feed(std::string_view(Bad).substr(0, Cut));
       SP.feed(std::string_view(Bad).substr(Cut));
       SP.finish();
-      std::vector<ParseEvent> Evs = SP.takeEvents();
+      EventBatch Evs = SP.takeEvents();
       ASSERT_EQ(WholeEvs.size(), Evs.size())
           << Def->Name << " cut " << Cut;
       for (size_t I = 0; I < Evs.size(); ++I)

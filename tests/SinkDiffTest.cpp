@@ -10,15 +10,19 @@
 /// equal the ValueSink output — values and error strings — on every
 /// grammar, whole-buffer and at every chunk split of the streaming
 /// driver; the streamed event stream must be byte-identical (spans and
-/// materialized text included) to the whole-buffer one; and event-mode
+/// token text included) to the whole-buffer one; and event-mode
 /// streaming must retain no input beyond the in-progress lexeme, even on
 /// the document-spanning bracket corpora (sexp, ppm) whose value-mode
-/// retention is legitimately document-sized. parseBatch must agree with
-/// one-shot parseFrom input for input.
+/// retention is legitimately document-sized. The lifetime contract of
+/// the flat ParseEvent is pinned too: whole-buffer text views the
+/// caller's input, streamed text lives in the drained batch and
+/// survives later feeds, reset() and the parser. parseBatch must agree
+/// with one-shot parseFrom input for input.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/Pipeline.h"
+#include "engine/Shard.h"
 #include "engine/Sink.h"
 #include "engine/Stream.h"
 #include "grammars/Grammars.h"
@@ -28,7 +32,15 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace flap;
+
+// The layout the event drivers rely on: appending an event is a 32-byte
+// store, and a vector of them copies and frees as raw memory.
+static_assert(std::is_trivially_copyable_v<ParseEvent>);
+static_assert(std::is_trivially_destructible_v<ParseEvent>);
+static_assert(sizeof(ParseEvent) <= 32);
 
 namespace {
 
@@ -49,9 +61,9 @@ Value replayEvents(const CompiledParser &M,
     case EventKind::Enter:
       break; // structural only
     case EventKind::Token:
-      // Lexeme-text lifetime contract: the materialized text is the span.
-      EXPECT_EQ(E.Text, Input.substr(static_cast<size_t>(E.Begin),
-                                     static_cast<size_t>(E.End - E.Begin)));
+      // Lexeme-text contract: the text is the span's bytes.
+      EXPECT_EQ(E.text(), Input.substr(static_cast<size_t>(E.Begin),
+                                       static_cast<size_t>(E.End - E.Begin)));
       Vals.push(Value::token(E.Tok, static_cast<uint32_t>(E.Begin),
                              static_cast<uint32_t>(E.End)));
       break;
@@ -102,25 +114,23 @@ struct SinkRig {
   }
 
   /// Streams \p In in event mode, cut at \p Cuts, draining events after
-  /// every feed (the bounded-consumer pattern).
+  /// every feed (the bounded-consumer pattern) into \p Batches.
   StreamStatus streamEvents(std::string_view In,
                             const std::vector<size_t> &Cuts,
-                            std::vector<ParseEvent> &Evs, std::string &Err,
-                            size_t *CarryHW = nullptr) {
+                            std::vector<EventBatch> &Batches,
+                            std::string &Err, size_t *CarryHW = nullptr) {
     StreamOptions O;
     O.Events = true;
     StreamParser SP(P.M, O);
     size_t Prev = 0;
     for (size_t Cut : Cuts) {
       SP.feed(In.substr(Prev, Cut - Prev));
-      for (ParseEvent &E : SP.takeEvents())
-        Evs.push_back(std::move(E));
+      Batches.push_back(SP.takeEvents());
       Prev = Cut;
     }
     SP.feed(In.substr(Prev));
     SP.finish();
-    for (ParseEvent &E : SP.takeEvents())
-      Evs.push_back(std::move(E));
+    Batches.push_back(SP.takeEvents());
     if (CarryHW)
       *CarryHW = SP.carryHighWater();
     if (SP.status() == StreamStatus::Error)
@@ -129,15 +139,18 @@ struct SinkRig {
   }
 
   /// Streamed-at-Cuts event stream == whole-buffer event stream,
-  /// event for event (kind, ids, spans, materialized text), same error
+  /// event for event (kind, ids, spans, token text), same error
   /// strings; replay agrees with ValueSink.
   void checkEventSplits(std::string_view In,
                         const std::vector<size_t> &Cuts) {
     std::vector<ParseEvent> Whole;
     Status WS = P.M.parseEvents(P.M.Start, In, Whole);
-    std::vector<ParseEvent> Str;
+    std::vector<EventBatch> Batches;
     std::string StrErr;
-    StreamStatus SS = streamEvents(In, Cuts, Str, StrErr);
+    StreamStatus SS = streamEvents(In, Cuts, Batches, StrErr);
+    std::vector<ParseEvent> Str; // views text the batches own
+    for (const EventBatch &B : Batches)
+      Str.insert(Str.end(), B.begin(), B.end());
     ASSERT_EQ(WS.ok(), SS == StreamStatus::Done)
         << Def->Name << " (" << Cuts.size() << " cuts) on '" << In << "'";
     ASSERT_EQ(Whole.size(), Str.size())
@@ -267,7 +280,7 @@ TEST(SinkDiffTest, EventModeCarryIsLexemeBoundedOnBracketCorpora) {
     for (size_t At = 4096; At < W.Input.size(); At += 4096)
       Cuts.push_back(At);
 
-    std::vector<ParseEvent> Evs;
+    std::vector<EventBatch> Evs;
     std::string Err;
     size_t EventCarry = 0;
     ASSERT_EQ(R.streamEvents(W.Input, Cuts, Evs, Err, &EventCarry),
@@ -465,6 +478,137 @@ TEST(SinkDiffTest, ParseEventsRejectsValueFreeEntries) {
     return; // one is enough
   }
   GTEST_SKIP() << "no ValueFree nonterminal in this machine";
+}
+
+/// Every Token event's text must view \p In at its own span — the
+/// whole-buffer drivers copy nothing. Returns the Token event count
+/// (zero on the grammars whose tokens dead-token elision removes).
+size_t expectTextViewsInput(const std::vector<ParseEvent> &Evs,
+                            std::string_view In, const std::string &Tag) {
+  size_t Tokens = 0;
+  for (const ParseEvent &E : Evs) {
+    if (E.Kind != EventKind::Token)
+      continue;
+    ++Tokens;
+    const std::string_view T = E.text();
+    EXPECT_TRUE(T.data() >= In.data() &&
+                T.data() + T.size() <= In.data() + In.size())
+        << Tag << ": token text at " << E.Begin << " does not view the input";
+    EXPECT_EQ(T.data(), In.data() + E.Begin) << Tag;
+  }
+  return Tokens;
+}
+
+TEST(SinkDiffTest, WholeBufferEventTextViewsTheInput) {
+  Rng Rand(53);
+  size_t Tokens = 0;
+  for (auto &Def : allBenchmarkGrammars()) {
+    SinkRig R(Def);
+    const std::string In = genWorkload(Def->Name, 23, 3000).Input;
+    ParseScratch Scratch;
+    std::vector<ParseEvent> Evs;
+    ASSERT_TRUE(R.P.M.parseEvents(R.P.M.Start, In, Scratch, Evs).ok());
+    Tokens += expectTextViewsInput(Evs, In, Def->Name + " parseEvents");
+    Evs.clear();
+    ASSERT_TRUE(R.P.M.parseEvents(R.P.M.Start, In, Evs).ok());
+    Tokens += expectTextViewsInput(Evs, In,
+                                   Def->Name + " parseEvents (scratchless)");
+
+    std::string Bad = In;
+    Bad[Rand.below(Bad.size())] = '\x01';
+    Evs.clear();
+    R.P.M.parseEventsRecover(R.P.M.Start, Bad, Scratch, Evs);
+    Tokens += expectTextViewsInput(Evs, Bad,
+                                   Def->Name + " parseEventsRecover");
+  }
+  EXPECT_GT(Tokens, 0u) << "no token events to check";
+
+  // The record drivers and the shard stitch, over multi-record corpora
+  // of two grammars whose tokens survive elision.
+  for (const char *Name : {"arith", "pgn"}) {
+    std::shared_ptr<GrammarDef> Def;
+    for (auto &G : allBenchmarkGrammars())
+      if (G->Name == Name)
+        Def = G;
+    auto PR = compileFlapRecords(Def);
+    ASSERT_TRUE(PR.ok()) << PR.error();
+    FlapParser P = PR.take();
+    const NtId Rec = recordEntry(P);
+    ASSERT_NE(Rec, NoNt);
+    const std::string In = genWorkload(Name, 41, 12000).Input;
+
+    ParseScratch Scratch;
+    std::vector<ParseEvent> Evs;
+    RecordRun RR =
+        P.M.parseEventsRecords(Rec, In, 0, In.size(), Scratch, Evs);
+    ASSERT_NE(RR.S, RecordRun::Stop::Error) << Name << ": " << RR.ErrMsg;
+    EXPECT_GT(RR.NumRecords, 1u) << Name;
+    EXPECT_GT(expectTextViewsInput(Evs, In,
+                                   std::string(Name) + " parseEventsRecords"),
+              0u);
+
+    ShardOptions O;
+    O.Threads = 2;
+    O.MinShardBytes = 64;
+    ShardParser SP(P.M, Rec, O);
+    ShardedEvents SE = SP.parseEvents(In);
+    ASSERT_TRUE(SE.Ok) << Name << ": " << SE.ErrMsg;
+    EXPECT_GT(SE.Stats.Shards, 1u) << Name;
+    EXPECT_EQ(SE.Events, Evs) << Name << ": shard stitch drift";
+    expectTextViewsInput(SE.Events, In, std::string(Name) + " ShardParser");
+  }
+}
+
+TEST(SinkDiffTest, StreamedEventTextOutlivesFeedsResetAndParser) {
+  // Each chunk is fed from a scratch copy that is scribbled over right
+  // after the feed, the parser is then reset and reused for another
+  // document, and finally destroyed — the drained batches (moved around
+  // inside a growing vector) must still hold the whole-buffer stream,
+  // byte for byte. Under ASan a view into any parser-owned or chunk
+  // memory is a use-after-free.
+  for (auto &Def : allBenchmarkGrammars()) {
+    SinkRig R(Def);
+    const std::string In = genWorkload(Def->Name, 29, 1500).Input;
+    const std::string Other = genWorkload(Def->Name, 31, 800).Input;
+    std::vector<ParseEvent> Whole;
+    ASSERT_TRUE(R.P.M.parseEvents(R.P.M.Start, In, Whole).ok());
+
+    for (size_t Chunk : {size_t(1), size_t(7), size_t(64), size_t(4096)}) {
+      const std::string Tag =
+          Def->Name + " chunk " + std::to_string(Chunk);
+      std::vector<EventBatch> Batches;
+      {
+        StreamOptions O;
+        O.Events = true;
+        StreamParser SP(R.P.M, O);
+        for (size_t At = 0; At < In.size(); At += Chunk) {
+          std::string Piece = In.substr(At, Chunk);
+          ASSERT_NE(SP.feed(Piece), StreamStatus::Error) << Tag;
+          std::fill(Piece.begin(), Piece.end(), '\0');
+          const size_t Undrained = SP.events().size();
+          Batches.push_back(SP.takeEvents());
+          ASSERT_EQ(Batches.back().size(), Undrained) << Tag;
+          ASSERT_TRUE(SP.events().empty()) << Tag;
+        }
+        ASSERT_EQ(SP.finish(), StreamStatus::Done) << Tag;
+        Batches.push_back(SP.takeEvents());
+        // Reuse the parser (and its window) for another document, left
+        // undrained when the parser dies.
+        SP.reset();
+        SP.feed(Other);
+        SP.finish();
+        EXPECT_FALSE(SP.events().empty()) << Tag;
+      }
+      size_t K = 0;
+      for (const EventBatch &B : Batches)
+        for (const ParseEvent &E : B) {
+          ASSERT_LT(K, Whole.size()) << Tag << ": extra events";
+          ASSERT_EQ(E, Whole[K]) << Tag << " event " << K;
+          ++K;
+        }
+      EXPECT_EQ(K, Whole.size()) << Tag;
+    }
+  }
 }
 
 } // namespace

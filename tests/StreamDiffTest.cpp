@@ -369,7 +369,7 @@ TEST(StreamDiffTest, ResetServesManyConnectionsAcrossModes) {
           StreamStatus::Error)
         break;
     SP.finish();
-    std::vector<ParseEvent> Evs = SP.takeEvents();
+    EventBatch Evs = SP.takeEvents();
     std::vector<ParseEvent> WholeEvs;
     Status WS = R.P.M.parseEvents(R.P.M.Start, In, WholeEvs);
     ASSERT_EQ(WS.ok(), SP.status() == StreamStatus::Done) << Conn;
