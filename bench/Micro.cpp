@@ -7,7 +7,7 @@
 ///
 /// Micro-costs of the substrates: derivative computation, lexer DFA
 /// construction, DFA lexing throughput, staged-machine scan throughput,
-/// and pipeline compile time.
+/// pipeline compile time, action dispatch and value-node build/free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -160,6 +160,26 @@ void BM_ActionDispatchFusedChain(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * 8);
 }
 BENCHMARK(BM_ActionDispatchFusedChain);
+
+//===--------------------------------------------------------------------===//
+// Value-node micro-panel: the cost to build and free one pair node, the
+// unit of work behind arith's AST actions. Pooled draws the node from a
+// warmed ValuePool freelist (the parse path); heap takes the global
+// allocator (the reference path and the baselines).
+//===--------------------------------------------------------------------===//
+
+void BM_PooledPair(benchmark::State &State, bool Pooled) {
+  const ValuePoolRef Pool = Pooled ? ValuePool::create() : nullptr;
+  int64_t I = 0;
+  for (auto _ : State) {
+    Value V = Value::pair(Pool, Value::integer(I), Value::integer(I + 1));
+    benchmark::DoNotOptimize(V);
+    ++I;
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK_CAPTURE(BM_PooledPair, pooled, true);
+BENCHMARK_CAPTURE(BM_PooledPair, heap, false);
 
 } // namespace
 

@@ -477,7 +477,7 @@ private:
 /// Hand-managed storage (not std::vector): the hot loops run a push, a
 /// pop or a micro-op millions of times per parse, and the vector's
 /// resize/erase paths cost more than the operations themselves. Here a
-/// push is a capacity compare plus a 16-byte move, and an arity-k
+/// push is a capacity compare plus a 24-byte move, and an arity-k
 /// micro-op destroys k-1 slots and overwrites one, with no size
 /// bookkeeping beyond the Top pointer.
 class ValueStack {

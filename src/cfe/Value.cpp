@@ -11,6 +11,44 @@
 
 using namespace flap;
 
+void Value::destroyNode(detail::ValueNode *N) noexcept {
+  // A pair hands its second component's node to the next iteration
+  // instead of recursing into it, so right-nested chains (cons lists,
+  // operator spines) free in constant stack depth.
+  while (N) {
+    ValuePool *Pool = N->Pool;
+    detail::ValueNode *Next = nullptr;
+    ValuePool::Slot S = ValuePool::PairSlot;
+    switch (static_cast<Tag>(N->Kind)) {
+    case Tag::Pair: {
+      auto *B = static_cast<detail::ValueBox<ValuePair> *>(N);
+      Value &Second = B->Payload.second;
+      if (Second.hasPtr()) {
+        Second.T = Tag::Unit;
+        if (dropRef(Second.R.N))
+          Next = Second.R.N;
+      }
+      B->~ValueBox();
+      break;
+    }
+    case Tag::List:
+      static_cast<detail::ValueBox<ValueList> *>(N)->~ValueBox();
+      S = ValuePool::ListSlot;
+      break;
+    default:
+      assert(static_cast<Tag>(N->Kind) == Tag::Str && "not a boxed kind");
+      static_cast<detail::ValueBox<std::string> *>(N)->~ValueBox();
+      ::operator delete(N); // strings are never pooled
+      return;
+    }
+    if (Pool)
+      Pool->deallocate(N, S);
+    else
+      ::operator delete(N);
+    N = Next;
+  }
+}
+
 bool Value::operator==(const Value &O) const {
   if (T != O.T)
     return false;

@@ -140,12 +140,13 @@ enum class RecordLogEntry : uint8_t { Value, Diagnostic };
 /// Pool is the parse's value arena: pair/list nodes built by tagged
 /// actions come from its freelists and recycle as values die, so the
 /// reuse discipline extends to structured semantic values. A result that
-/// escapes the parse pins the pool pages via shared ownership (see
-/// engine/README.md "Arena-pooled values").
+/// escapes the parse keeps the pool pages alive: a pool outlives its
+/// handles while any of its nodes is live (see engine/README.md
+/// "Arena-pooled values").
 struct ParseScratch {
   std::vector<uint32_t> Stack;
   ValueStack Values;
-  ValuePoolRef Pool = std::make_shared<ValuePool>();
+  ValuePoolRef Pool = ValuePool::create();
 
   void reset() {
     Stack.clear();

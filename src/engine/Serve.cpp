@@ -22,16 +22,18 @@ ValuePoolRef PoolBank::acquire() {
       return P;
     }
   }
-  return std::make_shared<ValuePool>();
+  return ValuePool::create();
 }
 
 void PoolBank::give(ValuePoolRef P) {
-  // use_count == 1 ⟺ only this handle pins the pool: every value that
-  // ever borrowed it is dead, so its freelists are coherent and the
-  // next acquire may reuse them. The mutex is the happens-before edge
-  // between the consumer thread that freed the last node and the
-  // worker that allocates next.
-  if (P.use_count() != 1)
+  // Values do not hold pool handles, so only the live-node count says
+  // whether a value escaped. Zero live nodes (read here by the owner,
+  // the reply's destroying thread) and no other handle mean nothing
+  // uses the pool any more, so its freelists are coherent and the next
+  // acquire may reuse them. The mutex is the happens-before edge
+  // between the consumer thread that freed the last node and the worker
+  // that allocates next.
+  if (P->liveNodes() != 0 || P.use_count() != 1)
     return; // escaped values keep it alive; it dies with the last one
   std::lock_guard<std::mutex> G(Mu);
   Free.push_back(std::move(P));

@@ -26,11 +26,11 @@
 /// reply carries it to the consumer, whose first pool touch re-adopts
 /// it — ownership moves over the future's synchronization point, never
 /// concurrently. When the reply dies, its destructor returns the pool
-/// to the bank *if no result value still pins it* (use_count == 1);
-/// otherwise the pool simply stays alive until the escaped values die,
-/// and the bank mints a fresh one for the next request. The bank's
-/// mutex provides the happens-before between the consumer's last free
-/// and the next worker's first allocation. Debug builds assert all of
+/// to the bank *if no result value still uses it* (its live-node count
+/// is zero); otherwise the pool simply stays alive until the escaped
+/// values die, and the bank mints a fresh one for the next request. The
+/// bank's mutex provides the happens-before between the consumer's last
+/// free and the next worker's first allocation. Debug builds assert all of
 /// this (cfe/Value.h), and the whole harness runs under TSan in CI
 /// (tier1-tsan).
 ///
@@ -81,7 +81,7 @@ struct ServeOptions {
 class PoolBank {
 public:
   ValuePoolRef acquire();
-  /// Recycles \p P if nothing else pins it; a pool still pinned by
+  /// Recycles \p P if none of its nodes is live; a pool still used by
   /// escaped values is dropped (it dies with its last value).
   void give(ValuePoolRef P);
 
@@ -109,6 +109,10 @@ struct ServeReply {
   ServeReply(const ServeReply &) = delete;
   ServeReply &operator=(const ServeReply &) = delete;
   ~ServeReply();
+
+  /// The arena this reply's values were built in (null for a rejected
+  /// reply). Lets callers observe pool recycling across requests.
+  const ValuePool *pool() const { return Pool.get(); }
 
 private:
   friend class ParseService;

@@ -256,7 +256,7 @@ void ShardParser::runShards(int Mode, std::string_view Input,
   // rule, cfe/Value.h). The stitcher arena included — re-parse values
   // interleave with worker values in the returned vector.
   for (ParseScratch &S : Scratches)
-    S.Pool = std::make_shared<ValuePool>();
+    S.Pool = ValuePool::create();
   if (Tasks.size() == 1) {
     runOneTask(Mode, Input, Tasks[0], Scratches[0]);
     return;

@@ -385,7 +385,7 @@ private:
   LineTracker LT;
   size_t CarryHW = 0;
   /// Per-stream value arena (see ParseScratch::Pool); reset() keeps it.
-  ValuePoolRef Pool = std::make_shared<ValuePool>();
+  ValuePoolRef Pool = ValuePool::create();
 };
 
 } // namespace flap

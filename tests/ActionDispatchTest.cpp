@@ -21,12 +21,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Pipeline.h"
+#include "engine/Shard.h"
 #include "engine/Stream.h"
 #include "grammars/Grammars.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace flap;
 
@@ -213,11 +216,23 @@ TEST(ActionDispatchTest, TokenIntAndMaxAccumAgreeWithReferences) {
   EXPECT_EQ(Slow, 1) << "ppm should keep exactly the root check custom";
 }
 
+/// A grammar whose value is pooled structure: a list of (int . int)
+/// pairs, built by the Pair micro-op and the arena-backed star.
+std::shared_ptr<GrammarDef> makePairListGrammar() {
+  auto Def = std::make_shared<GrammarDef>("pairlist");
+  Lang &L = *Def->L;
+  TokenId Num = Def->Lexer->rule("[0-9]+", "num");
+  Def->Lexer->skip("[ \\n]");
+  Def->Root = L.star(
+      L.pairUp(L.mapTokenInt(L.tok(Num)), L.mapTokenInt(L.tok(Num))));
+  return Def;
+}
+
 TEST(ActionDispatchTest, PooledValuesEscapeTheirScratch) {
   // Arena-backed values must stay valid after the scratch (and its
-  // pool handle) is gone: the nodes pin the pool pages. arith builds
-  // genuine pair structure mid-parse; json/sexp return scalars — both
-  // paths covered.
+  // pool handle) is gone: the pool outlives its last handle while any
+  // of its nodes is live. arith builds genuine pair structure mid-parse;
+  // json/sexp return scalars — both paths covered.
   for (const char *Name : {"arith", "json"}) {
     std::shared_ptr<GrammarDef> Def;
     for (auto &G : allBenchmarkGrammars())
@@ -239,6 +254,150 @@ TEST(ActionDispatchTest, PooledValuesEscapeTheirScratch) {
     }
     EXPECT_EQ(Escaped, *Ref) << Name;
   }
+
+  // A pooled result outlives its scratch, is copied and dropped on
+  // another thread (refcounts stay atomic), and frees its orphaned pool
+  // when the last copy dies here (LeakSanitizer would flag a leak).
+  {
+    DispatchRig R(makePairListGrammar());
+    const std::string In = "1 2 3 4 5 6 7 8";
+    Result<Value> Ref = R.P.M.parseLegacy(In);
+    ASSERT_TRUE(Ref.ok()) << Ref.error();
+    EXPECT_EQ(Ref->str(), "[(1 . 2) (3 . 4) (5 . 6) (7 . 8)]");
+    Value Escaped;
+    {
+      ParseScratch Scratch;
+      Result<Value> V = R.P.M.parse(In, Scratch);
+      ASSERT_TRUE(V.ok()) << V.error();
+      Escaped = V.take();
+      // One list node plus four pair nodes.
+      EXPECT_EQ(Scratch.Pool->liveNodes(), 5u);
+    }
+    std::thread([Copy = Escaped]() mutable { Copy = Value(); }).join();
+    EXPECT_EQ(Escaped, *Ref);
+
+    // The same through a destroyed StreamParser.
+    Value Streamed;
+    {
+      StreamParser SP(R.P.M);
+      SP.feed(In.substr(0, 5));
+      SP.feed(In.substr(5));
+      ASSERT_EQ(SP.finish(), StreamStatus::Done);
+      Streamed = SP.take().take();
+    }
+    EXPECT_EQ(Streamed, *Ref);
+  }
+
+  const std::shared_ptr<GrammarDef> Arith = makeArithGrammar();
+  DispatchRig R(Arith);
+  Workload W = genWorkload("arith", 41, 6000);
+  Result<Value> Ref = R.P.M.parseLegacy(W.Input);
+  ASSERT_TRUE(Ref.ok()) << Ref.error();
+
+  // An arith value taken from a destroyed StreamParser.
+  {
+    Value Streamed;
+    {
+      StreamParser SP(R.P.M);
+      for (size_t At = 0; At < W.Input.size(); At += 509)
+        SP.feed(std::string_view(W.Input).substr(At, 509));
+      ASSERT_EQ(SP.finish(), StreamStatus::Done);
+      Streamed = SP.take().take();
+      EXPECT_EQ(SP.pool()->liveNodes(), 0u);
+    }
+    EXPECT_EQ(Streamed, *Ref);
+  }
+
+  // A warmed scratch: every AST node dies inside the parse, and a
+  // re-parse recycles them without growing the arena.
+  {
+    ParseScratch Scratch;
+    Result<Value> V = R.P.M.parse(W.Input, Scratch);
+    ASSERT_TRUE(V.ok()) << V.error();
+    EXPECT_EQ(*V, *Ref);
+    EXPECT_EQ(Scratch.Pool->liveNodes(), 0u);
+    const size_t Pages = Scratch.Pool->pageCount();
+    EXPECT_GT(Pages, 0u);
+    for (int Round = 0; Round < 3; ++Round) {
+      Result<Value> Again = R.P.M.parse(W.Input, Scratch);
+      ASSERT_TRUE(Again.ok());
+      EXPECT_EQ(*Again, *Ref);
+      EXPECT_EQ(Scratch.Pool->pageCount(), Pages) << "round " << Round;
+      EXPECT_EQ(Scratch.Pool->liveNodes(), 0u);
+    }
+  }
+
+  // An arith ShardParser result (two threads) that outlives its parser.
+  {
+    Result<FlapParser> RP = compileFlapRecords(Arith);
+    ASSERT_TRUE(RP.ok()) << RP.error();
+    const NtId Rec = recordEntry(*RP);
+    ASSERT_NE(Rec, NoNt);
+    std::string Corpus;
+    for (int I = 0; I < 400; ++I)
+      Corpus += "let x = " + std::to_string(I) + " in (x + 2) * x - " +
+                std::to_string(I % 7) + ";\n";
+    ShardedValues Seq, Par;
+    {
+      ShardOptions O;
+      O.Threads = 1;
+      ShardParser SP(RP->M, Rec, O);
+      Seq = SP.parseValues(Corpus);
+    }
+    {
+      ShardOptions O;
+      O.Threads = 2;
+      O.MinShardBytes = 1024; // split this small corpus
+      ShardParser SP(RP->M, Rec, O);
+      Par = SP.parseValues(Corpus);
+    }
+    ASSERT_TRUE(Seq.Ok) << Seq.ErrMsg;
+    ASSERT_TRUE(Par.Ok) << Par.ErrMsg;
+    EXPECT_EQ(Par.NumRecords, 400u);
+    EXPECT_GT(Par.Stats.Shards, 1u);
+    EXPECT_EQ(Par.Values, Seq.Values);
+    ASSERT_EQ(Par.Values.size(), 400u);
+    EXPECT_EQ(Par.Values[3].asInt(), (3 + 2) * 3 - 3);
+  }
+}
+
+TEST(ActionDispatchTest, ListAppendAndReverseCopyOnWrite) {
+  // listAppend/listReversed mutate in place only when the node is
+  // uniquely owned; a copy taken first must never see the mutation.
+  const ValuePoolRef Pool = ValuePool::create();
+  for (const ValuePoolRef &P : {ValuePoolRef(), Pool}) {
+    const Value Base =
+        Value::list(P, {Value::integer(1), Value::integer(2)});
+    Value Copy = Base;
+    Value Appended = Value::listAppend(P, Copy, Value::integer(3));
+    EXPECT_EQ(Base.str(), "[1 2]");
+    EXPECT_EQ(Copy.str(), "[1 2]");
+    EXPECT_EQ(Appended.str(), "[1 2 3]");
+    Value Reversed = Value::listReversed(P, Appended);
+    EXPECT_EQ(Appended.str(), "[1 2 3]");
+    EXPECT_EQ(Reversed.str(), "[3 2 1]");
+
+    // Uniquely owned: the same node is reused in place.
+    Value Unique = Value::list(P, {Value::integer(7)});
+    const ValueList *Node = &Unique.asList();
+    Unique = Value::listAppend(P, std::move(Unique), Value::integer(8));
+    Unique = Value::listReversed(P, std::move(Unique));
+    EXPECT_EQ(&Unique.asList(), Node);
+    EXPECT_EQ(Unique.str(), "[8 7]");
+  }
+  EXPECT_EQ(Pool->liveNodes(), 0u);
+}
+
+TEST(ActionDispatchTest, LongPairChainsFreeWithoutRecursion) {
+  // A right-nested chain frees its spine iteratively: half a million
+  // nested frames would overflow the stack.
+  const ValuePoolRef Pool = ValuePool::create();
+  Value Chain;
+  for (int I = 0; I < 500000; ++I)
+    Chain = Value::pair(Pool, Value::integer(I), std::move(Chain));
+  EXPECT_EQ(Pool->liveNodes(), 500000u);
+  Chain = Value();
+  EXPECT_EQ(Pool->liveNodes(), 0u);
 }
 
 TEST(ActionDispatchTest, ReadsInputFlagsMatchTheGrammars) {

@@ -190,6 +190,74 @@ TEST(ServeTest, EscapedValuesAndForeignDestruction) {
   Escaped.clear(); // frees pooled nodes after the bank died
 }
 
+/// The bank recycles a pool only once none of its nodes is live; a pool
+/// whose values escaped is dropped and dies with its last value.
+TEST(ServeTest, PoolBankRecyclesOnlyDeadPools) {
+  PoolBank Bank;
+  ValuePoolRef P = Bank.acquire();
+  const ValuePool *First = P.get();
+  Value::pair(P, Value::integer(1), Value::list(P, {Value::integer(2)}));
+  Bank.give(std::move(P));
+  P = Bank.acquire();
+  EXPECT_EQ(P.get(), First) << "a pool with no live node is reused";
+
+  Value Escaped = Value::pair(P, Value::integer(3), Value::integer(4));
+  EXPECT_EQ(P->liveNodes(), 1u);
+  Bank.give(std::move(P));
+  for (int I = 0; I < 8; ++I) {
+    ValuePoolRef Next = Bank.acquire();
+    EXPECT_NE(Next.get(), First) << "a pool with a live node is reused";
+    Value Churn = Value::pair(Next, Value::integer(I), Value::integer(I));
+    Bank.give(std::move(Next));
+  }
+  EXPECT_EQ(Escaped.str(), "(3 . 4)");
+}
+
+/// The same through a service: a reply whose values all died hands its
+/// pool to the next request; a reply whose value escaped does not, and
+/// the escaped value stays intact across many later requests.
+TEST(ServeTest, ReplyPoolsRecycleAndEscapedValuesStayIntact) {
+  auto Def = std::make_shared<GrammarDef>("pairlist");
+  Lang &L = *Def->L;
+  TokenId Num = Def->Lexer->rule("[0-9]+", "num");
+  Def->Lexer->skip("[ \\n]");
+  Def->Root = L.star(
+      L.pairUp(L.mapTokenInt(L.tok(Num)), L.mapTokenInt(L.tok(Num))));
+  Result<FlapParser> P = compileFlap(Def);
+  ASSERT_TRUE(P.ok()) << P.error();
+  const std::vector<std::string> Docs = {"1 2 3 4", "5 6", "7 8 9 10 11 12"};
+  const std::vector<std::string_view> Views = views(Docs);
+
+  ServeOptions O;
+  O.Threads = 1;
+  ParseService S(P->M, P->M.Start, O);
+  const ValuePool *Reused = nullptr;
+  {
+    ServeReply Rep = S.submit(Views).get();
+    ASSERT_TRUE(Rep.Accepted);
+    ASSERT_TRUE(Rep.Results[0].ok()) << Rep.Results[0].error();
+    EXPECT_EQ(Rep.Results[0]->str(), "[(1 . 2) (3 . 4)]");
+    Reused = Rep.pool();
+  }
+  Value Escaped;
+  const ValuePool *Pinned = nullptr;
+  {
+    ServeReply Rep = S.submit(Views).get();
+    EXPECT_EQ(Rep.pool(), Reused) << "dead reply's pool not recycled";
+    Pinned = Rep.pool();
+    Escaped = Rep.Results[2].take();
+  }
+  const std::string Expect = "[(7 . 8) (9 . 10) (11 . 12)]";
+  for (int R = 0; R < 50; ++R) {
+    ServeReply Rep = S.submit(Views).get();
+    ASSERT_TRUE(Rep.Accepted);
+    EXPECT_NE(Rep.pool(), Pinned) << "pool with a live value recycled";
+    EXPECT_EQ(Rep.Results[2]->str(), Expect);
+    EXPECT_EQ(Escaped.str(), Expect) << "request " << R;
+  }
+  EXPECT_EQ(Escaped.str(), Expect);
+}
+
 TEST(ServeTest, ShutdownDrainsAndRejectsLateSubmits) {
   ServeRig Rig;
   if (!Rig.Compiled)
