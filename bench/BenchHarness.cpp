@@ -16,9 +16,115 @@
 #include <dlfcn.h>
 #include <fstream>
 #include <memory>
+#include <type_traits>
 
 using namespace flapbench;
 using namespace flap;
+
+namespace {
+
+//===----------------------------------------------------------------------===//
+// flap(prePR): the staged machine without run-skip acceleration,
+// first-byte dispatch, dead-token elision or pooling — a byte-at-a-time
+// walk of the transition table with a dependent AcceptCont load per
+// byte, per-parse stacks, and every action applied through
+// ValueStack::apply with heap values over the unrewritten symbol
+// stream. Measurement only: it reads
+// CompiledParser's public tables, and nothing but the bench's accept
+// gate checks it (the engine's reference is engine/FusedInterp.h).
+//===----------------------------------------------------------------------===//
+
+struct WalkMatch {
+  int32_t Cont = -1; ///< accepting continuation of the longest match
+  size_t End = 0;
+};
+
+template <typename Cell>
+WalkMatch walkScanT(const Cell *T, const int32_t *Acc, int32_t Start,
+                    std::string_view In, size_t Pos) {
+  WalkMatch W{-1, Pos};
+  int32_t Cur = Start;
+  for (size_t I = Pos; I < In.size();) {
+    const Cell Next = T[static_cast<size_t>(Cur) * 256 +
+                        static_cast<unsigned char>(In[I])];
+    if constexpr (std::is_same_v<Cell, uint8_t>) {
+      if (Next == CompiledParser::Dead8)
+        break;
+    } else if (Next < 0) {
+      break;
+    }
+    Cur = Next;
+    ++I;
+    if (Acc[Cur] >= 0)
+      W = {Acc[Cur], I};
+  }
+  return W;
+}
+
+WalkMatch walkScan(const CompiledParser &M, int32_t Start,
+                   std::string_view In, size_t Pos) {
+  return M.Trans8.empty() ? walkScanT(M.Trans16.data(), M.AcceptCont.data(),
+                                      Start, In, Pos)
+                          : walkScanT(M.Trans8.data(), M.AcceptCont.data(),
+                                      Start, In, Pos);
+}
+
+/// Parses (\p Build) or recognizes \p In from M.Start; true on success.
+template <bool Build>
+bool prePRWalk(const CompiledParser &M, std::string_view In, void *User) {
+  ParseContext Ctx{In, User, 0, nullptr};
+  ValueStack Values;
+  std::vector<Sym> Stack{Sym::nt(M.Start)};
+  size_t Pos = 0;
+  while (!Stack.empty()) {
+    const Sym S = Stack.back();
+    Stack.pop_back();
+    if (!S.isNt()) {
+      Values.apply(M.Actions->get(static_cast<ActionId>(S.Idx)), Ctx);
+      continue;
+    }
+    const CompiledParser::NtInfo &Info = M.Nts[S.Idx];
+    WalkMatch W = walkScan(M, Info.StartState, In, Pos);
+    while (W.Cont >= 0 && M.Conts[W.Cont].SelfSkip) { // F2 whitespace
+      Pos = W.End;
+      W = walkScan(M, Info.StartState, In, Pos);
+    }
+    if (W.Cont >= 0) {
+      const CompiledParser::Cont &K = M.Conts[W.Cont];
+      if (Build && K.PushTok != NoToken)
+        Values.push(Value::token(K.PushTok, static_cast<uint32_t>(Pos),
+                                 static_cast<uint32_t>(W.End)));
+      Pos = W.End;
+      const Sym *T = M.tail(K);
+      for (uint32_t J = K.TailLen; J-- > 0;)
+        if (Build || T[J].isNt())
+          Stack.push_back(T[J]);
+      continue;
+    }
+    if (Info.EpsChain < 0)
+      return false;
+    if (Build) {
+      const std::vector<ActionId> &Chain = M.EpsChains[Info.EpsChain];
+      if (Chain.empty())
+        Values.push(Value::unit());
+      for (ActionId A : Chain)
+        Values.apply(M.Actions->get(A), Ctx);
+    }
+  }
+  while (M.SkipState >= 0 && Pos < In.size()) { // trailing skip input
+    WalkMatch W = walkScan(M, M.SkipState, In, Pos);
+    if (W.Cont < 0 || W.End == Pos)
+      break;
+    Pos = W.End;
+  }
+  if (Pos != In.size())
+    return false;
+  if (Build)
+    Values.collect();
+  return true;
+}
+
+} // namespace
 
 EngineSet flapbench::EngineSet::build(std::shared_ptr<GrammarDef> Def) {
   EngineSet E;
@@ -90,7 +196,7 @@ std::vector<NamedEngine> flapbench::fig11Engines(EngineSet &E) {
   // the recorded baseline the run-skip speedup is measured against.
   Out.push_back({"flap(prePR)", [&E, Fresh](std::string_view In) {
                    auto Ctx = Fresh();
-                   return E.P.M.parseLegacy(In, Ctx.get()).ok();
+                   return prePRWalk<true>(E.P.M, In, Ctx.get());
                  }});
   // (g) normalized but unfused.
   Out.push_back({"normalized", [&E, Fresh](std::string_view In) {
@@ -131,7 +237,7 @@ std::vector<NamedEngine> flapbench::recognitionEngines(EngineSet &E) {
                    return E.P.M.recognize(In, *Scratch);
                  }});
   Out.push_back({"flap(prePR)", [&E](std::string_view In) {
-                   return E.P.M.recognizeLegacy(In);
+                   return prePRWalk<false>(E.P.M, In, nullptr);
                  }});
   Out.push_back({"normalized", [&E](std::string_view In) {
                    return E.Unfused->recognize(In);

@@ -20,6 +20,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 using namespace flap;
 
 namespace {
@@ -109,7 +111,8 @@ BENCHMARK(BM_PipelineCompile);
 // mechanisms on a synthetic marker stream (a counting fold: push a
 // constant, add it into an accumulator — the dominant shape of the
 // benchmark grammars). Attributes the panel-A devirtualization win:
-//   - StdFunction: the retained legacy reference path (ActionTable::ref)
+//   - StdFunction: the pre-devirtualization shape — each action a
+//                  type-erased std::function (bench-local)
 //   - Switch:      the tagged micro-op dispatch (ValueStack::applyMicro)
 //   - FusedChain:  a pre-fused ε-chain block (ValueStack::runChain)
 //===--------------------------------------------------------------------===//
@@ -129,9 +132,19 @@ struct DispatchRig {
 
 void BM_ActionDispatchStdFunction(benchmark::State &State) {
   DispatchRig R;
+  using BoxedFn = std::function<Value(ParseContext &, Value *)>;
+  const BoxedFn One = [](ParseContext &, Value *) {
+    return Value::integer(1);
+  };
+  const BoxedFn Add = [](ParseContext &, Value *Args) {
+    return Value::integer(Args[0].asInt() + Args[1].asInt());
+  };
   for (auto _ : State) {
-    R.VS.applyRef(R.AT.get(R.One), R.AT.ref(R.One), R.Ctx);
-    R.VS.applyRef(R.AT.get(R.Add), R.AT.ref(R.Add), R.Ctx);
+    R.VS.push(One(R.Ctx, nullptr));
+    Value Args[2];
+    Args[1] = R.VS.pop();
+    Args[0] = R.VS.pop();
+    R.VS.push(Add(R.Ctx, Args));
     benchmark::DoNotOptimize(R.VS.data());
   }
   State.SetItemsProcessed(State.iterations() * 2);

@@ -1,14 +1,14 @@
-//===- cfe/Action.cpp - Legacy reference dispatch ------------------------------===//
+//===- cfe/Action.cpp - Value-stack action dispatch ---------------------------===//
 //
 // Part of flap-cpp, a C++ reproduction of "flap: A Deterministic Parser
 // with Fused Lexing" (PLDI 2023).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The retained std::function reference path: every tagged action is
-/// wrapped in a type-erased callable with identical semantics, except
-/// that structure-building kinds take the plain heap constructors (no
-/// pool), so the differential suite exercises both allocation paths.
+/// The out-of-line halves of ValueStack: growth, the MTokInt body and
+/// the structure-building kinds. Pair and list nodes come from
+/// ParseContext::Pool when it is set (the engines) and from the heap
+/// when it is null (the Fig. 9 reference interpreter).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,100 +63,4 @@ Value ValueStack::applySlow(const Action &A, ParseContext &Ctx,
   }
   assert(false && "scalar kind reached applySlow");
   return Value();
-}
-
-void ActionTable::buildRefs() const {
-  RefFns.resize(Actions.size());
-  static const ValuePoolRef NoPool; // reference path never pools
-  for (size_t I = 0; I < Actions.size(); ++I) {
-    const Action &A = Actions[I];
-    switch (A.Kind) {
-    case ActionKind::Custom: {
-      ActionFn Fn = A.Fn;
-      RefFns[I] = [Fn](ParseContext &Ctx, Value *Args) {
-        return Fn(Ctx, Args);
-      };
-      break;
-    }
-    case ActionKind::CustomP: {
-      ActionPFn Fn = A.PFn;
-      const void *Payload = A.Payload;
-      RefFns[I] = [Fn, Payload](ParseContext &Ctx, Value *Args) {
-        return Fn(Ctx, Args, Payload);
-      };
-      break;
-    }
-    case ActionKind::Const: {
-      Value V = A.ConstVal;
-      RefFns[I] = [V](ParseContext &, Value *) { return V; };
-      break;
-    }
-    case ActionKind::Select: {
-      int Sel = A.Sel;
-      RefFns[I] = [Sel](ParseContext &, Value *Args) {
-        return std::move(Args[Sel]);
-      };
-      break;
-    }
-    case ActionKind::Pair:
-      RefFns[I] = [](ParseContext &, Value *Args) {
-        return Value::pair(std::move(Args[0]), std::move(Args[1]));
-      };
-      break;
-    case ActionKind::TokenText:
-      RefFns[I] = [](ParseContext &Ctx, Value *Args) {
-        return Value::string(std::string(Ctx.text(Args[0].asToken())));
-      };
-      break;
-    case ActionKind::ListNew: {
-      int Arity = A.Arity;
-      RefFns[I] = [Arity](ParseContext &, Value *Args) {
-        ValueList L;
-        L.reserve(static_cast<size_t>(Arity));
-        for (int J = 0; J < Arity; ++J)
-          L.push_back(std::move(Args[J]));
-        return Value::list(std::move(L));
-      };
-      break;
-    }
-    case ActionKind::ListPush: {
-      int Sel = A.Sel;
-      RefFns[I] = [Sel](ParseContext &, Value *Args) {
-        return Value::listAppend(NoPool, std::move(Args[Sel]),
-                                 std::move(Args[1 - Sel]));
-      };
-      break;
-    }
-    case ActionKind::AddArgs: {
-      int SA = A.Sel, SB = A.Sel2;
-      RefFns[I] = [SA, SB](ParseContext &, Value *Args) {
-        return Value::integer(Args[SA].asInt() + Args[SB].asInt());
-      };
-      break;
-    }
-    case ActionKind::AddImm: {
-      int Sel = A.Sel;
-      int64_t Imm = A.Imm;
-      RefFns[I] = [Sel, Imm](ParseContext &, Value *Args) {
-        return Value::integer(Args[Sel].asInt() + Imm);
-      };
-      break;
-    }
-    case ActionKind::TokenInt: {
-      int Sel = A.Sel;
-      RefFns[I] = [Sel](ParseContext &Ctx, Value *Args) {
-        return Value::integer(lexemeInt(Ctx, Args[Sel].asToken()));
-      };
-      break;
-    }
-    case ActionKind::MaxAccum: {
-      int SA = A.Sel, SB = A.Sel2;
-      RefFns[I] = [SA, SB](ParseContext &, Value *Args) {
-        return Value::integer(
-            maxAccumStep(Args[SA].asInt(), Args[SB].asInt()));
-      };
-      break;
-    }
-    }
-  }
 }

@@ -20,12 +20,13 @@
 /// back to a raw function pointer (optionally carrying a payload
 /// pointer). Registration allocates nothing on the common path.
 ///
-/// The former std::function path is retained as the *reference
-/// implementation*: ActionTable::ref() lazily wraps every tagged action
-/// in a type-erased callable with identical semantics (heap-allocating
-/// pair/list nodes rather than pool-backed ones). parseLegacy, the
-/// stream RefActions option and tests/ActionDispatchTest.cpp drive it to
-/// pin the tagged dispatch down differentially.
+/// ValueStack::apply is the one implementation of every kind. The
+/// engines reach it through the micro-op projection (applyMicroOp) or
+/// the MSlow escape, and the Fig. 9 reference interpreter
+/// (engine/FusedInterp.h) calls it directly with no pool, so the
+/// differential suites compare pooled and heap values built by the same
+/// code; tests/ActionDispatchTest.cpp pins each kind's result against a
+/// literal expected value.
 ///
 /// Actions may consult a per-parse ParseContext (input text and an opaque
 /// user pointer), which is how grammars like ppm implement semantic
@@ -40,10 +41,7 @@
 
 #include "cfe/Value.h"
 
-#include <atomic>
 #include <cassert>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,9 +92,6 @@ using ActionFn = Value (*)(ParseContext &Ctx, Value *Args);
 /// that genuinely needs captured state, e.g. chainl1's fold function).
 using ActionPFn = Value (*)(ParseContext &Ctx, Value *Args,
                             const void *Payload);
-
-/// Reference-path callable (the legacy type-erased shape).
-using ActionRefFn = std::function<Value(ParseContext &Ctx, Value *Args)>;
 
 /// The executable shape of an action. Grammar code rarely names these
 /// directly — ActionTable's add* helpers and the Lang combinators pick
@@ -391,24 +386,6 @@ public:
   /// watermarks need tracking at all.
   bool readsInput() const { return AnyReadsInput; }
 
-  /// The legacy type-erased callable for \p Id — semantics identical to
-  /// the tagged dispatch, but routed through a std::function and the
-  /// heap (non-pooled) value constructors. Built lazily, once. Safe
-  /// against concurrent first use: two parser threads hitting a
-  /// ValueFree entry's legacy fallback at once (the serving harness does
-  /// exactly this) serialize the build under RefsMu; the fast path is an
-  /// acquire load that observes the completed table.
-  const ActionRefFn &ref(ActionId Id) const {
-    if (RefsBuilt.load(std::memory_order_acquire) != Actions.size()) {
-      std::lock_guard<std::mutex> G(RefsMu);
-      if (RefsBuilt.load(std::memory_order_relaxed) != Actions.size()) {
-        buildRefs();
-        RefsBuilt.store(Actions.size(), std::memory_order_release);
-      }
-    }
-    return RefFns[Id];
-  }
-
 private:
   ActionId push(Action A) {
     AnyReadsInput |= A.ReadsInput;
@@ -461,14 +438,9 @@ private:
     return Id;
   }
 
-  void buildRefs() const;
-
   std::vector<Action> Actions;
   std::vector<MicroOp> Micro;
   bool AnyReadsInput = false;
-  mutable std::vector<ActionRefFn> RefFns;
-  mutable std::atomic<size_t> RefsBuilt{0};
-  mutable std::mutex RefsMu;
 };
 
 /// A growable value stack shared by all engines. Running an action pops
@@ -667,15 +639,6 @@ public:
 #endif
   void applySlowId(const ActionTable &AT, ActionId Id, ParseContext &Ctx) {
     apply(AT.data()[Id], Ctx);
-  }
-
-  /// Applies \p A through its legacy std::function (the reference path).
-  void applyRef(const Action &A, const ActionRefFn &F, ParseContext &Ctx) {
-    assert(size() >= static_cast<size_t>(A.Arity) &&
-           "value stack underflow in action");
-    Value *Args = Top - A.Arity;
-    Value R = F(Ctx, Args);
-    replaceTop(static_cast<size_t>(A.Arity), std::move(R));
   }
 
   /// Runs a pre-fused ε-chain program: \p Ops actions back to back, with

@@ -263,8 +263,8 @@ std::string flap::emitCpp(const CompiledParser &M, const std::string &Name) {
   // behind the event driver and the value machine. Unlike the library's
   // packed pools these carry the *unrewritten* symbol stream (no
   // dead-token elision): generated events name raw ActionIds and report
-  // every pushed token, the same stream the library's legacy reference
-  // loop runs.
+  // every pushed token, the same stream the Fig. 9 reference
+  // interpreter (engine/FusedInterp.h) runs.
   std::string FullOff, FullSyms, ContToks;
   uint32_t FOff = 0;
   for (const auto &K : M.Conts) {

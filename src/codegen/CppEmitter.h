@@ -30,7 +30,7 @@
 /// id), Token (kind 1, token id over the [begin, end) span), Reduce
 /// (kind 2, ActionId) and Eps (kind 3, nonterminal id) — over the
 /// *unrewritten* symbol stream (no dead-token elision; the stream the
-/// library's legacy reference loop runs), so replaying token pushes and
+/// Fig. 9 reference interpreter runs), so replaying token pushes and
 /// action applications in order reproduces the semantic value. Returns
 /// the event count, or -1 on a parse error.
 ///

@@ -63,6 +63,18 @@ Result<FusedGrammar> flap::fuse(RegexArena &Arena,
   return Out;
 }
 
+std::string FusedNt::expected(const TokenSet &Tokens) const {
+  std::string Out;
+  for (const FusedProd &P : Prods) {
+    if (P.isSkip())
+      continue;
+    if (!Out.empty())
+      Out += ", ";
+    Out += Tokens.name(P.FromTok);
+  }
+  return Out;
+}
+
 std::string FusedGrammar::str(RegexArena &Arena,
                               const ActionTable *Actions) const {
   std::vector<std::string> Lines;

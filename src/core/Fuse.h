@@ -56,6 +56,11 @@ struct FusedNt {
   /// fused grammar.
   RegexId Lookahead = NoRegex;
   std::string Name;
+
+  /// The tokens a parse of this nonterminal can start with, e.g.
+  /// "rpar, atom": the expected-set text of its parse diagnostics
+  /// (CompiledParser::NtExpected, parseFusedInterp).
+  std::string expected(const TokenSet &Tokens) const;
 };
 
 /// A fused grammar: token-free, branching only on characters.

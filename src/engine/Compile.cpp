@@ -49,13 +49,14 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
                                           const FusedGrammar &F,
                                           const ActionTable &Actions,
                                           size_t MaxStates) {
-  return compileFused(Arena, F, Actions, nullptr, MaxStates);
+  return compileFused(Arena, F, Actions, nullptr, {}, MaxStates);
 }
 
 Result<CompiledParser> flap::compileFused(RegexArena &Arena,
                                           const FusedGrammar &F,
                                           const ActionTable &Actions,
                                           const TokenSet *Tokens,
+                                          const std::vector<NtId> &Entries,
                                           size_t MaxStates) {
   // Packed-symbol width guards (see CompiledParser::packNt): NtId is
   // packed into 15 bits and a scan start state into 16 bits; the hot
@@ -149,17 +150,8 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
   M.NtExpected.resize(F.numNts());
   for (NtId N = 0; N < F.numNts(); ++N) {
     M.NtNames[N] = F.Nts[N].Name;
-    if (Tokens) {
-      std::string Expected;
-      for (const FusedProd &P : F.Nts[N].Prods) {
-        if (P.isSkip())
-          continue;
-        if (!Expected.empty())
-          Expected += ", ";
-        Expected += Tokens->name(P.FromTok);
-      }
-      M.NtExpected[N] = Expected;
-    }
+    if (Tokens)
+      M.NtExpected[N] = F.Nts[N].expected(*Tokens);
     M.Nts[N].StartState = InternState(NtStartItems[N]);
     if (F.Nts[N].HasEps) {
       std::vector<ActionId> Chain;
@@ -290,7 +282,9 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
   //     head, empty tail — e.g. the nonterminal holding a closing
   //     bracket): its value is a token that some enclosing production's
   //     marker consumes. Elidable only when every occurrence across the
-  //     grammar ignores it; the nonterminal is then ValueFree.
+  //     grammar ignores it and it is not a declared entry (F.Start or
+  //     one of \p Entries), whose value is a parse result; the
+  //     nonterminal is then ValueFree.
   //
   // Phase A computes each nonterminal's net stack effect and minimum
   // stack excursion (how far below its entry level its markers reach),
@@ -725,8 +719,15 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
     Removed[{R.Cont, R.TailIdx}].push_back(R.Pos);
     ContParseTok[C] = NoToken;
   }
+  std::vector<uint8_t> Declared(NumNts, 0);
+  if (F.Start != NoNt)
+    Declared[F.Start] = 1;
+  for (NtId N : Entries) {
+    assert(N < NumNts && "declared entry out of range");
+    Declared[N] = 1;
+  }
   for (NtId N = 0; N < NumNts; ++N) {
-    if (!PureTokNt[N] || PureCont[N] < 0 || N == M.Start)
+    if (!PureTokNt[N] || PureCont[N] < 0 || Declared[N])
       continue;
     if (PureOccs[N].empty())
       continue; // unreachable; leave it alone
@@ -1310,95 +1311,33 @@ RecordRun recordsRecognizeT(const CompiledParser &M, NtId R,
       [](RecordRun &) {});
 }
 
-//===--------------------------------------------------------------------===//
-// Pre-run-skip reference kernels (the machine as of the first staging
-// implementation): byte-at-a-time walk with a dependent AcceptCont load
-// per byte. Differential-testing oracle + recorded perf baseline.
-//===--------------------------------------------------------------------===//
-
-struct LegacyScan {
-  int32_t Best;
-  size_t BestEnd;
-};
-
-
-inline LegacyScan scanLegacy8(const uint8_t *T, const int32_t *Acc,
-                              int32_t Start, const char *S, size_t Pos,
-                              size_t Len) {
-  uint32_t Cur = static_cast<uint32_t>(Start);
-  int32_t Best = -1;
-  size_t BestEnd = Pos, I = Pos;
-  while (I < Len) {
-    uint8_t Next = T[Cur * 256 + static_cast<unsigned char>(S[I])];
-    if (Next == CompiledParser::Dead8)
-      break;
-    Cur = Next;
-    ++I;
-    int32_t A = Acc[Cur];
-    if (A >= 0) {
-      Best = A;
-      BestEnd = I;
-    }
-  }
-  return {Best, BestEnd};
-}
-
-inline LegacyScan scanLegacy16(const int16_t *T, const int32_t *Acc,
-                               int32_t Start, const char *S, size_t Pos,
-                               size_t Len) {
-  int32_t Cur = Start;
-  int32_t Best = -1;
-  size_t BestEnd = Pos, I = Pos;
-  while (I < Len) {
-    int32_t Next = T[Cur * 256 + static_cast<unsigned char>(S[I])];
-    if (Next < 0)
-      break;
-    Cur = Next;
-    ++I;
-    int32_t A = Acc[Cur];
-    if (A >= 0) {
-      Best = A;
-      BestEnd = I;
-    }
-  }
-  return {Best, BestEnd};
-}
-
-LegacyScan scanLegacy(const CompiledParser &M, bool Small, int32_t Start,
-                      const char *S, size_t Pos, size_t Len) {
-  return Small ? scanLegacy8(M.Trans8.data(), M.AcceptCont.data(), Start,
-                             S, Pos, Len)
-               : scanLegacy16(M.Trans16.data(), M.AcceptCont.data(), Start,
-                              S, Pos, Len);
-}
-
-size_t matchTrailingSkipLegacy(const CompiledParser &M,
-                               std::string_view Input, size_t Pos) {
-  if (M.SkipState < 0)
-    return Pos;
-  const size_t Len = Input.size();
-  const bool Small = !M.Trans8.empty();
-  while (Pos < Len) {
-    LegacyScan R =
-        scanLegacy(M, Small, M.SkipState, Input.data(), Pos, Len);
-    if (R.Best < 0 || R.BestEnd == Pos)
-      break;
-    Pos = R.BestEnd;
-  }
-  return Pos;
+/// A record run refused before parsing: the entry contract's Fatal
+/// diagnostic in RecordRun's error fields.
+RecordRun refusedRun(const ParseDiagnostic &D) {
+  RecordRun RR;
+  RR.S = RecordRun::Stop::Error;
+  RR.ErrNt = D.Nt;
+  RR.ErrMsg = D.message();
+  return RR;
 }
 
 } // namespace
+
+ParseDiagnostic CompiledParser::entryRefusal(NtId N) const {
+  ParseDiagnostic D;
+  D.K = ParseDiagnostic::Kind::Entry;
+  D.Act = ParseDiagnostic::Action::Fatal;
+  D.Nt = N;
+  D.Where = NtNames[N];
+  return D;
+}
 
 Result<Value> CompiledParser::parseFrom(NtId StartNt, std::string_view Input,
                                         ParseScratch &Scratch,
                                         void *User) const {
   assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  // Dead-token elision compiled this nonterminal's value away on the
-  // packed-pool path; as an *entry point* that value is the result, so
-  // take the legacy (unrewritten) loop instead.
   if (Nts[StartNt].ValueFree)
-    return parseLegacyFrom(StartNt, Input, User);
+    return Err(entryRefusal(StartNt).message());
   Scratch.reset();
   ValueSink Sk(*this, Scratch, Input, User);
   return Sk.result(drive(*this, StartNt, Input, Scratch.Stack, Sk));
@@ -1432,12 +1371,8 @@ Status CompiledParser::parseEvents(NtId StartNt, std::string_view Input,
                                    ParseScratch &Scratch,
                                    std::vector<ParseEvent> &Events) const {
   assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  // The event stream mirrors the rewritten machine; a ValueFree entry's
-  // tokens were compiled away, so its stream could not be replayed into
-  // the entry's value (same restriction as the streaming parser).
   if (Nts[StartNt].ValueFree)
-    return Err("entry nonterminal's value was compiled away by dead-token "
-               "elision; use parseLegacyFrom for this entry point");
+    return Err(entryRefusal(StartNt).message());
   EventSink Sk(*this, Input, Events);
   return Sk.result(drive(*this, StartNt, Input, Scratch.Stack, Sk));
 }
@@ -1446,8 +1381,7 @@ Status CompiledParser::parseEvents(NtId StartNt, std::string_view Input,
                                    std::vector<ParseEvent> &Events) const {
   assert(StartNt < Nts.size() && "entry nonterminal out of range");
   if (Nts[StartNt].ValueFree)
-    return Err("entry nonterminal's value was compiled away by dead-token "
-               "elision; use parseLegacyFrom for this entry point");
+    return Err(entryRefusal(StartNt).message());
   // The event driver uses only the symbol stack — no ParseScratch (and
   // no value-pool allocation) needed.
   std::vector<uint32_t> Stack;
@@ -1463,8 +1397,7 @@ CompiledParser::parseBatch(NtId StartNt, const std::string_view *Inputs,
   std::vector<Result<Value>> Out;
   Out.reserve(N);
   if (Nts[StartNt].ValueFree) {
-    for (size_t I = 0; I < N; ++I)
-      Out.push_back(parseLegacyFrom(StartNt, Inputs[I], User));
+    Out.assign(N, Err(entryRefusal(StartNt).message()));
     return Out;
   }
   // The serving loop: entry checks, the table width, and the sink (with
@@ -1497,8 +1430,7 @@ CompiledParser::parseBatch(NtId StartNt, const std::string_view *Inputs,
   std::vector<Result<Value>> Out;
   Out.reserve(N);
   if (Nts[StartNt].ValueFree) {
-    for (size_t I = 0; I < N; ++I)
-      Out.push_back(parseLegacyFrom(StartNt, Inputs[I], Users[I]));
+    Out.assign(N, Err(entryRefusal(StartNt).message()));
     return Out;
   }
   // Same hoisted serving loop as the shared-User overload; the rebind
@@ -1525,15 +1457,7 @@ RecoveredParse CompiledParser::parseRecoverFrom(NtId StartNt,
   assert(StartNt < Nts.size() && "entry nonterminal out of range");
   RecoveredParse Out;
   if (Nts[StartNt].ValueFree) {
-    // Dead-token elision compiled this entry's value away and the legacy
-    // loop has no recovery mode: fail fast with one structured
-    // diagnostic instead of silently delivering nothing.
-    ParseDiagnostic D;
-    D.Act = ParseDiagnostic::Action::Fatal;
-    D.Nt = StartNt;
-    D.Expected = NtExpected[StartNt];
-    D.Where = NtNames[StartNt];
-    Out.Errors.push_back(std::move(D));
+    Out.Errors.push_back(entryRefusal(StartNt));
     Out.Truncated = true;
     return Out;
   }
@@ -1556,12 +1480,7 @@ RecoveredParse CompiledParser::parseEventsRecover(
   assert(StartNt < Nts.size() && "entry nonterminal out of range");
   RecoveredParse Out;
   if (Nts[StartNt].ValueFree) {
-    ParseDiagnostic D;
-    D.Act = ParseDiagnostic::Action::Fatal;
-    D.Nt = StartNt;
-    D.Expected = NtExpected[StartNt];
-    D.Where = NtNames[StartNt];
-    Out.Errors.push_back(std::move(D));
+    Out.Errors.push_back(entryRefusal(StartNt));
     Out.Truncated = true;
     return Out;
   }
@@ -1608,17 +1527,8 @@ RecordRun CompiledParser::parseRecords(NtId R, std::string_view Input,
                                        std::vector<Value> &Out,
                                        void *User) const {
   assert(R < Nts.size() && "record nonterminal out of range");
-  if (Nts[R].ValueFree) {
-    // The legacy fallback has no record mode; fail structurally rather
-    // than deliver values the elision compiled away.
-    RecordRun RR;
-    RR.S = RecordRun::Stop::Error;
-    RR.ErrNt = R;
-    RR.ErrMsg = "record entry nonterminal's value was compiled away by "
-                "dead-token elision; record-sequence parsing needs a "
-                "value-carrying entry";
-    return RR;
-  }
+  if (Nts[R].ValueFree)
+    return refusedRun(entryRefusal(R));
   Scratch.reset();
   return Trans8.empty()
              ? recordsValuesT<Tab16>(*this, R, Input, Pos, Limit, Scratch,
@@ -1631,14 +1541,8 @@ RecordRun CompiledParser::parseEventsRecords(
     NtId R, std::string_view Input, size_t Pos, size_t Limit,
     ParseScratch &Scratch, std::vector<ParseEvent> &Events) const {
   assert(R < Nts.size() && "record nonterminal out of range");
-  if (Nts[R].ValueFree) {
-    RecordRun RR;
-    RR.S = RecordRun::Stop::Error;
-    RR.ErrNt = R;
-    RR.ErrMsg = "record entry nonterminal's value was compiled away by "
-                "dead-token elision; its event stream cannot be replayed";
-    return RR;
-  }
+  if (Nts[R].ValueFree)
+    return refusedRun(entryRefusal(R));
   return Trans8.empty()
              ? recordsEventsT<Tab16>(*this, R, Input, Pos, Limit,
                                      Scratch.Stack, Events)
@@ -1664,13 +1568,10 @@ RecordRun CompiledParser::parseRecordsRecover(
     const RecoverOptions &Opts, void *User) const {
   assert(R < Nts.size() && "record nonterminal out of range");
   if (Nts[R].ValueFree) {
-    RecordRun RR;
-    RR.S = RecordRun::Stop::Error;
-    RR.ErrNt = R;
+    Errs.push_back(entryRefusal(R));
+    Log.push_back(RecordLogEntry::Diagnostic);
+    RecordRun RR = refusedRun(Errs.back());
     RR.Truncated = true;
-    RR.ErrMsg = "record entry nonterminal's value was compiled away by "
-                "dead-token elision; record-sequence parsing needs a "
-                "value-carrying entry";
     return RR;
   }
   Scratch.reset();
@@ -1682,120 +1583,6 @@ RecordRun CompiledParser::parseRecordsRecover(
              : recordsRecoverT<Tab8>(*this, R, Input, Pos, Limit,
                                      Scratch.Stack, Sk, Out, Errs, Log,
                                      Opts);
-}
-
-Result<Value> CompiledParser::parseLegacyFrom(NtId StartNt,
-                                              std::string_view Input,
-                                              void *User) const {
-  // The frozen reference loop, in both senses: the pre-run-skip
-  // byte-at-a-time table walk AND the pre-devirtualization action path —
-  // every action runs through its retained std::function wrapper
-  // (ActionTable::ref) and the heap value constructors (no pool), over
-  // the *unrewritten* symbol stream (no dead-token elision). The
-  // differential suites pin the accelerated loop to this one.
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  ParseContext Ctx{Input, User, 0, {}};
-  ValueStack Values;
-  std::vector<Sym> Stack;
-  Stack.push_back(Sym::nt(StartNt));
-  size_t Pos = 0;
-  const size_t Len = Input.size();
-  const bool Small = !Trans8.empty();
-
-  while (!Stack.empty()) {
-    Sym S = Stack.back();
-    Stack.pop_back();
-    if (!S.isNt()) {
-      ActionId A = static_cast<ActionId>(S.Idx);
-      Values.applyRef(Actions->get(A), Actions->ref(A), Ctx);
-      continue;
-    }
-    const NtInfo &Info = Nts[S.Idx];
-    int32_t Best;
-    size_t BestEnd;
-    while (true) {
-      LegacyScan R =
-          scanLegacy(*this, Small, Info.StartState, Input.data(), Pos, Len);
-      Best = R.Best;
-      BestEnd = R.BestEnd;
-      if (Best >= 0 && Conts[Best].SelfSkip) {
-        Pos = BestEnd;
-        continue;
-      }
-      break;
-    }
-    if (Best >= 0) {
-      const Cont &K = Conts[Best];
-      if (K.PushTok != NoToken)
-        Values.push(Value::token(K.PushTok, static_cast<uint32_t>(Pos),
-                                 static_cast<uint32_t>(BestEnd)));
-      Pos = BestEnd;
-      const Sym *T = tail(K);
-      for (uint32_t J = K.TailLen; J-- > 0;)
-        Stack.push_back(T[J]);
-      continue;
-    }
-    if (Info.EpsChain >= 0) {
-      const std::vector<ActionId> &Chain = EpsChains[Info.EpsChain];
-      if (Chain.empty()) {
-        Values.push(Value::unit());
-      } else {
-        for (ActionId A : Chain)
-          Values.applyRef(Actions->get(A), Actions->ref(A), Ctx);
-      }
-      continue;
-    }
-    // Same diagnostics as the accelerated loop — rendered through the
-    // ONE shared formatter (engine/Diagnostic.h), so the kernels cannot
-    // drift (the differential fuzzer compares error strings verbatim).
-    return Err(formatParseErrorAt(Pos, NtExpected[S.Idx], NtNames[S.Idx]));
-  }
-
-  Pos = matchTrailingSkipLegacy(*this, Input, Pos);
-  if (Pos != Len)
-    return Err(formatTrailingAt(Pos));
-  // Final-value collection — the shared ValueStack policy.
-  return Values.collect();
-}
-
-bool CompiledParser::recognizeLegacy(std::string_view Input) const {
-  std::vector<uint32_t> Stack;
-  Stack.push_back(Start);
-  size_t Pos = 0;
-  const size_t Len = Input.size();
-  const bool Small = !Trans8.empty();
-
-  while (!Stack.empty()) {
-    uint32_t N = Stack.back();
-    Stack.pop_back();
-    const NtInfo &Info = Nts[N];
-    int32_t Best;
-    size_t BestEnd;
-    while (true) {
-      LegacyScan R =
-          scanLegacy(*this, Small, Info.StartState, Input.data(), Pos, Len);
-      Best = R.Best;
-      BestEnd = R.BestEnd;
-      if (Best >= 0 && Conts[Best].SelfSkip) {
-        Pos = BestEnd;
-        continue;
-      }
-      break;
-    }
-    if (Best >= 0) {
-      const Cont &K = Conts[Best];
-      Pos = BestEnd;
-      const Sym *T = tail(K);
-      for (uint32_t J = K.TailLen; J-- > 0;)
-        if (T[J].isNt())
-          Stack.push_back(T[J].Idx);
-      continue;
-    }
-    if (Info.EpsChain >= 0)
-      continue;
-    return false;
-  }
-  return matchTrailingSkipLegacy(*this, Input, Pos) == Len;
 }
 
 //===--------------------------------------------------------------------===//

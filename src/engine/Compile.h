@@ -289,7 +289,9 @@ public:
   }
 
   /// Parses starting from an arbitrary nonterminal — the machine is one
-  /// table set shared by every entry point (paper §8).
+  /// table set shared by every entry point (paper §8). An undeclared
+  /// ValueFree entry fails with entryRefusal()'s message (see
+  /// engine/README.md "Entry points").
   Result<Value> parseFrom(NtId StartNt, std::string_view Input,
                           void *User = nullptr) const {
     ParseScratch Scratch;
@@ -313,10 +315,8 @@ public:
   /// appending the event stream (see ParseEvent for the ordering and
   /// lifetime contract) to \p Events instead of building values. No
   /// per-event allocation: token text views \p Input, so the events'
-  /// text is valid as long as Input is. Fails (with the same
-  /// diagnostics as parseFrom) on parse errors, and on ValueFree entry
-  /// nonterminals, whose event stream was rewritten away by dead-token
-  /// elision.
+  /// text is valid as long as Input is. Fails with the same diagnostics
+  /// as parseFrom, including the entry refusal.
   Status parseEvents(NtId StartNt, std::string_view Input,
                      ParseScratch &Scratch,
                      std::vector<ParseEvent> &Events) const;
@@ -375,9 +375,9 @@ public:
                               const RecoverOptions &Opts = {}) const {
     return parseRecoverFrom(Start, Input, Scratch, User, Opts);
   }
-  /// Entry-point variant. A ValueFree entry nonterminal cannot deliver
-  /// values (its value was compiled away); the result carries a single
-  /// Fatal diagnostic at offset 0 and Truncated = true.
+  /// Entry-point variant. An undeclared ValueFree entry yields the one
+  /// entryRefusal() diagnostic and Truncated = true, as do the event
+  /// and record-recovery drivers.
   RecoveredParse parseRecoverFrom(NtId StartNt, std::string_view Input,
                                   ParseScratch &Scratch, void *User = nullptr,
                                   const RecoverOptions &Opts = {}) const;
@@ -468,23 +468,13 @@ public:
                                 const RecoverOptions &Opts = {},
                                 void *User = nullptr) const;
 
-  /// Pre-acceleration reference loop: byte-at-a-time table walk with a
-  /// dependent AcceptCont load per byte, per-parse stack allocation, and
-  /// every semantic action dispatched through its retained std::function
-  /// wrapper (ActionTable::ref) with heap-allocated values — the machine
-  /// as it was before run-skip acceleration and action devirtualization.
-  /// Kept as the differential-testing oracle for the accelerated kernels
-  /// and tagged dispatch (tests/ActionDispatchTest.cpp) and as the
-  /// recorded perf baseline (bench/Fig11Throughput --json).
-  Result<Value> parseLegacy(std::string_view Input,
-                            void *User = nullptr) const {
-    return parseLegacyFrom(Start, Input, User);
-  }
-  /// Legacy loop from an arbitrary entry point; also the correctness
-  /// fallback parseFrom takes for ValueFree entry nonterminals.
-  Result<Value> parseLegacyFrom(NtId StartNt, std::string_view Input,
-                                void *User = nullptr) const;
-  bool recognizeLegacy(std::string_view Input) const;
+  /// The entry contract (engine/README.md "Entry points"): value and
+  /// event modes refuse a ValueFree nonterminal — one that was not a
+  /// declared entry at compileFused time, so dead-token elision could
+  /// erase its value — with this one structured Fatal diagnostic. The
+  /// recovery and record-recovery drivers report it as is; the other
+  /// modes fail with its message(). Recognize modes accept any entry.
+  ParseDiagnostic entryRefusal(NtId N) const;
 
   /// Number of machine states = generated functions (Table 1, "Output
   /// Functions").
@@ -558,8 +548,8 @@ public:
   int32_t NumAccept = 0;
   /// [State] → continuation selected when this state is reached with the
   /// longest match so far, or -1. Consulted by the code generator, the
-  /// legacy kernels and tests; the accelerated loop uses the
-  /// state-indexed Acc* arrays below instead.
+  /// verifier, tests and the bench's flap(prePR) walk; the accelerated
+  /// loop uses the state-indexed Acc* arrays below instead.
   Table<int32_t> AcceptCont;
   /// [State] → set of bytes on which the state loops to itself; empty
   /// for states with no self-loop. Drives run skipping.
@@ -614,8 +604,7 @@ public:
   /// One 16-byte micro-op per marker occurrence in PackedPool. MSlow
   /// occurrences carry their ActionId in Imm (the full Action record
   /// dispatch); MicroOp::FRewritten marks occurrences adjusted by
-  /// dead-token elision, which therefore have no boxed (std::function)
-  /// equivalent of the same arity.
+  /// dead-token elision.
   ///
   /// Dead-token elision: a production that pushes a token whose value is
   /// consumed by a scalar micro-op marker that provably ignores it (the
@@ -626,7 +615,7 @@ public:
   /// out. A Select reduced to the identity becomes MNop and is dropped
   /// from the pool entirely.
   Table<MicroOp> OpPool;
-  /// Originating ActionId per OpPool entry (cold: reference-path and
+  /// Originating ActionId per OpPool entry (cold: verifier and
   /// diagnostic use only).
   Table<ActionId> OpActs;
   uint32_t packNt(NtId N) const {
@@ -643,11 +632,10 @@ public:
     /// fallback (`back` continuation), else -1 (`no` → parse error).
     int32_t EpsChain = -1;
     /// Dead-token elision erased this nonterminal's value entirely (a
-    /// pure token nonterminal all of whose consumers ignore it). The
-    /// packed pools are compiled under that assumption, so parseFrom
-    /// falls back to the legacy (unrewritten) loop when such a
-    /// nonterminal is used as an *entry point* — the only context where
-    /// its value would have been observable.
+    /// pure token nonterminal all of whose consumers ignore it). Never
+    /// set on a declared entry; as an undeclared entry — the only
+    /// context where its value would have been observable — value and
+    /// event modes refuse it (entryRefusal).
     bool ValueFree = false;
   };
   Table<NtInfo> Nts;
@@ -731,7 +719,8 @@ public:
   /// when a nonterminal takes its `back` (lookahead/ε) continuation —
   /// one table-driven block instead of N ValueStack::apply round-trips.
   /// Compiled from EpsChains by compileFused; the chains themselves stay
-  /// around as the reference form (legacy path, code generator, tests).
+  /// around as the source form (streaming retain path, code generator,
+  /// verifier, artifacts).
   struct EpsProgram {
     enum Kind : uint8_t {
       Unit,     ///< empty chain: push Value::unit()
@@ -757,18 +746,21 @@ public:
 
 /// Stages the fused grammar into a CompiledParser. \p MaxStates bounds
 /// specialization (generation is memoized and guaranteed to terminate,
-/// but a bound keeps adversarial grammars polite).
+/// but a bound keeps adversarial grammars polite). F.Start is a declared
+/// entry: dead-token elision never erases its value.
 Result<CompiledParser> compileFused(RegexArena &Arena,
                                     const FusedGrammar &F,
                                     const ActionTable &Actions,
                                     size_t MaxStates = 1u << 14);
 
 /// Overload that also precomputes expected-token diagnostics from the
-/// token registry.
+/// token registry and declares the pipeline's other roots (\p Entries,
+/// compileFlapMulti's entry points) beside F.Start.
 Result<CompiledParser> compileFused(RegexArena &Arena,
                                     const FusedGrammar &F,
                                     const ActionTable &Actions,
                                     const TokenSet *Tokens,
+                                    const std::vector<NtId> &Entries = {},
                                     size_t MaxStates = 1u << 14);
 
 /// (Re)derives M.EpsPrograms and M.EpsOps from M.EpsChains and the

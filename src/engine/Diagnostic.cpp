@@ -25,6 +25,13 @@ std::string formatTrailingAt(uint64_t Off) {
                 static_cast<unsigned long long>(Off));
 }
 
+std::string formatEntryRefusal(const std::string &Where) {
+  return format("entry nonterminal '%s' has no value: dead-token elision "
+                "compiled it away because it is not a declared entry "
+                "(declare it as a compileFlapMulti root, or recognize only)",
+                Where.c_str());
+}
+
 std::string formatVerifyFinding(const char *Severity,
                                 const std::string &Component,
                                 const std::string &Field, int32_t State,
@@ -41,6 +48,8 @@ std::string formatVerifyFinding(const char *Severity,
 std::string ParseDiagnostic::message() const {
   if (K == Kind::Trailing)
     return formatTrailingAt(Off);
+  if (K == Kind::Entry)
+    return formatEntryRefusal(Where);
   return formatParseErrorAt(Off, Expected, Where);
 }
 

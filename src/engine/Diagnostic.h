@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The ONE diagnostic record every engine path shares. Before recovery,
-/// the whole-buffer sinks (engine/Sink.h), the legacy reference loop
-/// (Compile.cpp) and the streaming parser (Stream.cpp) each formatted
-/// their own copy of the "parse error at offset N" strings; the
-/// differential suites compared them verbatim, which kept them honest
-/// but triplicated. They now all render through formatParseErrorAt /
-/// formatTrailingAt below, and the recovery tier surfaces the same
+/// The ONE diagnostic record every engine path shares. The whole-buffer
+/// sinks (engine/Sink.h), the streaming parser (Stream.cpp) and the
+/// Fig. 9 reference interpreter (FusedInterp.cpp) all render their
+/// "parse error at offset N" strings through formatParseErrorAt /
+/// formatTrailingAt below — the differential suites compare them
+/// verbatim — and the recovery tier surfaces the same
 /// information structurally as ParseDiagnostic — absolute offset,
 /// lazily materialized line/column, the expected-set text from
 /// CompiledParser::NtExpected, and the resynchronization action taken.
@@ -38,6 +37,10 @@ std::string formatParseErrorAt(uint64_t Off, const std::string &Expected,
 /// Renders the trailing-input message (stack empty, input left over).
 std::string formatTrailingAt(uint64_t Off);
 
+/// Renders the entry refusal (CompiledParser::entryRefusal): the value
+/// of entry nonterminal \p Where was compiled away by dead-token elision.
+std::string formatEntryRefusal(const std::string &Where);
+
 /// Renders one table-verifier finding (engine/Verify.h) through the
 /// same formatter seam the parse diagnostics use, so every structured
 /// record the engine emits has exactly one string rendering.
@@ -52,11 +55,12 @@ std::string formatVerifyFinding(const char *Severity,
 /// (CompiledParser::parseRecover and friends, StreamParser in recovery
 /// mode); message() reproduces exactly the string the non-recovery
 /// paths would have failed with, so the first diagnostic of a recovered
-/// parse equals the legacy error verbatim.
+/// parse equals the strict parse's error verbatim.
 struct ParseDiagnostic {
   enum class Kind : uint8_t {
-    Parse,   ///< no production matched while parsing Nt
-    Trailing ///< a value completed but input remained
+    Parse,    ///< no production matched while parsing Nt
+    Trailing, ///< a value completed but input remained
+    Entry     ///< entry Nt refused before parsing (always Fatal, Off 0)
   };
   /// What the recovery driver did after recording the error.
   enum class Action : uint8_t {
@@ -69,7 +73,7 @@ struct ParseDiagnostic {
 
   Kind K = Kind::Parse;
   Action Act = Action::Fatal;
-  NtId Nt = NoNt;         ///< failing nonterminal (Kind::Parse only)
+  NtId Nt = NoNt;         ///< failing nonterminal (Parse and Entry)
   uint64_t Off = 0;       ///< absolute stream offset of the failure
   uint64_t ResumeOff = 0; ///< absolute offset parsing resumed at
   uint32_t Line = 1;      ///< 1-based line of Off

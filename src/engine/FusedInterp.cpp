@@ -7,7 +7,9 @@
 
 #include "engine/FusedInterp.h"
 
-#include "support/StrUtil.h"
+#include "engine/Diagnostic.h"
+
+#include <cassert>
 
 using namespace flap;
 
@@ -33,11 +35,12 @@ size_t longestMatch(RegexArena &Arena, RegexId Re, std::string_view Input,
 Result<Value> flap::parseFusedInterp(RegexArena &Arena,
                                      const FusedGrammar &F,
                                      const ActionTable &Actions,
-                                     std::string_view Input, void *User) {
+                                     std::string_view Input, void *User,
+                                     NtId Entry, const TokenSet *Tokens) {
   ParseContext Ctx{Input, User, 0, nullptr};
   ValueStack Values;
   std::vector<Sym> Stack;
-  Stack.push_back(Sym::nt(F.Start));
+  Stack.push_back(Sym::nt(Entry == NoNt ? F.Start : Entry));
   size_t Pos = 0;
   const size_t Len = Input.size();
   const Action *Acts = Actions.data();
@@ -109,8 +112,8 @@ Result<Value> flap::parseFusedInterp(RegexArena &Arena,
       }
       continue;
     }
-    return Err(format("parse error at offset %zu in '%s'", Pos,
-                      Nt.Name.c_str()));
+    return Err(formatParseErrorAt(
+        Pos, Tokens ? Nt.expected(*Tokens) : std::string(), Nt.Name));
   }
 
   // Absorb trailing skip lexemes (a separate lexer would consume them).
@@ -122,7 +125,7 @@ Result<Value> flap::parseFusedInterp(RegexArena &Arena,
       Pos += M;
     }
   if (Pos != Len)
-    return Err(format("parse error: trailing input at offset %zu", Pos));
+    return Err(formatTrailingAt(Pos));
 
   return Values.collect();
 }

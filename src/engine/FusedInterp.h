@@ -12,7 +12,8 @@
 /// and never materializing a token. Derivatives are computed *during*
 /// parsing — this is deliberately the unstaged algorithm, "practically
 /// inefficient" (§5.4); it exists as the executable specification for the
-/// staged machine and as the "unstaged fused" ablation point.
+/// staged machine (the only one: engine/README.md "Reference and
+/// differential testing") and as the "unstaged fused" ablation point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,12 +28,19 @@
 
 namespace flap {
 
-/// Parses \p Input with the fused grammar, evaluating actions. Trailing
+/// Parses \p Input with the fused grammar from \p Entry (NoNt: F.Start),
+/// evaluating actions with heap (unpooled) values. Trailing
 /// skip-matching input (e.g. a final newline) is absorbed, mirroring what
-/// a separate lexer would do.
+/// a separate lexer would do. Failures render through the engine's
+/// formatter (engine/Diagnostic.h); with the grammar's \p Tokens the
+/// expected-token sets match too, so the error string equals the staged
+/// machine's byte for byte, and the differential suites compare the
+/// engine against it verbatim.
 Result<Value> parseFusedInterp(RegexArena &Arena, const FusedGrammar &F,
                                const ActionTable &Actions,
-                               std::string_view Input, void *User = nullptr);
+                               std::string_view Input, void *User = nullptr,
+                               NtId Entry = NoNt,
+                               const TokenSet *Tokens = nullptr);
 
 } // namespace flap
 

@@ -114,9 +114,10 @@ flap::compileFlapMulti(std::shared_ptr<GrammarDef> Def,
   Out.F = F.take();
   Out.Times.FuseMs = W.millis();
 
+  // Every root is a declared entry: dead-token elision keeps its value.
   W.reset();
   Result<CompiledParser> M =
-      compileFused(*Def->Re, Out.F, L.Actions, Def->Toks.get());
+      compileFused(*Def->Re, Out.F, L.Actions, Def->Toks.get(), Starts);
   if (!M)
     return Err("stage(" + Def->Name + "): " + M.error());
   Out.M = M.take();

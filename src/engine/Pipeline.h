@@ -179,7 +179,9 @@ Result<FlapParser> compileFlap(std::shared_ptr<GrammarDef> Def,
 /// Multi-entry pipeline (paper §8): compiles several named roots into
 /// one shared machine. Def->Root is ignored; each root is type-checked
 /// independently and all are normalized into a single grammar with
-/// shared subexpressions.
+/// shared subexpressions. Every root is a declared entry: dead-token
+/// elision keeps its value, so every mode accepts it (engine/README.md
+/// "Entry points").
 Result<FlapParser>
 compileFlapMulti(std::shared_ptr<GrammarDef> Def,
                  const std::vector<std::pair<std::string, Px>> &Roots,

@@ -74,8 +74,8 @@ namespace flap {
 /// through the ONE formatter every path uses (engine/Diagnostic.h) and
 /// records the failure site structurally, which is what the recovery
 /// drivers read to build ParseDiagnostics. The differential suites
-/// compare the strings verbatim against the legacy loop and the
-/// streaming parser.
+/// compare the strings verbatim against the Fig. 9 reference
+/// interpreter and the streaming parser.
 struct SinkDiagnostics {
   std::string ErrMsg;
   NtId FailNt = NoNt;       ///< failing nonterminal (parse failures)

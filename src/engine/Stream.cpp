@@ -21,20 +21,21 @@ using scankernel::Tab8;
 StreamParser::StreamParser(const CompiledParser &Machine, StreamOptions Opts)
     : M(&Machine), StartNt(Opts.Start == NoNt ? Machine.Start : Opts.Start),
       User(Opts.User), Recognize(Opts.Recognize),
-      EventMode(!Opts.Recognize && Opts.Events),
-      RefActions(Opts.RefActions), RecoverMode(Opts.Recover),
+      EventMode(!Opts.Recognize && Opts.Events), RecoverMode(Opts.Recover),
       MaxErrors(Opts.MaxErrors ? Opts.MaxErrors : 1),
       TrackRetain(!Opts.Recognize && !EventMode && Machine.Actions &&
                   Machine.Actions->readsInput()) {
   assert(StartNt < M->Nts.size() && "entry nonterminal out of range");
-  // A ValueFree entry's value was compiled away by dead-token elision
-  // (parseFrom falls back to the legacy loop for this; the streaming
-  // machine has no unrewritten path, so fail the stream up front
-  // instead of silently yielding no value).
+  // The entry contract shared with the whole-buffer drivers: value and
+  // event streams refuse an undeclared ValueFree entry up front (in
+  // recovery mode as the one Fatal diagnostic, like parseRecoverFrom).
   if (!Recognize && M->Nts[StartNt].ValueFree) {
-    ErrMsg = "entry nonterminal's value was compiled away by dead-token "
-             "elision; use parseLegacyFrom (or recognize mode) for this "
-             "entry point";
+    ParseDiagnostic D = M->entryRefusal(StartNt);
+    ErrMsg = D.message();
+    if (RecoverMode) {
+      Errs.push_back(std::move(D));
+      Truncated = true;
+    }
     Ph = Phase::Fail;
     return;
   }
@@ -82,33 +83,14 @@ void StreamParser::reset() {
 // Final-value collection is the shared ValueStack::collect() policy —
 // identical to the whole-buffer loop by construction.
 
-inline void StreamParser::applyOp(const MicroOp &Op, ActionId Act,
-                                  ParseContext &Ctx) {
-  if (!TrackRetain && !RefActions) {
+inline void StreamParser::applyOp(const MicroOp &Op, ParseContext &Ctx) {
+  if (!TrackRetain) {
     // Fast mode — the same shared dispatch as the whole-buffer loop
     // (every caller guarantees an MSlow op carries its ActionId in Imm;
     // see applyActionId). No action in this grammar reads lexeme text,
     // so the window never needs to cover argument spans: skip watermark
     // bookkeeping wholesale (ROADMAP follow-up (a)).
     Values.applyPooled(Op, *M->Actions, Ctx);
-    return;
-  }
-  // Execute honoring the mode. Rewritten (token-elided) occurrences have
-  // no boxed equivalent of their arity, so they stay on the tagged path
-  // even under RefActions — the reference suite covers them through
-  // parseLegacy, which runs the unrewritten symbol stream.
-  auto Exec = [&] {
-    if (RefActions && !(Op.Flags & MicroOp::FRewritten)) {
-      const Action &A = M->Actions->get(Act);
-      Values.applyRef(A, M->Actions->ref(Act), Ctx);
-    } else if (Op.K != MicroOp::MSlow) {
-      Values.applyMicroOp(Op, Ctx);
-    } else {
-      Values.apply(M->Actions->get(Act), Ctx);
-    }
-  };
-  if (!TrackRetain) {
-    Exec();
     return;
   }
   // Watermark of the result: tokens among the popped arguments (or
@@ -120,16 +102,20 @@ inline void StreamParser::applyOp(const MicroOp &Op, ActionId Act,
   assert(NumVals == Values.size() && "value count out of sync");
   // MSlow occurrences carry the authoritative arity in the Action
   // record (the micro-op field is too narrow for >255-ary customs).
-  const size_t Arity = Op.K == MicroOp::MSlow
-                           ? static_cast<size_t>(M->Actions->get(Act).Arity)
-                           : Op.Arity;
+  const Action *Slow = Op.K == MicroOp::MSlow
+                           ? &M->Actions->get(static_cast<ActionId>(Op.Imm))
+                           : nullptr;
+  const size_t Arity = Slow ? static_cast<size_t>(Slow->Arity) : Op.Arity;
   const size_t NewLen = NumVals - Arity;
   uint64_t Min = NoRetain;
   while (!Retain.empty() && Retain.back().Idx >= NewLen) {
     Min = std::min(Min, Retain.back().W);
     Retain.pop_back();
   }
-  Exec();
+  if (Slow)
+    Values.apply(*Slow, Ctx);
+  else
+    Values.applyMicroOp(Op, Ctx);
   NumVals = NewLen + 1;
   if (Min != NoRetain) {
     const Value &R = Values.data()[NewLen];
@@ -143,9 +129,8 @@ inline void StreamParser::applyActionId(ActionId A, ParseContext &Ctx) {
   if (Op.K == MicroOp::MSlow)
     Op.Imm = static_cast<int64_t>(A); // the table's MSlow ops carry no
                                       // ActionId (only pool occurrences
-                                      // do); applyOp's fast path
-                                      // dispatches through Imm
-  applyOp(Op, A, Ctx);
+                                      // do); applyOp dispatches through Imm
+  applyOp(Op, Ctx);
 }
 
 //===----------------------------------------------------------------------===//
@@ -156,9 +141,8 @@ inline void StreamParser::applyActionId(ActionId A, ParseContext &Ctx) {
 //===----------------------------------------------------------------------===//
 
 /// Value mode: token pushes + pooled micro-op dispatch, with the
-/// streaming extras the whole-buffer ValueSink does not need — retain
-/// watermark bookkeeping and the RefActions differential path, both
-/// routed through StreamParser::applyOp.
+/// streaming extra the whole-buffer ValueSink does not need — retain
+/// watermark bookkeeping, routed through StreamParser::applyOp.
 struct StreamParser::VSink {
   static constexpr bool Markers = true;
   static constexpr bool Enters = false;
@@ -171,7 +155,7 @@ struct StreamParser::VSink {
   FLAP_SINK_INLINE void enter(NtId) {}
 
   FLAP_SINK_INLINE void marker(uint32_t Idx) {
-    SP.applyOp(SP.M->OpPool[Idx], SP.M->OpActs[Idx], Ctx);
+    SP.applyOp(SP.M->OpPool[Idx], Ctx);
   }
 
   FLAP_SINK_INLINE void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
@@ -186,7 +170,7 @@ struct StreamParser::VSink {
   }
 
   void eps(NtId, int32_t Chain) {
-    if (!SP.TrackRetain && !SP.RefActions) {
+    if (!SP.TrackRetain) {
       // The same pre-fused block as the whole-buffer loop — literally:
       // one shared implementation (engine/Sink.h).
       runEpsProgram(*SP.M, Chain, SP.Values, Ctx);
@@ -195,8 +179,7 @@ struct StreamParser::VSink {
     const std::vector<ActionId> &ChainIds = SP.M->EpsChains[Chain];
     if (ChainIds.empty()) {
       SP.Values.push(Value::unit()); // scalar: no retain entry
-      if (SP.TrackRetain)
-        ++SP.NumVals;
+      ++SP.NumVals;
     } else {
       for (ActionId A : ChainIds)
         SP.applyActionId(A, Ctx);

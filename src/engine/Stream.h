@@ -83,7 +83,9 @@ enum class StreamStatus : uint8_t {
 
 struct StreamOptions {
   /// Entry nonterminal; NoNt uses the machine's start symbol (the
-  /// machine is one table set shared by every entry point, §8).
+  /// machine is one table set shared by every entry point, §8). Value
+  /// and event streams refuse an undeclared ValueFree entry up front
+  /// (CompiledParser::entryRefusal); Recognize accepts every entry.
   NtId Start = NoNt;
   /// Opaque pointer exposed to actions as ParseContext::User.
   void *User = nullptr;
@@ -100,11 +102,6 @@ struct StreamOptions {
   /// legitimately retain back to its opening delimiter. take() yields
   /// unit on success.
   bool Events = false;
-  /// Runs every action through the retained std::function reference
-  /// path (ActionTable::ref) with heap-allocated values instead of the
-  /// tagged switch dispatch. Differential testing only
-  /// (tests/ActionDispatchTest.cpp) — slow.
-  bool RefActions = false;
   /// Sync-token error recovery — the streaming analogue of
   /// CompiledParser::parseRecover, with byte-identical diagnostics (the
   /// recovery differential suite compares the ParseDiagnostic lists at
@@ -282,11 +279,10 @@ private:
   /// its action (Resync: parsing re-enters at the sync point;
   /// SkipToEnd: the stream completes) and Ph has left Resync.
   bool stepResync(bool Final);
-  /// Runs one marker occurrence (a PackedPool op), honoring the mode:
-  /// tagged dispatch, reference std::function dispatch, and/or retain
-  /// watermark bookkeeping. \p Act is the originating action
-  /// (OpActs[idx] for pool occurrences).
-  inline void applyOp(const MicroOp &Op, ActionId Act, ParseContext &Ctx);
+  /// Runs one marker occurrence (a PackedPool op; an MSlow op carries
+  /// its ActionId in Imm) through the shared pooled dispatch, with
+  /// retain watermark bookkeeping when TrackRetain is set.
+  inline void applyOp(const MicroOp &Op, ParseContext &Ctx);
   /// Same for a raw action id (ε-chain entries are not pool indexed).
   inline void applyActionId(ActionId A, ParseContext &Ctx);
   /// Records that the value at value-stack index \p Idx retains input
@@ -309,7 +305,6 @@ private:
   void *User;
   bool Recognize;
   bool EventMode;
-  bool RefActions;
   bool RecoverMode;
   size_t MaxErrors; ///< normalized: at least 1
   /// False when no registered action reads lexeme text

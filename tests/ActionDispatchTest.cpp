@@ -1,25 +1,28 @@
-//===- tests/ActionDispatchTest.cpp - Tagged vs reference dispatch -------------===//
+//===- tests/ActionDispatchTest.cpp - Action dispatch vs the spec --------------===//
 //
 // Part of flap-cpp, a C++ reproduction of "flap: A Deterministic Parser
 // with Fused Lexing" (PLDI 2023).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Differential suite for the devirtualized semantic-action path. The
-/// tagged micro-op dispatch (plus dead-token elision, pre-fused ε-chains
-/// and the arena value pool) must be observationally identical to the
-/// retained legacy std::function reference path:
+/// Suite for the devirtualized semantic-action path. The tagged
+/// micro-op dispatch (plus dead-token elision, pre-fused ε-chains and
+/// the arena value pool) must be observationally identical to the
+/// Fig. 9 reference interpreter (parseFusedInterp: unrewritten symbol
+/// stream, ValueStack::apply, heap values):
 ///
 ///   - whole buffer: CompiledParser::parse (tagged, elided, pooled) vs
-///     CompiledParser::parseLegacy (boxed callables, unrewritten symbol
-///     stream, heap values) — byte-identical Value trees and error
-///     strings;
-///   - streaming: StreamParser in default mode vs RefActions mode vs the
-///     whole-buffer result, across split points (the StreamDiffTest
-///     driver shape), whole-buffer and chunked.
+///     the spec — byte-identical Value trees and error strings;
+///   - streaming: StreamParser vs the whole-buffer result, across split
+///     points (the StreamDiffTest driver shape);
+///   - per kind: every ActionKind through apply (with and without a
+///     pool) and its micro-op projection against a literal expected
+///     value — the spec shares apply with the engines, so only literals
+///     can catch a kind that is wrong in both.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "engine/FusedInterp.h"
 #include "engine/Pipeline.h"
 #include "engine/Shard.h"
 #include "engine/Stream.h"
@@ -54,15 +57,19 @@ struct DispatchRig {
     return C.get();
   }
 
-  /// Streams \p In cut at \p Cuts, through the tagged or the reference
-  /// action path.
+  /// The Fig. 9 spec from the start symbol, with the engine's
+  /// expected-token sets so error strings compare verbatim.
+  Result<Value> spec(std::string_view In, void *User = nullptr) {
+    return parseFusedInterp(*Def->Re, P.F, Def->L->Actions, In, User, NoNt,
+                            Def->Toks.get());
+  }
+
+  /// Streams \p In cut at \p Cuts.
   Result<Value> streamParse(std::string_view In,
-                            const std::vector<size_t> &Cuts,
-                            bool RefActions) {
+                            const std::vector<size_t> &Cuts) {
     std::shared_ptr<void> C;
     StreamOptions O;
     O.User = fresh(C);
-    O.RefActions = RefActions;
     StreamParser SP(P.M, O);
     size_t Prev = 0;
     for (size_t Cut : Cuts) {
@@ -74,33 +81,28 @@ struct DispatchRig {
     return SP.take();
   }
 
-  /// Tagged vs reference, whole-buffer and streamed at \p Cuts: same
-  /// verdict, byte-identical values (structural ==), identical error
-  /// strings.
+  /// Tagged vs the spec whole-buffer, then streamed at \p Cuts vs
+  /// whole-buffer: same verdict, byte-identical values (structural ==),
+  /// identical error strings.
   void checkAll(std::string_view In, const std::vector<size_t> &Cuts) {
     std::shared_ptr<void> C1, C2;
     ParseScratch Scratch;
     Result<Value> Tagged = P.M.parse(In, Scratch, fresh(C1));
-    Result<Value> Ref = P.M.parseLegacy(In, fresh(C2));
-    ASSERT_EQ(Tagged.ok(), Ref.ok())
-        << Def->Name << ": tagged vs reference verdict on '" << In << "'";
+    Result<Value> Spec = spec(In, fresh(C2));
+    ASSERT_EQ(Tagged.ok(), Spec.ok())
+        << Def->Name << ": tagged vs spec verdict on '" << In << "'";
     if (Tagged.ok())
-      EXPECT_EQ(*Tagged, *Ref) << Def->Name << " value drift on '" << In
-                               << "'";
+      EXPECT_EQ(*Tagged, *Spec) << Def->Name << " value drift on '" << In
+                                << "'";
     else
-      EXPECT_EQ(Tagged.error(), Ref.error()) << Def->Name;
+      EXPECT_EQ(Tagged.error(), Spec.error()) << Def->Name;
 
-    Result<Value> StrTag = streamParse(In, Cuts, /*RefActions=*/false);
-    Result<Value> StrRef = streamParse(In, Cuts, /*RefActions=*/true);
-    ASSERT_EQ(StrTag.ok(), Tagged.ok()) << Def->Name << " (streamed)";
-    ASSERT_EQ(StrRef.ok(), Tagged.ok()) << Def->Name << " (streamed ref)";
-    if (Tagged.ok()) {
-      EXPECT_EQ(*StrTag, *Tagged) << Def->Name << " streamed tagged";
-      EXPECT_EQ(*StrRef, *Tagged) << Def->Name << " streamed reference";
-    } else {
-      EXPECT_EQ(StrTag.error(), Tagged.error()) << Def->Name;
-      EXPECT_EQ(StrRef.error(), Tagged.error()) << Def->Name;
-    }
+    Result<Value> Streamed = streamParse(In, Cuts);
+    ASSERT_EQ(Streamed.ok(), Tagged.ok()) << Def->Name << " (streamed)";
+    if (Tagged.ok())
+      EXPECT_EQ(*Streamed, *Tagged) << Def->Name << " streamed value";
+    else
+      EXPECT_EQ(Streamed.error(), Tagged.error()) << Def->Name;
   }
 };
 
@@ -128,7 +130,7 @@ TEST(ActionDispatchTest, WholeBufferAndChunkedOnAllGrammars) {
 
 TEST(ActionDispatchTest, EveryTwoWaySplitOnSmallInputs) {
   // The exhaustive split sweep of the StreamDiffTest driver, applied to
-  // the tagged-vs-reference comparison.
+  // the tagged-vs-spec comparison.
   for (auto &Def : allBenchmarkGrammars()) {
     DispatchRig R(Def);
     Workload W = genWorkload(Def->Name, 23, 220);
@@ -164,9 +166,9 @@ TEST(ActionDispatchTest, ErrorStringsIdenticalOnCorruptedInputs) {
 
 TEST(ActionDispatchTest, TokenIntAndMaxAccumAgreeWithReferences) {
   // The TokenInt and MaxAccum micro-op kinds (the devirtualized ppm
-  // per-sample path) against the std::function reference path and the
-  // legacy loop, whole-buffer and at every 2-way split: the packed
-  // count+max fold must come out bit-identical everywhere.
+  // per-sample path) against the spec, whole-buffer and at every 2-way
+  // split: the packed count+max fold must come out bit-identical
+  // everywhere.
   auto Def = std::make_shared<GrammarDef>("stats");
   Lang &L = *Def->L;
   TokenId Num = Def->Lexer->rule("[0-9]+", "num");
@@ -240,7 +242,7 @@ TEST(ActionDispatchTest, PooledValuesEscapeTheirScratch) {
         Def = G;
     DispatchRig R(Def);
     Workload W = genWorkload(Name, 31, 1500);
-    Result<Value> Ref = R.P.M.parseLegacy(W.Input);
+    Result<Value> Ref = R.spec(W.Input);
     ASSERT_TRUE(Ref.ok()) << Ref.error();
     Value Escaped;
     {
@@ -261,7 +263,7 @@ TEST(ActionDispatchTest, PooledValuesEscapeTheirScratch) {
   {
     DispatchRig R(makePairListGrammar());
     const std::string In = "1 2 3 4 5 6 7 8";
-    Result<Value> Ref = R.P.M.parseLegacy(In);
+    Result<Value> Ref = R.spec(In);
     ASSERT_TRUE(Ref.ok()) << Ref.error();
     EXPECT_EQ(Ref->str(), "[(1 . 2) (3 . 4) (5 . 6) (7 . 8)]");
     Value Escaped;
@@ -291,7 +293,7 @@ TEST(ActionDispatchTest, PooledValuesEscapeTheirScratch) {
   const std::shared_ptr<GrammarDef> Arith = makeArithGrammar();
   DispatchRig R(Arith);
   Workload W = genWorkload("arith", 41, 6000);
-  Result<Value> Ref = R.P.M.parseLegacy(W.Input);
+  Result<Value> Ref = R.spec(W.Input);
   ASSERT_TRUE(Ref.ok()) << Ref.error();
 
   // An arith value taken from a destroyed StreamParser.
@@ -359,6 +361,102 @@ TEST(ActionDispatchTest, PooledValuesEscapeTheirScratch) {
     ASSERT_EQ(Par.Values.size(), 400u);
     EXPECT_EQ(Par.Values[3].asInt(), (3 + 2) * 3 - 3);
   }
+}
+
+/// CustomP payload for the kind table below: adds the payload integer.
+Value addPayload(ParseContext &, Value *Args, const void *Payload) {
+  return Value::integer(Args[0].asInt() + *static_cast<const int64_t *>(
+                                              Payload));
+}
+
+TEST(ActionDispatchTest, EveryActionKindAgainstLiteralResults) {
+  // The engines and the spec share ValueStack::apply, so a kind that is
+  // wrong there is wrong in both and no differential suite can see it.
+  // Pin every kind against a literal: through apply without a pool and
+  // with one, through applyPooled (the engines' occurrence dispatch),
+  // and, where the micro-op table projects the kind, applyMicroOp.
+  const std::string_view Input = "  42 xyz"; // "42" at [2,4), "xyz" [5,8)
+  static const int64_t Hundred = 100;
+  const Value Tok42 = Value::token(0, 2, 4), TokXyz = Value::token(0, 5, 8);
+  const auto I = [](int64_t V) { return Value::integer(V); };
+  ActionTable AT;
+  struct Case {
+    ActionId Id;
+    std::vector<Value> Args;
+    Value Want;
+  };
+  const std::vector<Case> Cases = {
+      {AT.add(2, [](ParseContext &, Value *A) {
+         return Value::integer(A[0].asInt() * 10 + A[1].asInt());
+       }),
+       {I(3), I(4)}, I(34)},
+      {AT.addP(1, addPayload, &Hundred), {I(5)}, I(105)},
+      {AT.addConst(Value::string("k"), "str", 1), {I(7)}, Value::string("k")},
+      {AT.addConst(I(5)), {}, I(5)},
+      {AT.addConst(Value::boolean(true), "yes", 2), {I(1), I(2)},
+       Value::boolean(true)},
+      {AT.addConst(Value::unit(), "unit", 1), {I(1)}, Value::unit()},
+      {AT.addSelect(3, 2), {I(1), I(2), I(3)}, I(3)},
+      {AT.addSelect(3, 0), {I(1), I(2), I(3)}, I(1)},
+      {AT.addPair(), {I(1), I(2)}, Value::pair(I(1), I(2))},
+      {AT.addTokenText(), {TokXyz}, Value::string("xyz")},
+      {AT.addListNew(3), {I(1), I(2), I(3)},
+       Value::list({I(1), I(2), I(3)})},
+      // List elements, so a swapped selector is a wrong value, not a
+      // non-list append.
+      {AT.addListPush(0), {Value::list({I(1)}), Value::list({I(2)})},
+       Value::list({I(1), Value::list({I(2)})})},
+      {AT.addListPush(1), {Value::list({I(3)}), Value::list({I(1)})},
+       Value::list({I(1), Value::list({I(3)})})},
+      {AT.addAddArgs(3, 0, 2), {I(10), I(99), I(5)}, I(15)},
+      {AT.addAddImm(2, 1, 7), {I(0), I(35)}, I(42)},
+      {AT.addTokenInt(2, 1), {Value::unit(), Tok42}, I(42)},
+      {AT.addMaxAccum(2, 0, 1), {I(maxAccumStep(0, 9)), I(4)},
+       I((int64_t(9) << 32) | 2)},
+  };
+  const ValuePoolRef Pool = ValuePool::create();
+  for (const Case &C : Cases) {
+    const Action &A = AT.get(C.Id);
+    SCOPED_TRACE(A.Name + " (kind " + std::to_string(int(A.Kind)) + ")");
+    MicroOp Occ = AT.micro()[C.Id];
+    if (Occ.K == MicroOp::MSlow)
+      Occ.Imm = C.Id; // an op-pool occurrence carries its ActionId
+    // Mode 0: apply, heap; 1: apply, pooled; 2: applyPooled; 3: micro.
+    for (int Mode = 0; Mode < 4; ++Mode) {
+      if (Mode == 3 && AT.micro()[C.Id].K == MicroOp::MSlow)
+        continue; // not projected: apply is its only implementation
+      ParseContext Ctx{Input, nullptr, 0, Mode == 0 ? nullptr : Pool};
+      ValueStack VS;
+      for (const Value &V : C.Args)
+        VS.push(V);
+      if (Mode <= 1)
+        VS.apply(A, Ctx);
+      else if (Mode == 2)
+        VS.applyPooled(Occ, AT, Ctx);
+      else
+        VS.applyMicroOp(AT.micro()[C.Id], Ctx);
+      ASSERT_EQ(VS.size(), 1u) << "mode " << Mode;
+      const Value Got = VS.pop();
+      EXPECT_EQ(Got, C.Want) << "mode " << Mode << ": got " << Got.str()
+                             << ", want " << C.Want.str();
+    }
+  }
+  EXPECT_EQ(Pool->liveNodes(), 0u);
+
+  // Dead-token elision rewrites Select occurrences to drop an ignored
+  // argument: the shifted selector must still read its own argument.
+  MicroOp Elided;
+  Elided.K = MicroOp::MSelect;
+  Elided.Arity = 2;
+  Elided.Sel = 1;
+  Elided.Flags = MicroOp::FRewritten;
+  ParseContext Ctx{Input, nullptr, 0, nullptr};
+  ValueStack VS;
+  VS.push(I(8));
+  VS.push(I(9));
+  VS.applyMicroOp(Elided, Ctx);
+  ASSERT_EQ(VS.size(), 1u);
+  EXPECT_EQ(VS.pop(), I(9));
 }
 
 TEST(ActionDispatchTest, ListAppendAndReverseCopyOnWrite) {

@@ -222,8 +222,8 @@ TEST(CodegenTest, EmitsEventEntryPointForAllBenchmarks) {
 
 TEST(CodegenTest, GeneratedEventDriverReplaysToLibraryValue) {
   // The generated event stream carries the *unrewritten* symbols (raw
-  // ActionIds, every pushed token — the stream the library's legacy
-  // reference loop runs), so replaying token pushes and action
+  // ActionIds, every pushed token — the stream the Fig. 9 reference
+  // interpreter runs), so replaying token pushes and action
   // applications in order must reproduce the library engines' value.
   for (const char *Name : {"sexp", "json"}) {
     std::shared_ptr<GrammarDef> Def;
@@ -246,8 +246,8 @@ TEST(CodegenTest, GeneratedEventDriverReplaysToLibraryValue) {
     ASSERT_GE(N, 0) << Name;
     EXPECT_EQ(static_cast<size_t>(N), Evs.size()) << Name;
 
-    // Replay over the library's action table (the boxed reference path's
-    // semantics: unelided stream, raw ActionIds).
+    // Replay over the library's action table (the reference
+    // interpreter's semantics: unelided stream, raw ActionIds).
     const ActionTable &AT = Def->L->Actions;
     ParseContext Ctx{W.Input, nullptr};
     ValueStack Vals;

@@ -18,8 +18,9 @@
 ///     and recognition recovery paths, the batch path, and the streaming
 ///     parser at every split.
 ///   - The first diagnostic's message() reproduces the non-recovery
-///     error string verbatim (the legacy loop, parseFrom and the
-///     streaming parser all render through the same formatter).
+///     error string verbatim (parseFrom, the Fig. 9 reference
+///     interpreter and the streaming parser all render through the
+///     same formatter).
 ///   - MaxErrors truncates identically everywhere; a grammar input with
 ///     no viable sync point yields SkipToEnd, not a phantom segment.
 ///

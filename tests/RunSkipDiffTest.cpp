@@ -8,11 +8,11 @@
 /// The accelerated execution tier (run-skip bulk skipping, fused
 /// accept/transition encoding, table-width templated kernels, the
 /// allocation-free residual loop) must be observationally invisible:
-/// every kernel — scan8, scan16, and the pre-run-skip legacy walk — must
-/// produce byte-identical accept/reject decisions and identical `Value`
-/// trees against the Fig. 9 fused interpreter, the unstaged executable
-/// specification. Inputs deliberately straddle the skip kernels' 8-byte
-/// word and 16-byte SIMD block widths.
+/// both kernels — scan8 and scan16 — must produce byte-identical
+/// accept/reject decisions, `Value` trees and error strings against the
+/// Fig. 9 fused interpreter, the unstaged executable specification.
+/// Inputs deliberately straddle the skip kernels' 8-byte word and
+/// 16-byte SIMD block widths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +30,8 @@ using namespace flap;
 
 namespace {
 
-/// Machines under differential test for one grammar: the 8-bit kernel,
-/// the machine with Trans8 suppressed (forcing the 16-bit kernel), and
-/// the legacy byte-at-a-time walk.
+/// Machines under differential test for one grammar: the 8-bit kernel
+/// and the machine with Trans8 suppressed (forcing the 16-bit kernel).
 struct Rig {
   std::shared_ptr<GrammarDef> Def;
   FlapParser P;
@@ -56,42 +55,38 @@ struct Rig {
     return C.get();
   }
 
-  /// Runs every engine on \p In; asserts pairwise agreement of success
-  /// and semantic values. Returns the accelerated machine's verdict.
+  /// Runs both kernels and the spec on \p In; asserts agreement of
+  /// verdict, semantic value and error string. Returns the accelerated
+  /// machine's verdict.
   bool check(std::string_view In) {
-    std::shared_ptr<void> C1, C2, C3, C4;
+    std::shared_ptr<void> C1, C2, C3;
     Result<Value> Narrow = P.M.parse(In, Scratch, fresh(C1));
     Result<Value> Wide16 = Wide.parse(In, fresh(C2));
-    Result<Value> Legacy = P.M.parseLegacy(In, fresh(C3));
-    Result<Value> Spec =
-        parseFusedInterp(*Def->Re, P.F, Def->L->Actions, In, fresh(C4));
+    Result<Value> Spec = parseFusedInterp(*Def->Re, P.F, Def->L->Actions, In,
+                                          fresh(C3), NoNt, Def->Toks.get());
 
     EXPECT_EQ(Narrow.ok(), Spec.ok())
         << Def->Name << ": staged vs interpreter on '" << In << "'";
     EXPECT_EQ(Narrow.ok(), Wide16.ok())
         << Def->Name << ": scan8 vs scan16 on '" << In << "'";
-    EXPECT_EQ(Narrow.ok(), Legacy.ok())
-        << Def->Name << ": run-skip vs legacy walk on '" << In << "'";
-    if (Narrow.ok() && Spec.ok() && Wide16.ok() && Legacy.ok()) {
+    if (Narrow.ok() && Spec.ok() && Wide16.ok()) {
       EXPECT_EQ(*Narrow, *Spec) << Def->Name << " value vs spec";
       EXPECT_EQ(*Narrow, *Wide16) << Def->Name << " value vs scan16";
-      EXPECT_EQ(*Narrow, *Legacy) << Def->Name << " value vs legacy";
     }
-    // Diagnostics must not drift between kernels either: the legacy walk
-    // reports the same absolute offsets and expected-token sets as the
-    // run-skip fast path (the streaming parser is pinned to these same
-    // strings by tests/StreamDiffTest.cpp).
+    // Diagnostics must not drift either: both kernels report the spec's
+    // absolute offsets and expected-token sets, byte for byte (the
+    // streaming parser is pinned to these same strings by
+    // tests/StreamDiffTest.cpp).
+    if (!Narrow.ok() && !Spec.ok())
+      EXPECT_EQ(Narrow.error(), Spec.error())
+          << Def->Name << ": staged vs spec diagnostics on '" << In << "'";
     if (!Narrow.ok() && !Wide16.ok())
       EXPECT_EQ(Narrow.error(), Wide16.error())
           << Def->Name << ": scan8 vs scan16 diagnostics on '" << In << "'";
-    if (!Narrow.ok() && !Legacy.ok())
-      EXPECT_EQ(Narrow.error(), Legacy.error())
-          << Def->Name << ": run-skip vs legacy diagnostics on '" << In
-          << "'";
     bool Rec = P.M.recognize(In, Scratch);
     EXPECT_EQ(Rec, Narrow.ok()) << Def->Name << ": recognize vs parse";
-    EXPECT_EQ(P.M.recognizeLegacy(In), Rec)
-        << Def->Name << ": recognizeLegacy vs recognize";
+    EXPECT_EQ(Wide.recognize(In), Rec)
+        << Def->Name << ": scan16 recognize vs scan8";
     return Narrow.ok();
   }
 };

@@ -21,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "engine/FusedInterp.h"
 #include "engine/Pipeline.h"
 #include "engine/Shard.h"
 #include "engine/Sink.h"
@@ -32,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <type_traits>
 
 using namespace flap;
@@ -465,19 +467,230 @@ TEST(SinkDiffTest, RecoveryDiagnosticsIdenticalAcrossSinkPolicies) {
   }
 }
 
-TEST(SinkDiffTest, ParseEventsRejectsValueFreeEntries) {
-  // A pure token nonterminal erased by dead-token elision cannot emit a
-  // replayable stream; the event API must refuse it like streaming does.
-  SinkRig R(makeSexpGrammar());
-  for (NtId N = 0; N < static_cast<NtId>(R.P.M.Nts.size()); ++N) {
-    if (!R.P.M.Nts[N].ValueFree)
+TEST(SinkDiffTest, ValueFreeSetsAndRecordEntries) {
+  // Dead-token elision erases the values of these pure token
+  // nonterminals (closing brackets and the like); the benchmark
+  // machines' hot tables depend on exactly this set. Declared entries
+  // are never erased, so no record entry is ValueFree.
+  const std::map<std::string, int> Want = {{"json", 3}, {"sexp", 1},
+                                           {"arith", 1}, {"pgn", 3},
+                                           {"ppm", 0}, {"csv", 0}};
+  for (auto &Def : allBenchmarkGrammars()) {
+    Result<FlapParser> P = compileFlap(Def);
+    ASSERT_TRUE(P.ok()) << P.error();
+    int Free = 0;
+    for (NtId N = 0; N < static_cast<NtId>(P->M.Nts.size()); ++N)
+      Free += P->M.Nts[N].ValueFree;
+    EXPECT_EQ(Free, Want.at(Def->Name)) << Def->Name;
+    EXPECT_FALSE(P->M.Nts[P->M.Start].ValueFree) << Def->Name;
+    if (!Def->HasRecord)
       continue;
-    std::vector<ParseEvent> Evs;
-    Status S = R.P.M.parseEvents(N, ")", Evs);
-    EXPECT_FALSE(S.ok());
-    return; // one is enough
+    Result<FlapParser> RP = compileFlapRecords(Def);
+    ASSERT_TRUE(RP.ok()) << RP.error();
+    for (const auto &[Name, N] : RP->Entries)
+      EXPECT_FALSE(RP->M.Nts[N].ValueFree) << Def->Name << " " << Name;
   }
-  GTEST_SKIP() << "no ValueFree nonterminal in this machine";
+}
+
+TEST(SinkDiffTest, UndeclaredValueFreeEntryIsRefusedInEveryMode) {
+  // The entry contract (engine/README.md "Entry points"): a ValueFree
+  // nonterminal used as an entry is refused by every value and event
+  // mode with the one shared diagnostic, and accepted by every
+  // recognize mode.
+  SinkRig R(makeJsonGrammar());
+  const CompiledParser &M = R.P.M;
+  NtId N = NoNt;
+  for (NtId I = 0; I < static_cast<NtId>(M.Nts.size()) && N == NoNt; ++I)
+    if (M.Nts[I].ValueFree)
+      N = I;
+  ASSERT_NE(N, NoNt);
+  // The entry's one token, as input it accepts.
+  const std::map<std::string, std::string> Lit = {
+      {"rbrack", "]"}, {"rbrace", "}"}, {"colon", ":"}, {"comma", ","}};
+  ASSERT_TRUE(Lit.count(M.NtExpected[N])) << M.NtExpected[N];
+  const std::string In = Lit.at(M.NtExpected[N]) + " ";
+
+  const ParseDiagnostic Refusal = M.entryRefusal(N);
+  EXPECT_EQ(Refusal.K, ParseDiagnostic::Kind::Entry);
+  EXPECT_EQ(Refusal.Act, ParseDiagnostic::Action::Fatal);
+  EXPECT_EQ(Refusal.Nt, N);
+  const std::string Msg = Refusal.message();
+  EXPECT_NE(Msg.find(M.NtNames[N]), std::string::npos) << Msg;
+
+  ParseScratch Scratch;
+  Result<Value> V = M.parseFrom(N, In, Scratch);
+  ASSERT_FALSE(V.ok());
+  EXPECT_EQ(V.error(), Msg) << "parseFrom";
+
+  const std::vector<std::string_view> Inputs = {In, In};
+  for (const Result<Value> &B : M.parseBatch(N, Inputs, Scratch)) {
+    ASSERT_FALSE(B.ok());
+    EXPECT_EQ(B.error(), Msg) << "parseBatch";
+  }
+  for (const Result<Value> &B :
+       M.parseBatch(N, Inputs, std::vector<void *>(2), Scratch)) {
+    ASSERT_FALSE(B.ok());
+    EXPECT_EQ(B.error(), Msg) << "parseBatch (per-input users)";
+  }
+
+  std::vector<ParseEvent> Evs;
+  Status E1 = M.parseEvents(N, In, Scratch, Evs);
+  Status E2 = M.parseEvents(N, In, Evs);
+  ASSERT_FALSE(E1.ok());
+  ASSERT_FALSE(E2.ok());
+  EXPECT_EQ(E1.error(), Msg) << "parseEvents";
+  EXPECT_EQ(E2.error(), Msg) << "parseEvents (scratchless)";
+  EXPECT_TRUE(Evs.empty());
+
+  const std::vector<ParseDiagnostic> Fatal = {Refusal};
+  RecoveredParse RV = M.parseRecoverFrom(N, In, Scratch);
+  EXPECT_EQ(RV.Errors, Fatal) << "parseRecoverFrom";
+  EXPECT_TRUE(RV.Truncated);
+  EXPECT_TRUE(RV.Values.empty());
+  RecoveredParse RE = M.parseEventsRecover(N, In, Scratch, Evs);
+  EXPECT_EQ(RE.Errors, Fatal) << "parseEventsRecover";
+  EXPECT_TRUE(RE.Truncated);
+  EXPECT_TRUE(Evs.empty());
+
+  std::vector<Value> Out;
+  RecordRun RR = M.parseRecords(N, In, 0, In.size(), Scratch, Out);
+  EXPECT_EQ(RR.S, RecordRun::Stop::Error);
+  EXPECT_EQ(RR.ErrMsg, Msg) << "parseRecords";
+  EXPECT_EQ(RR.ErrNt, N);
+  RecordRun RRE = M.parseEventsRecords(N, In, 0, In.size(), Scratch, Evs);
+  EXPECT_EQ(RRE.S, RecordRun::Stop::Error);
+  EXPECT_EQ(RRE.ErrMsg, Msg) << "parseEventsRecords";
+  std::vector<ParseDiagnostic> Errs;
+  std::vector<RecordLogEntry> Log;
+  RecordRun RRR =
+      M.parseRecordsRecover(N, In, 0, In.size(), Scratch, Out, Errs, Log);
+  EXPECT_EQ(RRR.S, RecordRun::Stop::Error);
+  EXPECT_EQ(RRR.ErrMsg, Msg) << "parseRecordsRecover";
+  EXPECT_TRUE(RRR.Truncated);
+  EXPECT_EQ(Errs, Fatal);
+  EXPECT_EQ(Log, std::vector<RecordLogEntry>{RecordLogEntry::Diagnostic});
+  EXPECT_TRUE(Out.empty());
+  EXPECT_TRUE(Evs.empty());
+
+  for (int Mode = 0; Mode < 3; ++Mode) { // values, events, recovery
+    StreamOptions O;
+    O.Start = N;
+    O.Events = Mode == 1;
+    O.Recover = Mode == 2;
+    StreamParser SP(M, O);
+    EXPECT_EQ(SP.feed(In), StreamStatus::Error) << "stream mode " << Mode;
+    EXPECT_EQ(SP.finish(), StreamStatus::Error);
+    EXPECT_EQ(SP.take().error(), Msg) << "stream mode " << Mode;
+    EXPECT_EQ(SP.errors(), Mode == 2 ? Fatal : std::vector<ParseDiagnostic>{});
+    SP.reset(); // the refusal survives a reset
+    EXPECT_EQ(SP.status(), StreamStatus::Error);
+  }
+
+  // Recognize modes accept the entry.
+  EXPECT_TRUE(M.recognizeRecover(N, In, Scratch).clean());
+  RecordRun Rec = M.recognizeRecords(N, In, 0, In.size(), Scratch);
+  EXPECT_EQ(Rec.S, RecordRun::Stop::End);
+  EXPECT_EQ(Rec.NumRecords, 1u);
+  StreamOptions O;
+  O.Start = N;
+  O.Recognize = true;
+  StreamParser SP(M, O);
+  SP.feed(In);
+  EXPECT_EQ(SP.finish(), StreamStatus::Done);
+}
+
+TEST(SinkDiffTest, DeclaredPureTokenRootKeepsItsValueInEveryMode) {
+  // A closing bracket whose value every occurrence ignores is erased
+  // (ValueFree) when it is only used inside the grammar. Declared as a
+  // compileFlapMulti root it keeps its value, and every mode entering
+  // there returns what the Fig. 9 spec returns from that entry.
+  auto Def = std::make_shared<GrammarDef>("bracket");
+  Lang &L = *Def->L;
+  TokenId Lb = Def->Lexer->rule("\\[", "lbrack");
+  TokenId Rb = Def->Lexer->rule("\\]", "rbrack");
+  TokenId Num = Def->Lexer->rule("[0-9]+", "num");
+  Def->Lexer->skip("[ \\n]");
+  const Px Close = L.tok(Rb);
+  const Px Item =
+      L.keepLeft(L.keepRight(L.tok(Lb), L.mapTokenInt(L.tok(Num))), Close);
+  Def->Root = L.star(Item);
+
+  Result<FlapParser> Single = compileFlap(Def);
+  ASSERT_TRUE(Single.ok()) << Single.error();
+  int Free = 0;
+  for (const CompiledParser::NtInfo &Nt : Single->M.Nts)
+    Free += Nt.ValueFree;
+  ASSERT_EQ(Free, 1) << "the undeclared bracket is erased";
+
+  Result<FlapParser> Multi =
+      compileFlapMulti(Def, {{"main", Def->Root}, {"close", Close}});
+  ASSERT_TRUE(Multi.ok()) << Multi.error();
+  const CompiledParser &M = Multi->M;
+  const NtId C = Multi->Entries.at("close");
+  EXPECT_FALSE(M.Nts[C].ValueFree);
+  for (const CompiledParser::NtInfo &Nt : M.Nts)
+    EXPECT_FALSE(Nt.ValueFree) << "the root is the shared bracket";
+  EXPECT_EQ(M.NtExpected[C], "rbrack");
+
+  for (const std::string In : {"]", " ] \n", "]]", "", "[1]"}) {
+    SCOPED_TRACE("input '" + In + "'");
+    Result<Value> Spec = parseFusedInterp(*Def->Re, Multi->F, L.Actions, In,
+                                          nullptr, C, Def->Toks.get());
+    auto Same = [&](const Result<Value> &Got, const char *Mode) {
+      ASSERT_EQ(Got.ok(), Spec.ok()) << Mode;
+      if (Spec.ok())
+        EXPECT_EQ(*Got, *Spec) << Mode;
+      else
+        EXPECT_EQ(Got.error(), Spec.error()) << Mode;
+    };
+    ParseScratch Scratch;
+    Same(M.parseFrom(C, In, Scratch), "parseFrom");
+    const std::vector<std::string_view> Inputs = {In};
+    Same(M.parseBatch(C, Inputs, Scratch)[0], "parseBatch");
+    Same(M.parseBatch(C, Inputs, std::vector<void *>(1), Scratch)[0],
+         "parseBatch (per-input users)");
+
+    std::vector<ParseEvent> Evs;
+    Status Ev = M.parseEvents(C, In, Scratch, Evs);
+    Same(Ev.ok() ? Result<Value>(replayEvents(M, Evs, In, nullptr))
+                 : Result<Value>(Err(Ev.error())),
+         "parseEvents");
+
+    RecoveredParse RV = M.parseRecoverFrom(C, In, Scratch);
+    if (Spec.ok()) {
+      EXPECT_TRUE(RV.clean());
+      ASSERT_EQ(RV.Values.size(), 1u);
+      EXPECT_EQ(RV.Values[0], *Spec) << "parseRecoverFrom";
+    } else {
+      ASSERT_FALSE(RV.Errors.empty());
+      EXPECT_EQ(RV.Errors[0].message(), Spec.error()) << "parseRecoverFrom";
+    }
+
+    std::vector<Value> Recs;
+    RecordRun RR = M.parseRecords(C, In, 0, In.size(), Scratch, Recs);
+    if (Spec.ok()) { // a record run of exactly one record
+      EXPECT_EQ(RR.S, RecordRun::Stop::End);
+      ASSERT_EQ(Recs.size(), 1u);
+      EXPECT_EQ(Recs[0], *Spec) << "parseRecords";
+    }
+
+    for (int Mode = 0; Mode < 2; ++Mode) { // values, events
+      StreamOptions O;
+      O.Start = C;
+      O.Events = Mode == 1;
+      StreamParser SP(M, O);
+      for (char Ch : In)
+        SP.feed(std::string_view(&Ch, 1));
+      SP.finish();
+      Result<Value> Got = SP.take();
+      if (Mode == 1 && Got.ok()) {
+        EventBatch B = SP.takeEvents();
+        Got = replayEvents(M, std::vector<ParseEvent>(B.begin(), B.end()),
+                           In, nullptr);
+      }
+      Same(Got, Mode ? "stream events" : "stream values");
+    }
+  }
 }
 
 /// Every Token event's text must view \p In at its own span — the
