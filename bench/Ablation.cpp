@@ -45,10 +45,11 @@ int main() {
     Workload Small = genWorkload(Name, 3,
                                  static_cast<size_t>(40'000 * Scale));
 
+    ParseScratch Scratch;
     NamedEngine Staged{"flap (staged)", [&](std::string_view In) {
                          auto Ctx = Def->NewCtx ? Def->NewCtx()
                                                 : std::shared_ptr<void>();
-                         return E.P.M.parse(In, Ctx.get()).ok();
+                         return E.P.parse(In, Ctx.get()).ok();
                        }};
     NamedEngine Interp{"fused interp (Fig. 9, unstaged)",
                        [&](std::string_view In) {
@@ -61,7 +62,7 @@ int main() {
                        }};
     NamedEngine Recognize{"flap recognize (no values)",
                           [&](std::string_view In) {
-                            return E.P.M.recognize(In);
+                            return E.P.M.recognize(In, Scratch);
                           }};
     NamedEngine Unfused{"normalized unfused", [&](std::string_view In) {
                           auto Ctx = Def->NewCtx

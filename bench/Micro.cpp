@@ -91,8 +91,9 @@ void BM_StagedMachineThroughput(benchmark::State &State) {
   auto Def = makeJsonGrammar();
   auto P = compileFlap(Def);
   Workload W = genWorkload("json", 4, 1 << 20);
+  ParseScratch Scratch;
   for (auto _ : State)
-    benchmark::DoNotOptimize(P->M.recognize(W.Input));
+    benchmark::DoNotOptimize(P->M.recognize(W.Input, Scratch));
   State.SetBytesProcessed(State.iterations() * W.Input.size());
 }
 BENCHMARK(BM_StagedMachineThroughput);

@@ -5,18 +5,18 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Prices the sync-token recovery path (CompiledParser::parseRecover,
-/// engine/README.md "The recovery contract") against the plain parse on
+/// Prices the sync-token recovery path (a CompiledParser::run request
+/// with an error budget, engine/README.md "The recovery contract") against the plain parse on
 /// the grammars whose roots are record sequences (json / csv / pgn —
 /// the grammars a malformed-input serving contract is *for*):
 ///
 ///   clean_parse     plain M.parse over the clean stream (the baseline)
-///   clean_recover   parseRecover over the same clean stream — prices
+///   clean_recover   a recovering run over the same clean stream — prices
 ///                   the recovery plumbing when nothing goes wrong; the
 ///                   acceptance gate is clean_recover >= 0.95x
 ///                   clean_parse
 ///   corrupt1 / corrupt10
-///                   parseRecover with 1% / 10% of records corrupted
+///                   recovering runs with 1% / 10% of records corrupted
 ///                   (first record byte replaced by a grammar-unlexable
 ///                   byte), pricing the resync scan + re-entry
 ///
@@ -111,7 +111,7 @@ int main(int argc, char **argv) {
       std::max<size_t>(256, static_cast<size_t>(8192 * benchScale()));
 
   std::printf("Recovery-mode throughput (MB/s, %zu-record streams): plain "
-              "parse vs parseRecover\non clean input, then parseRecover at "
+              "parse vs a recovering run\non clean input, then recovery at "
               "1%% and 10%% record corruption.\n\n",
               NumRecs);
   std::printf("%-8s%12s%12s%12s%12s%12s\n", "", "parse", "recover",
@@ -158,9 +158,14 @@ int main(int argc, char **argv) {
     const std::string C1 = makeStream(Name, NumRecs, 100, Bad, &NumC1);
     const std::string C10 = makeStream(Name, NumRecs, 10, Bad, &NumC10);
 
-    RecoverOptions Opts;
-    Opts.MaxErrors = NumRecs * 4; // never truncate in this bench
+    ParseRequest Req;
+    Req.MaxErrors = NumRecs * 4; // never truncate in this bench
     ParseScratch Scratch;
+    auto recover = [&](std::string_view In) {
+      RecoveredParse Out;
+      P.M.run(Req, In, Scratch, Out);
+      return Out;
+    };
 
     // Validate the corpus before timing (abort on surprise, like the
     // other benches): the clean stream must parse, the corrupted ones
@@ -172,14 +177,14 @@ int main(int argc, char **argv) {
                      R.error().c_str());
         return 1;
       }
-      RecoveredParse RC = P.parseRecover(Clean, Scratch, nullptr, Opts);
+      RecoveredParse RC = recover(Clean);
       if (!RC.clean()) {
-        std::fprintf(stderr, "%s: parseRecover not clean on clean input\n",
+        std::fprintf(stderr, "%s: recovery not clean on clean input\n",
                      Name);
         return 1;
       }
       for (const std::string *S : {&C1, &C10}) {
-        RecoveredParse RR = P.parseRecover(*S, Scratch, nullptr, Opts);
+        RecoveredParse RR = recover(*S);
         if (RR.Errors.empty() || RR.Truncated || RR.Values.empty()) {
           std::fprintf(stderr,
                        "%s: corrupted stream did not recover (%zu errors, "
@@ -191,9 +196,9 @@ int main(int argc, char **argv) {
       }
     }
     const size_t E1 =
-        P.parseRecover(C1, Scratch, nullptr, Opts).Errors.size();
+        recover(C1).Errors.size();
     const size_t E10 =
-        P.parseRecover(C10, Scratch, nullptr, Opts).Errors.size();
+        recover(C10).Errors.size();
 
     // Interleaved measurement, medians per configuration: frequency
     // drift moves every configuration together and cancels out of the
@@ -208,15 +213,15 @@ int main(int argc, char **argv) {
         Sink += P.parse(Clean).ok();
       }));
       S[1].push_back(sweepMBs(Clean.size(), Loops, [&] {
-        RecoveredParse Out = P.parseRecover(Clean, Scratch, nullptr, Opts);
+        RecoveredParse Out = recover(Clean);
         Sink += static_cast<long>(Out.Values.size());
       }));
       S[2].push_back(sweepMBs(C1.size(), Loops, [&] {
-        RecoveredParse Out = P.parseRecover(C1, Scratch, nullptr, Opts);
+        RecoveredParse Out = recover(C1);
         Sink += static_cast<long>(Out.Errors.size());
       }));
       S[3].push_back(sweepMBs(C10.size(), Loops, [&] {
-        RecoveredParse Out = P.parseRecover(C10, Scratch, nullptr, Opts);
+        RecoveredParse Out = recover(C10);
         Sink += static_cast<long>(Out.Errors.size());
       }));
     }

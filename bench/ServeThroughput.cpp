@@ -215,7 +215,7 @@ int main(int argc, char **argv) {
       Stopwatch W;
       ServeReply Rep = S.submit(Views).get();
       LatUs.push_back(W.seconds() * 1e6);
-      if (!Rep.Accepted || Rep.Results.size() != DocsPerReq)
+      if (!Rep.Accepted || Rep.Recovered.size() != DocsPerReq)
         std::abort();
     }
     const double P50 = pctOf(LatUs, 0.50), P95 = pctOf(LatUs, 0.95),

@@ -124,21 +124,21 @@ int main(int argc, char **argv) {
     Bad[Nl + 1] = '!'; // '!' starts no json token outside a string
     ++Corrupted;
   }
-  ShardOptions RO = O;
-  RO.Recover.MaxErrors = Corrupted + 4;
-  ShardParser RSP(P.M, Record, RO);
-  ShardedRecover RSeq = RSP.parseRecoverAt(Bad, {});
-  ShardedRecover RPar = RSP.parseRecover(Bad);
-  if (RPar.R.Errors.size() != RSeq.R.Errors.size() ||
-      RPar.NumRecords != RSeq.NumRecords) {
+  // A recovery request is the same request with an error budget.
+  ParseRequest Req;
+  Req.MaxErrors = Corrupted + 4;
+  const std::vector<size_t> OneShard;
+  ShardOutcome RSeq = SP.run(Req, Bad, &OneShard);
+  ShardOutcome RPar = SP.run(Req, Bad);
+  if (RPar.Errors != RSeq.Errors || RPar.NumRecords != RSeq.NumRecords) {
     std::fprintf(stderr, "RECOVERY MISMATCH: seq %zu diags, sharded %zu\n",
-                 RSeq.R.Errors.size(), RPar.R.Errors.size());
+                 RSeq.Errors.size(), RPar.Errors.size());
     return 1;
   }
   std::printf("recovery: %zu corrupted records -> %zu diagnostics, "
               "identical to sequential; first: %s\n",
-              Corrupted, RPar.R.Errors.size(),
-              RPar.R.Errors.empty() ? "(none)"
-                                    : RPar.R.Errors[0].message().c_str());
+              Corrupted, RPar.Errors.size(),
+              RPar.Errors.empty() ? "(none)"
+                                  : RPar.Errors[0].message().c_str());
   return 0;
 }

@@ -919,10 +919,10 @@ size_t matchTrailingSkipT(const CompiledParser &M, std::string_view Input,
 /// items are packed symbols: a matched continuation whose tail starts
 /// with a nonterminal continues into it directly (the generated code's
 /// direct tail call) instead of a stack round-trip. The sink decides
-/// what tokens, markers and ε-fallbacks *mean*: ValueSink reproduces the
-/// former parseImpl bit for bit, NullSink the former recognizeImpl
-/// (markers compiled out, NtPool walked), EventSink appends the SAX
-/// stream. Every hook is force-inlined and every mode split is an
+/// what tokens, markers and ε-fallbacks *mean*: ValueSink builds values,
+/// RecognizeSink only records the failure site (markers compiled out,
+/// NtPool walked), EventSink appends the SAX stream. Every hook is
+/// force-inlined and every mode split is an
 /// `if constexpr`, so each instantiation specializes to the code its
 /// hand-written predecessor had — BENCH_fig11.json gates this.
 ///
@@ -933,9 +933,9 @@ size_t matchTrailingSkipT(const CompiledParser &M, std::string_view Input,
 /// dominant share of the per-lexeme residual-loop cost.
 ///
 /// \returns true on a complete parse; false after Sk.failParse /
-/// Sk.failTrailing recorded the diagnostic (a no-op for NullSink).
+/// Sk.failTrailing recorded the failure site.
 ///
-/// \p EndPos selects *record* mode (the record-sequence drivers below):
+/// \p EndPos selects *record* mode (recordLoop below):
 /// when non-null the machine stops as soon as the entry nonterminal's
 /// run completes — no trailing-skip absorption, no whole-input check —
 /// and stores the end offset there; failTrailing can then never fire.
@@ -1017,20 +1017,11 @@ bool driveImpl(const CompiledParser &M, NtId StartNt, std::string_view Input,
   return true;
 }
 
-/// Width-dispatched driver entry: the table width (and entry checks in
-/// the callers) are decided once per parse — and once per *batch* in
-/// parseBatch — never per scan.
-template <typename Sink>
-bool drive(const CompiledParser &M, NtId StartNt, std::string_view Input,
-           std::vector<uint32_t> &Stack, Sink &Sk, size_t Pos0 = 0) {
-  return M.Trans8.empty()
-             ? driveImpl<Tab16>(M, StartNt, Input, Stack, Sk, Pos0)
-             : driveImpl<Tab8>(M, StartNt, Input, Stack, Sk, Pos0);
-}
+//===--------------------------------------------------------------------===//
+// The error budget: failure → diagnostic → resume point
+//===--------------------------------------------------------------------===//
 
-//===--------------------------------------------------------------------===//
-// Sync-token recovery (whole-buffer)
-//===--------------------------------------------------------------------===//
+constexpr size_t Npos = static_cast<size_t>(-1);
 
 /// Finds where to resume after a failure at \p Off: the first position
 /// just past a sync byte whose following byte can enter the recovery
@@ -1059,82 +1050,64 @@ size_t findResume(const CompiledParser &M, NtId R,
   return Len;
 }
 
-/// The shared whole-buffer recovery loop: parse full segments of the
-/// entry nonterminal, and after each failure record a ParseDiagnostic,
-/// skip to the next viable sync point (findResume) and re-enter the
-/// machine there. \p OnSegment is invoked with true when a segment
-/// completed (collect its value) and false when a segment failed
-/// mid-parse (drop its partial values); a trailing-input failure counts
-/// as a completed segment followed by garbage. Diagnostic line/column
-/// come from one LineTracker pass over the input, so every byte is
-/// scanned at most once no matter how many errors accumulate.
-template <typename SinkT, typename SegFn>
-void recoverLoop(const CompiledParser &M, NtId R, std::string_view Input,
-                 std::vector<uint32_t> &Stack, SinkT &Sk, SegFn &&OnSegment,
-                 const RecoverOptions &Opts, RecoveredParse &Out) {
+/// Charges \p D (line/column already stamped) against the budget and
+/// appends it to \p Out. Returns where to re-enter entry \p R: Npos when
+/// the parse ends here (Fatal), Input.size() for SkipToEnd, else the
+/// resync point just past a sync byte.
+size_t recordFailure(const CompiledParser &M, NtId R, std::string_view Input,
+                     ParseDiagnostic D, bool CanResync, ErrorBudget &B,
+                     ParseOutcome &Out) {
   const CompiledParser::SyncSpec &SS = M.SyncSpecs[R];
-  const size_t MaxErrors = Opts.MaxErrors ? Opts.MaxErrors : 1;
+  size_t Q = Npos;
+  if (!B.charge(D, CanResync && SS.HasSync, Out.Truncated)) {
+    Q = findResume(M, R, SS, Input, static_cast<size_t>(D.Off), D.Act);
+    D.ResumeOff = Q;
+  }
+  Out.Errors.push_back(std::move(D));
+  return Q;
+}
+
+//===--------------------------------------------------------------------===//
+// The whole-buffer and record loops
+//===--------------------------------------------------------------------===//
+
+/// One whole-buffer input: parse full segments of the entry nonterminal,
+/// and after each failure record a ParseDiagnostic, skip to the next
+/// viable sync point and re-enter the machine there while the budget
+/// lasts. A trailing-input failure counts as a completed segment (its
+/// value is delivered) followed by garbage. Line/column come from one
+/// LineTracker pass, so every byte is scanned at most once no matter how
+/// many errors accumulate.
+template <typename Tab, typename SinkT>
+void wholeLoop(const CompiledParser &M, NtId R, std::string_view Input,
+               std::vector<uint32_t> &Stack, SinkT &Sk, ErrorBudget B,
+               ParseOutcome &Out) {
   LineTracker LT;
   size_t Q = 0;
   for (;;) {
-    if (drive(M, R, Input, Stack, Sk, Q)) {
-      OnSegment(true);
+    const bool Ok = driveImpl<Tab>(M, R, Input, Stack, Sk, Q);
+    Sk.endSegment(Ok || Sk.FailTrailing, Out);
+    if (Ok)
       return;
-    }
-    const bool Trailing = Sk.FailTrailing;
-    const uint64_t Off = Sk.FailOff;
-    // A trailing failure means the segment's value completed before the
-    // garbage began — deliver it; a parse failure drops the partials.
-    OnSegment(Trailing);
-    ParseDiagnostic D;
-    D.K = Trailing ? ParseDiagnostic::Kind::Trailing
-                   : ParseDiagnostic::Kind::Parse;
-    D.Off = Off;
-    if (!Trailing) {
-      D.Nt = Sk.FailNt;
-      D.Expected = M.NtExpected[Sk.FailNt];
-      D.Where = M.NtNames[Sk.FailNt];
-    }
-    LT.advance(Input.data() + LT.ScannedTo,
-               static_cast<size_t>(Off) - static_cast<size_t>(LT.ScannedTo));
-    D.Line = LT.Line;
-    D.Col = LT.colAt(Off);
-    if (Out.Errors.size() + 1 >= MaxErrors || !SS.HasSync) {
-      // Error-limit circuit breaker, or a grammar with no sync bytes.
-      Out.Truncated |= Out.Errors.size() + 1 >= MaxErrors;
-      D.Act = ParseDiagnostic::Action::Fatal;
-      D.ResumeOff = Off;
-      Out.Errors.push_back(std::move(D));
-      return;
-    }
-    Q = findResume(M, R, SS, Input, static_cast<size_t>(Off), D.Act);
-    D.ResumeOff = Q;
-    const bool End = D.Act == ParseDiagnostic::Action::SkipToEnd;
-    Out.Errors.push_back(std::move(D));
-    if (End)
-      return;
+    ParseDiagnostic D = failureOf(M, Sk);
+    LT.locate(Input.data(), 0, D);
+    Q = recordFailure(M, R, Input, std::move(D), true, B, Out);
+    if (Q >= Input.size())
+      return; // Fatal or SkipToEnd (a resync point is never the end)
   }
 }
 
-//===--------------------------------------------------------------------===//
-// Record-sequence drivers (the shard substrate, engine/Shard.h)
-//===--------------------------------------------------------------------===//
-
-/// One strict record run: complete runs of \p R, each entered at a
+/// One record run: complete runs of \p R, each entered at a
 /// skip-normalized offset, while the entry offset stays below \p Limit.
-/// \p OnRecord collects a completed record's result, \p OnError(RR)
-/// fills the failure fields from the sink (and drops partial state),
-/// \p OnEmpty(RR) cleans up after the zero-progress guard fired. The
-/// sink is constructed once by the caller (the parseBatch hoisting
-/// pattern), so the per-record set-up is one driveImpl call.
-template <typename Tab, typename SinkT, typename RecFn, typename ErrFn,
-          typename EmptyFn>
-RecordRun recordsT(const CompiledParser &M, NtId R, std::string_view Input,
-                   size_t Pos, size_t Limit, std::vector<uint32_t> &Stack,
-                   SinkT &Sk, RecFn &&OnRecord, ErrFn &&OnError,
-                   EmptyFn &&OnEmpty) {
+/// A failed record resumes at the next viable sync point (scanning the
+/// FULL input, so a resume may land past Limit) while the budget lasts.
+template <typename Tab, typename SinkT>
+RecordRun recordLoop(const CompiledParser &M, NtId R, std::string_view Input,
+                     size_t Pos, size_t Limit, std::vector<uint32_t> &Stack,
+                     SinkT &Sk, ErrorBudget B, ParseOutcome &Out) {
   RecordRun RR;
   const size_t Len = Input.size();
+  LineTracker LT{Pos, Pos, 1};
   size_t P = matchTrailingSkipT<Tab>(M, Input, Pos);
   RR.First = P;
   for (;;) {
@@ -1149,110 +1122,30 @@ RecordRun recordsT(const CompiledParser &M, NtId R, std::string_view Input,
       return RR;
     }
     size_t End = P;
-    if (!driveImpl<Tab>(M, R, Input, Stack, Sk, P, &End)) {
-      RR.S = RecordRun::Stop::Error;
-      OnError(RR);
-      return RR;
-    }
-    if (End == P) {
-      // A nullable record nonterminal consumed nothing: without this
-      // guard the run would loop forever at P. A grammar-shape error,
-      // not an input error — reported as one.
-      RR.S = RecordRun::Stop::Error;
-      RR.ErrOff = P;
-      RR.ErrNt = R;
-      RR.ErrMsg = "record entry nonterminal matched empty input (nullable "
-                  "records cannot delimit a sequence)";
-      OnEmpty(RR);
-      return RR;
-    }
-    OnRecord();
-    ++RR.NumRecords;
-    P = matchTrailingSkipT<Tab>(M, Input, End);
-  }
-}
-
-/// The recovery record run: like recordsT but a failed record records a
-/// ParseDiagnostic and resumes at the next viable sync point (the same
-/// findResume the whole-buffer recoverLoop uses, scanning the FULL
-/// input so a resume may land past Limit). Line/Col stay unfilled; the
-/// caller's LineTracker pass fills them for the diagnostics that
-/// survive stitching. The MaxErrors circuit breaker counts THIS run's
-/// diagnostics (the stitcher re-applies the global count).
-template <typename Tab>
-RecordRun recordsRecoverT(const CompiledParser &M, NtId R,
-                          std::string_view Input, size_t Pos, size_t Limit,
-                          std::vector<uint32_t> &Stack, ValueSink &Sk,
-                          std::vector<Value> &Out,
-                          std::vector<ParseDiagnostic> &Errs,
-                          std::vector<RecordLogEntry> &Log,
-                          const RecoverOptions &Opts) {
-  const CompiledParser::SyncSpec &SS = M.SyncSpecs[R];
-  const size_t MaxErrors = Opts.MaxErrors ? Opts.MaxErrors : 1;
-  const size_t Len = Input.size();
-  size_t NumErrs = 0;
-  RecordRun RR;
-  size_t P = matchTrailingSkipT<Tab>(M, Input, Pos);
-  RR.First = P;
-  for (;;) {
-    if (P == Len) {
-      RR.S = RecordRun::Stop::End;
-      RR.Next = Len;
-      return RR;
-    }
-    if (P >= Limit) {
-      RR.S = RecordRun::Stop::AtLimit;
-      RR.Next = P;
-      return RR;
-    }
-    size_t End = P;
-    if (driveImpl<Tab>(M, R, Input, Stack, Sk, P, &End)) {
-      if (End == P) {
-        RR.S = RecordRun::Stop::Error;
-        RR.ErrOff = P;
-        RR.ErrNt = R;
-        RR.ErrMsg = "record entry nonterminal matched empty input "
-                    "(nullable records cannot delimit a sequence)";
-        Sk.discardPartial();
-        return RR;
-      }
-      Out.push_back(Sk.collectSegment());
-      Log.push_back(RecordLogEntry::Value);
+    const bool Ok = driveImpl<Tab>(M, R, Input, Stack, Sk, P, &End);
+    // A nullable record nonterminal that consumed nothing would loop
+    // forever at P: a grammar-shape error, Fatal in every mode.
+    const bool Empty = Ok && End == P;
+    Sk.endSegment(Ok && !Empty, Out);
+    if (Ok && !Empty) {
       ++RR.NumRecords;
       P = matchTrailingSkipT<Tab>(M, Input, End);
       continue;
     }
     // Record-mode drives never failTrailing; this is a parse failure.
-    Sk.discardPartial();
-    const uint64_t Off = Sk.FailOff;
     ParseDiagnostic D;
-    D.K = ParseDiagnostic::Kind::Parse;
-    D.Off = Off;
-    D.Nt = Sk.FailNt;
-    D.Expected = M.NtExpected[Sk.FailNt];
-    D.Where = M.NtNames[Sk.FailNt];
-    ++NumErrs;
-    if (NumErrs >= MaxErrors || !SS.HasSync) {
-      // Same circuit breaker as recoverLoop: the error limit, or a
-      // grammar with no sync bytes.
-      RR.Truncated = NumErrs >= MaxErrors;
-      D.Act = ParseDiagnostic::Action::Fatal;
-      D.ResumeOff = Off;
-      Errs.push_back(std::move(D));
-      Log.push_back(RecordLogEntry::Diagnostic);
-      RR.S = RecordRun::Stop::Error;
-      RR.ErrOff = Off;
-      RR.ErrNt = D.Nt;
-      RR.Next = Len;
-      return RR;
+    if (Empty) {
+      D.K = ParseDiagnostic::Kind::EmptyRecord;
+      D.Off = P;
+      D.Nt = R;
+      D.Where = M.NtNames[R];
+    } else {
+      D = failureOf(M, Sk);
     }
-    size_t Q = findResume(M, R, SS, Input, static_cast<size_t>(Off), D.Act);
-    D.ResumeOff = Q;
-    const bool AtEof = D.Act == ParseDiagnostic::Action::SkipToEnd;
-    Errs.push_back(std::move(D));
-    Log.push_back(RecordLogEntry::Diagnostic);
-    if (AtEof) {
-      RR.S = RecordRun::Stop::End;
+    LT.locate(Input.data(), 0, D);
+    const size_t Q = recordFailure(M, R, Input, std::move(D), !Empty, B, Out);
+    if (Q == Npos) {
+      RR.S = RecordRun::Stop::Error;
       RR.Next = Len;
       return RR;
     }
@@ -1260,65 +1153,49 @@ RecordRun recordsRecoverT(const CompiledParser &M, NtId R,
   }
 }
 
-/// Strict-mode width-dispatch helpers, one per sink policy.
-template <typename Tab>
-RecordRun recordsValuesT(const CompiledParser &M, NtId R,
-                         std::string_view Input, size_t Pos, size_t Limit,
-                         ParseScratch &Scratch, std::vector<Value> &Out,
-                         void *User) {
-  ValueSink Sk(M, Scratch, Input, User);
-  return recordsT<Tab>(
-      M, R, Input, Pos, Limit, Scratch.Stack, Sk,
-      [&] { Out.push_back(Sk.collectSegment()); },
-      [&](RecordRun &RR) {
-        RR.ErrMsg = std::move(Sk.ErrMsg);
-        RR.ErrNt = Sk.FailNt;
-        RR.ErrOff = Sk.FailOff;
-        Sk.discardPartial();
-      },
-      [&](RecordRun &) { Sk.discardPartial(); });
+/// Builds the request's sink once and hands it to \p F — the one
+/// runtime mode switch per call.
+template <typename Fn>
+decltype(auto) withSink(const CompiledParser &M, ParseMode Mode,
+                        ParseScratch &Scratch, Fn &&F) {
+  switch (Mode) {
+  case ParseMode::Values: {
+    Scratch.reset();
+    ValueSink Sk(M, Scratch);
+    return F(Sk);
+  }
+  case ParseMode::Events: {
+    EventSink Sk;
+    return F(Sk);
+  }
+  case ParseMode::Recognize:
+    break;
+  }
+  RecognizeSink Sk;
+  return F(Sk);
 }
 
-template <typename Tab>
-RecordRun recordsEventsT(const CompiledParser &M, NtId R,
-                         std::string_view Input, size_t Pos, size_t Limit,
-                         std::vector<uint32_t> &Stack,
-                         std::vector<ParseEvent> &Events) {
-  EventSink Sk(M, Input, Events);
-  return recordsT<Tab>(
-      M, R, Input, Pos, Limit, Stack, Sk, [] {},
-      [&](RecordRun &RR) {
-        RR.ErrMsg = std::move(Sk.ErrMsg);
-        RR.ErrNt = Sk.FailNt;
-        RR.ErrOff = Sk.FailOff;
-      },
-      [](RecordRun &) {});
+/// The request's entry, with the entry contract applied: a refused
+/// entry records the one Fatal diagnostic in \p Out and yields NoNt.
+NtId admit(const CompiledParser &M, const ParseRequest &Req,
+           ParseOutcome &Out) {
+  const NtId R = Req.Entry == NoNt ? M.Start : Req.Entry;
+  assert(R < M.Nts.size() && "entry nonterminal out of range");
+  if (Req.Mode != ParseMode::Recognize && M.Nts[R].ValueFree) {
+    Out.Errors.push_back(M.entryRefusal(R));
+    Out.Truncated = true;
+    return NoNt;
+  }
+  return R;
 }
 
-template <typename Tab>
-RecordRun recordsRecognizeT(const CompiledParser &M, NtId R,
-                            std::string_view Input, size_t Pos, size_t Limit,
-                            std::vector<uint32_t> &Stack) {
-  // RecoverNullSink: NullSink speed (NtPool walk, markers compiled
-  // out) plus the bare failure site for RecordRun's error fields.
-  RecoverNullSink Sk;
-  return recordsT<Tab>(
-      M, R, Input, Pos, Limit, Stack, Sk, [] {},
-      [&](RecordRun &RR) {
-        RR.ErrNt = Sk.FailNt;
-        RR.ErrOff = Sk.FailOff;
-      },
-      [](RecordRun &) {});
-}
+/// The strict wrappers' error: the outcome's first diagnostic.
+Err strictError(const ParseOutcome &O) { return Err(O.Errors[0].message()); }
 
-/// A record run refused before parsing: the entry contract's Fatal
-/// diagnostic in RecordRun's error fields.
-RecordRun refusedRun(const ParseDiagnostic &D) {
-  RecordRun RR;
-  RR.S = RecordRun::Stop::Error;
-  RR.ErrNt = D.Nt;
-  RR.ErrMsg = D.message();
-  return RR;
+Result<Value> strictValue(ParseOutcome &O) {
+  if (!O.Errors.empty())
+    return strictError(O);
+  return std::move(O.Values[0]);
 }
 
 } // namespace
@@ -1330,23 +1207,6 @@ ParseDiagnostic CompiledParser::entryRefusal(NtId N) const {
   D.Nt = N;
   D.Where = NtNames[N];
   return D;
-}
-
-Result<Value> CompiledParser::parseFrom(NtId StartNt, std::string_view Input,
-                                        ParseScratch &Scratch,
-                                        void *User) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  if (Nts[StartNt].ValueFree)
-    return Err(entryRefusal(StartNt).message());
-  Scratch.reset();
-  ValueSink Sk(*this, Scratch, Input, User);
-  return Sk.result(drive(*this, StartNt, Input, Scratch.Stack, Sk));
-}
-
-bool CompiledParser::recognize(std::string_view Input,
-                               ParseScratch &Scratch) const {
-  NullSink Sk;
-  return drive(*this, Start, Input, Scratch.Stack, Sk);
 }
 
 void TextArena::grow(size_t N) {
@@ -1367,222 +1227,171 @@ void TextArena::clear() {
   NextBlock = 0;
 }
 
+//===--------------------------------------------------------------------===//
+// The request cores
+//===--------------------------------------------------------------------===//
+
+bool CompiledParser::run(const ParseRequest &Req, std::string_view Input,
+                         ParseScratch &Scratch, ParseOutcome &Out) const {
+  const size_t Errs = Out.Errors.size();
+  const NtId R = admit(*this, Req, Out);
+  if (R == NoNt)
+    return false;
+  withSink(*this, Req.Mode, Scratch, [&](auto &Sk) {
+    Sk.bind(Input, Out, Req.User);
+    if (Trans8.empty())
+      wholeLoop<Tab16>(*this, R, Input, Scratch.Stack, Sk,
+                       ErrorBudget(Req.MaxErrors), Out);
+    else
+      wholeLoop<Tab8>(*this, R, Input, Scratch.Stack, Sk,
+                      ErrorBudget(Req.MaxErrors), Out);
+  });
+  return Out.Errors.size() == Errs;
+}
+
+void CompiledParser::runBatch(const ParseRequest &Req,
+                              const std::string_view *Inputs, size_t N,
+                              ParseScratch &Scratch,
+                              std::vector<ParseOutcome> &Out,
+                              void *const *Users) const {
+  Out.resize(N);
+  for (ParseOutcome &O : Out)
+    O.clear();
+  if (!N)
+    return;
+  const NtId R = admit(*this, Req, Out[0]);
+  if (R == NoNt) {
+    for (size_t I = 1; I < N; ++I)
+      Out[I] = Out[0];
+    return;
+  }
+  // The serving loop: entry check, table width and sink (with its
+  // pool-handle refcount) are hoisted out; the scratch's stacks and pool
+  // arena stay warm across inputs, so the per-input set-up is a bind.
+  // Earlier values stay valid while later inputs run — pooled nodes
+  // recycle only once their value dies, and escaped values pin the
+  // pages.
+  withSink(*this, Req.Mode, Scratch, [&](auto &Sk) {
+    auto Loop = [&](auto Width) {
+      using Tab = decltype(Width);
+      for (size_t I = 0; I < N; ++I) {
+        Sk.bind(Inputs[I], Out[I], Users ? Users[I] : Req.User);
+        wholeLoop<Tab>(*this, R, Inputs[I], Scratch.Stack, Sk,
+                       ErrorBudget(Req.MaxErrors), Out[I]);
+      }
+    };
+    if (Trans8.empty())
+      Loop(Tab16{});
+    else
+      Loop(Tab8{});
+  });
+}
+
+RecordRun CompiledParser::runRecords(const ParseRequest &Req,
+                                     std::string_view Input, size_t Pos,
+                                     size_t Limit, ParseScratch &Scratch,
+                                     ParseOutcome &Out) const {
+  const NtId R = admit(*this, Req, Out);
+  if (R == NoNt) {
+    RecordRun RR;
+    RR.S = RecordRun::Stop::Error;
+    RR.First = RR.Next = Pos;
+    return RR;
+  }
+  return withSink(*this, Req.Mode, Scratch, [&](auto &Sk) {
+    Sk.bind(Input, Out, Req.User);
+    return Trans8.empty()
+               ? recordLoop<Tab16>(*this, R, Input, Pos, Limit, Scratch.Stack,
+                                   Sk, ErrorBudget(Req.MaxErrors), Out)
+               : recordLoop<Tab8>(*this, R, Input, Pos, Limit, Scratch.Stack,
+                                  Sk, ErrorBudget(Req.MaxErrors), Out);
+  });
+}
+
+//===--------------------------------------------------------------------===//
+// Strict wrappers
+//===--------------------------------------------------------------------===//
+
+Result<Value> CompiledParser::parse(std::string_view Input,
+                                    ParseScratch &Scratch, void *User) const {
+  ParseRequest Req;
+  Req.User = User;
+  ParseOutcome O;
+  run(Req, Input, Scratch, O);
+  return strictValue(O);
+}
+
+Result<Value> CompiledParser::parseFrom(NtId StartNt,
+                                        std::string_view Input) const {
+  ParseRequest Req;
+  Req.Entry = StartNt;
+  ParseScratch Scratch;
+  ParseOutcome O;
+  run(Req, Input, Scratch, O);
+  return strictValue(O);
+}
+
+bool CompiledParser::recognize(std::string_view Input,
+                               ParseScratch &Scratch) const {
+  ParseRequest Req;
+  Req.Mode = ParseMode::Recognize;
+  ParseOutcome O;
+  return run(Req, Input, Scratch, O);
+}
+
 Status CompiledParser::parseEvents(NtId StartNt, std::string_view Input,
                                    ParseScratch &Scratch,
                                    std::vector<ParseEvent> &Events) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  if (Nts[StartNt].ValueFree)
-    return Err(entryRefusal(StartNt).message());
-  EventSink Sk(*this, Input, Events);
-  return Sk.result(drive(*this, StartNt, Input, Scratch.Stack, Sk));
-}
-
-Status CompiledParser::parseEvents(NtId StartNt, std::string_view Input,
-                                   std::vector<ParseEvent> &Events) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  if (Nts[StartNt].ValueFree)
-    return Err(entryRefusal(StartNt).message());
-  // The event driver uses only the symbol stack — no ParseScratch (and
-  // no value-pool allocation) needed.
-  std::vector<uint32_t> Stack;
-  EventSink Sk(*this, Input, Events);
-  return Sk.result(drive(*this, StartNt, Input, Stack, Sk));
+  ParseRequest Req;
+  Req.Entry = StartNt;
+  Req.Mode = ParseMode::Events;
+  // Borrow the caller's vector (and its capacity) for the outcome.
+  ParseOutcome O;
+  O.Events.swap(Events);
+  run(Req, Input, Scratch, O);
+  Events.swap(O.Events);
+  if (!O.Errors.empty())
+    return strictError(O);
+  return Status::success();
 }
 
 std::vector<Result<Value>>
-CompiledParser::parseBatch(NtId StartNt, const std::string_view *Inputs,
-                           size_t N, ParseScratch &Scratch,
-                           void *User) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  std::vector<Result<Value>> Out;
-  Out.reserve(N);
-  if (Nts[StartNt].ValueFree) {
-    Out.assign(N, Err(entryRefusal(StartNt).message()));
-    return Out;
-  }
-  // The serving loop: entry checks, the table width, and the sink (with
-  // its pool-handle refcount and user context) are hoisted out; the
-  // scratch's stacks and pool arena stay warm across inputs, so the
-  // per-input set-up is a rebind and two stack clears. Earlier results
-  // stay valid while later inputs run — pooled nodes recycle only once
-  // their value dies, and escaped values pin the pages.
-  const bool Small = !Trans8.empty();
-  Scratch.reset();
-  ValueSink Sk(*this, Scratch, std::string_view(), User);
-  for (size_t I = 0; I < N; ++I) {
-    // No per-input reset: driveImpl clears the symbol stack itself and
-    // ValueSink::result leaves the value stack empty on both outcomes.
-    Sk.rebind(Inputs[I]);
-    const bool Ok =
-        Small ? driveImpl<Tab8>(*this, StartNt, Inputs[I], Scratch.Stack, Sk)
-              : driveImpl<Tab16>(*this, StartNt, Inputs[I], Scratch.Stack,
-                                 Sk);
-    Out.push_back(Sk.result(Ok));
-  }
-  return Out;
-}
-
-std::vector<Result<Value>>
-CompiledParser::parseBatch(NtId StartNt, const std::string_view *Inputs,
-                           void *const *Users, size_t N,
+CompiledParser::parseBatch(NtId StartNt,
+                           const std::vector<std::string_view> &Inputs,
                            ParseScratch &Scratch) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
+  ParseRequest Req;
+  Req.Entry = StartNt;
+  std::vector<ParseOutcome> Outs;
+  runBatch(Req, Inputs.data(), Inputs.size(), Scratch, Outs);
   std::vector<Result<Value>> Out;
-  Out.reserve(N);
-  if (Nts[StartNt].ValueFree) {
-    Out.assign(N, Err(entryRefusal(StartNt).message()));
-    return Out;
-  }
-  // Same hoisted serving loop as the shared-User overload; the rebind
-  // re-aims both the input view and the per-input action context.
-  const bool Small = !Trans8.empty();
-  Scratch.reset();
-  ValueSink Sk(*this, Scratch, std::string_view(), nullptr);
-  for (size_t I = 0; I < N; ++I) {
-    Sk.rebind(Inputs[I], Users[I]);
-    const bool Ok =
-        Small ? driveImpl<Tab8>(*this, StartNt, Inputs[I], Scratch.Stack, Sk)
-              : driveImpl<Tab16>(*this, StartNt, Inputs[I], Scratch.Stack,
-                                 Sk);
-    Out.push_back(Sk.result(Ok));
-  }
+  Out.reserve(Outs.size());
+  for (ParseOutcome &O : Outs)
+    Out.push_back(strictValue(O));
   return Out;
 }
 
-RecoveredParse CompiledParser::parseRecoverFrom(NtId StartNt,
-                                                std::string_view Input,
-                                                ParseScratch &Scratch,
-                                                void *User,
-                                                const RecoverOptions &Opts) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  RecoveredParse Out;
-  if (Nts[StartNt].ValueFree) {
-    Out.Errors.push_back(entryRefusal(StartNt));
-    Out.Truncated = true;
-    return Out;
-  }
-  Scratch.reset();
-  ValueSink Sk(*this, Scratch, Input, User);
-  recoverLoop(*this, StartNt, Input, Scratch.Stack, Sk,
-              [&](bool Completed) {
-                if (Completed)
-                  Out.Values.push_back(Sk.collectSegment());
-                else
-                  Sk.discardPartial();
-              },
-              Opts, Out);
+std::vector<ParseOutcome> CompiledParser::parseBatchRecover(
+    NtId StartNt, const std::vector<std::string_view> &Inputs,
+    ParseScratch &Scratch) const {
+  ParseRequest Req;
+  Req.Entry = StartNt;
+  Req.MaxErrors = DefaultMaxErrors;
+  std::vector<ParseOutcome> Out;
+  runBatch(Req, Inputs.data(), Inputs.size(), Scratch, Out);
   return Out;
-}
-
-RecoveredParse CompiledParser::parseEventsRecover(
-    NtId StartNt, std::string_view Input, ParseScratch &Scratch,
-    std::vector<ParseEvent> &Events, const RecoverOptions &Opts) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  RecoveredParse Out;
-  if (Nts[StartNt].ValueFree) {
-    Out.Errors.push_back(entryRefusal(StartNt));
-    Out.Truncated = true;
-    return Out;
-  }
-  // Events already appended before a failure stay in the stream (the
-  // same contract as the streaming event log across a recovered error).
-  EventSink Sk(*this, Input, Events);
-  recoverLoop(*this, StartNt, Input, Scratch.Stack, Sk, [](bool) {}, Opts,
-              Out);
-  return Out;
-}
-
-RecoveredParse
-CompiledParser::recognizeRecover(NtId StartNt, std::string_view Input,
-                                 ParseScratch &Scratch,
-                                 const RecoverOptions &Opts) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  RecoveredParse Out;
-  RecoverNullSink Sk;
-  recoverLoop(*this, StartNt, Input, Scratch.Stack, Sk, [](bool) {}, Opts,
-              Out);
-  return Out;
-}
-
-std::vector<RecoveredParse> CompiledParser::parseBatchRecover(
-    NtId StartNt, const std::string_view *Inputs, size_t N,
-    ParseScratch &Scratch, void *const *Users,
-    const RecoverOptions &Opts) const {
-  std::vector<RecoveredParse> Out;
-  Out.reserve(N);
-  for (size_t I = 0; I < N; ++I)
-    Out.push_back(parseRecoverFrom(StartNt, Inputs[I], Scratch,
-                                   Users ? Users[I] : nullptr, Opts));
-  return Out;
-}
-
-size_t CompiledParser::skipFrom(std::string_view Input, size_t Pos) const {
-  return Trans8.empty() ? matchTrailingSkipT<Tab16>(*this, Input, Pos)
-                        : matchTrailingSkipT<Tab8>(*this, Input, Pos);
-}
-
-RecordRun CompiledParser::parseRecords(NtId R, std::string_view Input,
-                                       size_t Pos, size_t Limit,
-                                       ParseScratch &Scratch,
-                                       std::vector<Value> &Out,
-                                       void *User) const {
-  assert(R < Nts.size() && "record nonterminal out of range");
-  if (Nts[R].ValueFree)
-    return refusedRun(entryRefusal(R));
-  Scratch.reset();
-  return Trans8.empty()
-             ? recordsValuesT<Tab16>(*this, R, Input, Pos, Limit, Scratch,
-                                     Out, User)
-             : recordsValuesT<Tab8>(*this, R, Input, Pos, Limit, Scratch,
-                                    Out, User);
 }
 
 RecordRun CompiledParser::parseEventsRecords(
     NtId R, std::string_view Input, size_t Pos, size_t Limit,
     ParseScratch &Scratch, std::vector<ParseEvent> &Events) const {
-  assert(R < Nts.size() && "record nonterminal out of range");
-  if (Nts[R].ValueFree)
-    return refusedRun(entryRefusal(R));
-  return Trans8.empty()
-             ? recordsEventsT<Tab16>(*this, R, Input, Pos, Limit,
-                                     Scratch.Stack, Events)
-             : recordsEventsT<Tab8>(*this, R, Input, Pos, Limit,
-                                    Scratch.Stack, Events);
-}
-
-RecordRun CompiledParser::recognizeRecords(NtId R, std::string_view Input,
-                                           size_t Pos, size_t Limit,
-                                           ParseScratch &Scratch) const {
-  assert(R < Nts.size() && "record nonterminal out of range");
-  return Trans8.empty()
-             ? recordsRecognizeT<Tab16>(*this, R, Input, Pos, Limit,
-                                        Scratch.Stack)
-             : recordsRecognizeT<Tab8>(*this, R, Input, Pos, Limit,
-                                       Scratch.Stack);
-}
-
-RecordRun CompiledParser::parseRecordsRecover(
-    NtId R, std::string_view Input, size_t Pos, size_t Limit,
-    ParseScratch &Scratch, std::vector<Value> &Out,
-    std::vector<ParseDiagnostic> &Errs, std::vector<RecordLogEntry> &Log,
-    const RecoverOptions &Opts, void *User) const {
-  assert(R < Nts.size() && "record nonterminal out of range");
-  if (Nts[R].ValueFree) {
-    Errs.push_back(entryRefusal(R));
-    Log.push_back(RecordLogEntry::Diagnostic);
-    RecordRun RR = refusedRun(Errs.back());
-    RR.Truncated = true;
-    return RR;
-  }
-  Scratch.reset();
-  ValueSink Sk(*this, Scratch, Input, User);
-  return Trans8.empty()
-             ? recordsRecoverT<Tab16>(*this, R, Input, Pos, Limit,
-                                      Scratch.Stack, Sk, Out, Errs, Log,
-                                      Opts)
-             : recordsRecoverT<Tab8>(*this, R, Input, Pos, Limit,
-                                     Scratch.Stack, Sk, Out, Errs, Log,
-                                     Opts);
+  ParseRequest Req;
+  Req.Entry = R;
+  Req.Mode = ParseMode::Events;
+  ParseOutcome O;
+  O.Events.swap(Events);
+  RecordRun RR = runRecords(Req, Input, Pos, Limit, Scratch, O);
+  Events.swap(O.Events);
+  return RR;
 }
 
 //===--------------------------------------------------------------------===//

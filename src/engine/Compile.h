@@ -47,6 +47,14 @@
 /// run-skip loops; the state count is the "Output Functions" column of
 /// Table 1.
 ///
+/// One request, one outcome: every parse — whole buffer, batch, record
+/// run, and the shard and serving tiers above them — is a ParseRequest
+/// (entry, mode, error budget, user context) answered by a ParseOutcome
+/// (values, events, diagnostics, truncation) through three cores: run,
+/// runBatch and runRecords. A strict parse is a request with an error
+/// budget of one; a few strict wrappers remain for the repository
+/// benchmark (engine/README.md "Entry points").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FLAP_ENGINE_COMPILE_H
@@ -68,43 +76,21 @@
 
 namespace flap {
 
-/// Knobs for the recovery entry points (parseRecover and friends, and
-/// StreamParser with StreamOptions::Recover).
-struct RecoverOptions {
-  /// Stop parsing (Truncated = true) once this many diagnostics have
-  /// accumulated — a malformed-input circuit breaker for serving paths.
-  size_t MaxErrors = 100;
-};
-
-/// Result of a recovery-mode parse: the values of every *completed*
-/// segment (a segment is one full run of the entry nonterminal, from
-/// the start of input or a resynchronization point to the next failure
-/// or end of input), plus the structured error list. A clean input
-/// yields exactly one value and no errors, byte-identical to parseFrom.
-struct RecoveredParse {
-  std::vector<Value> Values;
-  std::vector<ParseDiagnostic> Errors;
-  /// True when parsing stopped early because RecoverOptions::MaxErrors
-  /// was reached (the final diagnostic's Action is Fatal).
-  bool Truncated = false;
-
-  bool clean() const { return Errors.empty() && !Truncated; }
-};
-
-/// Result of one record-sequence run (parseRecords and friends): a
+/// One record-sequence run's cursor (CompiledParser::runRecords): a
 /// maximal sequence of complete runs of the entry nonterminal, each
-/// starting before \p Limit, scanned against the *full* input with
-/// absolute offsets. The record drivers are the substrate of the
+/// starting before the run's Limit, scanned against the *full* input
+/// with absolute offsets. The record core is the substrate of the
 /// data-parallel shard layer (engine/Shard.h): a shard is one record
 /// run over [Pos, Limit), and the deterministic machine makes the
 /// cross-shard verification rule a single offset compare — a shard's
 /// guessed entry state is correct iff its skip-normalized First equals
-/// the previous shard's Next.
+/// the previous shard's Next. Errors live in the ParseOutcome the run
+/// appends to, never here.
 struct RecordRun {
   enum class Stop : uint8_t {
     End,     ///< consumed the input: Next == Input.size()
     AtLimit, ///< the next record would start at Next >= Limit
-    Error    ///< a record failed; see ErrOff/ErrNt/ErrMsg
+    Error    ///< a Fatal diagnostic ended the run
   };
   Stop S = Stop::End;
   /// Skip-normalized offset where the first record's scan entered (==
@@ -116,20 +102,7 @@ struct RecordRun {
   /// after Error.
   size_t Next = 0;
   size_t NumRecords = 0; ///< records completed in this run
-  /// Stop::Error in strict mode: the failure, rendered through the ONE
-  /// shared formatter — identical to what parseFrom would report at the
-  /// same byte. In recovery mode Error means the run went Fatal (no
-  /// sync bytes, or RecoverOptions::MaxErrors reached → Truncated).
-  std::string ErrMsg;
-  NtId ErrNt = NoNt;
-  uint64_t ErrOff = 0;
-  bool Truncated = false;
 };
-
-/// Recovery-mode record runs interleave values and diagnostics; the
-/// per-record log entry kinds let a consumer (the shard stitcher)
-/// replay the exact sequential order without re-parsing.
-enum class RecordLogEntry : uint8_t { Value, Diagnostic };
 
 /// Reusable per-parse working memory. Parsing never shrinks capacity, so
 /// a scratch reused across parses makes the residual loop allocation-free
@@ -161,9 +134,9 @@ struct ParseScratch {
 /// raw ActionIds.
 ///
 /// Lexeme-text lifetime: an event is a 32-byte trivially copyable record
-/// whose text() views bytes it does not own. The whole-buffer drivers
-/// (parseEvents, parseEventsRecover, parseEventsRecords, ShardParser)
-/// point it into the caller's input — valid while that input is, the
+/// whose text() views bytes it does not own. The whole-buffer cores
+/// (run, runBatch, runRecords, and ShardParser over them) point it into
+/// the caller's input — valid while that input is, the
 /// same contract Value::token spans have. The streaming parser copies
 /// each lexeme at match time into a text arena owned by the undrained
 /// EventBatch (engine/Stream.h), so streamed text outlives the window
@@ -217,6 +190,50 @@ struct ParseEvent {
            End == O.End && text() == O.text();
   }
   bool operator!=(const ParseEvent &O) const { return !(*this == O); }
+};
+
+/// What a request produces (drive modes: ParseRequest). Values mode
+/// delivers the value of every completed segment — one per clean input,
+/// one per record in a record run; events mode the event stream of every
+/// segment, completed or not (failed segments keep the events already
+/// emitted, like the streaming event log); recognize mode only the
+/// verdict. Errors holds every diagnostic in input order; Truncated is
+/// set when the error budget ended the parse. A clean outcome has no
+/// errors: exactly the strict parse's result.
+struct ParseOutcome {
+  std::vector<Value> Values;
+  std::vector<ParseEvent> Events;
+  std::vector<ParseDiagnostic> Errors;
+  bool Truncated = false;
+
+  bool clean() const { return Errors.empty() && !Truncated; }
+  /// Empties the outcome, keeping the vectors' capacity.
+  void clear() {
+    Values.clear();
+    Events.clear();
+    Errors.clear();
+    Truncated = false;
+  }
+};
+using RecoveredParse = ParseOutcome;
+
+/// The three things a request can ask the machine for.
+enum class ParseMode : uint8_t {
+  Values,   ///< run the semantic actions (ValueSink)
+  Events,   ///< append the SAX stream (EventSink)
+  Recognize ///< verdict and diagnostics only (RecognizeSink)
+};
+
+/// One parse request — the only way in to the machine's cores (see
+/// engine/README.md "Entry points"). Strict parsing is recovery with an
+/// error budget of one: MaxErrors = 1 stops at the first error, larger
+/// budgets resynchronize after each error at the entry's sync bytes
+/// (CompiledParser::SyncSpec) until the budget is spent.
+struct ParseRequest {
+  NtId Entry = NoNt; ///< entry nonterminal; NoNt → the machine's Start
+  ParseMode Mode = ParseMode::Values;
+  size_t MaxErrors = 1; ///< error budget; 1 is strict (see ErrorBudget)
+  void *User = nullptr; ///< ParseContext::User for the actions
 };
 
 /// Address-stable byte storage: bytes once copied never move, so views
@@ -275,205 +292,102 @@ public:
   /// The flattened tail of \p K, oldest symbol first.
   const Sym *tail(const Cont &K) const { return TailPool.data() + K.TailOff; }
 
-  /// Runs the parser, evaluating semantic actions. Absorbs trailing skip
-  /// input; fails unless the entire input is consumed.
-  Result<Value> parse(std::string_view Input, void *User = nullptr) const {
-    ParseScratch Scratch;
-    return parseFrom(Start, Input, Scratch, User);
-  }
+  //===--------------------------------------------------------------===//
+  // The request cores (engine/README.md "Entry points")
+  //
+  // Every whole-buffer, batch, record, shard and serve call runs through
+  // these three. A core checks the entry once, selects the table width
+  // and builds its sink once, then drives the machine — for a whole
+  // batch or record run, not per input. On failure a core records a
+  // ParseDiagnostic and, while the request's error budget lasts, skips
+  // to the next *sync byte* of the entry nonterminal (derived at
+  // compileFused time, see SyncSpec) and re-enters the machine there.
+  // On clean input that is the plain driver plus one branch per parse,
+  // so a budget costs nothing when nothing fails (BENCH_recovery.json
+  // gates this at 5%).
+  //===--------------------------------------------------------------===//
 
-  /// Scratch-reusing variant: the hot entry point for servers and benches.
+  /// One input. Appends to \p Out (values, events, diagnostics with
+  /// line/column) and returns true when this call recorded no
+  /// diagnostic. The whole input must parse: trailing input after a
+  /// completed value is a Trailing diagnostic (the value is delivered).
+  /// Value and event modes refuse an undeclared ValueFree entry with
+  /// entryRefusal() and Truncated.
+  bool run(const ParseRequest &Req, std::string_view Input,
+           ParseScratch &Scratch, ParseOutcome &Out) const;
+
+  /// The batch core for serving workloads: \p Out becomes one outcome
+  /// per input, identical to run() on each, with one warmed scratch
+  /// (symbol/value stacks and the pool arena carry their capacity across
+  /// inputs) and the entry check, table width and sink hoisted out of
+  /// the loop. Outcomes already in \p Out are cleared and reused, so a
+  /// caller that keeps its vector across batches allocates nothing per
+  /// input once warm. \p Users (when non-null) supplies input I's action
+  /// context instead of Req.User — context-accumulating grammars
+  /// (csv/pgn/ppm) need one fresh context per document. Values may
+  /// outlive the batch and the scratch (pooled nodes pin their pages,
+  /// see engine/README.md).
+  void runBatch(const ParseRequest &Req, const std::string_view *Inputs,
+                size_t N, ParseScratch &Scratch,
+                std::vector<ParseOutcome> &Out,
+                void *const *Users = nullptr) const;
+
+  /// The record core (the shard substrate, engine/Shard.h): successive
+  /// complete runs of the entry nonterminal ("records": NDJSON
+  /// documents, csv rows, pgn games) while each record *starts* before
+  /// \p Limit, scanning against the full input — a record may run past
+  /// Limit; the overrun is reported through RecordRun::Next so the next
+  /// shard can verify its guessed boundary against it. Limit ==
+  /// Input.size() is the sequential reference the shard layer's
+  /// stitched output is byte-identical to. Offsets are absolute; Line
+  /// and Col count from \p Pos (line 1, column 1), so a run from 0
+  /// reports text-editor positions. A failed record drops its value,
+  /// keeps its events, and resumes at the next viable sync point while
+  /// the budget lasts; a record nonterminal that matches empty input is
+  /// one Fatal EmptyRecord diagnostic in every mode.
+  RecordRun runRecords(const ParseRequest &Req, std::string_view Input,
+                       size_t Pos, size_t Limit, ParseScratch &Scratch,
+                       ParseOutcome &Out) const;
+
+  //===--------------------------------------------------------------===//
+  // Strict wrappers over the cores. Each fails with exactly
+  // Errors[0].message() and drops a completed value on a trailing-input
+  // failure. They stay because the repository benchmark (perfbench/)
+  // calls them; engine/README.md lists them.
+  //===--------------------------------------------------------------===//
+
+  /// Values from Start; the hot entry point for servers and benches.
   Result<Value> parse(std::string_view Input, ParseScratch &Scratch,
-                      void *User = nullptr) const {
-    return parseFrom(Start, Input, Scratch, User);
-  }
-
-  /// Parses starting from an arbitrary nonterminal — the machine is one
-  /// table set shared by every entry point (paper §8). An undeclared
-  /// ValueFree entry fails with entryRefusal()'s message (see
-  /// engine/README.md "Entry points").
-  Result<Value> parseFrom(NtId StartNt, std::string_view Input,
-                          void *User = nullptr) const {
-    ParseScratch Scratch;
-    return parseFrom(StartNt, Input, Scratch, User);
-  }
-  Result<Value> parseFrom(NtId StartNt, std::string_view Input,
-                          ParseScratch &Scratch, void *User = nullptr) const;
-
-  /// Recognition only: no values, no actions. Used by the ablation bench
-  /// to price the value machinery. Internally this is the same templated
-  /// driver as parseFrom, instantiated with the NullSink policy
-  /// (engine/Sink.h) — the sink seam is compile-time, so the recognizer
-  /// pays nothing for the value machinery it does not run.
-  bool recognize(std::string_view Input) const {
-    ParseScratch Scratch;
-    return recognize(Input, Scratch);
-  }
+                      void *User = nullptr) const;
+  /// Values from an arbitrary nonterminal — the machine is one table set
+  /// shared by every entry point (paper §8) — with a fresh scratch.
+  Result<Value> parseFrom(NtId StartNt, std::string_view Input) const;
+  /// Recognition from Start: no values, no actions.
   bool recognize(std::string_view Input, ParseScratch &Scratch) const;
-
-  /// SAX entry point: runs the machine with the EventSink policy,
-  /// appending the event stream (see ParseEvent for the ordering and
-  /// lifetime contract) to \p Events instead of building values. No
-  /// per-event allocation: token text views \p Input, so the events'
-  /// text is valid as long as Input is. Fails with the same diagnostics
-  /// as parseFrom, including the entry refusal.
+  /// SAX: appends the event stream (see ParseEvent for the ordering and
+  /// lifetime contract) to \p Events, keeping its capacity.
   Status parseEvents(NtId StartNt, std::string_view Input,
                      ParseScratch &Scratch,
                      std::vector<ParseEvent> &Events) const;
-  /// Scratchless convenience; allocates only the symbol stack the event
-  /// driver actually uses (no value pool).
-  Status parseEvents(NtId StartNt, std::string_view Input,
-                     std::vector<ParseEvent> &Events) const;
-
-  /// Batch entry point for serving workloads: parses every input with
-  /// one warmed scratch (symbol/value stacks and the pool arena carry
-  /// their capacity across inputs) and the table width / entry checks
-  /// hoisted out of the loop, amortizing per-parse set-up that a
-  /// one-shot parseFrom pays every time. Results may outlive the batch
-  /// and the scratch (pooled nodes pin their pages, see
-  /// engine/README.md). \p User is passed to every input's actions.
-  std::vector<Result<Value>> parseBatch(NtId StartNt,
-                                        const std::string_view *Inputs,
-                                        size_t N, ParseScratch &Scratch,
-                                        void *User = nullptr) const;
+  /// Strict batch: one Result per input (runBatch with budget 1).
   std::vector<Result<Value>>
   parseBatch(NtId StartNt, const std::vector<std::string_view> &Inputs,
-             ParseScratch &Scratch, void *User = nullptr) const {
-    return parseBatch(StartNt, Inputs.data(), Inputs.size(), Scratch, User);
-  }
-
-  /// Per-input user-context variant: \p Users[i] is passed to input i's
-  /// actions (entries may be null). This is what opens batch serving to
-  /// the context-accumulating grammars (csv/pgn/ppm), which need one
-  /// fresh context per document rather than one shared across the batch.
-  std::vector<Result<Value>> parseBatch(NtId StartNt,
-                                        const std::string_view *Inputs,
-                                        void *const *Users, size_t N,
-                                        ParseScratch &Scratch) const;
-  std::vector<Result<Value>>
-  parseBatch(NtId StartNt, const std::vector<std::string_view> &Inputs,
-             const std::vector<void *> &Users, ParseScratch &Scratch) const {
-    return parseBatch(StartNt, Inputs.data(), Users.data(), Inputs.size(),
-                      Scratch);
-  }
-
-  //===--------------------------------------------------------------===//
-  // Recovery entry points: sync-token resynchronization
-  //
-  // On failure the drivers skip to the next *sync byte* of the entry
-  // nonterminal (derived at compileFused time, see SyncSpec), re-enter
-  // the machine at that nonterminal, and keep collecting values while
-  // accumulating ParseDiagnostics — instead of dying on the first bad
-  // byte. On clean input these are the ordinary drivers plus one branch
-  // per parse, so recovery mode is free when nothing fails
-  // (BENCH_recovery.json gates this at 5%).
-  //===--------------------------------------------------------------===//
-
-  /// Value-building recovery parse from the grammar start symbol.
-  RecoveredParse parseRecover(std::string_view Input, ParseScratch &Scratch,
-                              void *User = nullptr,
-                              const RecoverOptions &Opts = {}) const {
-    return parseRecoverFrom(Start, Input, Scratch, User, Opts);
-  }
-  /// Entry-point variant. An undeclared ValueFree entry yields the one
-  /// entryRefusal() diagnostic and Truncated = true, as do the event
-  /// and record-recovery drivers.
-  RecoveredParse parseRecoverFrom(NtId StartNt, std::string_view Input,
-                                  ParseScratch &Scratch, void *User = nullptr,
-                                  const RecoverOptions &Opts = {}) const;
-
-  /// SAX recovery: appends the events of every segment (completed or
-  /// not — events already emitted before a failure stay, exactly like
-  /// the streaming event log) and returns the error list. The returned
-  /// RecoveredParse carries no values.
-  RecoveredParse parseEventsRecover(NtId StartNt, std::string_view Input,
-                                    ParseScratch &Scratch,
-                                    std::vector<ParseEvent> &Events,
-                                    const RecoverOptions &Opts = {}) const;
-
-  /// Recognition-mode recovery: diagnostics only, NullSink speed.
-  RecoveredParse recognizeRecover(NtId StartNt, std::string_view Input,
-                                  ParseScratch &Scratch,
-                                  const RecoverOptions &Opts = {}) const;
-
-  /// Batch recovery: one RecoveredParse per input, one warmed scratch.
-  /// \p Users (when non-null) supplies a per-input action context.
-  std::vector<RecoveredParse>
-  parseBatchRecover(NtId StartNt, const std::string_view *Inputs, size_t N,
-                    ParseScratch &Scratch, void *const *Users = nullptr,
-                    const RecoverOptions &Opts = {}) const;
-  std::vector<RecoveredParse>
+             ParseScratch &Scratch) const;
+  /// Recovering batch: runBatch with DefaultMaxErrors.
+  std::vector<ParseOutcome>
   parseBatchRecover(NtId StartNt, const std::vector<std::string_view> &Inputs,
-                    ParseScratch &Scratch,
-                    const std::vector<void *> *Users = nullptr,
-                    const RecoverOptions &Opts = {}) const {
-    return parseBatchRecover(StartNt, Inputs.data(), Inputs.size(), Scratch,
-                             Users ? Users->data() : nullptr, Opts);
-  }
-
-  //===--------------------------------------------------------------===//
-  // Record-sequence entry points (the shard substrate, engine/Shard.h)
-  //
-  // Parse successive complete runs of an entry nonterminal ("records":
-  // NDJSON documents, csv rows, pgn games) while each record *starts*
-  // before Limit, scanning against the full input — a record may run
-  // past Limit; the overrun is reported through RecordRun::Next so the
-  // next shard can verify its guessed boundary against it. Limit ==
-  // Input.size() is the sequential reference the shard layer's stitched
-  // output is byte-identical to. Offsets (diagnostics, token spans) are
-  // absolute throughout.
-  //===--------------------------------------------------------------===//
-
-  /// Absorbs maximal skip input: the first offset >= Pos that cannot
-  /// extend a skip lexeme (Input.size() when the rest is skip). Record
-  /// entry offsets are compared in this normal form — entering the
-  /// machine at Pos and at skipFrom(Pos) is observationally identical
-  /// (skip emits nothing and failure offsets are post-skip).
-  size_t skipFrom(std::string_view Input, size_t Pos) const;
-
-  /// Value mode: appends one Value per completed record to \p Out.
-  RecordRun parseRecords(NtId R, std::string_view Input, size_t Pos,
-                         size_t Limit, ParseScratch &Scratch,
-                         std::vector<Value> &Out,
-                         void *User = nullptr) const;
-
-  /// SAX mode: appends each record's events to \p Events (absolute
-  /// offsets; the per-record boundaries are recoverable from Enter(R)).
+                    ParseScratch &Scratch) const;
+  /// Strict SAX record run (runRecords with budget 1); the error, if
+  /// any, is dropped — Stop::Error says there was one.
   RecordRun parseEventsRecords(NtId R, std::string_view Input, size_t Pos,
                                size_t Limit, ParseScratch &Scratch,
                                std::vector<ParseEvent> &Events) const;
 
-  /// Recognition mode: no values, NullSink speed; Stop::Error carries
-  /// only the offset (no rendered message).
-  RecordRun recognizeRecords(NtId R, std::string_view Input, size_t Pos,
-                             size_t Limit, ParseScratch &Scratch) const;
-
-  /// Recovery mode: per-record sync-token recovery. Completed records
-  /// append to \p Out, failures append structured diagnostics to
-  /// \p Errs, and \p Log records the exact interleaving (one entry per
-  /// value or diagnostic, in input order) so a consumer can replay the
-  /// sequential stream. Diagnostics carry absolute offsets but Line/Col
-  /// are NOT filled in (always 1) — the caller runs one LineTracker
-  /// pass over the accepted diagnostics (engine/Shard.cpp does; a lone
-  /// sequential caller can too), so every input byte is scanned at most
-  /// once however many shards and errors there are. The local MaxErrors
-  /// circuit breaker matches recoverLoop: the run stops with
-  /// Stop::Error and Truncated once Errs grows by MaxErrors (or
-  /// immediately on failure for a grammar with no sync bytes).
-  RecordRun parseRecordsRecover(NtId R, std::string_view Input, size_t Pos,
-                                size_t Limit, ParseScratch &Scratch,
-                                std::vector<Value> &Out,
-                                std::vector<ParseDiagnostic> &Errs,
-                                std::vector<RecordLogEntry> &Log,
-                                const RecoverOptions &Opts = {},
-                                void *User = nullptr) const;
-
   /// The entry contract (engine/README.md "Entry points"): value and
   /// event modes refuse a ValueFree nonterminal — one that was not a
   /// declared entry at compileFused time, so dead-token elision could
-  /// erase its value — with this one structured Fatal diagnostic. The
-  /// recovery and record-recovery drivers report it as is; the other
-  /// modes fail with its message(). Recognize modes accept any entry.
+  /// erase its value — with this one structured Fatal diagnostic.
+  /// Recognize mode accepts any entry.
   ParseDiagnostic entryRefusal(NtId N) const;
 
   /// Number of machine states = generated functions (Table 1, "Output

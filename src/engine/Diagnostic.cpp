@@ -32,6 +32,13 @@ std::string formatEntryRefusal(const std::string &Where) {
                 Where.c_str());
 }
 
+std::string formatEmptyRecord(uint64_t Off, const std::string &Where) {
+  return format("parse error at offset %llu: record entry nonterminal '%s' "
+                "matched empty input (nullable records cannot delimit a "
+                "sequence)",
+                static_cast<unsigned long long>(Off), Where.c_str());
+}
+
 std::string formatVerifyFinding(const char *Severity,
                                 const std::string &Component,
                                 const std::string &Field, int32_t State,
@@ -50,6 +57,8 @@ std::string ParseDiagnostic::message() const {
     return formatTrailingAt(Off);
   if (K == Kind::Entry)
     return formatEntryRefusal(Where);
+  if (K == Kind::EmptyRecord)
+    return formatEmptyRecord(Off, Where);
   return formatParseErrorAt(Off, Expected, Where);
 }
 

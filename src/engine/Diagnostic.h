@@ -23,6 +23,7 @@
 
 #include "core/Grammar.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -41,6 +42,10 @@ std::string formatTrailingAt(uint64_t Off);
 /// of entry nonterminal \p Where was compiled away by dead-token elision.
 std::string formatEntryRefusal(const std::string &Where);
 
+/// Renders the nullable-record failure: record nonterminal \p Where
+/// matched empty input at \p Off, so it cannot delimit a sequence.
+std::string formatEmptyRecord(uint64_t Off, const std::string &Where);
+
 /// Renders one table-verifier finding (engine/Verify.h) through the
 /// same formatter seam the parse diagnostics use, so every structured
 /// record the engine emits has exactly one string rendering.
@@ -51,16 +56,17 @@ std::string formatVerifyFinding(const char *Severity,
                                 const std::string &Field, int32_t State,
                                 int32_t Nt, const std::string &Detail);
 
-/// One structured parse error. Produced by the recovery entry points
-/// (CompiledParser::parseRecover and friends, StreamParser in recovery
-/// mode); message() reproduces exactly the string the non-recovery
-/// paths would have failed with, so the first diagnostic of a recovered
-/// parse equals the strict parse's error verbatim.
+/// One structured parse error — the only error record the engine
+/// reports (ParseOutcome::Errors, StreamParser in recovery mode).
+/// message() is the string a strict wrapper fails with: a strict parse
+/// is a recovery parse with an error budget of one, so its error is
+/// exactly Errors[0].message().
 struct ParseDiagnostic {
   enum class Kind : uint8_t {
-    Parse,    ///< no production matched while parsing Nt
-    Trailing, ///< a value completed but input remained
-    Entry     ///< entry Nt refused before parsing (always Fatal, Off 0)
+    Parse,      ///< no production matched while parsing Nt
+    Trailing,   ///< a value completed but input remained
+    Entry,      ///< entry Nt refused before parsing (always Fatal, Off 0)
+    EmptyRecord ///< record Nt matched empty input (always Fatal)
   };
   /// What the recovery driver did after recording the error.
   enum class Action : uint8_t {
@@ -92,6 +98,40 @@ struct ParseDiagnostic {
   bool operator!=(const ParseDiagnostic &O) const { return !(*this == O); }
 };
 
+/// The number of errors the recovering wrappers and the streaming and
+/// serving options survive by default.
+constexpr size_t DefaultMaxErrors = 100;
+
+/// The ONE error-budget rule every recovering driver applies — the
+/// whole-buffer and record loops (Compile.cpp), the shard stitcher and
+/// the streaming parser. A budget of one is a strict parse: the first
+/// diagnostic is Fatal. MaxErrors 0 is treated as 1 here and nowhere
+/// else.
+class ErrorBudget {
+public:
+  explicit ErrorBudget(size_t MaxErrors) : Max(MaxErrors ? MaxErrors : 1) {}
+
+  /// Charges diagnostic \p D. Returns true when \p D ends the parse —
+  /// the budget is spent (which sets \p Truncated) or \p CanResync is
+  /// false (no sync bytes, or a grammar-shape error) — and marks it
+  /// Fatal at its own offset; false when the caller may resynchronize.
+  bool charge(ParseDiagnostic &D, bool CanResync, bool &Truncated) {
+    const bool Spent = ++Used >= Max;
+    if (!Spent && CanResync)
+      return false;
+    Truncated |= Spent;
+    D.Act = ParseDiagnostic::Action::Fatal;
+    D.ResumeOff = D.Off;
+    return true;
+  }
+  size_t max() const { return Max; }
+  void reset() { Used = 0; }
+
+private:
+  size_t Max;
+  size_t Used = 0;
+};
+
 /// Incremental line/column accounting. Diagnostics are cold, so neither
 /// driver counts newlines on the hot path: the tracker advances over
 /// each input byte at most once — through the compacted-away prefix in
@@ -116,6 +156,16 @@ struct LineTracker {
   /// Column of \p Off, which must satisfy LineStart <= Off == ScannedTo.
   uint32_t colAt(uint64_t Off) const {
     return static_cast<uint32_t>(Off - LineStart) + 1;
+  }
+
+  /// Advances to \p D's offset over \p Input, whose first byte is
+  /// absolute offset \p Base, and stamps D's line and column.
+  void locate(const char *Input, uint64_t Base, ParseDiagnostic &D) {
+    if (D.Off > ScannedTo)
+      advance(Input + (ScannedTo - Base),
+              static_cast<size_t>(D.Off - ScannedTo));
+    D.Line = Line;
+    D.Col = colAt(D.Off);
   }
 };
 

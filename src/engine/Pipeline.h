@@ -16,6 +16,12 @@
 /// bundles every artifact so tests can inspect intermediate forms and
 /// benches can drive any engine over the same grammar.
 ///
+/// FlapParser keeps only the strict convenience calls the examples use
+/// (parse, parseEntry) and stream(); every other request — events,
+/// recognition, batches, record runs, error budgets — goes through the
+/// staged machine's request cores, FlapParser::M.run / runBatch /
+/// runRecords (engine/Compile.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FLAP_ENGINE_PIPELINE_H
@@ -52,8 +58,8 @@ struct GrammarDef {
   /// corpus (a single json document, one csv row, one pgn game), i.e.
   /// what Root folds a sequence of. Grammars whose Root already parses
   /// one record (sexp, ppm) set Record = Root. Consumed by
-  /// compileFlapRecords() for the record-sequence drivers
-  /// (CompiledParser::parseRecords) and the shard layer (engine/
+  /// compileFlapRecords() for the record core
+  /// (CompiledParser::runRecords) and the shard layer (engine/
   /// Shard.h). Left unset (HasRecord == false) when the grammar has no
   /// record decomposition.
   Px Record;
@@ -94,7 +100,7 @@ struct SizeStats {
 /// Everything the pipeline produces for one grammar.
 struct FlapParser {
   /// Named entry points (multi-entry pipelines); maps to machine
-  /// nonterminals usable with M.parseFrom().
+  /// nonterminals usable as ParseRequest::Entry.
   std::map<std::string, NtId> Entries;
 
   std::shared_ptr<GrammarDef> Def; ///< keeps arenas/actions alive
@@ -106,57 +112,22 @@ struct FlapParser {
   PipelineTimings Times;
   SizeStats Sizes;
 
-  /// Parses with the staged fused machine (the flap of Fig. 11).
+  /// Parses with the staged fused machine (the flap of Fig. 11): a
+  /// strict values request from Start with a fresh scratch. Everything
+  /// else — events, recognition, batches, record runs, error budgets —
+  /// is a ParseRequest on M (engine/README.md "Entry points").
   Result<Value> parse(std::string_view Input, void *User = nullptr) const {
-    return M.parse(Input, User);
+    ParseScratch Scratch;
+    return M.parse(Input, Scratch, User);
   }
 
   /// Parses from a named entry point (compileFlapMulti).
-  Result<Value> parseEntry(const std::string &Name, std::string_view Input,
-                           void *User = nullptr) const {
+  Result<Value> parseEntry(const std::string &Name,
+                           std::string_view Input) const {
     auto It = Entries.find(Name);
     if (It == Entries.end())
       return Err("unknown entry point '" + Name + "'");
-    return M.parseFrom(It->second, Input, User);
-  }
-
-  /// SAX event parse (the EventSink policy, engine/Sink.h): appends the
-  /// machine's Enter/Token/Reduce/Eps stream to \p Events instead of
-  /// building values; token text views \p Input.
-  Status parseEvents(std::string_view Input,
-                     std::vector<ParseEvent> &Events) const {
-    return M.parseEvents(M.Start, Input, Events);
-  }
-
-  /// Batch entry point for serving workloads: parses every input with
-  /// one warmed scratch (see CompiledParser::parseBatch); pair with
-  /// StreamParser::reset() for the connection-oriented analogue.
-  std::vector<Result<Value>>
-  parseBatch(const std::vector<std::string_view> &Inputs,
-             ParseScratch &Scratch, void *User = nullptr) const {
-    return M.parseBatch(M.Start, Inputs, Scratch, User);
-  }
-
-  /// Sync-token error recovery over a whole buffer (see
-  /// CompiledParser::parseRecover and engine/README.md "The recovery
-  /// contract"): skips corrupted records, returns every completed
-  /// segment value plus the structured diagnostic list.
-  RecoveredParse parseRecover(std::string_view Input, ParseScratch &Scratch,
-                              void *User = nullptr,
-                              RecoverOptions Opts = {}) const {
-    return M.parseRecover(Input, Scratch, User, Opts);
-  }
-
-  /// Recovery-mode batch serving: one RecoveredParse per input, warmed
-  /// scratch shared across the batch (the malformed-input serving
-  /// contract — a corrupt document yields its diagnostics, never
-  /// poisons its neighbours).
-  std::vector<RecoveredParse>
-  parseBatchRecover(const std::vector<std::string_view> &Inputs,
-                    ParseScratch &Scratch,
-                    const std::vector<void *> *Users = nullptr,
-                    RecoverOptions Opts = {}) const {
-    return M.parseBatchRecover(M.Start, Inputs, Scratch, Users, Opts);
+    return M.parseFrom(It->second, Input);
   }
 
   /// A push-style streaming parse over the same machine (engine/

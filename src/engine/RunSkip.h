@@ -45,6 +45,15 @@
 #define FLAP_RUNSKIP_NEON 1
 #endif
 
+/// Force-inlining for the hot-path helpers: the sink hooks (engine/
+/// Sink.h) and skipRun, whose inlining into the drivers must not depend
+/// on how large the including translation unit happens to be.
+#if defined(__GNUC__) || defined(__clang__)
+#define FLAP_SINK_INLINE __attribute__((always_inline)) inline
+#else
+#define FLAP_SINK_INLINE inline
+#endif
+
 namespace flap {
 
 /// The set of bytes over which one machine state loops back to itself,
@@ -189,7 +198,8 @@ inline size_t skipRunSimd(const SkipSet &S, const char *P, size_t I,
 /// run-length statistics on the benchmark corpora put most runs under 8
 /// bytes, where SIMD constant set-up would dominate. Only runs that
 /// survive the first block hand off to the 16-wide SIMD kernel.
-inline size_t skipRun(const SkipSet &S, const char *P, size_t I, size_t Len) {
+FLAP_SINK_INLINE size_t skipRun(const SkipSet &S, const char *P, size_t I,
+                                size_t Len) {
   if (I + 8 <= Len) {
     uint32_t Miss = 0;
     for (int K = 0; K < 8; ++K) {

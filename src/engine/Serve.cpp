@@ -7,6 +7,8 @@
 
 #include "engine/Serve.h"
 
+#include <algorithm>
+
 using namespace flap;
 
 //===--------------------------------------------------------------------===//
@@ -50,7 +52,6 @@ ServeReply::~ServeReply() {
   // results never escaped recycles its pool (all nodes returned to the
   // freelists this destructor's thread owns right now).
   Pool->adoptOwner();
-  Results.clear();
   Recovered.clear();
   Bank->give(std::move(Pool));
 }
@@ -122,16 +123,19 @@ size_t resolveThreads(size_t Requested) {
 
 ParseService::ParseService(const CompiledParser &M, NtId Start, ServeOptions O)
     : M(&M), Start(Start), Opts(O), Bank(std::make_shared<PoolBank>()) {
-  size_t T = resolveThreads(Opts.Threads);
-  Workers.reserve(T);
-  for (size_t I = 0; I < T; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
+  spawn();
 }
 
 ParseService::ParseService(GrammarRegistry &R, std::string GrammarName,
                            ServeOptions O)
     : Reg(&R), Grammar(std::move(GrammarName)), Opts(O),
       Bank(std::make_shared<PoolBank>()) {
+  spawn();
+}
+
+void ParseService::spawn() {
+  // A zero capacity would block every submit() until shutdown.
+  Opts.QueueCapacity = std::max<size_t>(Opts.QueueCapacity, 1);
   size_t T = resolveThreads(Opts.Threads);
   Workers.reserve(T);
   for (size_t I = 0; I < T; ++I)
@@ -218,21 +222,12 @@ void ParseService::workerLoop() {
     Rep.Pool = Bank->acquire();
     Rep.Pool->adoptOwner();
     Scratch.Pool = Rep.Pool;
-    const size_t N = Req.Inputs.size();
-    if (Opts.Recover) {
-      // parseBatchRecover takes per-input contexts; expand the shared
-      // one when present.
-      std::vector<void *> Users;
-      if (Req.User)
-        Users.assign(N, Req.User);
-      Rep.Recovered =
-          PM->parseBatchRecover(PStart, Req.Inputs.data(), N, Scratch,
-                                Req.User ? Users.data() : nullptr,
-                                Opts.RecOpts);
-    } else {
-      Rep.Results = PM->parseBatch(PStart, Req.Inputs.data(), N, Scratch,
-                                   Req.User);
-    }
+    ParseRequest PR;
+    PR.Entry = PStart;
+    PR.MaxErrors = Opts.Recover ? Opts.MaxErrors : 1;
+    PR.User = Req.User;
+    PM->runBatch(PR, Req.Inputs.data(), Req.Inputs.size(), Scratch,
+                 Rep.Recovered);
     // Detach the pool from this thread before the handoff: the future's
     // synchronization point carries it to the consumer, who re-adopts.
     Scratch.Pool.reset();

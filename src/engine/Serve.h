@@ -8,8 +8,9 @@
 /// \file
 /// A thread-pooled front-end over the batch serving API: N workers,
 /// each owning a warmed ParseScratch, drain a bounded MPMC request
-/// queue through CompiledParser::parseBatch / parseBatchRecover and
-/// fulfill a std::future per request. This is the multi-core version of
+/// queue through the batch core (CompiledParser::runBatch) and fulfill
+/// a std::future per request with one ParseOutcome per input — strict
+/// serving is the same request with an error budget of one. This is the multi-core version of
 /// the single-thread serving contract (engine/README.md): per-request
 /// cost amortizes across the batch, malformed inputs yield diagnostics
 /// instead of poisoning neighbours, and results may outlive both the
@@ -66,12 +67,12 @@ struct ServeOptions {
   /// Worker threads; 0 → hardware concurrency.
   size_t Threads = 0;
   /// Bounded queue: submit() blocks when this many requests are
-  /// pending (backpressure, not unbounded memory).
+  /// pending (backpressure, not unbounded memory). 0 behaves as 1.
   size_t QueueCapacity = 256;
-  /// Serve through parseBatchRecover instead of parseBatch: replies
-  /// carry RecoveredParse (values + structured diagnostics) per input.
+  /// Serve each input with an error budget of MaxErrors (sync-token
+  /// recovery) instead of one (strict).
   bool Recover = false;
-  RecoverOptions RecOpts{};
+  size_t MaxErrors = DefaultMaxErrors;
 };
 
 /// A shared checkout of value pools; see the pool discipline in the
@@ -95,13 +96,11 @@ private:
 /// on one thread at a time — its values share one pool.
 struct ServeReply {
   /// False only when the request raced shutdown and was rejected;
-  /// Results/Recovered are empty then.
+  /// Recovered is empty then.
   bool Accepted = true;
-  /// Strict mode: one Result per input, same order.
-  std::vector<Result<Value>> Results;
-  /// Recovery mode (ServeOptions::Recover): one RecoveredParse per
-  /// input.
-  std::vector<RecoveredParse> Recovered;
+  /// One outcome per input, same order — in strict mode too, where a
+  /// failed input has exactly one (Fatal) diagnostic.
+  std::vector<ParseOutcome> Recovered;
 
   ServeReply() = default;
   ServeReply(ServeReply &&) = default;
@@ -214,6 +213,7 @@ private:
     std::promise<ServeReply> Promise;
   };
 
+  void spawn();
   void workerLoop();
 
   /// Fixed-machine form (null in the registry form).

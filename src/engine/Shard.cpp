@@ -35,10 +35,6 @@
 using namespace flap;
 
 namespace {
-/// The parse modes one shard task can run. An int in the private
-/// signatures to keep the header free of implementation detail.
-enum Mode : int { MValues = 0, MEvents, MRecognize, MRecover };
-
 constexpr size_t Npos = static_cast<size_t>(-1);
 
 /// First admissible candidate boundary at offset >= From: a position
@@ -62,27 +58,17 @@ size_t nextCandidate(const CompiledParser &M, NtId R,
 }
 } // namespace
 
-/// One shard's slice and its speculative output. Out-vectors are
-/// per-task (not shared) so workers never contend and the stitcher can
-/// discard a mispredicted shard wholesale.
+/// One shard's slice and its speculative output. Outcomes are per-task
+/// (not shared) so workers never contend and the stitcher can discard
+/// a mispredicted shard wholesale.
 struct ShardParser::Task {
   size_t Begin = 0; ///< guessed (or, shard 0, true) entry offset
   size_t Limit = 0; ///< next shard's guess; records may overrun it
   /// Per-shard action context (ShardOptions::MakeCtx); null when the
-  /// shared Opts.User is in effect.
+  /// request's shared User is in effect.
   std::shared_ptr<void> Ctx;
   RecordRun RR;
-  std::vector<Value> Values;
-  std::vector<ParseEvent> Events;
-  std::vector<ParseDiagnostic> Errs;
-  std::vector<RecordLogEntry> Log;
-
-  void clearOut() {
-    Values.clear();
-    Events.clear();
-    Errs.clear();
-    Log.clear();
-  }
+  ParseOutcome Out;
 };
 
 struct ShardParser::Batch {
@@ -225,45 +211,32 @@ ShardParser::makeTasks(std::string_view Input,
 // Shard execution
 //===--------------------------------------------------------------------===//
 
-/// Runs one shard in \p Mode into its task. Re-used verbatim for
-/// mispredict repair on the stitching thread.
-void ShardParser::runOneTask(int Mode, std::string_view Input, Task &T,
-                             ParseScratch &Sc) const {
-  T.clearOut();
-  void *User = T.Ctx ? T.Ctx.get() : Opts.User;
-  switch (Mode) {
-  case MValues:
-    T.RR = M.parseRecords(Record, Input, T.Begin, T.Limit, Sc, T.Values,
-                          User);
-    break;
-  case MEvents:
-    T.RR = M.parseEventsRecords(Record, Input, T.Begin, T.Limit, Sc, T.Events);
-    break;
-  case MRecognize:
-    T.RR = M.recognizeRecords(Record, Input, T.Begin, T.Limit, Sc);
-    break;
-  case MRecover:
-    T.RR = M.parseRecordsRecover(Record, Input, T.Begin, T.Limit, Sc, T.Values,
-                                 T.Errs, T.Log, Opts.Recover, User);
-    break;
-  }
+/// Runs one shard into its task. Re-used verbatim for re-runs on the
+/// stitching thread.
+void ShardParser::runOneTask(const ParseRequest &Req, std::string_view Input,
+                             Task &T, ParseScratch &Sc) const {
+  ParseRequest R = Req;
+  if (T.Ctx)
+    R.User = T.Ctx.get();
+  T.Out = ParseOutcome();
+  T.RR = M.runRecords(R, Input, T.Begin, T.Limit, Sc, T.Out);
 }
 
-void ShardParser::runShards(int Mode, std::string_view Input,
+void ShardParser::runShards(const ParseRequest &Req, std::string_view Input,
                             std::vector<Task> &Tasks) {
   // Fresh pools every call: results escaping the previous call must
   // never share a freelist with this call's workers (the single-owner
-  // rule, cfe/Value.h). The stitcher arena included — re-parse values
+  // rule, cfe/Value.h). The stitcher arena included — re-run values
   // interleave with worker values in the returned vector.
   for (ParseScratch &S : Scratches)
     S.Pool = ValuePool::create();
   if (Tasks.size() == 1) {
-    runOneTask(Mode, Input, Tasks[0], Scratches[0]);
+    runOneTask(Req, Input, Tasks[0], Scratches[0]);
     return;
   }
   runTasks(Tasks.size(), [&](size_t T, size_t W) {
     Scratches[W].Pool->adoptOwner();
-    runOneTask(Mode, Input, Tasks[T], Scratches[W]);
+    runOneTask(Req, Input, Tasks[T], Scratches[W]);
   });
   // The join's acquire makes the workers' writes visible; from here the
   // calling thread owns every arena (and the values it will hand out).
@@ -271,195 +244,8 @@ void ShardParser::runShards(int Mode, std::string_view Input,
     S.Pool->adoptOwner();
 }
 
-void ShardParser::reRun(int Mode, std::string_view Input, Task &T,
-                        size_t TrueBegin, ShardStats &Stats) {
-  ++Stats.Mispredicted;
-  Stats.ReparsedBytes += T.Limit > TrueBegin ? T.Limit - TrueBegin : 0;
-  T.Begin = TrueBegin;
-  // The speculative run's context saw records from a wrong boundary;
-  // discard it with the rest of the shard's output.
-  if (Opts.MakeCtx)
-    T.Ctx = Opts.MakeCtx();
-  runOneTask(Mode, Input, T, Scratches[NumWorkers]);
-}
-
-void ShardParser::mergeTaskCtx(Task &T) {
-  if (Opts.MergeCtx && T.Ctx)
-    Opts.MergeCtx(Opts.User, T.Ctx.get());
-  T.Ctx.reset();
-}
-
 //===--------------------------------------------------------------------===//
 // Stitching
-//===--------------------------------------------------------------------===//
-
-ShardedValues ShardParser::parseValuesAt(std::string_view Input,
-                                         const std::vector<size_t> &Splits) {
-  std::vector<Task> Tasks = makeTasks(Input, Splits);
-  ShardedValues Out;
-  Out.Stats.Shards = Tasks.size();
-  runShards(MValues, Input, Tasks);
-  const size_t Len = Input.size();
-  size_t Expected = 0;
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    Task &T = Tasks[I];
-    if (I && T.RR.First != Expected)
-      reRun(MValues, Input, T, Expected, Out.Stats);
-    mergeTaskCtx(T);
-    for (Value &V : T.Values)
-      Out.Values.push_back(std::move(V));
-    Out.NumRecords += T.RR.NumRecords;
-    if (T.RR.S == RecordRun::Stop::Error) {
-      Out.Ok = false;
-      Out.ErrMsg = std::move(T.RR.ErrMsg);
-      Out.ErrNt = T.RR.ErrNt;
-      Out.ErrOff = T.RR.ErrOff;
-      break; // the sequentially-first failure: later shards are moot
-    }
-    Expected = T.RR.S == RecordRun::Stop::End ? Len : T.RR.Next;
-  }
-  return Out;
-}
-
-ShardedEvents ShardParser::parseEventsAt(std::string_view Input,
-                                         const std::vector<size_t> &Splits) {
-  std::vector<Task> Tasks = makeTasks(Input, Splits);
-  ShardedEvents Out;
-  Out.Stats.Shards = Tasks.size();
-  runShards(MEvents, Input, Tasks);
-  // Events are flat records viewing Input, so the stitch is one
-  // reservation plus a block copy per shard.
-  size_t Total = 0;
-  for (const Task &T : Tasks)
-    Total += T.Events.size();
-  Out.Events.reserve(Total);
-  const size_t Len = Input.size();
-  size_t Expected = 0;
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    Task &T = Tasks[I];
-    if (I && T.RR.First != Expected)
-      reRun(MEvents, Input, T, Expected, Out.Stats);
-    Out.Events.insert(Out.Events.end(), T.Events.begin(), T.Events.end());
-    Out.NumRecords += T.RR.NumRecords;
-    if (T.RR.S == RecordRun::Stop::Error) {
-      Out.Ok = false;
-      Out.ErrMsg = std::move(T.RR.ErrMsg);
-      Out.ErrNt = T.RR.ErrNt;
-      Out.ErrOff = T.RR.ErrOff;
-      break;
-    }
-    Expected = T.RR.S == RecordRun::Stop::End ? Len : T.RR.Next;
-  }
-  return Out;
-}
-
-ShardedRecognize ShardParser::recognizeAt(std::string_view Input,
-                                          const std::vector<size_t> &Splits) {
-  std::vector<Task> Tasks = makeTasks(Input, Splits);
-  ShardedRecognize Out;
-  Out.Stats.Shards = Tasks.size();
-  runShards(MRecognize, Input, Tasks);
-  const size_t Len = Input.size();
-  size_t Expected = 0;
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    Task &T = Tasks[I];
-    if (I && T.RR.First != Expected)
-      reRun(MRecognize, Input, T, Expected, Out.Stats);
-    Out.NumRecords += T.RR.NumRecords;
-    if (T.RR.S == RecordRun::Stop::Error) {
-      Out.Ok = false;
-      Out.ErrNt = T.RR.ErrNt;
-      Out.ErrOff = T.RR.ErrOff;
-      break;
-    }
-    Expected = T.RR.S == RecordRun::Stop::End ? Len : T.RR.Next;
-  }
-  return Out;
-}
-
-ShardedRecover ShardParser::parseRecoverAt(std::string_view Input,
-                                           const std::vector<size_t> &Splits) {
-  std::vector<Task> Tasks = makeTasks(Input, Splits);
-  ShardedRecover Out;
-  Out.Stats.Shards = Tasks.size();
-  runShards(MRecover, Input, Tasks);
-
-  // Replay the per-shard logs in input order, re-applying the GLOBAL
-  // MaxErrors budget (each shard counted only its own errors; whenever
-  // a shard's local breaker fired, the global count had already reached
-  // the limit too, so the stop point is the sequential one). Line/Col
-  // fill happens here, in one monotone LineTracker pass — diagnostics
-  // surviving the stitch have nondecreasing offsets.
-  const CompiledParser::SyncSpec &SS = M.SyncSpecs[Record];
-  const size_t MaxErrors = Opts.Recover.MaxErrors ? Opts.Recover.MaxErrors : 1;
-  const size_t Len = Input.size();
-  LineTracker LT;
-  auto fillLineCol = [&](ParseDiagnostic &D) {
-    if (D.Off >= LT.ScannedTo)
-      LT.advance(Input.data() + LT.ScannedTo,
-                 static_cast<size_t>(D.Off) - LT.ScannedTo);
-    D.Line = LT.Line;
-    D.Col = LT.colAt(D.Off);
-  };
-  size_t Expected = 0;
-  bool Stopped = false;
-  for (size_t I = 0; I < Tasks.size() && !Stopped; ++I) {
-    Task &T = Tasks[I];
-    if (I && T.RR.First != Expected)
-      reRun(MRecover, Input, T, Expected, Out.Stats);
-    mergeTaskCtx(T);
-    size_t VI = 0, EI = 0;
-    for (RecordLogEntry E : T.Log) {
-      if (E == RecordLogEntry::Value) {
-        Out.R.Values.push_back(std::move(T.Values[VI++]));
-        ++Out.NumRecords;
-        continue;
-      }
-      ParseDiagnostic D = std::move(T.Errs[EI++]);
-      const bool CountStop = Out.R.Errors.size() + 1 >= MaxErrors;
-      if (CountStop || !SS.HasSync) {
-        D.Act = ParseDiagnostic::Action::Fatal;
-        D.ResumeOff = D.Off;
-        Out.R.Truncated = CountStop;
-        fillLineCol(D);
-        Out.R.Errors.push_back(std::move(D));
-        Stopped = true;
-        break;
-      }
-      fillLineCol(D);
-      const bool AtEof = D.Act == ParseDiagnostic::Action::SkipToEnd;
-      Out.R.Errors.push_back(std::move(D));
-      if (AtEof) {
-        Stopped = true;
-        break;
-      }
-    }
-    if (Stopped)
-      break;
-    if (T.RR.S == RecordRun::Stop::Error) {
-      // Only the zero-progress (nullable record) grammar-shape error
-      // reaches here without a logged Fatal diagnostic; surface it as
-      // one so the result is never silently short.
-      ParseDiagnostic D;
-      D.K = ParseDiagnostic::Kind::Parse;
-      D.Act = ParseDiagnostic::Action::Fatal;
-      D.Nt = T.RR.ErrNt;
-      D.Off = T.RR.ErrOff;
-      D.ResumeOff = T.RR.ErrOff;
-      D.Expected = M.NtExpected[T.RR.ErrNt];
-      D.Where = M.NtNames[T.RR.ErrNt];
-      fillLineCol(D);
-      Out.R.Errors.push_back(std::move(D));
-      Out.R.Truncated |= T.RR.Truncated;
-      break;
-    }
-    Expected = T.RR.S == RecordRun::Stop::End ? Len : T.RR.Next;
-  }
-  return Out;
-}
-
-//===--------------------------------------------------------------------===//
-// Planned entry points
 //===--------------------------------------------------------------------===//
 
 namespace {
@@ -469,30 +255,96 @@ size_t shardTarget(size_t Len, size_t Workers, size_t MinShardBytes) {
 }
 } // namespace
 
-ShardedValues ShardParser::parseValues(std::string_view Input) {
-  return parseValuesAt(
-      Input,
-      planSplits(Input,
-                 shardTarget(Input.size(), NumWorkers, Opts.MinShardBytes)));
+ShardOutcome ShardParser::run(const ParseRequest &Request,
+                              std::string_view Input,
+                              const std::vector<size_t> *Splits) {
+  assert((Request.Entry == NoNt || Request.Entry == Record) &&
+         "a shard parser parses its bound record nonterminal");
+  ParseRequest Req = Request;
+  Req.Entry = Record;
+  std::vector<Task> Tasks = makeTasks(
+      Input, Splits ? *Splits
+                    : planSplits(Input, shardTarget(Input.size(), NumWorkers,
+                                                    Opts.MinShardBytes)));
+  ShardOutcome Out;
+  Out.Stats.Shards = Tasks.size();
+  runShards(Req, Input, Tasks);
+
+  // A shard whose guessed boundary was wrong — or whose errors, added to
+  // those stitched so far, reach the budget — re-runs on the stitching
+  // thread from the true boundary with the budget that remains, which
+  // makes its output exactly the sequential run's from there.
+  const size_t MaxErrors = ErrorBudget(Req.MaxErrors).max();
+  auto reRun = [&](Task &T, size_t Begin) {
+    T.Begin = Begin;
+    // The speculative run's context saw records from a wrong boundary
+    // or past the stop; discard it with the rest of the shard's output.
+    if (Opts.MakeCtx)
+      T.Ctx = Opts.MakeCtx();
+    ParseRequest Rest = Req;
+    Rest.MaxErrors = MaxErrors - Out.Errors.size();
+    runOneTask(Rest, Input, T, Scratches[NumWorkers]);
+  };
+  size_t NumValues = 0, NumEvents = 0;
+  for (const Task &T : Tasks) {
+    NumValues += T.Out.Values.size();
+    NumEvents += T.Out.Events.size();
+  }
+  Out.Values.reserve(NumValues);
+  Out.Events.reserve(NumEvents);
+  // The record core counts Line/Col from each shard's Begin; one
+  // monotone tracker restamps the stitched diagnostics (their offsets
+  // never decrease), so each byte is scanned at most once more.
+  LineTracker LT;
+  size_t Expected = 0;
+  for (size_t I = 0; I < Tasks.size(); ++I) {
+    Task &T = Tasks[I];
+    if (I && T.RR.First != Expected) {
+      ++Out.Stats.Mispredicted;
+      Out.Stats.ReparsedBytes += T.Limit > Expected ? T.Limit - Expected : 0;
+      reRun(T, Expected);
+    } else if (!Out.Errors.empty() &&
+               Out.Errors.size() + T.Out.Errors.size() >= MaxErrors) {
+      reRun(T, T.Begin);
+    }
+    if (Opts.MergeCtx && T.Ctx)
+      Opts.MergeCtx(Req.User, T.Ctx.get());
+    T.Ctx.reset();
+
+    for (ParseDiagnostic &D : T.Out.Errors) {
+      LT.locate(Input.data(), 0, D);
+      Out.Errors.push_back(std::move(D));
+    }
+    // Events are flat records viewing Input: a block copy per shard.
+    Out.Events.insert(Out.Events.end(), T.Out.Events.begin(),
+                      T.Out.Events.end());
+    for (Value &V : T.Out.Values)
+      Out.Values.push_back(std::move(V));
+    Out.Truncated |= T.Out.Truncated;
+    Out.NumRecords += T.RR.NumRecords;
+    // A Fatal diagnostic ends the parse; a run that consumed the input
+    // leaves later shards nothing to parse.
+    if (T.RR.S != RecordRun::Stop::AtLimit)
+      break;
+    Expected = T.RR.Next;
+  }
+  Out.Ok = Out.Errors.empty();
+  if (!Out.Ok)
+    Out.ErrMsg = Out.Errors[0].message();
+  return Out;
 }
 
-ShardedEvents ShardParser::parseEvents(std::string_view Input) {
-  return parseEventsAt(
-      Input,
-      planSplits(Input,
-                 shardTarget(Input.size(), NumWorkers, Opts.MinShardBytes)));
+ShardOutcome ShardParser::parseValues(std::string_view Input) {
+  return run(ParseRequest(), Input);
 }
 
-ShardedRecognize ShardParser::recognize(std::string_view Input) {
-  return recognizeAt(
-      Input,
-      planSplits(Input,
-                 shardTarget(Input.size(), NumWorkers, Opts.MinShardBytes)));
+ShardOutcome ShardParser::parseValuesAt(std::string_view Input,
+                                        const std::vector<size_t> &Splits) {
+  return run(ParseRequest(), Input, &Splits);
 }
 
-ShardedRecover ShardParser::parseRecover(std::string_view Input) {
-  return parseRecoverAt(
-      Input,
-      planSplits(Input,
-                 shardTarget(Input.size(), NumWorkers, Opts.MinShardBytes)));
+ShardOutcome ShardParser::recognize(std::string_view Input) {
+  ParseRequest Req;
+  Req.Mode = ParseMode::Recognize;
+  return run(Req, Input);
 }

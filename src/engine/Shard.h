@@ -21,9 +21,9 @@
 ///
 ///   shard i verified  ⟺  shards[i].First == shards[i-1].Next
 ///
-/// where both sides are skip-normalized (CompiledParser::skipFrom) —
-/// entering the machine at P and at skipFrom(P) is observationally
-/// identical. A mismatch means the guess split inside a record (e.g. a
+/// where both sides are skip-normalized (the record core absorbs skip
+/// input before each record) — entering the machine at P and past the
+/// skip run at P is observationally identical. A mismatch means the guess split inside a record (e.g. a
 /// '}' inside a json string); the shard's speculative output is
 /// discarded and the range is re-parsed from the true boundary on the
 /// stitching thread. Verified shards stitch in input order, so the
@@ -31,6 +31,13 @@
 /// byte-identical to the sequential record run (the Limit=size parse;
 /// tests/ShardDiffTest.cpp asserts this for every candidate split byte
 /// and for forced wrong-boundary speculation on all six grammars).
+///
+/// Every mode and budget is one ParseRequest through one stitch loop:
+/// a strict parse is a budget of one. Each shard spends the whole
+/// budget locally; when the errors stitched so far plus a shard's own
+/// reach the budget, that shard is re-run on the stitching thread with
+/// the budget that remains, so it stops at exactly the sequential
+/// diagnostic.
 ///
 /// Candidate boundaries come from the machine's own classifiers: a
 /// position J+1 is a candidate iff Input[J] is a sync byte of R's
@@ -73,33 +80,21 @@ struct ShardOptions {
   /// to a plain sequential run) — splitting tiny inputs costs more in
   /// dispatch than it saves in parsing.
   size_t MinShardBytes = 1 << 15;
-  /// Shared action context (ParseContext::User) for every shard. Must
-  /// be safe for concurrent reads; the six benchmark grammars' contexts
-  /// are either unused or accumulate per-record facts the caller owns
-  /// re-aggregating (see GrammarDef::Record).
-  ///
-  /// When MakeCtx is also set, User is instead the *accumulator*: it is
-  /// never passed to a worker, only to MergeCtx on the stitching
-  /// thread.
-  void *User = nullptr;
   /// Per-shard context factory for stateful grammars whose contexts are
   /// NOT safe for concurrent mutation (csv column stats, pgn result
-  /// tallies, ppm sample sums). When set, every shard — and every
-  /// mispredict re-parse, whose speculative context is discarded — gets
-  /// a fresh context; after verification the stitcher folds each
-  /// consumed shard's context into User via MergeCtx, in input order,
-  /// up to and including the shard where a strict parse stopped.
-  /// (Recovery truncation is the one coarse edge: the stopping shard's
-  /// context covers everything that shard parsed during speculation,
-  /// which may extend past the truncation point.) Only value and
-  /// recovery modes run actions, so only they consume contexts.
+  /// tallies, ppm sample sums). Without it every shard shares the
+  /// request's User, which must then be safe for concurrent reads. When
+  /// set, every shard — and every re-run, whose speculative context is
+  /// discarded — gets a fresh context, and the request's User is
+  /// instead the *accumulator*: after verification the stitcher folds
+  /// each consumed shard's context into it via MergeCtx, in input order,
+  /// up to and including the shard where the parse stopped. Only value
+  /// mode runs actions, so only it consumes contexts.
   std::function<std::shared_ptr<void>()> MakeCtx;
-  /// Folds one verified shard's context into \p Accum (= User); called
-  /// on the stitching thread, input order, no concurrency.
+  /// Folds one verified shard's context into \p Accum (the request's
+  /// User); called on the stitching thread, input order, no
+  /// concurrency.
   std::function<void(void *Accum, void *ShardCtx)> MergeCtx;
-  /// Recovery knobs for parseRecover (the global MaxErrors budget; the
-  /// stitcher re-applies it across shards exactly as recoverLoop does).
-  RecoverOptions Recover{};
 };
 
 /// Parallelism accounting for one parse call.
@@ -109,47 +104,19 @@ struct ShardStats {
   size_t ReparsedBytes = 0; ///< bytes re-parsed sequentially after misses
 };
 
-/// Strict value-mode result: one Value per record, input order.
-struct ShardedValues {
-  bool Ok = true;
-  std::string ErrMsg;    ///< the sequential parse's error string
-  NtId ErrNt = NoNt;
-  uint64_t ErrOff = 0;
+/// One sharded parse: the outcome the sequential record run produces
+/// (values, events, diagnostics with line/column, Truncated), its
+/// record count and the speculation counters.
+struct ShardOutcome : ParseOutcome {
   size_t NumRecords = 0;
-  std::vector<Value> Values;
   ShardStats Stats;
-};
-
-/// Strict SAX-mode result: the concatenated event stream, identical to
-/// the sequential parseEventsRecords stream. Token text views the
-/// parsed input (the ParseEvent lifetime contract, engine/Compile.h).
-struct ShardedEvents {
+  /// Errors.empty(), and Errors[0].message() otherwise — kept for the
+  /// repository benchmark, which reads them.
   bool Ok = true;
   std::string ErrMsg;
-  NtId ErrNt = NoNt;
-  uint64_t ErrOff = 0;
-  size_t NumRecords = 0;
-  std::vector<ParseEvent> Events;
-  ShardStats Stats;
 };
-
-/// Recognition-mode result (no values, NullSink shard runs).
-struct ShardedRecognize {
-  bool Ok = true;
-  NtId ErrNt = NoNt;
-  uint64_t ErrOff = 0;
-  size_t NumRecords = 0;
-  ShardStats Stats;
-};
-
-/// Recovery-mode result: RecoveredParse with the same values,
-/// diagnostics (offsets, actions, line/column) and Truncated flag the
-/// sequential recovery record run produces.
-struct ShardedRecover {
-  RecoveredParse R;
-  size_t NumRecords = 0;
-  ShardStats Stats;
-};
+using ShardedValues = ShardOutcome;
+using ShardedRecognize = ShardOutcome;
 
 /// A reusable parallel parser for record-delimited corpora: bind it to
 /// a machine and a record nonterminal (compileFlapRecords() +
@@ -162,15 +129,22 @@ public:
   ShardParser(const ShardParser &) = delete;
   ShardParser &operator=(const ShardParser &) = delete;
 
-  /// Strict parses: stop at the first (sequentially-first) record
-  /// failure with the identical diagnostic, values of earlier records
-  /// delivered.
-  ShardedValues parseValues(std::string_view Input);
-  ShardedEvents parseEvents(std::string_view Input);
-  ShardedRecognize recognize(std::string_view Input);
+  /// The request entry point: parses \p Input as a record sequence of
+  /// the bound record nonterminal (Req.Entry must be NoNt or it) in
+  /// Req.Mode with Req.MaxErrors. \p Splits forces the guess
+  /// boundaries (tests force wrong-boundary speculation through it;
+  /// Splits[0] must be 0, offsets strictly increasing — they need NOT
+  /// be admissible candidates, verification repairs any wrong guess);
+  /// null plans them (planSplits over the worker count).
+  ShardOutcome run(const ParseRequest &Req, std::string_view Input,
+                   const std::vector<size_t> *Splits = nullptr);
 
-  /// Per-record sync-token recovery across shards.
-  ShardedRecover parseRecover(std::string_view Input);
+  /// Strict values, planned / at \p Splits, and strict recognition —
+  /// run() wrappers the repository benchmark calls.
+  ShardOutcome parseValues(std::string_view Input);
+  ShardOutcome parseValuesAt(std::string_view Input,
+                             const std::vector<size_t> &Splits);
+  ShardOutcome recognize(std::string_view Input);
 
   /// The planned guess boundaries for \p Shards shards: strictly
   /// increasing offsets, first always 0; fewer when no admissible
@@ -182,19 +156,6 @@ public:
   /// Every admissible candidate boundary in \p Input (the full
   /// speculation space; the differential fuzzer parses at each one).
   std::vector<size_t> candidateSplits(std::string_view Input) const;
-
-  /// Explicit-boundary variants (tests force wrong-boundary speculation
-  /// through these; Splits[0] must be 0, offsets strictly increasing —
-  /// they need NOT be admissible candidates, verification repairs any
-  /// wrong guess).
-  ShardedValues parseValuesAt(std::string_view Input,
-                              const std::vector<size_t> &Splits);
-  ShardedEvents parseEventsAt(std::string_view Input,
-                              const std::vector<size_t> &Splits);
-  ShardedRecognize recognizeAt(std::string_view Input,
-                               const std::vector<size_t> &Splits);
-  ShardedRecover parseRecoverAt(std::string_view Input,
-                                const std::vector<size_t> &Splits);
 
   size_t workers() const { return NumWorkers; }
 
@@ -213,14 +174,10 @@ private:
 
   std::vector<Task> makeTasks(std::string_view Input,
                               const std::vector<size_t> &Splits) const;
-  void runOneTask(int Mode, std::string_view Input, Task &T,
+  void runOneTask(const ParseRequest &Req, std::string_view Input, Task &T,
                   ParseScratch &Sc) const;
-  void runShards(int Mode, std::string_view Input, std::vector<Task> &Tasks);
-  void reRun(int Mode, std::string_view Input, Task &T, size_t TrueBegin,
-             ShardStats &Stats);
-  /// Folds a consumed shard's per-shard context into Opts.User
-  /// (ShardOptions::MergeCtx) and drops it.
-  void mergeTaskCtx(Task &T);
+  void runShards(const ParseRequest &Req, std::string_view Input,
+                 std::vector<Task> &Tasks);
 
   const CompiledParser &M;
   NtId Record;

@@ -20,8 +20,8 @@
 ///     the whole-buffer drivers; the streaming driver copies it into the
 ///     undrained batch's arena at match time, so it never needs to
 ///     retain input beyond the in-progress lexeme.
-///   - NullSink: recognition — every hook is a no-op and the driver
-///     walks the nonterminals-only NtPool.
+///   - RecognizeSink: recognition — every hook but the failure record
+///     is a no-op and the driver walks the nonterminals-only NtPool.
 ///
 /// The seam is *zero-cost by construction*: sinks are template
 /// parameters, every hook is force-inlined, and the per-sink constants
@@ -44,8 +44,16 @@
 ///                                   //   in the top 16 bits)
 ///   void marker(uint32_t OpIdx);    // marker occurrence (OpPool index)
 ///   void eps(NtId N, int32_t Chain);// ε/lookahead fallback taken
-///   void failParse(NtId N, uint64_t Pos);   // diagnostics (may no-op)
+///   void failParse(NtId N, uint64_t Pos);   // the failure site
 ///   void failTrailing(uint64_t Pos);
+///
+/// The request cores (Compile.cpp) additionally call
+///
+///   void bind(std::string_view Input, ParseOutcome &Out, void *User);
+///                                   // aim at the next input / outcome
+///   void endSegment(bool Completed, ParseOutcome &Out);
+///                                   // a segment ended: deliver its
+///                                   //   value, or drop the partials
 ///
 /// Event ordering, lexeme-text lifetime and the suspension interaction
 /// are documented on ParseEvent (Compile.h) and in engine/README.md
@@ -57,44 +65,48 @@
 #define FLAP_ENGINE_SINK_H
 
 #include "engine/Compile.h"
-#include "support/StrUtil.h"
 
 #include <string>
 #include <vector>
 
-#if defined(__GNUC__) || defined(__clang__)
-#define FLAP_SINK_INLINE __attribute__((always_inline)) inline
-#else
-#define FLAP_SINK_INLINE inline
-#endif
-
 namespace flap {
 
-/// Shared diagnostics mix-in: renders the whole-buffer error strings
-/// through the ONE formatter every path uses (engine/Diagnostic.h) and
-/// records the failure site structurally, which is what the recovery
-/// drivers read to build ParseDiagnostics. The differential suites
-/// compare the strings verbatim against the Fig. 9 reference
-/// interpreter and the streaming parser.
-struct SinkDiagnostics {
-  std::string ErrMsg;
-  NtId FailNt = NoNt;       ///< failing nonterminal (parse failures)
-  uint64_t FailOff = 0;     ///< absolute failure offset
+/// The failure-site mix-in every sink shares: the drivers record where
+/// and why a segment failed, and the request cores build the one
+/// ParseDiagnostic from it (its message() is the string every path —
+/// the Fig. 9 reference interpreter and the streaming parser included —
+/// renders through the formatters in engine/Diagnostic.h).
+struct FailSite {
+  NtId FailNt = NoNt;   ///< failing nonterminal (parse failures)
+  uint64_t FailOff = 0; ///< absolute failure offset
   bool FailTrailing = false;
 
-  void failParse(const CompiledParser &M, NtId N, uint64_t Pos) {
+  void failParse(NtId N, uint64_t Pos) {
     FailNt = N;
     FailOff = Pos;
     FailTrailing = false;
-    ErrMsg = formatParseErrorAt(Pos, M.NtExpected[N], M.NtNames[N]);
   }
   void failTrailing(uint64_t Pos) {
     FailNt = NoNt;
     FailOff = Pos;
     FailTrailing = true;
-    ErrMsg = formatTrailingAt(Pos);
   }
 };
+
+/// The diagnostic for the failure site \p F records; line/column and the
+/// recovery action are the caller's to fill.
+inline ParseDiagnostic failureOf(const CompiledParser &M, const FailSite &F) {
+  ParseDiagnostic D;
+  D.K = F.FailTrailing ? ParseDiagnostic::Kind::Trailing
+                       : ParseDiagnostic::Kind::Parse;
+  D.Off = F.FailOff;
+  if (!F.FailTrailing) {
+    D.Nt = F.FailNt;
+    D.Expected = M.NtExpected[F.FailNt];
+    D.Where = M.NtNames[F.FailNt];
+  }
+  return D;
+}
 
 /// Runs a nonterminal's pre-fused ε-program (CompiledParser::
 /// EpsProgram): the ONE implementation every value-producing driver —
@@ -117,30 +129,23 @@ inline void runEpsProgram(const CompiledParser &M, int32_t Chain,
   }
 }
 
-/// The value-building sink: exactly the behaviour the hand-specialized
-/// parse loop had — token pushes off the packed accept metadata, pooled
-/// micro-op dispatch with the MSlow escape, pre-fused ε-programs, and
-/// the shared ValueStack::collect() final-value policy.
-class ValueSink : public SinkDiagnostics {
+/// The value-building sink: token pushes off the packed accept
+/// metadata, pooled micro-op dispatch with the MSlow escape, pre-fused
+/// ε-programs, and the shared ValueStack::collect() final-value policy.
+class ValueSink : public FailSite {
 public:
   static constexpr bool Markers = true;
   static constexpr bool Enters = false;
 
-  ValueSink(const CompiledParser &M, ParseScratch &Scr,
-            std::string_view Input, void *User)
-      : M(M), Values(Scr.Values), Ctx{Input, User, 0, Scr.Pool},
+  ValueSink(const CompiledParser &M, ParseScratch &Scr)
+      : M(M), Values(Scr.Values), Ctx{std::string_view(), nullptr, 0,
+                                      Scr.Pool},
         Ops(M.OpPool.data()) {}
 
-  /// Batch serving: re-aim the sink at the next input without
-  /// reconstructing the context — the pool handle's refcount and the
-  /// user pointer carry over untouched, so the per-input set-up inside
-  /// parseBatch's loop is just this assignment (the caller resets the
-  /// scratch separately).
-  void rebind(std::string_view Input) { Ctx.Input = Input; }
-  /// Per-input user-context variant, for the parseBatch overload that
-  /// takes a Users array (context-accumulating grammars need one fresh
-  /// context per document).
-  void rebind(std::string_view Input, void *User) {
+  /// Re-aims the sink at the next input without reconstructing the
+  /// context — the pool handle's refcount carries over untouched, so
+  /// the per-input set-up inside a batch is this assignment.
+  void bind(std::string_view Input, ParseOutcome &, void *User) {
     Ctx.Input = Input;
     Ctx.User = User;
   }
@@ -165,27 +170,16 @@ public:
     runEpsProgram(M, Chain, Values, Ctx);
   }
 
-  void failParse(NtId N, uint64_t Pos) {
-    SinkDiagnostics::failParse(M, N, Pos);
+  /// Takes the completed segment's value (the stack holds exactly the
+  /// finished parse's values) or drops a failed segment's partials.
+  /// Either way the value stack is left empty, so a batch needs no
+  /// per-input reset.
+  void endSegment(bool Completed, ParseOutcome &Out) {
+    if (Completed)
+      Out.Values.push_back(Values.collect());
+    else
+      Values.clear();
   }
-  using SinkDiagnostics::failTrailing;
-
-  /// The driver ran to completion (\p Ok): the collected value, or the
-  /// recorded diagnostic. Either way the value stack is left empty, so
-  /// a rebind()-reusing caller (parseBatch) needs no per-input reset.
-  Result<Value> result(bool Ok) {
-    if (!Ok) {
-      Values.clear(); // drop the partial parse's values
-      return Err(std::move(ErrMsg));
-    }
-    return Values.collect();
-  }
-
-  /// Recovery support: take the completed segment's value (the stack
-  /// holds exactly the finished parse's values), or drop a failed
-  /// segment's partial values.
-  Value collectSegment() { return Values.collect(); }
-  void discardPartial() { Values.clear(); }
 
 private:
   const CompiledParser &M;
@@ -196,12 +190,12 @@ private:
 
 /// The SAX sink: every hook appends one flat ParseEvent — no per-event
 /// allocation. A Token event's text views the input window (the
-/// whole-buffer drivers: valid while the caller's input is), or, given
+/// whole-buffer cores: valid while the caller's input is), or, given
 /// a TextArena, a copy made inside the hook (the streaming pump: the
 /// event then never references the window after the hook returns,
 /// which is what lets the stream drop every byte behind the
 /// in-progress lexeme).
-class EventSink : public SinkDiagnostics {
+class EventSink : public FailSite {
 public:
   static constexpr bool Markers = true;
   static constexpr bool Enters = true;
@@ -210,16 +204,21 @@ public:
   /// offset (0 for whole-buffer parses; the carry-window base for the
   /// streaming pump, which reuses this sink so the two event streams
   /// cannot drift). \p Text, when set, receives a copy of every lexeme.
-  EventSink(const CompiledParser &M, std::string_view Window,
-            std::vector<ParseEvent> &Out, uint64_t Base = 0,
-            TextArena *Text = nullptr)
-      : M(M), Input(Window), Base(Base), Out(Out), Text(Text) {}
+  explicit EventSink(std::string_view Window = {},
+                     std::vector<ParseEvent> *Out = nullptr,
+                     uint64_t Base = 0, TextArena *Text = nullptr)
+      : Input(Window), Base(Base), Out(Out), Text(Text) {}
+
+  void bind(std::string_view Window, ParseOutcome &O, void *) {
+    Input = Window;
+    Out = &O.Events;
+  }
 
   void enter(NtId N) {
     ParseEvent E;
     E.Kind = EventKind::Enter;
     E.Nt = N;
-    Out.push_back(E);
+    Out->push_back(E);
   }
 
   void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
@@ -233,82 +232,46 @@ public:
     E.Begin = Begin;
     E.End = End;
     E.TextData = Text ? Text->copy(P, static_cast<size_t>(End - Begin)) : P;
-    Out.push_back(E);
+    Out->push_back(E);
   }
 
   void marker(uint32_t OpIdx) {
     ParseEvent E;
     E.Kind = EventKind::Reduce;
     E.Op = OpIdx;
-    Out.push_back(E);
+    Out->push_back(E);
   }
 
   void eps(NtId N, int32_t) {
     ParseEvent E;
     E.Kind = EventKind::Eps;
     E.Nt = N;
-    Out.push_back(E);
+    Out->push_back(E);
   }
 
-  void failParse(NtId N, uint64_t Pos) {
-    SinkDiagnostics::failParse(M, N, Pos);
-  }
-  using SinkDiagnostics::failTrailing;
-
-  Status result(bool Ok) {
-    if (!Ok)
-      return Err(std::move(ErrMsg));
-    return Status::success();
-  }
+  /// Events already appended stay, completed segment or not.
+  void endSegment(bool, ParseOutcome &) {}
 
 private:
-  const CompiledParser &M;
   std::string_view Input;
   uint64_t Base = 0;
-  std::vector<ParseEvent> &Out;
+  std::vector<ParseEvent> *Out;
   TextArena *Text;
 };
 
-/// The recognition sink: no values, no events, no diagnostics — every
-/// hook compiles away and the driver walks the nonterminals-only NtPool,
-/// exactly the code the hand-specialized recognize loop had.
-struct NullSink {
+/// The recognition sink: no values, no events — every hook but the
+/// failure record compiles away and the driver walks the
+/// nonterminals-only NtPool.
+struct RecognizeSink : FailSite {
   static constexpr bool Markers = false;
   static constexpr bool Enters = false;
 
+  void bind(std::string_view, ParseOutcome &, void *) {}
   FLAP_SINK_INLINE void enter(NtId) {}
   FLAP_SINK_INLINE void token(uint64_t, uint64_t, uint64_t) {}
   FLAP_SINK_INLINE void marker(uint32_t) {}
   FLAP_SINK_INLINE void eps(NtId, int32_t) {}
-  FLAP_SINK_INLINE void failParse(NtId, uint64_t) {}
-  FLAP_SINK_INLINE void failTrailing(uint64_t) {}
-};
-
-/// Recognition-mode recovery sink: NullSink behaviour (no values, no
-/// events, NtPool walk) plus the bare failure site — no strings; the
-/// recovery driver builds the ParseDiagnostic from the recorded fields.
-struct RecoverNullSink {
-  static constexpr bool Markers = false;
-  static constexpr bool Enters = false;
-
-  NtId FailNt = NoNt;
-  uint64_t FailOff = 0;
-  bool FailTrailing = false;
-
-  FLAP_SINK_INLINE void enter(NtId) {}
-  FLAP_SINK_INLINE void token(uint64_t, uint64_t, uint64_t) {}
-  FLAP_SINK_INLINE void marker(uint32_t) {}
-  FLAP_SINK_INLINE void eps(NtId, int32_t) {}
-  void failParse(NtId N, uint64_t Pos) {
-    FailNt = N;
-    FailOff = Pos;
-    FailTrailing = false;
-  }
-  void failTrailing(uint64_t Pos) {
-    FailNt = NoNt;
-    FailOff = Pos;
-    FailTrailing = true;
-  }
+  void endSegment(bool, ParseOutcome &) {}
 };
 
 } // namespace flap

@@ -22,13 +22,13 @@ StreamParser::StreamParser(const CompiledParser &Machine, StreamOptions Opts)
     : M(&Machine), StartNt(Opts.Start == NoNt ? Machine.Start : Opts.Start),
       User(Opts.User), Recognize(Opts.Recognize),
       EventMode(!Opts.Recognize && Opts.Events), RecoverMode(Opts.Recover),
-      MaxErrors(Opts.MaxErrors ? Opts.MaxErrors : 1),
+      Budget(Opts.MaxErrors),
       TrackRetain(!Opts.Recognize && !EventMode && Machine.Actions &&
                   Machine.Actions->readsInput()) {
   assert(StartNt < M->Nts.size() && "entry nonterminal out of range");
   // The entry contract shared with the whole-buffer drivers: value and
   // event streams refuse an undeclared ValueFree entry up front (in
-  // recovery mode as the one Fatal diagnostic, like parseRecoverFrom).
+  // recovery mode as the one Fatal diagnostic, like the request cores).
   if (!Recognize && M->Nts[StartNt].ValueFree) {
     ParseDiagnostic D = M->entryRefusal(StartNt);
     ErrMsg = D.message();
@@ -65,7 +65,7 @@ void StreamParser::reset() {
   Pending = ParseDiagnostic();
   HavePending = false;
   Truncated = false;
-  ErrCount = 0;
+  Budget.reset();
   RePos = 0;
   ShadowLen = 0;
   LT = LineTracker();
@@ -200,8 +200,7 @@ struct StreamParser::ESink {
   EventSink Inner;
 
   ESink(StreamParser &SP, ParseContext &Ctx)
-      : Inner(*SP.M, Ctx.Input, SP.EvLog.Events, Ctx.Base,
-              &SP.EvLog.Text) {}
+      : Inner(Ctx.Input, &SP.EvLog.Events, Ctx.Base, &SP.EvLog.Text) {}
 
   void enter(NtId N) { Inner.enter(N); }
   void marker(uint32_t Idx) { Inner.marker(Idx); }
@@ -211,10 +210,10 @@ struct StreamParser::ESink {
   void eps(NtId N, int32_t Chain) { Inner.eps(N, Chain); }
 };
 
-/// Recognize mode: the whole-buffer NullSink itself, given the
+/// Recognize mode: the whole-buffer RecognizeSink itself, given the
 /// streaming ctor shape — one set of no-op hooks to keep in lockstep
 /// with the contract.
-struct StreamParser::RSink : NullSink {
+struct StreamParser::RSink : RecognizeSink {
   RSink(StreamParser &, ParseContext &) {}
 };
 
@@ -280,12 +279,12 @@ StreamStatus StreamParser::failTrailing() {
 }
 
 StreamStatus StreamParser::recoverAt(NtId N, bool Trailing, uint64_t Off) {
-  // Close the segment first — the whole-buffer recovery driver's
-  // OnSegment policy: a Trailing failure means a value *completed*
-  // before the leftover input, so it ships; a parse failure drops the
-  // partial. (Event mode keeps the failed segment's partial events in
-  // EvLog — they were delivered at match time, same as the whole-buffer
-  // parseEventsRecover's output vector.)
+  // Close the segment first — the whole-buffer loop's endSegment
+  // policy: a Trailing failure means a value *completed* before the
+  // leftover input, so it ships; a parse failure drops the partial.
+  // (Event mode keeps the failed segment's partial events in EvLog —
+  // they were delivered at match time, same as a whole-buffer events
+  // request's outcome.)
   if (!Recognize && !EventMode) {
     if (Trailing)
       SegVals.push_back(Values.collect());
@@ -296,36 +295,24 @@ StreamStatus StreamParser::recoverAt(NtId N, bool Trailing, uint64_t Off) {
   Retain.clear();
   MidScan = false;
 
-  ParseDiagnostic D;
-  D.K = Trailing ? ParseDiagnostic::Kind::Trailing
-                 : ParseDiagnostic::Kind::Parse;
-  D.Off = Off;
-  if (!Trailing) {
-    D.Nt = N;
-    D.Expected = M->NtExpected[N];
-    D.Where = M->NtNames[N];
-  }
+  FailSite F;
+  if (Trailing)
+    F.failTrailing(Off);
+  else
+    F.failParse(N, Off);
+  ParseDiagnostic D = failureOf(*M, F);
   // Lazily absorb the window bytes up to the failure (compact() already
   // absorbed everything before the window).
-  if (Off > LT.ScannedTo)
-    LT.advance(Buf.data() + static_cast<size_t>(LT.ScannedTo - WinBase),
-               static_cast<size_t>(Off - LT.ScannedTo));
-  D.Line = LT.Line;
-  D.Col = LT.colAt(Off);
+  LT.locate(Buf.data(), WinBase, D);
 
   const CompiledParser::SyncSpec &SS = M->SyncSpecs[StartNt];
-  if (ErrCount + 1 >= MaxErrors || !SS.HasSync) {
-    // Same stop rule as the whole-buffer recoverLoop: the error limit
-    // (Truncated) or a grammar with no sync tokens. The stream then
-    // fails like a non-recovery parse — ErrMsg is exactly the string
-    // the non-recovery path would have produced — but Errs, SegVals
-    // and EvLog survive the release: they are consumer output.
-    Truncated |= ErrCount + 1 >= MaxErrors;
-    D.Act = ParseDiagnostic::Action::Fatal;
-    D.ResumeOff = Off;
+  if (Budget.charge(D, SS.HasSync, Truncated)) {
+    // The error budget is spent, or the grammar has no sync tokens. The
+    // stream then fails like a strict parse — ErrMsg is exactly the
+    // string a budget of one produces — but Errs, SegVals and EvLog
+    // survive the release: they are consumer output.
     ErrMsg = D.message();
     Errs.push_back(std::move(D));
-    ++ErrCount;
     releaseAfterError(Off);
     return StreamStatus::Error;
   }
@@ -363,7 +350,6 @@ bool StreamParser::stepResync(bool Final) {
       Pending.Act = ParseDiagnostic::Action::SkipToEnd;
       Pending.ResumeOff = WinBase + Len;
       Errs.push_back(std::move(Pending));
-      ++ErrCount;
       HavePending = false;
       Pos = Len;
       Out = Value::unit();
@@ -377,7 +363,6 @@ bool StreamParser::stepResync(bool Final) {
       Pending.Act = ParseDiagnostic::Action::Resync;
       Pending.ResumeOff = WinBase + J + 1;
       Errs.push_back(std::move(Pending));
-      ++ErrCount;
       HavePending = false;
       Pos = J + 1;
       Stack.push_back(M->packNt(StartNt));

@@ -102,10 +102,10 @@ struct StreamOptions {
   /// legitimately retain back to its opening delimiter. take() yields
   /// unit on success.
   bool Events = false;
-  /// Sync-token error recovery — the streaming analogue of
-  /// CompiledParser::parseRecover, with byte-identical diagnostics (the
-  /// recovery differential suite compares the ParseDiagnostic lists at
-  /// every chunk split). On a parse failure the parser skips to the
+  /// Sync-token error recovery — the streaming analogue of a
+  /// CompiledParser::run request with a budget, with byte-identical
+  /// diagnostics (the recovery differential suite compares the
+  /// ParseDiagnostic lists at every chunk split). On a parse failure the parser skips to the
   /// next viable sync point (engine/README.md "The recovery contract"),
   /// re-enters the machine at the entry nonterminal, and keeps going:
   /// feed() keeps returning NeedData, completed segment values
@@ -118,8 +118,9 @@ struct StreamOptions {
   bool Recover = false;
   /// Recovery only: stop after this many recorded errors (the last one
   /// is marked Action::Fatal and truncated() turns true; the stream
-  /// then errors like a non-recovery failure). 0 behaves as 1.
-  size_t MaxErrors = 100;
+  /// then errors like a non-recovery failure). 0 behaves as 1
+  /// (ErrorBudget).
+  size_t MaxErrors = DefaultMaxErrors;
 };
 
 /// A run of streamed events together with the bytes their token text
@@ -306,7 +307,7 @@ private:
   bool Recognize;
   bool EventMode;
   bool RecoverMode;
-  size_t MaxErrors; ///< normalized: at least 1
+  ErrorBudget Budget; ///< drain-immune: counts every diagnostic
   /// False when no registered action reads lexeme text
   /// (ActionTable::readsInput()): retain watermarks then need no
   /// tracking at all — the carry is just the in-progress lexeme — and
@@ -344,8 +345,8 @@ private:
   EventBatch EvLog; ///< event mode: undrained events and their text
   /// Recovery state. The scan cursor RePos is window-relative; the
   /// pending diagnostic is complete except for Act/ResumeOff, which the
-  /// resynchronization scan fills in before it reaches Errs. ErrCount
-  /// tracks every diagnostic ever recorded this stream so takeErrors()
+  /// resynchronization scan fills in before it reaches Errs. Budget
+  /// counts every diagnostic ever recorded this stream so takeErrors()
   /// draining cannot reset the MaxErrors accounting. LT mirrors the
   /// whole-buffer recovery driver's lazy line/column tracker — it
   /// absorbs each input byte at most once (compacted-away prefixes in
@@ -356,7 +357,6 @@ private:
   ParseDiagnostic Pending;           ///< failure awaiting its action
   bool HavePending = false;
   bool Truncated = false; ///< MaxErrors stopped the stream early
-  size_t ErrCount = 0;    ///< total recorded (drain-immune)
   size_t RePos = 0;       ///< window-relative resync scan cursor
   /// The last bytes compacted away before Buf[0] (at most MaxSeqLen-1),
   /// so the resynchronization scan can recognize a multi-byte sync

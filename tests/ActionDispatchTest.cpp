@@ -183,7 +183,7 @@ TEST(ActionDispatchTest, TokenIntAndMaxAccumAgreeWithReferences) {
       R.checkAll(In, {Cut});
   }
   // Unpack semantics: count in the low 32 bits, max in the high 32.
-  Result<Value> V = R.P.M.parse("3 1 4 1 5");
+  Result<Value> V = R.P.parse("3 1 4 1 5");
   ASSERT_TRUE(V.ok()) << V.error();
   EXPECT_EQ(maxAccumCount(V->asInt()), 5);
   EXPECT_EQ(maxAccumMax(V->asInt()), 5);
@@ -191,7 +191,7 @@ TEST(ActionDispatchTest, TokenIntAndMaxAccumAgreeWithReferences) {
   // 32-bit bound, so out-of-range detection survives — and must never
   // corrupt the count half (the shift would otherwise be signed-
   // overflow UB).
-  Result<Value> Big = R.P.M.parse("42 4294967296 99999999999 7");
+  Result<Value> Big = R.P.parse("42 4294967296 99999999999 7");
   ASSERT_TRUE(Big.ok()) << Big.error();
   EXPECT_EQ(maxAccumCount(Big->asInt()), 4);
   EXPECT_EQ(maxAccumMax(Big->asInt()), 4294967295LL);
@@ -200,11 +200,11 @@ TEST(ActionDispatchTest, TokenIntAndMaxAccumAgreeWithReferences) {
     auto PpmDef = makePpmGrammar();
     auto PpmP = compileFlap(PpmDef);
     ASSERT_TRUE(PpmP.ok());
-    Result<Value> Bad = PpmP->M.parse("P3\n1 1\n255\n0 4294967296 2\n");
+    Result<Value> Bad = PpmP->parse("P3\n1 1\n255\n0 4294967296 2\n");
     ASSERT_TRUE(Bad.ok());
     EXPECT_FALSE(Bad->asBool());
   }
-  Result<Value> E = R.P.M.parse("");
+  Result<Value> E = R.P.parse("");
   ASSERT_TRUE(E.ok());
   EXPECT_EQ(E->asInt(), 0);
   // The ppm grammar rides these kinds: its hot actions must all be

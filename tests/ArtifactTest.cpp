@@ -229,8 +229,9 @@ TEST_P(ArtifactRoundTrip, AllModesMatchCompiledMachine) {
         R.Def->NewCtx ? R.Def->NewCtx() : nullptr;
     std::shared_ptr<void> CtxL =
         R.Def->NewCtx ? R.Def->NewCtx() : nullptr;
-    const Result<Value> VB = Base.parse(Input, CtxB.get());
-    const Result<Value> VL = Loaded.parse(Input, CtxL.get());
+    ParseScratch ScB, ScL;
+    const Result<Value> VB = Base.parse(Input, ScB, CtxB.get());
+    const Result<Value> VL = Loaded.parse(Input, ScL, CtxL.get());
     ASSERT_EQ(renderResult(VB), renderResult(VL)) << Name;
   }
 
@@ -256,14 +257,17 @@ TEST_P(ArtifactRoundTrip, AllModesMatchCompiledMachine) {
   {
     const std::string Bad = corrupt(Corpus);
     ParseScratch ScB, ScL;
-    RecoverOptions RO;
-    RO.MaxErrors = 8;
     std::shared_ptr<void> CtxB =
         R.Def->NewCtx ? R.Def->NewCtx() : nullptr;
     std::shared_ptr<void> CtxL =
         R.Def->NewCtx ? R.Def->NewCtx() : nullptr;
-    const RecoveredParse RB = Base.parseRecover(Bad, ScB, CtxB.get(), RO);
-    const RecoveredParse RL = Loaded.parseRecover(Bad, ScL, CtxL.get(), RO);
+    ParseRequest Req;
+    Req.MaxErrors = 8;
+    RecoveredParse RB, RL;
+    Req.User = CtxB.get();
+    Base.run(Req, Bad, ScB, RB);
+    Req.User = CtxL.get();
+    Loaded.run(Req, Bad, ScL, RL);
     expectRecoverEq(Name + "/recover", RB, RL);
   }
 }
@@ -390,7 +394,8 @@ TEST(ArtifactCorruption, MaliciousBlobsAreCaughtOrSurvived) {
       continue;
     }
     ++Loaded;
-    (void)A->M.parse(W.Input, nullptr); // must return, cleanly or not
+    ParseScratch Scr;
+    (void)A->M.parse(W.Input, Scr); // must return, cleanly or not
   }
   // The sweep must actually exercise both the audit and the engine; a
   // fuzzer that only ever hits one side proves nothing about the other.
@@ -436,8 +441,9 @@ TEST(ArtifactCache, MissHitCorruptRecompile) {
 
   // Both loads parse.
   const Workload W = genWorkload("sexp", 3, 1 << 10);
-  EXPECT_EQ(renderResult(C1->A.M.parse(W.Input, nullptr)),
-            renderResult(C2->A.M.parse(W.Input, nullptr)));
+  ParseScratch Scr;
+  EXPECT_EQ(renderResult(C1->A.M.parse(W.Input, Scr)),
+            renderResult(C2->A.M.parse(W.Input, Scr)));
 
   // Damage the cached file: the next load must not serve it — it
   // recompiles, rewrites, and the file is healthy again.
@@ -481,7 +487,7 @@ TEST(ArtifactServe, HotReloadUnderConcurrentSubmitters) {
 
   const Workload W = genWorkload("json", 11, 1 << 10);
   const std::string_view Input = W.Input;
-  const std::string ExpectOne = renderResult(P->M.parse(Input, nullptr));
+  const std::string ExpectOne = renderResult(P->parse(Input));
 
   GrammarRegistry Reg;
   Reg.install("json", A->M, A->M.Start, A->keepAlive());
@@ -500,12 +506,12 @@ TEST(ArtifactServe, HotReloadUnderConcurrentSubmitters) {
           std::future<ServeReply> F =
               Svc.submit({Input, Input, Input});
           ServeReply Rep = F.get();
-          if (!Rep.Accepted || Rep.Results.size() != 3) {
+          if (!Rep.Accepted || Rep.Recovered.size() != 3) {
             ++Bad;
             continue;
           }
-          for (const Result<Value> &V : Rep.Results)
-            if (renderResult(V) != ExpectOne)
+          for (const ParseOutcome &O : Rep.Recovered)
+            if (!O.clean() || renderResult(O.Values.at(0)) != ExpectOne)
               ++Bad;
           ++Replies;
         }
@@ -574,9 +580,11 @@ void shardCtxDifferential(const std::string &Name,
   {
     ShardOptions SO;
     SO.Threads = 1;
-    SO.User = &Seq;
     ShardParser SP(P.M, Rec, SO);
-    const ShardedValues V = SP.parseValuesAt(Corpus, {});
+    ParseRequest Req;
+    Req.User = &Seq;
+    const std::vector<size_t> OneShard;
+    const ShardOutcome V = SP.run(Req, Corpus, &OneShard);
     ASSERT_TRUE(V.Ok) << Name << ": " << V.ErrMsg;
   }
 
@@ -586,7 +594,6 @@ void shardCtxDifferential(const std::string &Name,
     ShardOptions SO;
     SO.Threads = 3;
     SO.MinShardBytes = 1;
-    SO.User = &Par;
     SO.MakeCtx = [] { return std::shared_ptr<void>(new Ctx()); };
     SO.MergeCtx = [&Fold](void *Accum, void *ShardCtx) {
       Fold(*static_cast<Ctx *>(Accum), *static_cast<Ctx *>(ShardCtx));
@@ -599,7 +606,9 @@ void shardCtxDifferential(const std::string &Name,
          {SP.planSplits(Corpus, 3),
           std::vector<size_t>{0, Corpus.size() / 3, Corpus.size() / 2}}) {
       Par = Ctx();
-      const ShardedValues V = SP.parseValuesAt(Corpus, Splits);
+      ParseRequest Req;
+      Req.User = &Par;
+      const ShardOutcome V = SP.run(Req, Corpus, &Splits);
       ASSERT_TRUE(V.Ok) << Name << ": " << V.ErrMsg;
       ASSERT_GT(V.Stats.Shards, 1u) << Name;
       EXPECT_TRUE(Same(Seq, Par)) << Name;

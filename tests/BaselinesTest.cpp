@@ -142,7 +142,7 @@ TEST_P(BaselineAgreementTest, AllSevenEnginesAgree) {
 
   Workload W = genWorkload(Name, 31337, 15000);
   std::shared_ptr<void> C0, C1, C2, C3, C4, C5;
-  auto RFlap = Flap->M.parse(W.Input, Fresh(C0));
+  auto RFlap = Flap->parse(W.Input, Fresh(C0));
   ASSERT_TRUE(RFlap.ok()) << RFlap.error();
 
   auto Toks = Lex.lexAll(W.Input);
@@ -201,7 +201,7 @@ TEST_P(BaselineAgreementTest, BaselinesRejectWhatFlapRejects) {
         C = Def->NewCtx();
       return C.get();
     };
-    bool FlapOk = Flap->M.parse(In, Fresh(C0)).ok();
+    bool FlapOk = Flap->parse(In, Fresh(C0)).ok();
     auto Toks = Lex.lexAll(In);
     bool LalrOk =
         Toks.ok() &&
@@ -243,8 +243,9 @@ TEST_P(BaselineAgreementTest, RecognitionVariantsAgreeWithParse) {
                                      W.Input.substr(0, W.Input.size() / 2)};
   for (const std::string &In : Inputs) {
     std::shared_ptr<void> Ctx = Def->NewCtx ? Def->NewCtx() : nullptr;
-    bool Expect = Flap->M.parse(In, Ctx.get()).ok();
-    EXPECT_EQ(Flap->M.recognize(In), Expect) << Name;
+    bool Expect = Flap->parse(In, Ctx.get()).ok();
+    ParseScratch Scr;
+    EXPECT_EQ(Flap->M.recognize(In, Scr), Expect) << Name;
     EXPECT_EQ(Unf.recognize(In), Expect) << Name;
     EXPECT_EQ(Parts.recognize(In), Expect) << Name;
     auto Toks = Lex.lexAll(In);

@@ -138,13 +138,13 @@ TEST(CodegenTest, GeneratedParserRunsAndAgrees) {
 
   // Rejections return -1, matching the library engine's verdicts.
   for (const char *Bad : {"(", "(a))", "(!)", ""}) {
-    EXPECT_EQ(Fn(Bad, strlen(Bad)) >= 0, P->M.parse(Bad).ok()) << Bad;
+    EXPECT_EQ(Fn(Bad, strlen(Bad)) >= 0, P->parse(Bad).ok()) << Bad;
   }
   // Acceptance on a sweep of truncations agrees with the machine.
   std::string Base = "(ab (cd) e)";
   for (size_t Cut = 0; Cut <= Base.size(); ++Cut) {
     std::string In = Base.substr(0, Cut);
-    EXPECT_EQ(Fn(In.data(), In.size()) >= 0, P->M.parse(In).ok()) << In;
+    EXPECT_EQ(Fn(In.data(), In.size()) >= 0, P->parse(In).ok()) << In;
   }
 }
 
@@ -177,7 +177,7 @@ TEST(CodegenTest, GeneratedValueMachineAgrees) {
       GTEST_SKIP() << "no working system compiler for the generated code";
 
     Workload W = genWorkload(Name, 21, 40000);
-    Result<Value> Lib = P->M.parse(W.Input);
+    Result<Value> Lib = P->parse(W.Input);
     ASSERT_TRUE(Lib.ok());
     long Out = -999;
     ASSERT_EQ(Fn(W.Input.data(), W.Input.size(), &Out), 0) << Name;
@@ -190,7 +190,7 @@ TEST(CodegenTest, GeneratedValueMachineAgrees) {
                            : "{\"k\": [1, {}, {\"x\": 2}]}";
     for (size_t Cut = 0; Cut <= Base.size(); ++Cut) {
       std::string In = Base.substr(0, Cut);
-      Result<Value> L = P->M.parse(In);
+      Result<Value> L = P->parse(In);
       long V = -999;
       long St = Fn(In.data(), In.size(), &V);
       ASSERT_EQ(St == 0, L.ok()) << Name << " '" << In << "'";
@@ -278,7 +278,7 @@ TEST(CodegenTest, GeneratedEventDriverReplaysToLibraryValue) {
         FAIL() << "unknown event kind " << E.Kind;
       }
     }
-    Result<Value> Lib = P->M.parse(W.Input);
+    Result<Value> Lib = P->parse(W.Input);
     ASSERT_TRUE(Lib.ok()) << Name;
     EXPECT_EQ(*Lib, Vals.collect()) << Name << " generated-event replay";
 
@@ -289,7 +289,7 @@ TEST(CodegenTest, GeneratedEventDriverReplaysToLibraryValue) {
     for (size_t Cut = 0; Cut <= Base.size(); ++Cut) {
       std::string In = Base.substr(0, Cut);
       EXPECT_EQ(Fn(In.data(), In.size(), nullptr, nullptr) >= 0,
-                P->M.parse(In).ok())
+                P->parse(In).ok())
           << Name << " '" << In << "'";
     }
   }

@@ -65,7 +65,8 @@ TEST(CompileLimitsTest, NtCountAtPackedWidthIsAccepted) {
   F.Nts.resize(CompiledParser::MaxPackedNts);
   Result<CompiledParser> M = compileFused(Arena, F, Actions);
   ASSERT_TRUE(M.ok()) << M.error();
-  EXPECT_TRUE(M->parse("ok").ok());
+  ParseScratch Scr;
+  EXPECT_TRUE(M->parse("ok", Scr).ok());
 }
 
 TEST(CompileLimitsTest, StateCountExceedingInt16FailsGracefully) {
@@ -126,15 +127,16 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
     for (uint8_t Cell : M->Trans8)
       if (Cell != CompiledParser::Dead8)
         EXPECT_LT(Cell, 255);
-    EXPECT_TRUE(M->parse(Input).ok());
-    EXPECT_TRUE(M->recognize(Input));
-    EXPECT_FALSE(M->parse(Input + "a").ok()); // one byte past the literal
-    EXPECT_FALSE(M->parse(Input.substr(1)).ok());
+    ParseScratch Scr;
+    EXPECT_TRUE(M->parse(Input, Scr).ok());
+    EXPECT_TRUE(M->recognize(Input, Scr));
+    EXPECT_FALSE(M->parse(Input + "a", Scr).ok()); // one byte past the literal
+    EXPECT_FALSE(M->parse(Input.substr(1), Scr).ok());
 
     // The 16-bit kernel over the same machine agrees byte-for-byte.
     CompiledParser Wide = *M;
     Wide.Trans8.clear();
-    Result<Value> A = M->parse(Input), B = Wide.parse(Input);
+    Result<Value> A = M->parse(Input, Scr), B = Wide.parse(Input, Scr);
     ASSERT_TRUE(A.ok() && B.ok());
     EXPECT_EQ(*A, *B);
   }
@@ -149,9 +151,10 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
     ASSERT_EQ(M->numStates(), 256);
     EXPECT_TRUE(M->Trans8.empty())
         << "256-state machine would alias state id 255 with Dead8";
-    EXPECT_TRUE(M->parse(Input).ok());
-    EXPECT_TRUE(M->recognize(Input));
-    EXPECT_FALSE(M->parse(Input + "a").ok());
+    ParseScratch Scr;
+    EXPECT_TRUE(M->parse(Input, Scr).ok());
+    EXPECT_TRUE(M->recognize(Input, Scr));
+    EXPECT_FALSE(M->parse(Input + "a", Scr).ok());
   }
 }
 

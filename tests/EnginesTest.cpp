@@ -53,7 +53,7 @@ struct Engines {
       return C.get();
     };
 
-    Result<Value> Staged = P.M.parse(In, Fresh(C1));
+    Result<Value> Staged = P.parse(In, Fresh(C1));
     Result<Value> FusedI =
         parseFusedInterp(*Def->Re, P.F, Def->L->Actions, In, Fresh(C2));
     Result<Value> Unf = Unfused->parse(In, Fresh(C3));
@@ -151,7 +151,8 @@ TEST_F(SexpEnginesTest, TruncationFuzz) {
 TEST_F(SexpEnginesTest, RecognizeMatchesParse) {
   for (const char *In :
        {"(a b)", "x", "", "(", "(a", "(a) b", "  (a b (c))  "}) {
-    EXPECT_EQ(E.P.M.recognize(In), E.P.M.parse(In).ok()) << In;
+    ParseScratch Scr;
+    EXPECT_EQ(E.P.M.recognize(In, Scr), E.P.parse(In).ok()) << In;
   }
 }
 
@@ -163,7 +164,7 @@ TEST_F(SexpEnginesTest, StagedMachineShape) {
 }
 
 TEST_F(SexpEnginesTest, ErrorMessagesCarryPosition) {
-  auto R = E.P.M.parse("(a ?");
+  auto R = E.P.parse("(a ?");
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.error().find("offset 3"), std::string::npos) << R.error();
 }

@@ -30,7 +30,7 @@ struct Compiled {
 
   Result<Value> parse(std::string_view In) {
     LastCtx = Def->NewCtx ? Def->NewCtx() : nullptr;
-    return P.M.parse(In, LastCtx.get());
+    return P.parse(In, LastCtx.get());
   }
 };
 

@@ -164,7 +164,7 @@ TEST(PropertyTest, PipelineTheoremsOnRandomCfes) {
       if (++Checked > 40)
         break;
       std::string In = renderWord(W, R);
-      EXPECT_TRUE(F->M.parse(In).ok())
+      EXPECT_TRUE(F->parse(In).ok())
           << "machine rejects derivable word '" << In << "'";
     }
     // ...and rejects random non-words.
@@ -177,7 +177,7 @@ TEST(PropertyTest, PipelineTheoremsOnRandomCfes) {
           std::find(Expanded.begin(), Expanded.end(), W) != Expanded.end();
       if (W.size() <= 5) {
         std::string In = renderWord(W, R);
-        EXPECT_EQ(F->M.parse(In).ok(), InLang)
+        EXPECT_EQ(F->parse(In).ok(), InLang)
             << "disagreement on '" << In << "'";
       }
     }
@@ -207,7 +207,7 @@ TEST(PropertyTest, ValueAgreementOnRandomCfes) {
       if (++Checked > 25)
         break;
       std::string In = renderWord(W, R);
-      auto Res = F->M.parse(In);
+      auto Res = F->parse(In);
       ASSERT_TRUE(Res.ok()) << In;
       EXPECT_EQ(Res->asInt(), static_cast<int64_t>(W.size())) << In;
     }

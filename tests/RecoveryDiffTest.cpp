@@ -23,6 +23,12 @@
 ///     same formatter).
 ///   - MaxErrors truncates identically everywhere; a grammar input with
 ///     no viable sync point yields SkipToEnd, not a phantom segment.
+///   - One request table: every mode (values, events, recognize) at
+///     budgets 1 and 100 gives the identical ParseOutcome through run(),
+///     the batch core, a 2-worker ParseService and, for record entries,
+///     runRecords at Limit = size; a budget of one is exactly the
+///     recovering outcome cut at its first diagnostic; and every strict
+///     wrapper fails with Errors[0].message().
 ///
 /// The checked-in corrupted corpus (tests/corpus/) runs the same
 /// differential under every build preset (asan/nosimd included — the
@@ -31,6 +37,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Pipeline.h"
+#include "engine/Serve.h"
 #include "engine/Sink.h"
 #include "engine/Stream.h"
 #include "grammars/Grammars.h"
@@ -40,6 +47,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 
 using namespace flap;
@@ -65,6 +73,20 @@ std::string corrupt(std::string In, uint64_t Seed, size_t Stride) {
     }
   }
   return In;
+}
+
+/// One whole-buffer request through run(), into a fresh outcome.
+ParseOutcome request(const CompiledParser &M, std::string_view In,
+                     ParseScratch &Scratch,
+                     ParseMode Mode = ParseMode::Values,
+                     size_t MaxErrors = DefaultMaxErrors, NtId Entry = NoNt) {
+  ParseRequest Req;
+  Req.Entry = Entry;
+  Req.Mode = Mode;
+  Req.MaxErrors = MaxErrors;
+  ParseOutcome O;
+  M.run(Req, In, Scratch, O);
+  return O;
 }
 
 struct RecoveryRig {
@@ -127,7 +149,7 @@ void checkOneInput(RecoveryRig &R, std::string_view In,
                    const std::string &What) {
   ParseScratch Scr;
   const CompiledParser &M = R.P.M;
-  RecoveredParse Whole = M.parseRecover(In, Scr);
+  RecoveredParse Whole = request(M, In, Scr);
 
   // Sanity: diagnostics are ordered, resumptions make strict progress,
   // and only the last diagnostic may be terminal.
@@ -143,7 +165,7 @@ void checkOneInput(RecoveryRig &R, std::string_view In,
 
   // The non-recovery paths fail with exactly the first diagnostic's
   // message (one shared formatter).
-  Result<Value> Plain = M.parse(In);
+  Result<Value> Plain = R.P.parse(In);
   if (Whole.Errors.empty()) {
     ASSERT_TRUE(Plain.ok()) << What << ": " << Plain.error();
     ASSERT_EQ(Whole.Values.size(), 1u) << What;
@@ -157,14 +179,13 @@ void checkOneInput(RecoveryRig &R, std::string_view In,
   // recovery paths (the sinks record the failure site structurally; the
   // shared recoverLoop builds identical diagnostics from it).
   {
-    std::vector<ParseEvent> Evs;
-    RecoveredParse Ev = M.parseEventsRecover(M.Start, In, Scr, Evs);
+    RecoveredParse Ev = request(M, In, Scr, ParseMode::Events);
     ASSERT_EQ(Whole.Errors.size(), Ev.Errors.size()) << What;
     for (size_t I = 0; I < Whole.Errors.size(); ++I)
       EXPECT_EQ(Whole.Errors[I], Ev.Errors[I]) << What << " (events)";
     EXPECT_EQ(Whole.Truncated, Ev.Truncated) << What;
 
-    RecoveredParse Rec = M.recognizeRecover(M.Start, In, Scr);
+    RecoveredParse Rec = request(M, In, Scr, ParseMode::Recognize);
     ASSERT_EQ(Whole.Errors.size(), Rec.Errors.size()) << What;
     for (size_t I = 0; I < Whole.Errors.size(); ++I)
       EXPECT_EQ(Whole.Errors[I], Rec.Errors[I]) << What << " (recognize)";
@@ -179,7 +200,7 @@ void checkOneInput(RecoveryRig &R, std::string_view In,
   if (!Whole.Errors.empty() &&
       Whole.Errors.back().Act == ParseDiagnostic::Action::Resync) {
     const size_t Q = static_cast<size_t>(Whole.Errors.back().ResumeOff);
-    Result<Value> Suffix = M.parse(In.substr(Q));
+    Result<Value> Suffix = R.P.parse(In.substr(Q));
     ASSERT_TRUE(Suffix.ok())
         << What << ": suffix from " << Q << " does not re-parse: "
         << Suffix.error();
@@ -211,7 +232,7 @@ TEST(RecoveryDiffTest, StreamingRecoveryMatchesWholeBufferAtEverySplit) {
     ParseScratch Scr;
     for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
       std::string Bad = corrupt(W.Input, Seed, 90);
-      RecoveredParse Whole = R.P.M.parseRecover(Bad, Scr);
+      RecoveredParse Whole = request(R.P.M, Bad, Scr);
       for (size_t Cut = 0; Cut <= Bad.size(); ++Cut) {
         RecoveredParse Str = R.streamRecover(Bad, {Cut});
         expectSameRecovery(Whole, Str,
@@ -231,16 +252,15 @@ TEST(RecoveryDiffTest, StreamingRecoveryMatchesWholeBufferAtEverySplit) {
 
 TEST(RecoveryDiffTest, StreamingEventRecoveryMatchesWholeBuffer) {
   // Event-mode recovery: the streamed event log across recovered errors
-  // equals the whole-buffer parseEventsRecover stream — including the
+  // equals the whole-buffer events request's stream — including the
   // failed segments' partial events, which are consumer output.
   for (auto &Def : allBenchmarkGrammars()) {
     RecoveryRig R(Def);
     Workload W = genWorkload(Def->Name, 21, 240);
     ParseScratch Scr;
     std::string Bad = corrupt(W.Input, 4, 80);
-    std::vector<ParseEvent> WholeEvs;
-    RecoveredParse Whole =
-        R.P.M.parseEventsRecover(R.P.M.Start, Bad, Scr, WholeEvs);
+    RecoveredParse Whole = request(R.P.M, Bad, Scr, ParseMode::Events);
+    const std::vector<ParseEvent> &WholeEvs = Whole.Events;
     for (size_t Cut = 0; Cut <= Bad.size(); Cut += 7) {
       StreamOptions O;
       O.Recover = true;
@@ -283,7 +303,7 @@ TEST(RecoveryDiffTest, BatchRecoverMatchesPerInput) {
         R.P.M.parseBatchRecover(R.P.M.Start, Views, Batch);
     ASSERT_EQ(Out.size(), Docs.size());
     for (size_t I = 0; I < Docs.size(); ++I) {
-      RecoveredParse One = R.P.M.parseRecover(Views[I], Single);
+      RecoveredParse One = request(R.P.M, Views[I], Single);
       expectSameRecovery(One, Out[I],
                          Def->Name + " batch doc " + std::to_string(I));
     }
@@ -295,9 +315,7 @@ TEST(RecoveryDiffTest, MaxErrorsTruncatesIdentically) {
   Workload W = genWorkload("json", 3, 900);
   std::string Bad = corrupt(W.Input, 2, 40); // dense corruption
   ParseScratch Scr;
-  RecoverOptions Opts;
-  Opts.MaxErrors = 3;
-  RecoveredParse Whole = R.P.M.parseRecover(Bad, Scr, nullptr, Opts);
+  RecoveredParse Whole = request(R.P.M, Bad, Scr, ParseMode::Values, 3);
   ASSERT_GE(Whole.Errors.size(), 1u);
   if (Whole.Truncated) {
     EXPECT_EQ(Whole.Errors.size(), 3u);
@@ -335,7 +353,7 @@ TEST(RecoveryDiffTest, SyncByteAsLastByteSkipsToEnd) {
   // ')' — with nothing after it to re-enter on.
   const std::string In = "(a !b)";
   ParseScratch Scr;
-  RecoveredParse Whole = R.P.M.parseRecover(In, Scr);
+  RecoveredParse Whole = request(R.P.M, In, Scr);
   ASSERT_EQ(Whole.Errors.size(), 1u);
   EXPECT_EQ(Whole.Errors[0].Off, 3u);
   EXPECT_EQ(Whole.Errors[0].Act, ParseDiagnostic::Action::SkipToEnd);
@@ -355,7 +373,7 @@ TEST(RecoveryDiffTest, LineAndColumnMatchTextEditors) {
   const std::string In = "(a\n!b c)\n(d)\n";
   // '!' is at offset 3: line 2, column 1.
   ParseScratch Scr;
-  RecoveredParse Whole = R.P.M.parseRecover(In, Scr);
+  RecoveredParse Whole = request(R.P.M, In, Scr);
   ASSERT_GE(Whole.Errors.size(), 1u);
   EXPECT_EQ(Whole.Errors[0].K, ParseDiagnostic::Kind::Parse);
   EXPECT_EQ(Whole.Errors[0].Off, 3u);
@@ -378,7 +396,7 @@ TEST(RecoveryDiffTest, StreamResetClearsRecoveryState) {
   ParseScratch Scr;
   for (int Conn = 0; Conn < 3; ++Conn) {
     const std::string In = "(a)\n(!\n(b)\n"; // one error per stream
-    RecoveredParse Whole = R.P.M.parseRecover(In, Scr);
+    RecoveredParse Whole = request(R.P.M, In, Scr);
     for (size_t At = 0; At < In.size(); At += 2)
       SP.feed(std::string_view(In).substr(At, 2));
     SP.finish();
@@ -418,7 +436,7 @@ TEST(RecoveryDiffTest, CsvResyncRequiresTheFullCrlfSequence) {
   ASSERT_NE(In[12], '\r');
   ASSERT_EQ(In.substr(17, 2), "\r\n");
   ParseScratch Scr;
-  RecoveredParse Whole = M.parseRecover(In, Scr);
+  RecoveredParse Whole = request(M, In, Scr);
   ASSERT_GE(Whole.Errors.size(), 1u);
   EXPECT_EQ(Whole.Errors[0].Act, ParseDiagnostic::Action::Resync);
   EXPECT_EQ(Whole.Errors[0].ResumeOff, 19u)
@@ -442,7 +460,7 @@ TEST(RecoveryDiffTest, CsvResyncRequiresTheFullCrlfSequence) {
   // '\n' is bare): the scan must run to SkipToEnd, never resuming at
   // an inadmissible newline.
   const std::string Bare = "a,1\r\nbad\"x\ny\nz";
-  RecoveredParse None = M.parseRecover(Bare, Scr);
+  RecoveredParse None = request(M, Bare, Scr);
   ASSERT_GE(None.Errors.size(), 1u);
   EXPECT_EQ(None.Errors.back().Act, ParseDiagnostic::Action::SkipToEnd);
   EXPECT_EQ(None.Errors.back().ResumeOff, Bare.size());
@@ -484,7 +502,7 @@ TEST(RecoveryDiffTest, CheckedInCorpusRecoversUnderEveryPreset) {
 
     checkOneInput(R, In, std::string("corpus ") + File);
     ParseScratch Scr;
-    RecoveredParse Whole = R.P.M.parseRecover(In, Scr);
+    RecoveredParse Whole = request(R.P.M, In, Scr);
     EXPECT_GE(Whole.Errors.size(), 1u)
         << File << ": corpus input unexpectedly clean";
     EXPECT_GE(Whole.Values.size(), 1u)
@@ -496,6 +514,274 @@ TEST(RecoveryDiffTest, CheckedInCorpusRecoversUnderEveryPreset) {
     }
   }
 #endif
+}
+
+//===----------------------------------------------------------------------===//
+// One request table: every mode × budget through every core
+//===----------------------------------------------------------------------===//
+
+constexpr ParseMode TableModes[] = {ParseMode::Values, ParseMode::Events,
+                                    ParseMode::Recognize};
+constexpr size_t TableBudgets[] = {1, DefaultMaxErrors};
+
+std::string modeName(ParseMode Mode) {
+  return Mode == ParseMode::Values   ? "values"
+         : Mode == ParseMode::Events ? "events"
+                                     : "recognize";
+}
+
+void expectSameOutcome(const ParseOutcome &A, const ParseOutcome &B,
+                       const std::string &What) {
+  expectSameRecovery(A, B, What);
+  ASSERT_EQ(A.Events.size(), B.Events.size()) << What;
+  for (size_t I = 0; I < A.Events.size(); ++I)
+    ASSERT_EQ(A.Events[I], B.Events[I]) << What << ": event " << I;
+}
+
+/// Strict is a budget of one: the strict outcome is the recovering one
+/// cut at its first diagnostic, which turns Fatal and truncates.
+void expectStrictPrefix(const ParseOutcome &Strict, const ParseOutcome &Rec,
+                        const std::string &What) {
+  if (Rec.Errors.empty()) {
+    expectSameOutcome(Strict, Rec, What);
+    return;
+  }
+  ASSERT_EQ(Strict.Errors.size(), 1u) << What;
+  ParseDiagnostic First = Rec.Errors[0];
+  First.Act = ParseDiagnostic::Action::Fatal;
+  First.ResumeOff = First.Off;
+  EXPECT_EQ(Strict.Errors[0], First) << What;
+  EXPECT_TRUE(Strict.Truncated) << What;
+  ASSERT_LE(Strict.Values.size(), Rec.Values.size()) << What;
+  for (size_t I = 0; I < Strict.Values.size(); ++I)
+    EXPECT_EQ(Strict.Values[I], Rec.Values[I]) << What << ": value " << I;
+  ASSERT_LE(Strict.Events.size(), Rec.Events.size()) << What;
+  for (size_t I = 0; I < Strict.Events.size(); ++I)
+    ASSERT_EQ(Strict.Events[I], Rec.Events[I]) << What << ": event " << I;
+}
+
+/// Outcomes of one table row: [budget index][mode][input].
+using Table = std::map<size_t, std::map<ParseMode, std::vector<ParseOutcome>>>;
+
+/// The modes must agree on everything they share: diagnostics and
+/// truncation always, record counts in value mode.
+void expectModesAgree(const Table &T, size_t NumInputs,
+                      const std::string &What) {
+  for (size_t B = 0; B < 2; ++B)
+    for (size_t I = 0; I < NumInputs; ++I) {
+      const ParseOutcome &V = T.at(B).at(ParseMode::Values)[I];
+      for (ParseMode Mode : {ParseMode::Events, ParseMode::Recognize}) {
+        const ParseOutcome &O = T.at(B).at(Mode)[I];
+        const std::string Tag = What + " input " + std::to_string(I) +
+                                " budget " +
+                                std::to_string(TableBudgets[B]) + " " +
+                                modeName(Mode);
+        EXPECT_EQ(V.Errors, O.Errors) << Tag;
+        EXPECT_EQ(V.Truncated, O.Truncated) << Tag;
+        EXPECT_TRUE(O.Values.empty()) << Tag;
+      }
+      EXPECT_TRUE(T.at(B).at(ParseMode::Recognize)[I].Events.empty());
+    }
+  for (ParseMode Mode : TableModes)
+    for (size_t I = 0; I < NumInputs; ++I)
+      expectStrictPrefix(T.at(0).at(Mode)[I], T.at(1).at(Mode)[I],
+                         What + " input " + std::to_string(I) + " " +
+                             modeName(Mode) + " strict prefix");
+}
+
+TEST(RecoveryDiffTest, OneRequestTableAcrossWholeBufferCores) {
+  size_t TrailingDrops = 0;
+  for (auto &Def : allBenchmarkGrammars()) {
+    RecoveryRig R(Def);
+    const CompiledParser &M = R.P.M;
+    const Workload W = genWorkload(Def->Name, 41, 400);
+    std::vector<std::string> Docs = {W.Input, W.Input + ")",
+                                     W.Input + "\n!"};
+    for (uint64_t Seed = 1; Seed <= 5; ++Seed)
+      Docs.push_back(corrupt(W.Input, Seed, 120));
+    const std::vector<std::string_view> Views(Docs.begin(), Docs.end());
+
+    Table T;
+    for (size_t B = 0; B < 2; ++B) {
+      const size_t Budget = TableBudgets[B];
+      for (ParseMode Mode : TableModes) {
+        ParseRequest Req;
+        Req.Mode = Mode;
+        Req.MaxErrors = Budget;
+        ParseScratch BatchScr, Scr;
+        // A reused outcome vector: stale outcomes must not leak through.
+        std::vector<ParseOutcome> Batch(2 * Views.size());
+        for (ParseOutcome &O : Batch) {
+          O.Values.push_back(Value::integer(7));
+          O.Errors.push_back(ParseDiagnostic());
+          O.Truncated = true;
+        }
+        M.runBatch(Req, Views.data(), Views.size(), BatchScr, Batch);
+        ASSERT_EQ(Batch.size(), Views.size());
+        for (size_t I = 0; I < Views.size(); ++I) {
+          ParseOutcome One;
+          const bool Ok = M.run(Req, Views[I], Scr, One);
+          EXPECT_EQ(Ok, One.Errors.empty());
+          expectSameOutcome(One, Batch[I],
+                            Def->Name + " batch " + modeName(Mode) +
+                                " input " + std::to_string(I));
+          T[B][Mode].push_back(std::move(One));
+        }
+      }
+      // The serving front-end fills its reply from the batch core.
+      ServeOptions SO;
+      SO.Threads = 2;
+      SO.Recover = Budget != 1;
+      SO.MaxErrors = Budget;
+      ParseService Svc(M, M.Start, SO);
+      ServeReply Rep = Svc.submit(Views).get();
+      ASSERT_TRUE(Rep.Accepted);
+      ASSERT_EQ(Rep.Recovered.size(), Views.size());
+      for (size_t I = 0; I < Views.size(); ++I)
+        expectSameOutcome(T[B][ParseMode::Values][I], Rep.Recovered[I],
+                          Def->Name + " serve input " + std::to_string(I));
+    }
+    expectModesAgree(T, Views.size(), Def->Name);
+
+    // The strict wrappers read the budget-1 outcome: they fail with
+    // exactly Errors[0].message() and drop a completed value on a
+    // trailing-input failure.
+    ParseScratch Scr;
+    const std::vector<Result<Value>> Batch =
+        M.parseBatch(M.Start, Views, Scr);
+    const std::vector<ParseOutcome> BatchRec =
+        M.parseBatchRecover(M.Start, Views, Scr);
+    for (size_t I = 0; I < Views.size(); ++I) {
+      const std::string Tag = Def->Name + " input " + std::to_string(I);
+      const ParseOutcome &SV = T[0][ParseMode::Values][I];
+      std::vector<Result<Value>> Got = {M.parse(Views[I], Scr),
+                                        M.parseFrom(M.Start, Views[I]),
+                                        Batch[I]};
+      for (const Result<Value> &V : Got) {
+        ASSERT_EQ(V.ok(), SV.Errors.empty()) << Tag;
+        if (V.ok())
+          EXPECT_EQ(*V, SV.Values.at(0)) << Tag;
+        else
+          EXPECT_EQ(V.error(), SV.Errors[0].message()) << Tag;
+      }
+      if (!SV.Errors.empty() &&
+          SV.Errors[0].K == ParseDiagnostic::Kind::Trailing) {
+        EXPECT_EQ(SV.Values.size(), 1u) << Tag;
+        ++TrailingDrops;
+      }
+      EXPECT_EQ(M.recognize(Views[I], Scr),
+                T[0][ParseMode::Recognize][I].Errors.empty())
+          << Tag;
+      std::vector<ParseEvent> Evs(1); // appended to, not replaced
+      const ParseEvent Keep = Evs[0];
+      Status St = M.parseEvents(M.Start, Views[I], Scr, Evs);
+      const ParseOutcome &SE = T[0][ParseMode::Events][I];
+      ASSERT_EQ(St.ok(), SE.Errors.empty()) << Tag;
+      if (!St.ok())
+        EXPECT_EQ(St.error(), SE.Errors[0].message()) << Tag;
+      ASSERT_EQ(Evs.size(), SE.Events.size() + 1) << Tag;
+      EXPECT_EQ(Evs[0], Keep) << Tag;
+      EXPECT_TRUE(std::equal(SE.Events.begin(), SE.Events.end(),
+                             Evs.begin() + 1))
+          << Tag;
+      expectSameOutcome(T[1][ParseMode::Values][I], BatchRec[I],
+                        Tag + " parseBatchRecover");
+    }
+  }
+  EXPECT_GT(TrailingDrops, 0u) << "no trailing-input failure exercised";
+}
+
+TEST(RecoveryDiffTest, OneRequestTableAcrossRecordRuns) {
+  for (auto &Def : allBenchmarkGrammars()) {
+    if (!Def->HasRecord)
+      continue;
+    auto PR = compileFlapRecords(Def);
+    ASSERT_TRUE(PR.ok()) << PR.error();
+    const FlapParser P = PR.take();
+    const CompiledParser &M = P.M;
+    const NtId Rec = recordEntry(P);
+    const Workload W = genWorkload(Def->Name, 43, 600);
+    std::vector<std::string> Docs = {W.Input};
+    for (uint64_t Seed = 1; Seed <= 5; ++Seed)
+      Docs.push_back(corrupt(W.Input, Seed, 150));
+
+    Table T;
+    std::vector<size_t> Records(Docs.size());
+    for (size_t B = 0; B < 2; ++B)
+      for (ParseMode Mode : TableModes)
+        for (size_t I = 0; I < Docs.size(); ++I) {
+          ParseRequest Req;
+          Req.Entry = Rec;
+          Req.Mode = Mode;
+          Req.MaxErrors = TableBudgets[B];
+          ParseScratch Scr;
+          ParseOutcome O;
+          const std::string_view In = Docs[I];
+          const RecordRun RR = M.runRecords(Req, In, 0, In.size(), Scr, O);
+          const std::string Tag = Def->Name + " records input " +
+                                  std::to_string(I) + " " + modeName(Mode);
+          EXPECT_NE(RR.S, RecordRun::Stop::AtLimit) << Tag;
+          EXPECT_EQ(RR.S == RecordRun::Stop::Error,
+                    !O.Errors.empty() &&
+                        O.Errors.back().Act == ParseDiagnostic::Action::Fatal)
+              << Tag;
+          if (Mode == ParseMode::Values)
+            EXPECT_EQ(O.Values.size(), RR.NumRecords) << Tag;
+          if (B == 0 && Mode == ParseMode::Events) {
+            // The perfbench-pinned events wrapper is this very request.
+            std::vector<ParseEvent> Evs;
+            const RecordRun WR =
+                M.parseEventsRecords(Rec, In, 0, In.size(), Scr, Evs);
+            EXPECT_EQ(WR.S, RR.S) << Tag;
+            EXPECT_EQ(WR.NumRecords, RR.NumRecords) << Tag;
+            EXPECT_EQ(Evs, O.Events) << Tag;
+          }
+          T[B][Mode].push_back(std::move(O));
+        }
+    expectModesAgree(T, Docs.size(), Def->Name + " records");
+    ASSERT_TRUE(T[0][ParseMode::Values][0].clean()) << Def->Name;
+  }
+}
+
+/// A record entry that matches empty input cannot delimit a sequence:
+/// every mode and budget reports it as one Fatal EmptyRecord diagnostic.
+TEST(RecoveryDiffTest, NullableRecordEntryIsOneDiagnosticInEveryMode) {
+  auto Def = std::make_shared<GrammarDef>("nullrec");
+  Lang &L = *Def->L;
+  TokenId Num = Def->Lexer->rule("[0-9]+", "num");
+  TokenId Semi = Def->Lexer->rule(";", "semi");
+  Def->Lexer->skip(" ");
+  const Px Item = L.keepLeft(L.mapTokenInt(L.tok(Num)), L.tok(Semi));
+  const Px RecPx = L.alt(L.eps(Value::integer(0)), Item);
+  Def->Root = L.star(Item);
+  auto P = compileFlapMulti(Def, {{"main", Def->Root}, {"rec", RecPx}});
+  ASSERT_TRUE(P.ok()) << P.error();
+  const NtId Rec = P->Entries.at("rec");
+  const std::string In = "1; 2; x 3;";
+  for (size_t Budget : TableBudgets)
+    for (ParseMode Mode : TableModes) {
+      const std::string Tag =
+          modeName(Mode) + " budget " + std::to_string(Budget);
+      ParseRequest Req;
+      Req.Entry = Rec;
+      Req.Mode = Mode;
+      Req.MaxErrors = Budget;
+      ParseScratch Scr;
+      ParseOutcome O;
+      const RecordRun RR = P->M.runRecords(Req, In, 0, In.size(), Scr, O);
+      EXPECT_EQ(RR.S, RecordRun::Stop::Error) << Tag;
+      EXPECT_EQ(RR.NumRecords, 2u) << Tag;
+      ASSERT_EQ(O.Errors.size(), 1u) << Tag;
+      const ParseDiagnostic &D = O.Errors[0];
+      EXPECT_EQ(D.K, ParseDiagnostic::Kind::EmptyRecord) << Tag;
+      EXPECT_EQ(D.Act, ParseDiagnostic::Action::Fatal) << Tag;
+      EXPECT_EQ(D.Off, 6u) << Tag;
+      EXPECT_EQ(D.Col, 7u) << Tag;
+      EXPECT_EQ(D.Nt, Rec) << Tag;
+      EXPECT_EQ(D.message(), formatEmptyRecord(6, P->M.NtNames[Rec])) << Tag;
+      EXPECT_EQ(O.Truncated, Budget == 1) << Tag;
+      EXPECT_EQ(O.Values.size(), Mode == ParseMode::Values ? 2u : 0u) << Tag;
+    }
 }
 
 } // namespace

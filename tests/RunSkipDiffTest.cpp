@@ -61,7 +61,7 @@ struct Rig {
   bool check(std::string_view In) {
     std::shared_ptr<void> C1, C2, C3;
     Result<Value> Narrow = P.M.parse(In, Scratch, fresh(C1));
-    Result<Value> Wide16 = Wide.parse(In, fresh(C2));
+    Result<Value> Wide16 = Wide.parse(In, Scratch, fresh(C2));
     Result<Value> Spec = parseFusedInterp(*Def->Re, P.F, Def->L->Actions, In,
                                           fresh(C3), NoNt, Def->Toks.get());
 
@@ -85,7 +85,7 @@ struct Rig {
           << Def->Name << ": scan8 vs scan16 diagnostics on '" << In << "'";
     bool Rec = P.M.recognize(In, Scratch);
     EXPECT_EQ(Rec, Narrow.ok()) << Def->Name << ": recognize vs parse";
-    EXPECT_EQ(Wide.recognize(In), Rec)
+    EXPECT_EQ(Wide.recognize(In, Scratch), Rec)
         << Def->Name << ": scan16 recognize vs scan8";
     return Narrow.ok();
   }

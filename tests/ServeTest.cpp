@@ -5,9 +5,9 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The serving front-end (engine/Serve.h) against the direct batch API:
-/// replies must carry exactly what CompiledParser::parseBatch /
-/// parseBatchRecover produce for the same inputs, under concurrent
+/// The serving front-end (engine/Serve.h) against the direct batch core:
+/// replies must carry exactly the outcomes CompiledParser::runBatch
+/// produces for the same inputs, strict and recovering, under concurrent
 /// submitters, replies consumed and destroyed on foreign threads
 /// (the pool handoff), queue backpressure, and the shutdown drain
 /// guarantee. This suite is one of the two multithreaded tier-1 suites
@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -61,6 +62,16 @@ std::vector<std::string_view> views(const std::vector<std::string> &Docs) {
   return std::vector<std::string_view>(Docs.begin(), Docs.end());
 }
 
+/// A strict outcome as text: the value, or the error a strict wrapper
+/// reports.
+std::string render(const ParseOutcome &O) {
+  return O.Errors.empty() ? O.Values.at(0).str()
+                          : "error: " + O.Errors[0].message();
+}
+std::string render(const Result<Value> &R) {
+  return R.ok() ? R->str() : "error: " + R.error();
+}
+
 TEST(ServeTest, MatchesDirectBatch) {
   ServeRig Rig;
   if (!Rig.Compiled)
@@ -81,14 +92,9 @@ TEST(ServeTest, MatchesDirectBatch) {
   for (auto &F : Fs) {
     ServeReply Rep = F.get();
     ASSERT_TRUE(Rep.Accepted);
-    ASSERT_EQ(Rep.Results.size(), Direct.size());
-    for (size_t I = 0; I < Direct.size(); ++I) {
-      ASSERT_EQ(Direct[I].ok(), Rep.Results[I].ok()) << I;
-      if (Direct[I].ok())
-        EXPECT_EQ(Direct[I].value().str(), Rep.Results[I].value().str()) << I;
-      else
-        EXPECT_EQ(Direct[I].error(), Rep.Results[I].error()) << I;
-    }
+    ASSERT_EQ(Rep.Recovered.size(), Direct.size());
+    for (size_t I = 0; I < Direct.size(); ++I)
+      EXPECT_EQ(render(Direct[I]), render(Rep.Recovered[I])) << I;
   }
 }
 
@@ -99,10 +105,9 @@ TEST(ServeTest, RecoverModeMatchesDirect) {
   const std::vector<std::string> Docs = docs(25, /*CorruptSome=*/true);
   const std::vector<std::string_view> Views = views(Docs);
 
-  RecoverOptions RO;
   ParseScratch Scratch;
-  const std::vector<RecoveredParse> Direct = Rig.P.M.parseBatchRecover(
-      Rig.P.M.Start, Views.data(), Views.size(), Scratch, nullptr, RO);
+  const std::vector<RecoveredParse> Direct =
+      Rig.P.M.parseBatchRecover(Rig.P.M.Start, Views, Scratch);
 
   ServeOptions O;
   O.Threads = 3;
@@ -144,13 +149,13 @@ TEST(ServeTest, ConcurrentSubmitters) {
     Producers.emplace_back([&, T] {
       for (int R = 0; R < 25; ++R) {
         ServeReply Rep = S.submit(Views).get(); // consumed on this thread
-        if (!Rep.Accepted || Rep.Results.size() != Views.size()) {
+        if (!Rep.Accepted || Rep.Recovered.size() != Views.size()) {
           ++Failures[T];
           continue;
         }
         for (size_t I = 0; I < Direct.size(); ++I)
-          if (!Rep.Results[I].ok() ||
-              Rep.Results[I].value().str() != Direct[I].value().str())
+          if (!Direct[I].ok() ||
+              render(Rep.Recovered[I]) != render(Direct[I]))
             ++Failures[T];
       }
     });
@@ -178,9 +183,9 @@ TEST(ServeTest, EscapedValuesAndForeignDestruction) {
     ParseService S(Rig.P.M, Rig.P.M.Start, O);
     ServeReply Rep = S.submit(Views).get();
     ASSERT_TRUE(Rep.Accepted);
-    Expect = Rep.Results[0].value().str();
-    for (auto &R : Rep.Results)
-      Escaped.push_back(std::move(*R));
+    Expect = Rep.Recovered[0].Values.at(0).str();
+    for (auto &R : Rep.Recovered)
+      Escaped.push_back(std::move(R.Values.at(0)));
     // Destroy a whole reply on a foreign thread (the documented
     // single-owner handoff: the thread adopts the pool).
     ServeReply Other = S.submit(Views).get();
@@ -235,8 +240,7 @@ TEST(ServeTest, ReplyPoolsRecycleAndEscapedValuesStayIntact) {
   {
     ServeReply Rep = S.submit(Views).get();
     ASSERT_TRUE(Rep.Accepted);
-    ASSERT_TRUE(Rep.Results[0].ok()) << Rep.Results[0].error();
-    EXPECT_EQ(Rep.Results[0]->str(), "[(1 . 2) (3 . 4)]");
+    EXPECT_EQ(render(Rep.Recovered[0]), "[(1 . 2) (3 . 4)]");
     Reused = Rep.pool();
   }
   Value Escaped;
@@ -245,14 +249,14 @@ TEST(ServeTest, ReplyPoolsRecycleAndEscapedValuesStayIntact) {
     ServeReply Rep = S.submit(Views).get();
     EXPECT_EQ(Rep.pool(), Reused) << "dead reply's pool not recycled";
     Pinned = Rep.pool();
-    Escaped = Rep.Results[2].take();
+    Escaped = std::move(Rep.Recovered[2].Values.at(0));
   }
   const std::string Expect = "[(7 . 8) (9 . 10) (11 . 12)]";
   for (int R = 0; R < 50; ++R) {
     ServeReply Rep = S.submit(Views).get();
     ASSERT_TRUE(Rep.Accepted);
     EXPECT_NE(Rep.pool(), Pinned) << "pool with a live value recycled";
-    EXPECT_EQ(Rep.Results[2]->str(), Expect);
+    EXPECT_EQ(render(Rep.Recovered[2]), Expect);
     EXPECT_EQ(Escaped.str(), Expect) << "request " << R;
   }
   EXPECT_EQ(Escaped.str(), Expect);
@@ -274,12 +278,42 @@ TEST(ServeTest, ShutdownDrainsAndRejectsLateSubmits) {
   for (auto &F : Fs) {
     ServeReply Rep = F.get(); // every accepted future becomes ready
     ASSERT_TRUE(Rep.Accepted);
-    EXPECT_EQ(Rep.Results.size(), Views.size());
+    EXPECT_EQ(Rep.Recovered.size(), Views.size());
   }
   ServeReply Late = S.submit(Views).get();
   EXPECT_FALSE(Late.Accepted);
-  EXPECT_TRUE(Late.Results.empty());
+  EXPECT_TRUE(Late.Recovered.empty());
   S.shutdown(); // idempotent
+}
+
+/// A zero queue capacity behaves as one: submit() must not block until
+/// shutdown. The submit runs on a helper thread so a regression fails
+/// the test (after a shutdown that unblocks it) instead of hanging it.
+TEST(ServeTest, ZeroQueueCapacityStillServes) {
+  ServeRig Rig;
+  if (!Rig.Compiled)
+    return;
+  const std::vector<std::string> Docs = docs(3);
+  const std::vector<std::string_view> Views = views(Docs);
+  ServeOptions O;
+  O.Threads = 1;
+  O.QueueCapacity = 0;
+  ParseService S(Rig.P.M, Rig.P.M.Start, O);
+  std::promise<ServeReply> Got;
+  std::future<ServeReply> F = Got.get_future();
+  std::thread Submitter(
+      [&] { Got.set_value(S.submit(Views).get()); });
+  const bool Ready =
+      F.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  if (!Ready)
+    S.shutdown();
+  Submitter.join();
+  ASSERT_TRUE(Ready) << "submit() blocked with QueueCapacity = 0";
+  ServeReply Rep = F.get();
+  EXPECT_TRUE(Rep.Accepted);
+  ASSERT_EQ(Rep.Recovered.size(), Views.size());
+  for (const ParseOutcome &Out : Rep.Recovered)
+    EXPECT_TRUE(Out.clean());
 }
 
 } // namespace

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Differential suite for the data-parallel shard layer (engine/
-/// Shard.h). The stitched output of every parse mode must be
+/// Shard.h). The stitched outcome of every request — values, events
+/// and recognize modes, error budgets 1 (strict) and up — must be
 /// byte-identical to the sequential record run — the single-shard
 /// (Splits = {}) parse of the same corpus — under:
 ///
@@ -25,7 +26,7 @@
 /// All six benchmark grammars run through compileFlapRecords; the
 /// context-accumulating ones (csv/pgn/ppm) shard with a null context —
 /// a mutable shared context is not thread-safe by contract
-/// (ShardOptions::User).
+/// (ShardOptions::MakeCtx).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,44 +102,43 @@ struct ShardRig {
   }
 };
 
-void expectValuesEq(const std::string &Tag, const ShardedValues &Seq,
-                    const ShardedValues &Got) {
+/// One sharded request at explicit boundaries.
+ShardOutcome at(ShardParser &SP, ParseMode Mode, size_t MaxErrors,
+                std::string_view In, const std::vector<size_t> &Splits) {
+  ParseRequest Req;
+  Req.Mode = Mode;
+  Req.MaxErrors = MaxErrors;
+  return SP.run(Req, In, &Splits);
+}
+
+/// The whole outcome must match: values, events, diagnostics (offsets,
+/// line/column, actions), Truncated, record count and the error string.
+void expectSame(const std::string &Tag, const ShardOutcome &Seq,
+                const ShardOutcome &Got) {
   ASSERT_EQ(Seq.Ok, Got.Ok) << Tag;
-  EXPECT_EQ(Seq.NumRecords, Got.NumRecords) << Tag;
+  EXPECT_EQ(Got.Ok, Got.Errors.empty()) << Tag;
+  if (!Got.Ok)
+    EXPECT_EQ(Got.ErrMsg, Got.Errors[0].message()) << Tag;
   EXPECT_EQ(Seq.ErrMsg, Got.ErrMsg) << Tag;
-  EXPECT_EQ(Seq.ErrNt, Got.ErrNt) << Tag;
-  EXPECT_EQ(Seq.ErrOff, Got.ErrOff) << Tag;
+  EXPECT_EQ(Seq.NumRecords, Got.NumRecords) << Tag;
+  EXPECT_EQ(Seq.Truncated, Got.Truncated) << Tag;
   ASSERT_EQ(Seq.Values.size(), Got.Values.size()) << Tag;
   for (size_t I = 0; I < Seq.Values.size(); ++I)
     ASSERT_EQ(Seq.Values[I].str(), Got.Values[I].str())
         << Tag << " value " << I;
-}
-
-void expectEventsEq(const std::string &Tag, const ShardedEvents &Seq,
-                    const ShardedEvents &Got) {
-  ASSERT_EQ(Seq.Ok, Got.Ok) << Tag;
-  EXPECT_EQ(Seq.NumRecords, Got.NumRecords) << Tag;
-  EXPECT_EQ(Seq.ErrMsg, Got.ErrMsg) << Tag;
   ASSERT_EQ(Seq.Events.size(), Got.Events.size()) << Tag;
   for (size_t I = 0; I < Seq.Events.size(); ++I)
     ASSERT_EQ(Seq.Events[I], Got.Events[I]) << Tag << " event " << I;
+  ASSERT_EQ(Seq.Errors.size(), Got.Errors.size()) << Tag;
+  for (size_t I = 0; I < Seq.Errors.size(); ++I)
+    ASSERT_EQ(Seq.Errors[I], Got.Errors[I])
+        << Tag << " diagnostic " << I << ": seq='"
+        << Seq.Errors[I].message() << "' got='" << Got.Errors[I].message()
+        << "'";
 }
 
-void expectRecoverEq(const std::string &Tag, const ShardedRecover &Seq,
-                     const ShardedRecover &Got) {
-  EXPECT_EQ(Seq.NumRecords, Got.NumRecords) << Tag;
-  EXPECT_EQ(Seq.R.Truncated, Got.R.Truncated) << Tag;
-  ASSERT_EQ(Seq.R.Values.size(), Got.R.Values.size()) << Tag;
-  for (size_t I = 0; I < Seq.R.Values.size(); ++I)
-    ASSERT_EQ(Seq.R.Values[I].str(), Got.R.Values[I].str())
-        << Tag << " value " << I;
-  ASSERT_EQ(Seq.R.Errors.size(), Got.R.Errors.size()) << Tag;
-  for (size_t I = 0; I < Seq.R.Errors.size(); ++I)
-    ASSERT_EQ(Seq.R.Errors[I], Got.R.Errors[I])
-        << Tag << " diagnostic " << I << ": seq='"
-        << Seq.R.Errors[I].message() << "' got='"
-        << Got.R.Errors[I].message() << "'";
-}
+constexpr ParseMode AllModes[] = {ParseMode::Values, ParseMode::Events,
+                                  ParseMode::Recognize};
 
 /// Corrupts \p S deterministically at a few spread-out positions.
 std::string corrupt(std::string S, int Salt) {
@@ -152,8 +152,8 @@ std::string corrupt(std::string S, int Salt) {
 
 class ShardDiffTest : public ::testing::TestWithParam<const char *> {};
 
-/// Every admissible candidate boundary, one split at a time, all four
-/// modes identical to the sequential record run.
+/// Every admissible candidate boundary, one split at a time, every
+/// mode identical to the sequential record run.
 TEST_P(ShardDiffTest, EveryCandidateSplit) {
   ShardRig Rig(grammarByName(GetParam()));
   if (!Rig.Compiled)
@@ -163,49 +163,49 @@ TEST_P(ShardDiffTest, EveryCandidateSplit) {
   O.Threads = 1; // the stitcher is what's under test here
   ShardParser SP(Rig.P.M, Rig.R, O);
 
-  const ShardedValues SeqV = SP.parseValuesAt(Corpus, {});
-  const ShardedEvents SeqE = SP.parseEventsAt(Corpus, {});
-  const ShardedRecognize SeqZ = SP.recognizeAt(Corpus, {});
-  ASSERT_TRUE(SeqV.Ok) << SeqV.ErrMsg;
-
   const std::vector<size_t> Cands = SP.candidateSplits(Corpus);
   if (Rig.P.M.SyncSpecs[Rig.R].HasSync)
     ASSERT_FALSE(Cands.empty()) << GetParam();
-  for (size_t C : Cands) {
-    const std::string Tag =
-        std::string(GetParam()) + " split@" + std::to_string(C);
-    expectValuesEq(Tag, SeqV, SP.parseValuesAt(Corpus, {C}));
-    expectEventsEq(Tag, SeqE, SP.parseEventsAt(Corpus, {C}));
-    const ShardedRecognize Z = SP.recognizeAt(Corpus, {C});
-    EXPECT_EQ(SeqZ.Ok, Z.Ok) << Tag;
-    EXPECT_EQ(SeqZ.NumRecords, Z.NumRecords) << Tag;
+  for (ParseMode Mode : AllModes) {
+    const ShardOutcome Seq = at(SP, Mode, 1, Corpus, {});
+    ASSERT_TRUE(Seq.Ok) << Seq.ErrMsg;
+    for (size_t C : Cands)
+      expectSame(std::string(GetParam()) + " mode " +
+                     std::to_string(static_cast<int>(Mode)) + " split@" +
+                     std::to_string(C),
+                 Seq, at(SP, Mode, 1, Corpus, {C}));
   }
 }
 
 /// A forced boundary at EVERY byte position — nearly all are wrong
 /// (inside a record, inside a string, mid-lexeme). Verification must
-/// repair each one bit-exactly.
+/// repair each one bit-exactly, in every mode, strict (budget 1) and
+/// recovering (budget 100), on clean and corrupted corpora.
 TEST_P(ShardDiffTest, ForcedWrongSplitEveryByte) {
   ShardRig Rig(grammarByName(GetParam()));
   if (!Rig.Compiled)
     return;
-  const std::string Corpus = recordCorpus(GetParam(), 3);
   ShardOptions O;
   O.Threads = 1;
   ShardParser SP(Rig.P.M, Rig.R, O);
-
-  const ShardedValues SeqV = SP.parseValuesAt(Corpus, {});
-  ASSERT_TRUE(SeqV.Ok) << SeqV.ErrMsg;
-  for (size_t B = 1; B < Corpus.size(); ++B) {
-    const std::string Tag =
-        std::string(GetParam()) + " forced@" + std::to_string(B);
-    const ShardedValues V = SP.parseValuesAt(Corpus, {B});
-    expectValuesEq(Tag, SeqV, V);
-  }
-  // And a deliberately pathological pair straddling one record.
-  const ShardedValues V =
-      SP.parseValuesAt(Corpus, {Corpus.size() / 3, Corpus.size() / 3 + 1});
-  expectValuesEq(std::string(GetParam()) + " straddle", SeqV, V);
+  const std::string Clean = recordCorpus(GetParam(), 3);
+  for (const std::string &Corpus : {Clean, corrupt(Clean, 2)})
+    for (ParseMode Mode : AllModes)
+      for (size_t Budget : {size_t(1), DefaultMaxErrors}) {
+        const std::string Tag = std::string(GetParam()) + " mode " +
+                                std::to_string(static_cast<int>(Mode)) +
+                                " budget " + std::to_string(Budget);
+        const ShardOutcome Seq = at(SP, Mode, Budget, Corpus, {});
+        if (Corpus == Clean)
+          ASSERT_TRUE(Seq.Ok) << Tag << ": " << Seq.ErrMsg;
+        for (size_t B = 1; B < Corpus.size(); ++B)
+          expectSame(Tag + " forced@" + std::to_string(B), Seq,
+                     at(SP, Mode, Budget, Corpus, {B}));
+        // And a deliberately pathological pair straddling one record.
+        expectSame(Tag + " straddle", Seq,
+                   at(SP, Mode, Budget, Corpus,
+                      {Corpus.size() / 3, Corpus.size() / 3 + 1}));
+      }
 }
 
 /// Planned multi-shard runs on worker threads match the sequential
@@ -220,21 +220,22 @@ TEST_P(ShardDiffTest, PlannedShardsOnThreads) {
   O.MinShardBytes = 1; // force full fan-out on the small corpus
   ShardParser SP(Rig.P.M, Rig.R, O);
 
-  const ShardedValues SeqV = SP.parseValuesAt(Corpus, {});
+  const ShardOutcome SeqV = SP.parseValuesAt(Corpus, {});
   ASSERT_TRUE(SeqV.Ok) << SeqV.ErrMsg;
   for (size_t K = 2; K <= 5; ++K) {
     const std::vector<size_t> Splits = SP.planSplits(Corpus, K);
-    const ShardedValues V = SP.parseValuesAt(Corpus, Splits);
-    expectValuesEq(std::string(GetParam()) + " planned k=" +
-                       std::to_string(K),
-                   SeqV, V);
+    expectSame(std::string(GetParam()) + " planned k=" + std::to_string(K),
+               SeqV, SP.parseValuesAt(Corpus, Splits));
   }
-  const ShardedValues Auto = SP.parseValues(Corpus);
-  expectValuesEq(std::string(GetParam()) + " auto", SeqV, Auto);
+  const ShardOutcome Auto = SP.parseValues(Corpus);
+  expectSame(std::string(GetParam()) + " auto", SeqV, Auto);
   EXPECT_GE(Auto.Stats.Shards, static_cast<size_t>(1));
+  const ShardOutcome Rec = SP.recognize(Corpus);
+  EXPECT_TRUE(Rec.Ok);
+  EXPECT_EQ(Rec.NumRecords, SeqV.NumRecords);
 }
 
-/// Recovery mode: corrupted corpora, sharded at every candidate and at
+/// Recovery: corrupted corpora, sharded at every candidate and at
 /// forced wrong positions, must reproduce the sequential values AND
 /// diagnostics (offsets, line/column, resync actions, Truncated).
 TEST_P(ShardDiffTest, RecoveryDifferential) {
@@ -246,22 +247,21 @@ TEST_P(ShardDiffTest, RecoveryDifferential) {
     ShardOptions O;
     O.Threads = 1;
     ShardParser SP(Rig.P.M, Rig.R, O);
-    const ShardedRecover Seq = SP.parseRecoverAt(Corpus, {});
+    const std::string Tag =
+        std::string(GetParam()) + " salt=" + std::to_string(Salt);
+    const ShardOutcome Seq =
+        at(SP, ParseMode::Values, DefaultMaxErrors, Corpus, {});
     for (size_t C : SP.candidateSplits(Corpus))
-      expectRecoverEq(std::string(GetParam()) + " salt=" +
-                          std::to_string(Salt) + " recover@" +
-                          std::to_string(C),
-                      Seq, SP.parseRecoverAt(Corpus, {C}));
+      expectSame(Tag + " recover@" + std::to_string(C), Seq,
+                 at(SP, ParseMode::Values, DefaultMaxErrors, Corpus, {C}));
     for (size_t B = 1; B < Corpus.size(); B += 7)
-      expectRecoverEq(std::string(GetParam()) + " salt=" +
-                          std::to_string(Salt) + " recover-forced@" +
-                          std::to_string(B),
-                      Seq, SP.parseRecoverAt(Corpus, {B}));
+      expectSame(Tag + " recover-forced@" + std::to_string(B), Seq,
+                 at(SP, ParseMode::Values, DefaultMaxErrors, Corpus, {B}));
   }
 }
 
-/// The GLOBAL MaxErrors budget trips at the same diagnostic whether
-/// errors accumulate in one shard or across several.
+/// The GLOBAL error budget trips at the same diagnostic whether errors
+/// accumulate in one shard or across several, in every mode.
 TEST_P(ShardDiffTest, RecoveryGlobalErrorBudget) {
   ShardRig Rig(grammarByName(GetParam()));
   if (!Rig.Compiled)
@@ -269,18 +269,19 @@ TEST_P(ShardDiffTest, RecoveryGlobalErrorBudget) {
   std::string Corpus = recordCorpus(GetParam(), 8);
   for (int Salt = 0; Salt < 4; ++Salt)
     Corpus = corrupt(std::move(Corpus), Salt);
-  for (size_t MaxErrors : {size_t(1), size_t(2), size_t(3)}) {
-    ShardOptions O;
-    O.Threads = 2;
-    O.Recover.MaxErrors = MaxErrors;
-    ShardParser SP(Rig.P.M, Rig.R, O);
-    const ShardedRecover Seq = SP.parseRecoverAt(Corpus, {});
-    for (size_t K = 2; K <= 4; ++K)
-      expectRecoverEq(std::string(GetParam()) + " budget=" +
-                          std::to_string(MaxErrors) + " k=" +
-                          std::to_string(K),
-                      Seq, SP.parseRecoverAt(Corpus, SP.planSplits(Corpus, K)));
-  }
+  ShardOptions O;
+  O.Threads = 2;
+  ShardParser SP(Rig.P.M, Rig.R, O);
+  for (ParseMode Mode : AllModes)
+    for (size_t MaxErrors : {size_t(1), size_t(2), size_t(3)}) {
+      const ShardOutcome Seq = at(SP, Mode, MaxErrors, Corpus, {});
+      for (size_t K = 2; K <= 4; ++K)
+        expectSame(std::string(GetParam()) + " mode " +
+                       std::to_string(static_cast<int>(Mode)) + " budget=" +
+                       std::to_string(MaxErrors) + " k=" + std::to_string(K),
+                   Seq,
+                   at(SP, Mode, MaxErrors, Corpus, SP.planSplits(Corpus, K)));
+    }
 }
 
 /// Strict mode on a corrupted corpus: the stitched failure is the
@@ -293,13 +294,11 @@ TEST_P(ShardDiffTest, StrictErrorIdentical) {
   ShardOptions O;
   O.Threads = 2;
   ShardParser SP(Rig.P.M, Rig.R, O);
-  const ShardedValues Seq = SP.parseValuesAt(Corpus, {});
-  for (size_t K = 2; K <= 4; ++K) {
-    const ShardedValues V = SP.parseValuesAt(Corpus, SP.planSplits(Corpus, K));
-    expectValuesEq(std::string(GetParam()) + " strict-err k=" +
-                       std::to_string(K),
-                   Seq, V);
-  }
+  const ShardOutcome Seq = SP.parseValuesAt(Corpus, {});
+  for (size_t K = 2; K <= 4; ++K)
+    expectSame(std::string(GetParam()) + " strict-err k=" +
+                   std::to_string(K),
+               Seq, SP.parseValuesAt(Corpus, SP.planSplits(Corpus, K)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGrammars, ShardDiffTest,
@@ -313,14 +312,14 @@ TEST(ShardEdgeTest, EmptyAndSkipOnlyInput) {
   ShardOptions O;
   O.Threads = 2;
   ShardParser SP(Rig.P.M, Rig.R, O);
-  const ShardedValues Empty = SP.parseValues("");
+  const ShardOutcome Empty = SP.parseValues("");
   EXPECT_TRUE(Empty.Ok);
   EXPECT_EQ(Empty.NumRecords, 0u);
-  const ShardedValues Skip = SP.parseValues("   \n\t  ");
+  const ShardOutcome Skip = SP.parseValues("   \n\t  ");
   EXPECT_TRUE(Skip.Ok);
   EXPECT_EQ(Skip.NumRecords, 0u);
   // Forced splits inside the skip run verify trivially (First == Len).
-  const ShardedValues S2 = SP.parseValuesAt("   \n\t  ", {3});
+  const ShardOutcome S2 = SP.parseValuesAt("   \n\t  ", {3});
   EXPECT_TRUE(S2.Ok);
   EXPECT_EQ(S2.NumRecords, 0u);
 }
@@ -332,11 +331,46 @@ TEST(ShardEdgeTest, SplitsBeyondInputAreDropped) {
   O.Threads = 1;
   ShardParser SP(Rig.P.M, Rig.R, O);
   const std::string Corpus = recordCorpus("json", 3);
-  const ShardedValues Seq = SP.parseValuesAt(Corpus, {});
+  const ShardOutcome Seq = SP.parseValuesAt(Corpus, {});
   // Out-of-range, duplicate and non-increasing boundaries sanitize away.
-  const ShardedValues V = SP.parseValuesAt(
+  const ShardOutcome V = SP.parseValuesAt(
       Corpus, {Corpus.size() + 5, 10, 10, 7, Corpus.size()});
-  expectValuesEq("sanitized", Seq, V);
+  expectSame("sanitized", Seq, V);
+}
+
+/// A nullable record entry stops every mode and budget at one Fatal
+/// EmptyRecord diagnostic, however the corpus is split.
+TEST(ShardEdgeTest, NullableRecordEntryIsOneDiagnosticInEveryMode) {
+  auto Def = std::make_shared<GrammarDef>("nullrec");
+  Lang &L = *Def->L;
+  TokenId Num = Def->Lexer->rule("[0-9]+", "num");
+  TokenId Semi = Def->Lexer->rule(";", "semi");
+  Def->Lexer->skip(" ");
+  const Px Item = L.keepLeft(L.mapTokenInt(L.tok(Num)), L.tok(Semi));
+  Def->Root = L.star(Item);
+  auto P = compileFlapMulti(
+      Def, {{"main", Def->Root}, {"rec", L.alt(L.eps(Value::integer(0)), Item)}});
+  ASSERT_TRUE(P.ok()) << P.error();
+  const NtId Rec = P->Entries.at("rec");
+  ShardOptions O;
+  O.Threads = 2;
+  ShardParser SP(P->M, Rec, O);
+  const std::string In = "1; 2; x 3;";
+  for (ParseMode Mode : AllModes)
+    for (size_t Budget : {size_t(1), DefaultMaxErrors}) {
+      const std::string Tag = "mode " +
+                              std::to_string(static_cast<int>(Mode)) +
+                              " budget " + std::to_string(Budget);
+      const ShardOutcome Seq = at(SP, Mode, Budget, In, {});
+      ASSERT_EQ(Seq.Errors.size(), 1u) << Tag;
+      EXPECT_EQ(Seq.Errors[0].K, ParseDiagnostic::Kind::EmptyRecord) << Tag;
+      EXPECT_EQ(Seq.Errors[0].Off, 6u) << Tag;
+      EXPECT_EQ(Seq.ErrMsg, Seq.Errors[0].message()) << Tag;
+      EXPECT_EQ(Seq.NumRecords, 2u) << Tag;
+      for (size_t B = 1; B < In.size(); ++B)
+        expectSame(Tag + " forced@" + std::to_string(B), Seq,
+                   at(SP, Mode, Budget, In, {B}));
+    }
 }
 
 } // namespace

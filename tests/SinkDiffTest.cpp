@@ -16,8 +16,8 @@
 /// retention is legitimately document-sized. The lifetime contract of
 /// the flat ParseEvent is pinned too: whole-buffer text views the
 /// caller's input, streamed text lives in the drained batch and
-/// survives later feeds, reset() and the parser. parseBatch must agree
-/// with one-shot parseFrom input for input.
+/// survives later feeds, reset() and the parser. The batch core must
+/// agree with one-shot parseFrom input for input.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +45,28 @@ static_assert(std::is_trivially_destructible_v<ParseEvent>);
 static_assert(sizeof(ParseEvent) <= 32);
 
 namespace {
+
+/// One request through the whole-buffer core, into a fresh outcome.
+ParseOutcome request(const CompiledParser &M, std::string_view In,
+                     ParseScratch &Scratch, ParseMode Mode,
+                     size_t MaxErrors = 1, NtId Entry = NoNt,
+                     void *User = nullptr) {
+  ParseRequest Req;
+  Req.Entry = Entry;
+  Req.Mode = Mode;
+  Req.MaxErrors = MaxErrors;
+  Req.User = User;
+  ParseOutcome O;
+  M.run(Req, In, Scratch, O);
+  return O;
+}
+
+/// An outcome as the strict wrappers report it.
+Result<Value> strictOf(const ParseOutcome &O) {
+  if (!O.Errors.empty())
+    return Err(O.Errors[0].message());
+  return O.Values.at(0);
+}
 
 /// Replays an EventSink stream into a value builder: token events push
 /// token values, Reduce events run the named pool occurrence, Eps events
@@ -103,9 +125,10 @@ struct SinkRig {
   /// value, same error string.
   void checkWholeBuffer(std::string_view In) {
     std::shared_ptr<void> C1, C2;
-    Result<Value> Val = P.M.parse(In, fresh(C1));
+    Result<Value> Val = P.parse(In, fresh(C1));
     std::vector<ParseEvent> Evs;
-    Status Ev = P.M.parseEvents(P.M.Start, In, Evs);
+    ParseScratch Scratch;
+    Status Ev = P.M.parseEvents(P.M.Start, In, Scratch, Evs);
     ASSERT_EQ(Val.ok(), Ev.ok()) << Def->Name << " on '" << In << "'";
     if (!Val.ok()) {
       EXPECT_EQ(Val.error(), Ev.error()) << Def->Name;
@@ -146,7 +169,8 @@ struct SinkRig {
   void checkEventSplits(std::string_view In,
                         const std::vector<size_t> &Cuts) {
     std::vector<ParseEvent> Whole;
-    Status WS = P.M.parseEvents(P.M.Start, In, Whole);
+    ParseScratch Scratch;
+    Status WS = P.M.parseEvents(P.M.Start, In, Scratch, Whole);
     std::vector<EventBatch> Batches;
     std::string StrErr;
     StreamStatus SS = streamEvents(In, Cuts, Batches, StrErr);
@@ -165,7 +189,7 @@ struct SinkRig {
       return;
     }
     std::shared_ptr<void> C1, C2;
-    Result<Value> Val = P.M.parse(In, fresh(C1));
+    Result<Value> Val = P.parse(In, fresh(C1));
     ASSERT_TRUE(Val.ok()) << Def->Name << ": " << Val.error();
     EXPECT_EQ(*Val, replayEvents(P.M, Str, In, fresh(C2))) << Def->Name;
   }
@@ -352,7 +376,7 @@ TEST(SinkDiffTest, ParseBatchMatchesOneShot) {
 }
 
 TEST(SinkDiffTest, ParseBatchPerInputContexts) {
-  // The per-input Users overload: each batch input gets its own action
+  // The batch core's per-input Users: each batch input gets its own action
   // context, so the ctx-accumulating grammars (csv/pgn/ppm) can be
   // batch-served without cross-document contamination. Each document's
   // value AND its context tallies must match a one-shot parse with a
@@ -371,15 +395,17 @@ TEST(SinkDiffTest, ParseBatchPerInputContexts) {
   }
 
   ParseScratch Scratch;
-  std::vector<Result<Value>> Batch =
-      R.P.M.parseBatch(R.P.M.Start, Views, Users, Scratch);
+  std::vector<ParseOutcome> Batch;
+  R.P.M.runBatch(ParseRequest(), Views.data(), Views.size(), Scratch, Batch,
+                 Users.data());
   ASSERT_EQ(Batch.size(), Views.size());
   for (size_t I = 0; I < Views.size(); ++I) {
     std::shared_ptr<void> OneCtx = R.Def->NewCtx();
-    Result<Value> One = R.P.M.parseFrom(R.P.M.Start, Views[I], OneCtx.get());
-    ASSERT_EQ(One.ok(), Batch[I].ok()) << "doc " << I;
+    Result<Value> One = R.P.parse(Views[I], OneCtx.get());
+    Result<Value> Got = strictOf(Batch[I]);
+    ASSERT_EQ(One.ok(), Got.ok()) << "doc " << I;
     if (One.ok())
-      EXPECT_EQ(*One, *Batch[I]) << "doc " << I;
+      EXPECT_EQ(*One, *Got) << "doc " << I;
     const PgnCtx &B = *static_cast<PgnCtx *>(Users[I]);
     const PgnCtx &O = *static_cast<PgnCtx *>(OneCtx.get());
     EXPECT_EQ(B.White, O.White) << "doc " << I;
@@ -411,9 +437,9 @@ TEST(SinkDiffTest, ParseBatchResultsOutliveTheBatch) {
 }
 
 TEST(SinkDiffTest, RecoveryDiagnosticsIdenticalAcrossSinkPolicies) {
-  // The recovery drivers run once per sink policy — parseRecover
-  // (ValueSink), parseEventsRecover (EventSink), recognizeRecover
-  // (NullSink) — but must report byte-identical structured diagnostics:
+  // The recovery loop runs once per sink policy — values (ValueSink),
+  // events (EventSink), recognize (RecognizeSink) requests — but must
+  // report byte-identical structured diagnostics:
   // same offsets, line/column, expected sets, resync actions, same
   // truncation flag. And the first diagnostic's message() must equal
   // the legacy error string of the non-recovery parse — the
@@ -439,11 +465,12 @@ TEST(SinkDiffTest, RecoveryDiagnosticsIdenticalAcrossSinkPolicies) {
         break;
       }
       std::shared_ptr<void> C1, C2;
-      RecoveredParse V = R.P.M.parseRecover(In, Scratch, R.fresh(C1));
-      std::vector<ParseEvent> Evs;
-      RecoveredParse E =
-          R.P.M.parseEventsRecover(R.P.M.Start, In, Scratch, Evs);
-      RecoveredParse N = R.P.M.recognizeRecover(R.P.M.Start, In, Scratch);
+      RecoveredParse V = request(R.P.M, In, Scratch, ParseMode::Values,
+                                 DefaultMaxErrors, NoNt, R.fresh(C1));
+      RecoveredParse E = request(R.P.M, In, Scratch, ParseMode::Events,
+                                 DefaultMaxErrors);
+      RecoveredParse N = request(R.P.M, In, Scratch, ParseMode::Recognize,
+                                 DefaultMaxErrors);
       ASSERT_EQ(V.Errors.size(), E.Errors.size())
           << Def->Name << " round " << Round;
       ASSERT_EQ(V.Errors.size(), N.Errors.size())
@@ -457,7 +484,7 @@ TEST(SinkDiffTest, RecoveryDiagnosticsIdenticalAcrossSinkPolicies) {
       EXPECT_EQ(V.Truncated, E.Truncated) << Def->Name;
       EXPECT_EQ(V.Truncated, N.Truncated) << Def->Name;
 
-      Result<Value> Plain = R.P.M.parse(In, R.fresh(C2));
+      Result<Value> Plain = R.P.parse(In, R.fresh(C2));
       ASSERT_EQ(Plain.ok(), V.Errors.empty())
           << Def->Name << " round " << Round;
       if (!Plain.ok())
@@ -517,59 +544,50 @@ TEST(SinkDiffTest, UndeclaredValueFreeEntryIsRefusedInEveryMode) {
   const std::string Msg = Refusal.message();
   EXPECT_NE(Msg.find(M.NtNames[N]), std::string::npos) << Msg;
 
-  ParseScratch Scratch;
-  Result<Value> V = M.parseFrom(N, In, Scratch);
+  Result<Value> V = M.parseFrom(N, In);
   ASSERT_FALSE(V.ok());
   EXPECT_EQ(V.error(), Msg) << "parseFrom";
 
+  ParseScratch Scratch;
   const std::vector<std::string_view> Inputs = {In, In};
   for (const Result<Value> &B : M.parseBatch(N, Inputs, Scratch)) {
     ASSERT_FALSE(B.ok());
     EXPECT_EQ(B.error(), Msg) << "parseBatch";
   }
-  for (const Result<Value> &B :
-       M.parseBatch(N, Inputs, std::vector<void *>(2), Scratch)) {
-    ASSERT_FALSE(B.ok());
-    EXPECT_EQ(B.error(), Msg) << "parseBatch (per-input users)";
-  }
 
   std::vector<ParseEvent> Evs;
   Status E1 = M.parseEvents(N, In, Scratch, Evs);
-  Status E2 = M.parseEvents(N, In, Evs);
   ASSERT_FALSE(E1.ok());
-  ASSERT_FALSE(E2.ok());
   EXPECT_EQ(E1.error(), Msg) << "parseEvents";
-  EXPECT_EQ(E2.error(), Msg) << "parseEvents (scratchless)";
   EXPECT_TRUE(Evs.empty());
 
+  // Every value and event request — any budget, whole-buffer, batch or
+  // record run — reports the one Fatal refusal and Truncated.
   const std::vector<ParseDiagnostic> Fatal = {Refusal};
-  RecoveredParse RV = M.parseRecoverFrom(N, In, Scratch);
-  EXPECT_EQ(RV.Errors, Fatal) << "parseRecoverFrom";
-  EXPECT_TRUE(RV.Truncated);
-  EXPECT_TRUE(RV.Values.empty());
-  RecoveredParse RE = M.parseEventsRecover(N, In, Scratch, Evs);
-  EXPECT_EQ(RE.Errors, Fatal) << "parseEventsRecover";
-  EXPECT_TRUE(RE.Truncated);
-  EXPECT_TRUE(Evs.empty());
-
-  std::vector<Value> Out;
-  RecordRun RR = M.parseRecords(N, In, 0, In.size(), Scratch, Out);
-  EXPECT_EQ(RR.S, RecordRun::Stop::Error);
-  EXPECT_EQ(RR.ErrMsg, Msg) << "parseRecords";
-  EXPECT_EQ(RR.ErrNt, N);
+  for (ParseMode Mode : {ParseMode::Values, ParseMode::Events})
+    for (size_t Budget : {size_t(1), DefaultMaxErrors}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(Mode)) +
+                   " budget " + std::to_string(Budget));
+      ParseRequest Req;
+      Req.Entry = N;
+      Req.Mode = Mode;
+      Req.MaxErrors = Budget;
+      ParseOutcome O;
+      EXPECT_FALSE(M.run(Req, In, Scratch, O));
+      std::vector<ParseOutcome> B;
+      M.runBatch(Req, Inputs.data(), Inputs.size(), Scratch, B);
+      ParseOutcome RO;
+      RecordRun RR = M.runRecords(Req, In, 0, In.size(), Scratch, RO);
+      EXPECT_EQ(RR.S, RecordRun::Stop::Error);
+      for (const ParseOutcome *Got : {&O, &B[0], &B[1], &RO}) {
+        EXPECT_EQ(Got->Errors, Fatal);
+        EXPECT_TRUE(Got->Truncated);
+        EXPECT_TRUE(Got->Values.empty());
+        EXPECT_TRUE(Got->Events.empty());
+      }
+    }
   RecordRun RRE = M.parseEventsRecords(N, In, 0, In.size(), Scratch, Evs);
   EXPECT_EQ(RRE.S, RecordRun::Stop::Error);
-  EXPECT_EQ(RRE.ErrMsg, Msg) << "parseEventsRecords";
-  std::vector<ParseDiagnostic> Errs;
-  std::vector<RecordLogEntry> Log;
-  RecordRun RRR =
-      M.parseRecordsRecover(N, In, 0, In.size(), Scratch, Out, Errs, Log);
-  EXPECT_EQ(RRR.S, RecordRun::Stop::Error);
-  EXPECT_EQ(RRR.ErrMsg, Msg) << "parseRecordsRecover";
-  EXPECT_TRUE(RRR.Truncated);
-  EXPECT_EQ(Errs, Fatal);
-  EXPECT_EQ(Log, std::vector<RecordLogEntry>{RecordLogEntry::Diagnostic});
-  EXPECT_TRUE(Out.empty());
   EXPECT_TRUE(Evs.empty());
 
   for (int Mode = 0; Mode < 3; ++Mode) { // values, events, recovery
@@ -587,8 +605,13 @@ TEST(SinkDiffTest, UndeclaredValueFreeEntryIsRefusedInEveryMode) {
   }
 
   // Recognize modes accept the entry.
-  EXPECT_TRUE(M.recognizeRecover(N, In, Scratch).clean());
-  RecordRun Rec = M.recognizeRecords(N, In, 0, In.size(), Scratch);
+  EXPECT_TRUE(request(M, In, Scratch, ParseMode::Recognize, 1, N).clean());
+  ParseRequest RecReq;
+  RecReq.Entry = N;
+  RecReq.Mode = ParseMode::Recognize;
+  ParseOutcome RecOut;
+  RecordRun Rec = M.runRecords(RecReq, In, 0, In.size(), Scratch, RecOut);
+  EXPECT_TRUE(RecOut.clean());
   EXPECT_EQ(Rec.S, RecordRun::Stop::End);
   EXPECT_EQ(Rec.NumRecords, 1u);
   StreamOptions O;
@@ -644,11 +667,9 @@ TEST(SinkDiffTest, DeclaredPureTokenRootKeepsItsValueInEveryMode) {
         EXPECT_EQ(Got.error(), Spec.error()) << Mode;
     };
     ParseScratch Scratch;
-    Same(M.parseFrom(C, In, Scratch), "parseFrom");
+    Same(M.parseFrom(C, In), "parseFrom");
     const std::vector<std::string_view> Inputs = {In};
     Same(M.parseBatch(C, Inputs, Scratch)[0], "parseBatch");
-    Same(M.parseBatch(C, Inputs, std::vector<void *>(1), Scratch)[0],
-         "parseBatch (per-input users)");
 
     std::vector<ParseEvent> Evs;
     Status Ev = M.parseEvents(C, In, Scratch, Evs);
@@ -656,22 +677,25 @@ TEST(SinkDiffTest, DeclaredPureTokenRootKeepsItsValueInEveryMode) {
                  : Result<Value>(Err(Ev.error())),
          "parseEvents");
 
-    RecoveredParse RV = M.parseRecoverFrom(C, In, Scratch);
+    RecoveredParse RV = request(M, In, Scratch, ParseMode::Values,
+                                DefaultMaxErrors, C);
     if (Spec.ok()) {
       EXPECT_TRUE(RV.clean());
       ASSERT_EQ(RV.Values.size(), 1u);
-      EXPECT_EQ(RV.Values[0], *Spec) << "parseRecoverFrom";
+      EXPECT_EQ(RV.Values[0], *Spec) << "recovering run";
     } else {
       ASSERT_FALSE(RV.Errors.empty());
-      EXPECT_EQ(RV.Errors[0].message(), Spec.error()) << "parseRecoverFrom";
+      EXPECT_EQ(RV.Errors[0].message(), Spec.error()) << "recovering run";
     }
 
-    std::vector<Value> Recs;
-    RecordRun RR = M.parseRecords(C, In, 0, In.size(), Scratch, Recs);
+    ParseRequest RecReq;
+    RecReq.Entry = C;
+    ParseOutcome Recs;
+    RecordRun RR = M.runRecords(RecReq, In, 0, In.size(), Scratch, Recs);
     if (Spec.ok()) { // a record run of exactly one record
       EXPECT_EQ(RR.S, RecordRun::Stop::End);
-      ASSERT_EQ(Recs.size(), 1u);
-      EXPECT_EQ(Recs[0], *Spec) << "parseRecords";
+      ASSERT_EQ(Recs.Values.size(), 1u);
+      EXPECT_EQ(Recs.Values[0], *Spec) << "runRecords";
     }
 
     for (int Mode = 0; Mode < 2; ++Mode) { // values, events
@@ -722,17 +746,13 @@ TEST(SinkDiffTest, WholeBufferEventTextViewsTheInput) {
     std::vector<ParseEvent> Evs;
     ASSERT_TRUE(R.P.M.parseEvents(R.P.M.Start, In, Scratch, Evs).ok());
     Tokens += expectTextViewsInput(Evs, In, Def->Name + " parseEvents");
-    Evs.clear();
-    ASSERT_TRUE(R.P.M.parseEvents(R.P.M.Start, In, Evs).ok());
-    Tokens += expectTextViewsInput(Evs, In,
-                                   Def->Name + " parseEvents (scratchless)");
 
     std::string Bad = In;
     Bad[Rand.below(Bad.size())] = '\x01';
-    Evs.clear();
-    R.P.M.parseEventsRecover(R.P.M.Start, Bad, Scratch, Evs);
-    Tokens += expectTextViewsInput(Evs, Bad,
-                                   Def->Name + " parseEventsRecover");
+    Tokens += expectTextViewsInput(
+        request(R.P.M, Bad, Scratch, ParseMode::Events, DefaultMaxErrors)
+            .Events,
+        Bad, Def->Name + " recovering events");
   }
   EXPECT_GT(Tokens, 0u) << "no token events to check";
 
@@ -754,7 +774,7 @@ TEST(SinkDiffTest, WholeBufferEventTextViewsTheInput) {
     std::vector<ParseEvent> Evs;
     RecordRun RR =
         P.M.parseEventsRecords(Rec, In, 0, In.size(), Scratch, Evs);
-    ASSERT_NE(RR.S, RecordRun::Stop::Error) << Name << ": " << RR.ErrMsg;
+    ASSERT_NE(RR.S, RecordRun::Stop::Error) << Name;
     EXPECT_GT(RR.NumRecords, 1u) << Name;
     EXPECT_GT(expectTextViewsInput(Evs, In,
                                    std::string(Name) + " parseEventsRecords"),
@@ -764,7 +784,9 @@ TEST(SinkDiffTest, WholeBufferEventTextViewsTheInput) {
     O.Threads = 2;
     O.MinShardBytes = 64;
     ShardParser SP(P.M, Rec, O);
-    ShardedEvents SE = SP.parseEvents(In);
+    ParseRequest Req;
+    Req.Mode = ParseMode::Events;
+    ShardOutcome SE = SP.run(Req, In);
     ASSERT_TRUE(SE.Ok) << Name << ": " << SE.ErrMsg;
     EXPECT_GT(SE.Stats.Shards, 1u) << Name;
     EXPECT_EQ(SE.Events, Evs) << Name << ": shard stitch drift";
@@ -784,7 +806,8 @@ TEST(SinkDiffTest, StreamedEventTextOutlivesFeedsResetAndParser) {
     const std::string In = genWorkload(Def->Name, 29, 1500).Input;
     const std::string Other = genWorkload(Def->Name, 31, 800).Input;
     std::vector<ParseEvent> Whole;
-    ASSERT_TRUE(R.P.M.parseEvents(R.P.M.Start, In, Whole).ok());
+    ParseScratch Scratch;
+    ASSERT_TRUE(R.P.M.parseEvents(R.P.M.Start, In, Scratch, Whole).ok());
 
     for (size_t Chunk : {size_t(1), size_t(7), size_t(64), size_t(4096)}) {
       const std::string Tag =

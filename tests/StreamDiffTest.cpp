@@ -80,7 +80,7 @@ struct StreamRig {
   /// error string; recognize-mode stream agrees too.
   bool checkSplits(std::string_view In, const std::vector<size_t> &Cuts) {
     std::shared_ptr<void> C;
-    Result<Value> Whole = P.M.parse(In, fresh(C));
+    Result<Value> Whole = P.parse(In, fresh(C));
     Result<Value> Str = streamParse(In, Cuts);
     EXPECT_EQ(Whole.ok(), Str.ok())
         << Def->Name << ": stream vs whole on '" << In << "' (" << Cuts.size()
@@ -266,7 +266,7 @@ TEST(StreamDiffTest, ResetReusesTheParser) {
       SP.feed(std::string_view(W.Input).substr(At, 13));
     ASSERT_EQ(SP.finish(), StreamStatus::Done) << SP.take().error();
     Result<Value> Str = SP.take();
-    Result<Value> Whole = R.P.M.parse(W.Input);
+    Result<Value> Whole = R.P.parse(W.Input);
     ASSERT_TRUE(Str.ok() && Whole.ok());
     EXPECT_EQ(*Whole, *Str);
     SP.reset();
@@ -288,7 +288,7 @@ TEST(StreamDiffTest, TakeAfterMidStreamErrorAndResetRecovers) {
   size_t At = Bad.find_first_of("{}[],", Bad.size() / 2);
   ASSERT_NE(At, std::string::npos);
   Bad[At] = '!';
-  Result<Value> Whole = R.P.M.parse(Bad);
+  Result<Value> Whole = R.P.parse(Bad);
   ASSERT_FALSE(Whole.ok());
 
   StreamParser SP(R.P.M);
@@ -319,7 +319,7 @@ TEST(StreamDiffTest, TakeAfterMidStreamErrorAndResetRecovers) {
     SP.feed(std::string_view(Good.Input).substr(At, 13));
   ASSERT_EQ(SP.finish(), StreamStatus::Done) << SP.take().error();
   Result<Value> Str = SP.take();
-  Result<Value> WholeGood = R.P.M.parse(Good.Input);
+  Result<Value> WholeGood = R.P.parse(Good.Input);
   ASSERT_TRUE(Str.ok() && WholeGood.ok());
   EXPECT_EQ(*WholeGood, *Str);
 }
@@ -329,7 +329,7 @@ TEST(StreamDiffTest, ErrorOffsetReportedAfterRelease) {
   // the carry was released (the window bookkeeping moved past it).
   StreamRig R(makeSexpGrammar());
   const std::string In = "(abc !def)"; // '!' fails at offset 5
-  Result<Value> Whole = R.P.M.parse(In);
+  Result<Value> Whole = R.P.parse(In);
   ASSERT_FALSE(Whole.ok());
   for (size_t Cut = 0; Cut <= In.size(); ++Cut) {
     StreamParser SP(R.P.M);
@@ -371,7 +371,8 @@ TEST(StreamDiffTest, ResetServesManyConnectionsAcrossModes) {
     SP.finish();
     EventBatch Evs = SP.takeEvents();
     std::vector<ParseEvent> WholeEvs;
-    Status WS = R.P.M.parseEvents(R.P.M.Start, In, WholeEvs);
+    ParseScratch Scr;
+    Status WS = R.P.M.parseEvents(R.P.M.Start, In, Scr, WholeEvs);
     ASSERT_EQ(WS.ok(), SP.status() == StreamStatus::Done) << Conn;
     ASSERT_EQ(WholeEvs.size(), Evs.size()) << Conn;
     for (size_t I = 0; I < Evs.size(); ++I)
@@ -447,7 +448,7 @@ TEST(StreamDiffTest, RecoveryModeMatchesWholeBufferAtRandomSplits) {
   // Recovery-mode streaming (StreamOptions::Recover) gets the same
   // differential discipline as plain streaming: the recovered segment
   // values, the structured diagnostic list, and the truncation flag
-  // must match CompiledParser::parseRecover over the concatenated
+  // must match a recovering CompiledParser::run over the concatenated
   // buffer for random multi-way cuts — cuts that land inside lexemes,
   // inside the resync skipRun scan, and on the sync byte itself.
   // (tests/RecoveryDiffTest.cpp sweeps every two-way split of small
@@ -464,7 +465,10 @@ TEST(StreamDiffTest, RecoveryModeMatchesWholeBufferAtRandomSplits) {
       // holds either way).
       for (int K = 0; K < 4; ++K)
         In[Rand.below(In.size())] = "!\"%{)];"[Rand.below(7)];
-      RecoveredParse Whole = R.P.parseRecover(In, Scratch);
+      ParseRequest Req;
+      Req.MaxErrors = DefaultMaxErrors;
+      RecoveredParse Whole;
+      R.P.M.run(Req, In, Scratch, Whole);
       for (int Round = 0; Round < 6; ++Round) {
         StreamOptions O;
         O.Recover = true;
@@ -505,7 +509,7 @@ TEST(StreamDiffTest, MultiEntryStreaming) {
   for (char C : In)
     SP.feed(std::string_view(&C, 1));
   ASSERT_EQ(SP.finish(), StreamStatus::Done);
-  Result<Value> Whole = R.P.M.parse(In);
+  Result<Value> Whole = R.P.parse(In);
   ASSERT_TRUE(Whole.ok());
   EXPECT_EQ(*Whole, *SP.take());
 }

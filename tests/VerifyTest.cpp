@@ -582,7 +582,8 @@ void runParserMutations(const FlapParser &Base, const std::string &Sample,
       // Zero-crash contract: a corruption the verifier passes must be
       // harmless to the engine. (A wrong *answer* is acceptable here —
       // a crash or sanitizer report is not.)
-      (void)M.recognize(Sample);
+      ParseScratch Scr;
+      (void)M.recognize(Sample, Scr);
     }
   }
 }

@@ -47,7 +47,7 @@ TEST_P(WorkloadTest, ParsesWithExpectedValue) {
   for (uint64_t Seed : {100u, 200u}) {
     Workload W = genWorkload(Name, Seed, 30000);
     std::shared_ptr<void> Ctx = Def->NewCtx ? Def->NewCtx() : nullptr;
-    auto R = P->M.parse(W.Input, Ctx.get());
+    auto R = P->parse(W.Input, Ctx.get());
     ASSERT_TRUE(R.ok()) << Name << ": " << R.error();
     if (W.HasExpected)
       EXPECT_EQ(*R, W.Expected) << Name << " seed " << Seed;
@@ -64,7 +64,7 @@ TEST(WorkloadSemanticsTest, CsvWorkloadIsConsistent) {
   ASSERT_TRUE(P.ok());
   Workload W = genWorkload("csv", 17, 20000);
   auto Ctx = std::static_pointer_cast<CsvCtx>(Def->NewCtx());
-  ASSERT_TRUE(P->M.parse(W.Input, Ctx.get()).ok());
+  ASSERT_TRUE(P->parse(W.Input, Ctx.get()).ok());
   EXPECT_TRUE(Ctx->Consistent); // generator emits fixed-width rows
   EXPECT_GE(Ctx->FirstCols, 3);
 }
@@ -75,7 +75,7 @@ TEST(WorkloadSemanticsTest, PpmWorkloadIsValidImage) {
   ASSERT_TRUE(P.ok());
   Workload W = genWorkload("ppm", 23, 30000);
   auto Ctx = std::static_pointer_cast<PpmCtx>(Def->NewCtx());
-  auto R = P->M.parse(W.Input, Ctx.get());
+  auto R = P->parse(W.Input, Ctx.get());
   ASSERT_TRUE(R.ok()) << R.error();
   EXPECT_TRUE(R->asBool());
   EXPECT_GT(Ctx->Samples, 1000);
@@ -88,7 +88,7 @@ TEST(WorkloadSemanticsTest, PgnWorkloadTalliesResults) {
   ASSERT_TRUE(P.ok());
   Workload W = genWorkload("pgn", 29, 40000);
   auto Ctx = std::static_pointer_cast<PgnCtx>(Def->NewCtx());
-  auto R = P->M.parse(W.Input, Ctx.get());
+  auto R = P->parse(W.Input, Ctx.get());
   ASSERT_TRUE(R.ok()) << R.error();
   EXPECT_EQ(Ctx->White + Ctx->Black + Ctx->Draw + Ctx->Unknown,
             R->asInt());
