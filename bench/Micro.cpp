@@ -7,11 +7,13 @@
 ///
 /// Micro-costs of the substrates: derivative computation, lexer DFA
 /// construction, DFA lexing throughput, staged-machine scan throughput,
-/// pipeline compile time, action dispatch and value-node build/free.
+/// pipeline compile time, action dispatch, value-node build/free and
+/// the sinks' per-record writes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/Pipeline.h"
+#include "engine/Sink.h"
 #include "grammars/Grammars.h"
 #include "lexer/CompiledLexer.h"
 #include "regex/RegexParser.h"
@@ -194,6 +196,108 @@ void BM_PooledPair(benchmark::State &State, bool Pooled) {
 }
 BENCHMARK_CAPTURE(BM_PooledPair, pooled, true);
 BENCHMARK_CAPTURE(BM_PooledPair, heap, false);
+
+//===--------------------------------------------------------------------===//
+// Sink-write micro-panel: the cost of appending one SAX event and of
+// pushing one token value, built in place (the library: EventSink's
+// hooks, ValueStack::pushToken) against a bench-local copy of the old
+// build-then-copy shape (a local record copied in by push_back/push),
+// kept as the measured "before" the way prePRWalk keeps the pre-PR walk.
+// The old shape reloads each record with loads wider than the stores
+// that just built it, which store-to-load forwarding cannot serve.
+//===--------------------------------------------------------------------===//
+
+/// The event hooks as they were before they wrote in place.
+struct CopyingEventSink {
+  std::string_view Input;
+  std::vector<ParseEvent> *Out;
+
+  void enter(NtId N) {
+    ParseEvent E;
+    E.Kind = EventKind::Enter;
+    E.Nt = N;
+    Out->push_back(E);
+  }
+  void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
+    const uint32_t Tok = CompiledParser::metaTok(Meta);
+    if (Tok == CompiledParser::MetaNoTok)
+      return;
+    ParseEvent E;
+    E.Kind = EventKind::Token;
+    E.Tok = static_cast<TokenId>(Tok);
+    E.Begin = Begin;
+    E.End = End;
+    E.TextData = Input.data() + Begin;
+    Out->push_back(E);
+  }
+  void marker(uint32_t OpIdx) {
+    ParseEvent E;
+    E.Kind = EventKind::Reduce;
+    E.Op = OpIdx;
+    Out->push_back(E);
+  }
+  void eps(NtId N, int32_t) {
+    ParseEvent E;
+    E.Kind = EventKind::Eps;
+    E.Nt = N;
+    Out->push_back(E);
+  }
+};
+
+constexpr size_t SinkBlock = 1024; ///< hook calls per timed iteration
+
+/// Appends SinkBlock events, the four kinds in turn, into a warm vector.
+template <typename Sink>
+void appendEvents(Sink &S, std::vector<ParseEvent> &Out, uint32_t Salt) {
+  Out.clear();
+  const uint64_t Meta = uint64_t(3) << 48; // token id 3
+  for (uint32_t I = 0; I < SinkBlock; I += 4) {
+    S.enter(I ^ Salt);
+    S.token(Meta, I, I + 2);
+    S.marker(I ^ Salt);
+    S.eps(I ^ Salt, 0);
+  }
+  benchmark::DoNotOptimize(Out.data());
+  benchmark::ClobberMemory();
+}
+
+void BM_EventSinkAppend(benchmark::State &State, bool InPlace) {
+  const std::string Input(SinkBlock + 2, 'x');
+  std::vector<ParseEvent> Out;
+  Out.reserve(SinkBlock);
+  EventSink Lib(Input, &Out);
+  CopyingEventSink Old{Input, &Out};
+  uint32_t Salt = 0;
+  for (auto _ : State) {
+    if (InPlace)
+      appendEvents(Lib, Out, ++Salt);
+    else
+      appendEvents(Old, Out, ++Salt);
+  }
+  State.SetItemsProcessed(State.iterations() * SinkBlock);
+}
+BENCHMARK_CAPTURE(BM_EventSinkAppend, in_place, true);
+BENCHMARK_CAPTURE(BM_EventSinkAppend, build_then_copy, false);
+
+void BM_ValueStackPushToken(benchmark::State &State, bool InPlace) {
+  ValueStack VS;
+  uint32_t Salt = 0;
+  for (auto _ : State) {
+    VS.clear();
+    ++Salt;
+    for (uint32_t I = 0; I < SinkBlock; ++I) {
+      if (InPlace)
+        VS.pushToken(3, I ^ Salt, I + 2);
+      else
+        VS.push(Value::token(3, I ^ Salt, I + 2));
+    }
+    benchmark::DoNotOptimize(VS.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * SinkBlock);
+}
+BENCHMARK_CAPTURE(BM_ValueStackPushToken, in_place, true);
+BENCHMARK_CAPTURE(BM_ValueStackPushToken, build_then_copy, false);
 
 } // namespace
 

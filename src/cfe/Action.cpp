@@ -38,7 +38,7 @@ void ValueStack::applyTokInt(const MicroOp M, ParseContext &Ctx) {
   Value *Args = Top - M.Arity;
   int64_t V = lexemeInt(Ctx, Args[M.Sel].asToken());
   dropAbove(Args);
-  *Args = Value::integer(V);
+  setInt(Args, V);
 }
 
 Value ValueStack::applySlow(const Action &A, ParseContext &Ctx,

@@ -452,6 +452,16 @@ private:
 /// push is a capacity compare plus a 24-byte move, and an arity-k
 /// micro-op destroys k-1 slots and overwrites one, with no size
 /// bookkeeping beyond the Top pointer.
+///
+/// The hot writes build their Value in the slot it ends in: the token
+/// push (pushToken), the ε constants (pushUnit, pushCopy) and every
+/// scalar micro-op result. A Value built in a local and then moved in
+/// is stored with 1- to 8-byte writes and reloaded as one 16-byte
+/// payload, a load store-to-load forwarding cannot serve (engine/
+/// README.md "The Sink policy"). Each in-place write constructs its
+/// prvalue directly in the slot (C++17 guaranteed elision); one that
+/// overwrites a live slot first releases a boxed occupant, as Value's
+/// move assignment does.
 class ValueStack {
 public:
   ValueStack() = default;
@@ -472,12 +482,16 @@ public:
     ::operator delete(Base);
   }
 
-  void push(Value V) {
-    if (Top == End)
-      grow(1);
-    ::new (static_cast<void *>(Top)) Value(std::move(V));
-    ++Top;
+  void push(Value V) { ::new (slot()) Value(std::move(V)); }
+
+  /// Pushes a token span built in place.
+  void pushToken(TokenId Tok, uint32_t Begin, uint32_t End) {
+    ::new (slot()) Value(Value::token(Tok, Begin, End));
   }
+  /// Pushes a unit built in place.
+  void pushUnit() { ::new (slot()) Value(); }
+  /// Pushes a copy of \p V made in place.
+  void pushCopy(const Value &V) { ::new (slot()) Value(V); }
 
   Value pop() {
     assert(Top != Base && "value stack underflow");
@@ -544,24 +558,28 @@ public:
       return; // identity: the single argument is already the result
     if (M.Arity == 0) {
       // Only the constant kinds have arity 0.
-      push(M.K == MicroOp::MInt    ? Value::integer(M.Imm)
-           : M.K == MicroOp::MBool ? Value::boolean(M.Imm != 0)
-                                   : Value::unit());
+      Value *Slot = slot();
+      if (M.K == MicroOp::MInt)
+        ::new (Slot) Value(Value::integer(M.Imm));
+      else if (M.K == MicroOp::MBool)
+        ::new (Slot) Value(Value::boolean(M.Imm != 0));
+      else
+        ::new (Slot) Value();
       return;
     }
     Value *Args = Top - M.Arity;
     switch (M.K) {
     case MicroOp::MUnit:
       dropAbove(Args);
-      *Args = Value::unit();
+      setUnit(Args);
       return;
     case MicroOp::MInt:
       dropAbove(Args);
-      *Args = Value::integer(M.Imm);
+      setInt(Args, M.Imm);
       return;
     case MicroOp::MBool:
       dropAbove(Args);
-      *Args = Value::boolean(M.Imm != 0);
+      setBool(Args, M.Imm != 0);
       return;
     case MicroOp::MSelect:
       if (M.Sel != 0)
@@ -571,13 +589,13 @@ public:
     case MicroOp::MAddArgs: {
       int64_t R = Args[M.Sel].asInt() + Args[M.Sel2].asInt();
       dropAbove(Args);
-      *Args = Value::integer(R);
+      setInt(Args, R);
       return;
     }
     case MicroOp::MAddImm: {
       int64_t R = Args[M.Sel].asInt() + M.Imm;
       dropAbove(Args);
-      *Args = Value::integer(R);
+      setInt(Args, R);
       return;
     }
     case MicroOp::MTokInt:
@@ -588,7 +606,7 @@ public:
     case MicroOp::MMaxAcc: {
       int64_t R = maxAccumStep(Args[M.Sel].asInt(), Args[M.Sel2].asInt());
       dropAbove(Args);
-      *Args = Value::integer(R);
+      setInt(Args, R);
       return;
     }
     default:
@@ -675,6 +693,32 @@ public:
   const Value *data() const { return Base; }
 
 private:
+  /// Reserves the next slot (uninitialized) and makes it part of the
+  /// stack; the caller constructs a Value in it.
+#if defined(__GNUC__) || defined(__clang__)
+  __attribute__((always_inline)) inline
+#endif
+  Value *slot() {
+    if (Top == End)
+      grow(1);
+    return Top++;
+  }
+
+  /// The in-place scalar writers for a live slot: release a boxed
+  /// occupant, then build the scalar where it lands.
+  static void setUnit(Value *Slot) {
+    Slot->~Value();
+    ::new (Slot) Value();
+  }
+  static void setInt(Value *Slot, int64_t I) {
+    Slot->~Value();
+    ::new (Slot) Value(Value::integer(I));
+  }
+  static void setBool(Value *Slot, bool B) {
+    Slot->~Value();
+    ::new (Slot) Value(Value::boolean(B));
+  }
+
   /// Destroys everything above \p Slot and makes it the new top —
   /// Slot itself becomes the result position.
 #if defined(__GNUC__) || defined(__clang__)

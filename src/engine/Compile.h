@@ -153,6 +153,14 @@ struct ParseScratch {
 /// OpPool occurrence on Reduce, run the nonterminal's pre-fused
 /// ε-program (runEpsProgram, engine/Sink.h) on Eps — reproduces the
 /// ValueSink result exactly.
+///
+/// Construction: the EventSink builds each event in its vector slot
+/// (emplace_back, then field stores), never in a local it copies in —
+/// the copy would reload the record with loads wider than the stores
+/// that built it, which store-to-load forwarding cannot serve (engine/
+/// README.md "The Sink policy"). The default member initializers are
+/// what leave Begin/End zero and TextData null on the non-Token kinds,
+/// so they are part of the contract (tests/SinkDiffTest.cpp).
 enum class EventKind : uint8_t {
   Enter, ///< a scan of nonterminal Nt begins
   Token, ///< lexeme accepted: Tok over [Begin, End), text in text()

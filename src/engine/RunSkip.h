@@ -138,6 +138,13 @@ inline size_t skipRunPortable(const SkipSet &S, const char *P, size_t I,
 #if defined(FLAP_RUNSKIP_SSE2)
 /// SSE2 kernel: 16 bytes per step via unsigned range compares
 /// (c >= lo  ⇔  max(c, lo) == c;  c <= hi  ⇔  min(c, hi) == c).
+/// Never inlined: its vector constants would compete for the drivers'
+/// registers, and left to GCC the choice moves call site by call site
+/// with the size of the including translation unit (engine/README.md
+/// "One scan kernel").
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((noinline))
+#endif
 inline size_t skipRunSimd(const SkipSet &S, const char *P, size_t I,
                           size_t Len) {
   __m128i LoV[SkipSet::MaxRanges], HiV[SkipSet::MaxRanges];
@@ -164,7 +171,10 @@ inline size_t skipRunSimd(const SkipSet &S, const char *P, size_t I,
 }
 #elif defined(FLAP_RUNSKIP_NEON)
 /// NEON kernel: 16 bytes per step; movemask emulated with the narrowing
-/// shift (4 result bits per lane).
+/// shift (4 result bits per lane). Never inlined, like the SSE2 kernel.
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((noinline))
+#endif
 inline size_t skipRunSimd(const SkipSet &S, const char *P, size_t I,
                           size_t Len) {
   uint8x16_t LoV[SkipSet::MaxRanges], HiV[SkipSet::MaxRanges];

@@ -60,9 +60,14 @@ size_t nextCandidate(const CompiledParser &M, NtId R,
 
 /// One shard's slice and its speculative output. Outcomes are per-task
 /// (not shared) so workers never contend and the stitcher can discard
-/// a mispredicted shard wholesale.
+/// a mispredicted shard wholesale. Tasks sit side by side in one
+/// vector and each takes a push_back per record into its outcome, so
+/// each starts on its own cache line (no false sharing between the
+/// workers filling neighbouring tasks).
 struct ShardParser::Task {
-  size_t Begin = 0; ///< guessed (or, shard 0, true) entry offset
+  /// Guessed (or, shard 0, true) entry offset. Its alignment is the
+  /// task's: each task starts a cache line.
+  alignas(CacheLine) size_t Begin = 0;
   size_t Limit = 0; ///< next shard's guess; records may overrun it
   /// Per-shard action context (ShardOptions::MakeCtx); null when the
   /// request's shared User is in effect.
@@ -197,6 +202,8 @@ ShardParser::makeTasks(std::string_view Input,
   for (size_t Off : Splits)
     if (Off > S.back() && Off < Len)
       S.push_back(Off);
+  static_assert(alignof(Task) == CacheLine,
+                "each task must own whole cache lines");
   std::vector<Task> Tasks(S.size());
   for (size_t I = 0; I < S.size(); ++I) {
     Tasks[I].Begin = S[I];
@@ -228,20 +235,20 @@ void ShardParser::runShards(const ParseRequest &Req, std::string_view Input,
   // never share a freelist with this call's workers (the single-owner
   // rule, cfe/Value.h). The stitcher arena included — re-run values
   // interleave with worker values in the returned vector.
-  for (ParseScratch &S : Scratches)
-    S.Pool = ValuePool::create();
+  for (WorkerScratch &S : Scratches)
+    S.Sc.Pool = ValuePool::create();
   if (Tasks.size() == 1) {
-    runOneTask(Req, Input, Tasks[0], Scratches[0]);
+    runOneTask(Req, Input, Tasks[0], Scratches[0].Sc);
     return;
   }
   runTasks(Tasks.size(), [&](size_t T, size_t W) {
-    Scratches[W].Pool->adoptOwner();
-    runOneTask(Req, Input, Tasks[T], Scratches[W]);
+    Scratches[W].Sc.Pool->adoptOwner();
+    runOneTask(Req, Input, Tasks[T], Scratches[W].Sc);
   });
   // The join's acquire makes the workers' writes visible; from here the
   // calling thread owns every arena (and the values it will hand out).
-  for (ParseScratch &S : Scratches)
-    S.Pool->adoptOwner();
+  for (WorkerScratch &S : Scratches)
+    S.Sc.Pool->adoptOwner();
 }
 
 //===--------------------------------------------------------------------===//
@@ -283,7 +290,7 @@ ShardOutcome ShardParser::run(const ParseRequest &Request,
       T.Ctx = Opts.MakeCtx();
     ParseRequest Rest = Req;
     Rest.MaxErrors = MaxErrors - Out.Errors.size();
-    runOneTask(Rest, Input, T, Scratches[NumWorkers]);
+    runOneTask(Rest, Input, T, Scratches[NumWorkers].Sc);
   };
   size_t NumValues = 0, NumEvents = 0;
   for (const Task &T : Tasks) {

@@ -160,8 +160,22 @@ public:
   size_t workers() const { return NumWorkers; }
 
 private:
+  /// The span that keeps two workers' hot state off one cache line: the
+  /// x86-64 and most AArch64 line size.
+  static constexpr size_t CacheLine = 64;
+
   struct Batch;
-  struct Task;
+  struct Task; ///< one shard's slice and output, on its own cache lines
+
+  /// A worker's arena on its own cache lines. Workers write their
+  /// scratch on every record (stack, value stack, pool freelists), so
+  /// two adjacent ParseScratch headers in one line would bounce it
+  /// between cores (false sharing).
+  struct alignas(CacheLine) WorkerScratch {
+    ParseScratch Sc;
+  };
+  static_assert(alignof(WorkerScratch) == CacheLine,
+                "each worker's scratch must own whole cache lines");
 
   /// Runs Fn(task, worker) over NumTasks tasks on all workers (the
   /// caller participates as worker 0) and returns after the last task
@@ -188,7 +202,7 @@ private:
   /// thread for mispredict re-parses); pools are replaced with fresh
   /// ones at every parse call so escaped results never share a
   /// freelist with later calls.
-  std::vector<ParseScratch> Scratches;
+  std::vector<WorkerScratch> Scratches;
 
   std::mutex Mu;
   std::condition_variable WorkCv; ///< workers: a new batch is up

@@ -117,10 +117,10 @@ inline void runEpsProgram(const CompiledParser &M, int32_t Chain,
   const CompiledParser::EpsProgram &EP = M.EpsPrograms[Chain];
   switch (EP.K) {
   case CompiledParser::EpsProgram::Unit:
-    Values.push(Value::unit());
+    Values.pushUnit();
     break;
   case CompiledParser::EpsProgram::OneConst:
-    Values.push(EP.ConstVal);
+    Values.pushCopy(EP.ConstVal);
     break;
   case CompiledParser::EpsProgram::Ops:
     Values.runChain(*M.Actions, M.EpsOps.data() + EP.Off, EP.Len,
@@ -155,9 +155,9 @@ public:
   FLAP_SINK_INLINE void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
     const uint32_t Tok = CompiledParser::metaTok(Meta);
     if (Tok != CompiledParser::MetaNoTok) // NoTok when skip or elided
-      Values.push(Value::token(static_cast<TokenId>(Tok),
-                               static_cast<uint32_t>(Begin),
-                               static_cast<uint32_t>(End)));
+      Values.pushToken(static_cast<TokenId>(Tok),
+                       static_cast<uint32_t>(Begin),
+                       static_cast<uint32_t>(End));
   }
 
   FLAP_SINK_INLINE void marker(uint32_t OpIdx) {
@@ -189,7 +189,13 @@ private:
 };
 
 /// The SAX sink: every hook appends one flat ParseEvent — no per-event
-/// allocation. A Token event's text views the input window (the
+/// allocation — and builds it in its vector slot (emplace_back, then
+/// field stores), never in a local that push_back would copy: that
+/// copy reloads the 32 bytes as two 16-byte loads straddling the
+/// narrower stores that just wrote them, which store-to-load forwarding
+/// cannot serve (engine/README.md "The Sink policy"). The defaulted
+/// fields keep the other kinds' Begin/End zero and TextData null. A
+/// Token event's text views the input window (the
 /// whole-buffer cores: valid while the caller's input is), or, given
 /// a TextArena, a copy made inside the hook (the streaming pump: the
 /// event then never references the window after the hook returns,
@@ -215,10 +221,9 @@ public:
   }
 
   void enter(NtId N) {
-    ParseEvent E;
+    ParseEvent &E = Out->emplace_back();
     E.Kind = EventKind::Enter;
     E.Nt = N;
-    Out->push_back(E);
   }
 
   void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
@@ -226,27 +231,26 @@ public:
     if (Tok == CompiledParser::MetaNoTok)
       return; // skip production, or dead-token elision: no value flows
     const char *P = Input.data() + static_cast<size_t>(Begin - Base);
-    ParseEvent E;
+    if (Text)
+      P = Text->copy(P, static_cast<size_t>(End - Begin));
+    ParseEvent &E = Out->emplace_back();
     E.Kind = EventKind::Token;
     E.Tok = static_cast<TokenId>(Tok);
     E.Begin = Begin;
     E.End = End;
-    E.TextData = Text ? Text->copy(P, static_cast<size_t>(End - Begin)) : P;
-    Out->push_back(E);
+    E.TextData = P;
   }
 
   void marker(uint32_t OpIdx) {
-    ParseEvent E;
+    ParseEvent &E = Out->emplace_back();
     E.Kind = EventKind::Reduce;
     E.Op = OpIdx;
-    Out->push_back(E);
   }
 
   void eps(NtId N, int32_t) {
-    ParseEvent E;
+    ParseEvent &E = Out->emplace_back();
     E.Kind = EventKind::Eps;
     E.Nt = N;
-    Out->push_back(E);
   }
 
   /// Events already appended stay, completed segment or not.

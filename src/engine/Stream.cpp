@@ -161,9 +161,9 @@ struct StreamParser::VSink {
   FLAP_SINK_INLINE void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
     const uint32_t Tok = CompiledParser::metaTok(Meta);
     if (Tok != CompiledParser::MetaNoTok) { // NoTok when skip or elided
-      SP.Values.push(Value::token(static_cast<TokenId>(Tok),
-                                  static_cast<uint32_t>(Begin),
-                                  static_cast<uint32_t>(End)));
+      SP.Values.pushToken(static_cast<TokenId>(Tok),
+                          static_cast<uint32_t>(Begin),
+                          static_cast<uint32_t>(End));
       if (SP.TrackRetain)
         SP.pushRetain(SP.NumVals++, Begin);
     }
@@ -178,7 +178,7 @@ struct StreamParser::VSink {
     }
     const std::vector<ActionId> &ChainIds = SP.M->EpsChains[Chain];
     if (ChainIds.empty()) {
-      SP.Values.push(Value::unit()); // scalar: no retain entry
+      SP.Values.pushUnit(); // scalar: no retain entry
       ++SP.NumVals;
     } else {
       for (ActionId A : ChainIds)
@@ -617,8 +617,7 @@ StreamStatus StreamParser::finish() {
     // streamedBytes() pointing at the end of the stream).
     WinBase += Buf.size();
     Pos = 0;
-    Buf.clear();
-    Buf.shrink_to_fit();
+    Buf.clear(); // keeps its capacity for the next stream (reset())
   }
   return St;
 }

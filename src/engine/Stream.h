@@ -249,6 +249,10 @@ public:
   const ValuePoolRef &pool() const { return Pool; }
 
 private:
+  /// The test seam of tests/StreamDiffTest.cpp (defined there): reads
+  /// buffer capacities to pin reset()'s reuse contract.
+  friend struct StreamParserTestPeer;
+
   /// Resync: recovery mode only — a failure was recorded and the parser
   /// is scanning for the next viable sync point (possibly across many
   /// chunks); status() reports NeedData.

@@ -25,6 +25,7 @@
 #include "engine/FusedInterp.h"
 #include "engine/Pipeline.h"
 #include "engine/Shard.h"
+#include "engine/Sink.h"
 #include "engine/Stream.h"
 #include "grammars/Grammars.h"
 #include "support/Rng.h"
@@ -457,6 +458,75 @@ TEST(ActionDispatchTest, EveryActionKindAgainstLiteralResults) {
   VS.applyMicroOp(Elided, Ctx);
   ASSERT_EQ(VS.size(), 1u);
   EXPECT_EQ(VS.pop(), I(9));
+}
+
+TEST(ActionDispatchTest, InPlaceScalarWritesReleaseAPooledOccupant) {
+  // Every scalar micro-op builds its result in the bottom argument slot.
+  // When that slot holds a boxed value, the write must release it first,
+  // as Value's move assignment does: a pooled pair there must go back to
+  // the pool, not leak a live node.
+  const std::string_view Input = "  42"; // "42" at [2,4)
+  const auto I = [](int64_t V) { return Value::integer(V); };
+  ActionTable AT;
+  struct Case {
+    ActionId Id;
+    MicroOp::Kind K;
+    std::vector<Value> Above; ///< the arguments above the pooled pair
+    Value Want;
+  };
+  const std::vector<Case> Cases = {
+      {AT.addConst(Value::unit(), "unit", 1), MicroOp::MUnit, {},
+       Value::unit()},
+      {AT.addConst(I(7), "int", 1), MicroOp::MInt, {}, I(7)},
+      {AT.addConst(Value::boolean(true), "bool", 2), MicroOp::MBool, {I(1)},
+       Value::boolean(true)},
+      {AT.addSelect(2, 1), MicroOp::MSelect, {I(5)}, I(5)},
+      {AT.addAddArgs(3, 1, 2), MicroOp::MAddArgs, {I(2), I(3)}, I(5)},
+      {AT.addAddImm(2, 1, 10), MicroOp::MAddImm, {I(4)}, I(14)},
+      {AT.addMaxAccum(3, 1, 2), MicroOp::MMaxAcc, {I(0), I(9)},
+       I(maxAccumStep(0, 9))},
+      {AT.addTokenInt(2, 1), MicroOp::MTokInt, {Value::token(0, 2, 4)},
+       I(42)},
+  };
+  const ValuePoolRef Pool = ValuePool::create();
+  ParseContext Ctx{Input, nullptr, 0, Pool};
+  for (const Case &C : Cases) {
+    const MicroOp Op = AT.micro()[C.Id];
+    SCOPED_TRACE(AT.get(C.Id).Name);
+    ASSERT_EQ(Op.K, C.K);
+    ValueStack VS;
+    VS.push(Value::pair(Pool, I(1), I(2)));
+    for (const Value &V : C.Above)
+      VS.push(V);
+    ASSERT_EQ(Pool->liveNodes(), 1u);
+    VS.applyMicroOp(Op, Ctx);
+    EXPECT_EQ(Pool->liveNodes(), 0u) << "the pooled occupant leaked";
+    ASSERT_EQ(VS.size(), 1u);
+    EXPECT_EQ(VS.pop(), C.Want);
+  }
+
+  // The ε constants push in place: a OneConst program copies its
+  // constant (here itself a pooled pair) with a reference of its own,
+  // and a Unit program pushes a unit; neither touches the pair below.
+  CompiledParser M;
+  M.EpsPrograms.resize(2);
+  M.EpsPrograms[0].K = CompiledParser::EpsProgram::OneConst;
+  M.EpsPrograms[0].ConstVal = Value::pair(Pool, I(3), I(4));
+  M.EpsPrograms[1].K = CompiledParser::EpsProgram::Unit;
+  {
+    ValueStack VS;
+    VS.push(Value::pair(Pool, I(1), I(2)));
+    runEpsProgram(M, 0, VS, Ctx);
+    runEpsProgram(M, 1, VS, Ctx);
+    ASSERT_EQ(VS.size(), 3u);
+    EXPECT_EQ(VS.data()[1], M.EpsPrograms[0].ConstVal);
+    EXPECT_TRUE(VS.data()[2].isUnit());
+    EXPECT_EQ(Pool->liveNodes(), 2u);
+    VS.clear();
+    EXPECT_EQ(Pool->liveNodes(), 1u) << "the program's constant died";
+  }
+  M.EpsPrograms[0].ConstVal = Value();
+  EXPECT_EQ(Pool->liveNodes(), 0u);
 }
 
 TEST(ActionDispatchTest, ListAppendAndReverseCopyOnWrite) {

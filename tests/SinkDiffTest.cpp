@@ -206,6 +206,43 @@ TEST(SinkDiffTest, EventReplayMatchesValueSinkAllGrammars) {
   }
 }
 
+/// Counts the non-Token events in \p Evs that carry a span or text.
+/// ParseEvent promises Begin == End == 0 and a null TextData for every
+/// kind but Token; the sink writes events in place, so this pins that
+/// each hook still leaves those fields at their defaults.
+template <typename Events> size_t nonTokenWithPayload(const Events &Evs) {
+  size_t N = 0;
+  for (const ParseEvent &E : Evs)
+    N += E.Kind != EventKind::Token && (E.Begin || E.End || E.TextData);
+  return N;
+}
+
+TEST(SinkDiffTest, NonTokenEventsCarryNoSpanOrText) {
+  for (auto &Def : allBenchmarkGrammars()) {
+    SinkRig R(Def);
+    Workload W = genWorkload(Def->Name, 17, 12000);
+    std::string_view In = W.Input;
+    std::vector<ParseEvent> Whole;
+    ParseScratch Scratch;
+    ASSERT_TRUE(R.P.M.parseEvents(R.P.M.Start, In, Scratch, Whole).ok())
+        << Def->Name;
+    EXPECT_EQ(nonTokenWithPayload(Whole), 0u) << Def->Name << " whole-buffer";
+    for (size_t Chunk : {size_t(1), size_t(4096)}) {
+      std::vector<size_t> Cuts;
+      for (size_t At = Chunk; At < In.size(); At += Chunk)
+        Cuts.push_back(At);
+      std::vector<EventBatch> Batches;
+      std::string Err;
+      ASSERT_EQ(R.streamEvents(In, Cuts, Batches, Err), StreamStatus::Done)
+          << Def->Name << ": " << Err;
+      size_t N = 0;
+      for (const EventBatch &B : Batches)
+        N += nonTokenWithPayload(B);
+      EXPECT_EQ(N, 0u) << Def->Name << " streamed at " << Chunk << " B";
+    }
+  }
+}
+
 TEST(SinkDiffTest, EventReplayMatchesValueSinkOnCorruptedInputs) {
   Rng Rand(31);
   for (auto &Def : allBenchmarkGrammars()) {

@@ -31,6 +31,16 @@
 
 using namespace flap;
 
+namespace flap {
+/// The private test seam StreamParser befriends: reads buffer state the
+/// public interface does not expose.
+struct StreamParserTestPeer {
+  static size_t carryCapacity(const StreamParser &SP) {
+    return SP.Buf.capacity();
+  }
+};
+} // namespace flap
+
 namespace {
 
 /// One grammar under chunked differential test.
@@ -271,6 +281,32 @@ TEST(StreamDiffTest, ResetReusesTheParser) {
     EXPECT_EQ(*Whole, *Str);
     SP.reset();
   }
+}
+
+TEST(StreamDiffTest, FinishAndResetKeepTheCarryCapacity) {
+  // reset() reuses every buffer, so the serving loop reset() → feed() →
+  // finish() allocates nothing per stream once warm: a clean finish()
+  // empties the carry but keeps its capacity, and a second stream of
+  // the same size never grows it.
+  StreamRig R(makeJsonGrammar());
+  StreamParser SP(R.P.M);
+  Workload W = genWorkload("json", 41, 64 * 1024);
+  const std::string_view In = W.Input;
+  const size_t Chunk = 4096;
+  for (size_t At = 0; At < In.size(); At += Chunk)
+    SP.feed(In.substr(At, Chunk));
+  ASSERT_EQ(SP.finish(), StreamStatus::Done) << SP.take().error();
+  const size_t Cap = StreamParserTestPeer::carryCapacity(SP);
+  EXPECT_GE(Cap, SP.carryHighWater()) << "finish() shrank the carry";
+  SP.reset();
+  ASSERT_EQ(StreamParserTestPeer::carryCapacity(SP), Cap);
+  for (size_t At = 0; At < In.size(); At += Chunk) {
+    SP.feed(In.substr(At, Chunk));
+    ASSERT_EQ(StreamParserTestPeer::carryCapacity(SP), Cap)
+        << "the carry grew at offset " << At;
+  }
+  ASSERT_EQ(SP.finish(), StreamStatus::Done) << SP.take().error();
+  EXPECT_EQ(StreamParserTestPeer::carryCapacity(SP), Cap);
 }
 
 TEST(StreamDiffTest, TakeAfterMidStreamErrorAndResetRecovers) {
