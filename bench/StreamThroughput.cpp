@@ -99,9 +99,7 @@ int main(int argc, char **argv) {
       NamedEngine Eng{"stream", [&](std::string_view In) {
                         auto Ctx = Def->NewCtx ? Def->NewCtx()
                                                : std::shared_ptr<void>();
-                        StreamOptions O;
-                        O.User = Ctx.get();
-                        StreamParser SP(P.M, O);
+                        StreamParser SP = P.stream(Ctx.get());
                         for (size_t At = 0; At < In.size(); At += Chunk)
                           if (SP.feed(In.substr(At, Chunk)) ==
                               StreamStatus::Error)
@@ -131,20 +129,18 @@ int main(int argc, char **argv) {
                         }};
     const double EvWholeMBs = throughputMBs(EvWhole, W.Input);
     NamedEngine EvChunk{"events_chunk4k", [&](std::string_view In) {
-                          StreamOptions O;
-                          O.Events = true;
-                          StreamParser SP(P.M, O);
+                          ParseRequest Req;
+                          Req.Mode = ParseMode::Events;
+                          StreamParser SP = P.stream(Req);
                           size_t N = 0;
                           for (size_t At = 0; At < In.size(); At += 4096) {
                             if (SP.feed(In.substr(At, 4096)) ==
                                 StreamStatus::Error)
                               return false;
-                            auto Batch = SP.takeEvents();
-                            N += Batch.size();
+                            N += SP.drain().Events.size();
                           }
                           bool Ok = SP.finish() == StreamStatus::Done;
-                          auto Batch = SP.takeEvents();
-                          N += Batch.size();
+                          N += SP.drain().Events.size();
                           return Ok && N == EventCount;
                         }};
     const double EvChunkMBs = throughputMBs(EvChunk, W.Input);

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The EventSink policy (engine/Sink.h) end to end: stream an arith
-// program through StreamParser in event mode, draining the SAX events
-// after every chunk. Each token's text is copied at match time into the
-// drained batch, which owns it — so the parser never retains input
-// beyond the in-progress lexeme: watch the carry high-water stay
-// lexeme-sized while the document grows.
+// program through a StreamParser whose ParseRequest asks for events,
+// draining the stream's ParseOutcome after every chunk. Each token's
+// text is copied at match time into the arena the drained outcome owns
+// (ParseOutcome::Text) — so the parser never retains input beyond the
+// in-progress lexeme: watch the carry high-water stay lexeme-sized while
+// the document grows.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,14 +34,15 @@ int main() {
 
   Workload W = genWorkload("arith", 7, 64 * 1024);
 
-  StreamOptions O;
-  O.Events = true;
-  StreamParser SP(P.M, O);
+  ParseRequest Req;
+  Req.Mode = ParseMode::Events;
+  StreamParser SP = P.stream(Req);
 
   size_t Counts[4] = {0, 0, 0, 0}; // Enter, Token, Reduce, Eps
   size_t Shown = 0;
   auto Drain = [&] {
-    for (const ParseEvent &E : SP.takeEvents()) {
+    const ParseOutcome O = SP.drain(); // owns its events' text
+    for (const ParseEvent &E : O.Events) {
       ++Counts[static_cast<int>(E.Kind)];
       if (Shown < 12) { // a taste of the stream
         switch (E.Kind) {

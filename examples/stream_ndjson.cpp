@@ -13,14 +13,15 @@
 ///   ./example_stream_ndjson [chunk_bytes]      # synthetic 2 MB stream
 ///   ... | ./example_stream_ndjson [chunk_bytes]  # read stdin instead
 ///
-/// This example runs the stream in *recovery mode* (StreamOptions::
-/// Recover, see engine/README.md "The recovery contract"): a corrupted
-/// record does not kill the connection. The parser reports a structured
-/// ParseDiagnostic (offset, line/column, expected set, resync action),
-/// skips to the next record boundary, and keeps serving — the synthetic
-/// stream deliberately corrupts a byte every ~128 KB to show the
-/// contract in action. Completed values arrive per recovered segment
-/// via takeValues(); diagnostics drain mid-stream via takeErrors().
+/// The stream is a ParseRequest with an error budget of 100 (strict
+/// would be a budget of one; see engine/README.md "The recovery
+/// contract"): a corrupted record does not kill the connection. The
+/// parser reports a structured ParseDiagnostic (offset, line/column,
+/// expected set, resync action), skips to the next record boundary,
+/// and keeps serving — the synthetic stream deliberately corrupts a
+/// byte every ~128 KB to show the contract in action. After every feed
+/// the example drains the stream's ParseOutcome: the values of the
+/// segments completed so far and the diagnostics resolved so far.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,24 +50,34 @@ int main(int argc, char **argv) {
     return 1;
   }
   FlapParser P = PR.take();
-  StreamOptions O;
-  O.Recover = true; // corrupt records yield diagnostics, not dead streams
-  StreamParser SP = P.stream(O);
+  ParseRequest Req;
+  Req.MaxErrors = 100; // corrupt records yield diagnostics, not dead streams
+  StreamParser SP = P.stream(Req);
 
-  size_t Feeds = 0, Reported = 0;
-  auto Push = [&](std::string_view Chunk) {
-    ++Feeds;
-    StreamStatus St = SP.feed(Chunk);
-    // In recovery mode diagnostics accumulate instead of failing the
-    // feed; drain them as they arrive, like a server writing its error
-    // log while the connection stays up.
-    for (const ParseDiagnostic &D : SP.takeErrors()) {
+  size_t Feeds = 0, Reported = 0, Segs = 0;
+  long long Objects = 0;
+  bool Truncated = false;
+  // Drains the outcome as it accumulates, like a server writing its
+  // error log while the connection stays up. The per-segment json value
+  // is that segment's document count.
+  auto Drain = [&] {
+    ParseOutcome O = SP.drain();
+    for (const Value &V : O.Values)
+      Objects += static_cast<long long>(V.asInt());
+    Segs += O.Values.size();
+    for (const ParseDiagnostic &D : O.Errors) {
       ++Reported;
       std::fprintf(stderr, "recovered (line %llu, col %llu): %s\n",
                    static_cast<unsigned long long>(D.Line),
                    static_cast<unsigned long long>(D.Col),
                    D.message().c_str());
     }
+    Truncated |= O.Truncated;
+  };
+  auto Push = [&](std::string_view Chunk) {
+    ++Feeds;
+    StreamStatus St = SP.feed(Chunk);
+    Drain();
     return St != StreamStatus::Error;
   };
 
@@ -105,32 +116,18 @@ int main(int argc, char **argv) {
         break;
   }
 
-  if (SP.finish() == StreamStatus::Error) {
-    // Only a fatal diagnostic (MaxErrors exhausted / no sync token)
-    // fails the stream in recovery mode.
-    Result<Value> V = SP.take();
-    std::fprintf(stderr, "fatal: %s\n", V.error().c_str());
+  const StreamStatus St = SP.finish();
+  Drain();
+  if (St == StreamStatus::Error) {
+    // Only a Fatal diagnostic (error budget spent / no sync token) fails
+    // the stream.
+    std::fprintf(stderr, "fatal: %s\n", SP.take().error().c_str());
     return 1;
-  }
-
-  // Completed values survive per recovered segment; the per-segment
-  // json value is that segment's document count.
-  long long Objects = 0;
-  std::vector<Value> Segs = SP.takeValues();
-  for (const Value &V : Segs)
-    Objects += static_cast<long long>(V.asInt());
-  for (const ParseDiagnostic &D : SP.takeErrors()) {
-    ++Reported;
-    std::fprintf(stderr, "recovered (line %llu, col %llu): %s\n",
-                 static_cast<unsigned long long>(D.Line),
-                 static_cast<unsigned long long>(D.Col),
-                 D.message().c_str());
   }
 
   std::printf("stream ok: %lld objects across %zu segments, %zu "
               "diagnostics%s, %llu bytes, %zu feeds\n",
-              Objects, Segs.size(), Reported,
-              SP.truncated() ? " (truncated)" : "",
+              Objects, Segs, Reported, Truncated ? " (truncated)" : "",
               static_cast<unsigned long long>(SP.streamedBytes()), Feeds);
   std::printf("carry high-water: %zu bytes (vs whole-buffer %llu)\n",
               SP.carryHighWater(),

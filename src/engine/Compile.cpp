@@ -1023,33 +1023,6 @@ bool driveImpl(const CompiledParser &M, NtId StartNt, std::string_view Input,
 
 constexpr size_t Npos = static_cast<size_t>(-1);
 
-/// Finds where to resume after a failure at \p Off: the first position
-/// just past a sync byte whose following byte can enter the recovery
-/// nonterminal's dispatch row (so re-entry starts on a live byte — F2
-/// makes whitespace live too). The bulk sync scan reuses skipRun over
-/// the complement set. Returns Input.size() with Action::SkipToEnd when
-/// no viable sync point remains (including a sync byte as the very last
-/// byte: there is nothing after it to re-enter on).
-size_t findResume(const CompiledParser &M, NtId R,
-                  const CompiledParser::SyncSpec &SS, std::string_view Input,
-                  size_t Off, ParseDiagnostic::Action &Act) {
-  const size_t Len = Input.size();
-  size_t P = Off;
-  while (P < Len) {
-    size_t J = skipRun(SS.NotSync, Input.data(), P, Len); // next sync byte
-    if (J + 1 >= Len)
-      break;
-    if (SS.admissible(Input.data(), J) &&
-        M.entryLive(R, static_cast<unsigned char>(Input[J + 1]))) {
-      Act = ParseDiagnostic::Action::Resync;
-      return J + 1;
-    }
-    P = J + 1;
-  }
-  Act = ParseDiagnostic::Action::SkipToEnd;
-  return Len;
-}
-
 /// Charges \p D (line/column already stamped) against the budget and
 /// appends it to \p Out. Returns where to re-enter entry \p R: Npos when
 /// the parse ends here (Fatal), Input.size() for SkipToEnd, else the
@@ -1060,7 +1033,15 @@ size_t recordFailure(const CompiledParser &M, NtId R, std::string_view Input,
   const CompiledParser::SyncSpec &SS = M.SyncSpecs[R];
   size_t Q = Npos;
   if (!B.charge(D, CanResync && SS.HasSync, Out.Truncated)) {
-    Q = findResume(M, R, SS, Input, static_cast<size_t>(D.Off), D.Act);
+    size_t P = static_cast<size_t>(D.Off);
+    Q = M.findResume(R, Input.data(), P, Input.size());
+    D.Act = ParseDiagnostic::Action::Resync;
+    if (Q == CompiledParser::NoResume) {
+      // No viable sync point before the end (a sync byte as the very
+      // last byte included: there is nothing after it to re-enter on).
+      D.Act = ParseDiagnostic::Action::SkipToEnd;
+      Q = Input.size();
+    }
     D.ResumeOff = Q;
   }
   Out.Errors.push_back(std::move(D));
@@ -1175,20 +1156,6 @@ decltype(auto) withSink(const CompiledParser &M, ParseMode Mode,
   return F(Sk);
 }
 
-/// The request's entry, with the entry contract applied: a refused
-/// entry records the one Fatal diagnostic in \p Out and yields NoNt.
-NtId admit(const CompiledParser &M, const ParseRequest &Req,
-           ParseOutcome &Out) {
-  const NtId R = Req.Entry == NoNt ? M.Start : Req.Entry;
-  assert(R < M.Nts.size() && "entry nonterminal out of range");
-  if (Req.Mode != ParseMode::Recognize && M.Nts[R].ValueFree) {
-    Out.Errors.push_back(M.entryRefusal(R));
-    Out.Truncated = true;
-    return NoNt;
-  }
-  return R;
-}
-
 /// The strict wrappers' error: the outcome's first diagnostic.
 Err strictError(const ParseOutcome &O) { return Err(O.Errors[0].message()); }
 
@@ -1209,8 +1176,39 @@ ParseDiagnostic CompiledParser::entryRefusal(NtId N) const {
   return D;
 }
 
+NtId CompiledParser::admit(const ParseRequest &Req, ParseOutcome &Out) const {
+  const NtId R = Req.Entry == NoNt ? Start : Req.Entry;
+  assert(R < Nts.size() && "entry nonterminal out of range");
+  if (Req.Mode != ParseMode::Recognize && Nts[R].ValueFree) {
+    Out.Errors.push_back(entryRefusal(R));
+    Out.Truncated = true;
+    return NoNt;
+  }
+  return R;
+}
+
+size_t CompiledParser::findResume(NtId R, const char *S, size_t &P,
+                                  size_t Len, const char *Pre,
+                                  size_t PreLen) const {
+  // The bulk sync scan reuses skipRun over the complement set. The
+  // decision at a sync byte J depends only on the bytes around it, so a
+  // stream can restart the scan at J once S[J+1] arrives.
+  const SyncSpec &SS = SyncSpecs[R];
+  for (;;) {
+    const size_t J = skipRun(SS.NotSync, S, P, Len); // next sync byte
+    if (J + 1 >= Len) {
+      P = J;
+      return NoResume;
+    }
+    if (SS.admissible(S, J, Pre, PreLen) &&
+        entryLive(R, static_cast<unsigned char>(S[J + 1])))
+      return J + 1;
+    P = J + 1;
+  }
+}
+
 void TextArena::grow(size_t N) {
-  // Geometric blocks: a batch drained after every 4 KiB feed costs one
+  // Geometric blocks: an outcome drained after every 4 KiB feed costs one
   // small allocation, a never-drained stream O(log size) of them.
   constexpr size_t MinBlock = 4096, MaxBlock = size_t(1) << 20;
   NextBlock = NextBlock ? std::min(NextBlock * 2, MaxBlock) : MinBlock;
@@ -1220,13 +1218,6 @@ void TextArena::grow(size_t N) {
   Left = Size;
 }
 
-void TextArena::clear() {
-  Blocks.clear();
-  Cur = nullptr;
-  Left = 0;
-  NextBlock = 0;
-}
-
 //===--------------------------------------------------------------------===//
 // The request cores
 //===--------------------------------------------------------------------===//
@@ -1234,7 +1225,7 @@ void TextArena::clear() {
 bool CompiledParser::run(const ParseRequest &Req, std::string_view Input,
                          ParseScratch &Scratch, ParseOutcome &Out) const {
   const size_t Errs = Out.Errors.size();
-  const NtId R = admit(*this, Req, Out);
+  const NtId R = admit(Req, Out);
   if (R == NoNt)
     return false;
   withSink(*this, Req.Mode, Scratch, [&](auto &Sk) {
@@ -1259,7 +1250,7 @@ void CompiledParser::runBatch(const ParseRequest &Req,
     O.clear();
   if (!N)
     return;
-  const NtId R = admit(*this, Req, Out[0]);
+  const NtId R = admit(Req, Out[0]);
   if (R == NoNt) {
     for (size_t I = 1; I < N; ++I)
       Out[I] = Out[0];
@@ -1291,7 +1282,7 @@ RecordRun CompiledParser::runRecords(const ParseRequest &Req,
                                      std::string_view Input, size_t Pos,
                                      size_t Limit, ParseScratch &Scratch,
                                      ParseOutcome &Out) const {
-  const NtId R = admit(*this, Req, Out);
+  const NtId R = admit(Req, Out);
   if (R == NoNt) {
     RecordRun RR;
     RR.S = RecordRun::Stop::Error;

@@ -48,12 +48,13 @@
 /// Table 1.
 ///
 /// One request, one outcome: every parse — whole buffer, batch, record
-/// run, and the shard and serving tiers above them — is a ParseRequest
-/// (entry, mode, error budget, user context) answered by a ParseOutcome
-/// (values, events, diagnostics, truncation) through three cores: run,
-/// runBatch and runRecords. A strict parse is a request with an error
-/// budget of one; a few strict wrappers remain for the repository
-/// benchmark (engine/README.md "Entry points").
+/// run, stream, and the shard and serving tiers above them — is a
+/// ParseRequest (entry, mode, error budget, user context) answered by a
+/// ParseOutcome (values, events, diagnostics, truncation) through three
+/// cores — run, runBatch and runRecords — or a StreamParser (engine/
+/// Stream.h). A strict parse is a request with an error budget of one;
+/// a few strict wrappers remain for the repository benchmark (engine/
+/// README.md "Entry points").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -138,10 +139,10 @@ struct ParseScratch {
 /// (run, runBatch, runRecords, and ShardParser over them) point it into
 /// the caller's input — valid while that input is, the
 /// same contract Value::token spans have. The streaming parser copies
-/// each lexeme at match time into a text arena owned by the undrained
-/// EventBatch (engine/Stream.h), so streamed text outlives the window
-/// that produced it — which is what bounds the streaming carry to the
-/// in-progress lexeme — and lives as long as the drained batch.
+/// each lexeme at match time into the TextArena its outcome owns
+/// (ParseOutcome::Text, engine/Stream.h), so streamed text outlives the
+/// window that produced it — which is what bounds the streaming carry
+/// to the in-progress lexeme — and lives as long as the drained outcome.
 ///
 /// Ordering contract (replayable into a value builder, see
 /// tests/SinkDiffTest.cpp): Enter(N) precedes every scan attempt of
@@ -200,19 +201,53 @@ struct ParseEvent {
   bool operator!=(const ParseEvent &O) const { return !(*this == O); }
 };
 
+/// Address-stable byte storage: bytes once copied never move, so views
+/// into them stay valid for the arena's lifetime. Backs the text of
+/// streamed events (ParseOutcome::Text, engine/Stream.h).
+class TextArena {
+public:
+  TextArena() = default;
+  TextArena(const TextArena &) = delete;
+  TextArena &operator=(const TextArena &) = delete;
+
+  /// Copies \p N bytes from \p P; returns where the copy lives.
+  const char *copy(const char *P, size_t N) {
+    if (!Cur || N > Left)
+      grow(N);
+    char *Dst = Cur;
+    std::memcpy(Dst, P, N);
+    Cur += N;
+    Left -= N;
+    return Dst;
+  }
+
+private:
+  void grow(size_t N);
+  std::vector<std::unique_ptr<char[]>> Blocks;
+  char *Cur = nullptr;
+  size_t Left = 0;
+  size_t NextBlock = 0; ///< next block's size; doubles up to a cap
+};
+
 /// What a request produces (drive modes: ParseRequest). Values mode
 /// delivers the value of every completed segment — one per clean input,
 /// one per record in a record run; events mode the event stream of every
 /// segment, completed or not (failed segments keep the events already
-/// emitted, like the streaming event log); recognize mode only the
-/// verdict. Errors holds every diagnostic in input order; Truncated is
-/// set when the error budget ended the parse. A clean outcome has no
-/// errors: exactly the strict parse's result.
+/// emitted); recognize mode only the verdict. Errors holds every
+/// diagnostic in input order; Truncated is set when the error budget
+/// ended the parse. A clean outcome has no errors: exactly the strict
+/// parse's result. The streaming parser fills the same outcome
+/// (StreamParser::drain).
 struct ParseOutcome {
   std::vector<Value> Values;
   std::vector<ParseEvent> Events;
   std::vector<ParseDiagnostic> Errors;
   bool Truncated = false;
+  /// The bytes streamed events' text views (the stream copies each
+  /// lexeme here at match time); null for the whole-buffer cores, whose
+  /// events view the caller's input. Shared, so every copy of the
+  /// outcome keeps its events' text alive.
+  std::shared_ptr<TextArena> Text;
 
   bool clean() const { return Errors.empty() && !Truncated; }
   /// Empties the outcome, keeping the vectors' capacity.
@@ -221,6 +256,7 @@ struct ParseOutcome {
     Events.clear();
     Errors.clear();
     Truncated = false;
+    Text.reset();
   }
 };
 using RecoveredParse = ParseOutcome;
@@ -242,43 +278,6 @@ struct ParseRequest {
   ParseMode Mode = ParseMode::Values;
   size_t MaxErrors = 1; ///< error budget; 1 is strict (see ErrorBudget)
   void *User = nullptr; ///< ParseContext::User for the actions
-};
-
-/// Address-stable byte storage: bytes once copied never move, so views
-/// into them stay valid for the arena's lifetime, across moves of it.
-/// Backs the text of streamed events (EventBatch, engine/Stream.h).
-class TextArena {
-public:
-  TextArena() = default;
-  TextArena(TextArena &&O) noexcept { *this = std::move(O); }
-  TextArena &operator=(TextArena &&O) noexcept {
-    Blocks = std::move(O.Blocks);
-    Cur = std::exchange(O.Cur, nullptr);
-    Left = std::exchange(O.Left, 0);
-    NextBlock = std::exchange(O.NextBlock, 0);
-    O.Blocks.clear();
-    return *this;
-  }
-
-  /// Copies \p N bytes from \p P; returns where the copy lives.
-  const char *copy(const char *P, size_t N) {
-    if (!Cur || N > Left)
-      grow(N);
-    char *Dst = Cur;
-    std::memcpy(Dst, P, N);
-    Cur += N;
-    Left -= N;
-    return Dst;
-  }
-  /// Releases every block.
-  void clear();
-
-private:
-  void grow(size_t N);
-  std::vector<std::unique_ptr<char[]>> Blocks;
-  char *Cur = nullptr;
-  size_t Left = 0;
-  size_t NextBlock = 0; ///< next block's size; doubles up to a cap
 };
 
 /// A fully staged, token-free parser.
@@ -397,6 +396,24 @@ public:
   /// erase its value — with this one structured Fatal diagnostic.
   /// Recognize mode accepts any entry.
   ParseDiagnostic entryRefusal(NtId N) const;
+  /// The request's entry with the entry contract applied — what every
+  /// core and the streaming parser run first: a refused entry appends
+  /// the one Fatal entryRefusal() to \p Out, sets Truncated and yields
+  /// NoNt.
+  NtId admit(const ParseRequest &Req, ParseOutcome &Out) const;
+
+  /// The one resynchronization scan (engine/README.md "The recovery
+  /// contract"): the first resume point at or after \p P in S[0, Len) —
+  /// J + 1 for the first sync byte J of entry \p R that is admissible
+  /// (SyncSpec::admissible, with \p Pre / \p PreLen the bytes before S)
+  /// and whose next byte can enter R. Returns NoResume when [P, Len)
+  /// decides none: there is no sync byte left, or the last one is
+  /// S[Len-1], whose successor is not known yet. \p P is then the first
+  /// undecided position, where a stream restarts the scan once more
+  /// input arrives; at end of input NoResume means SkipToEnd.
+  static constexpr size_t NoResume = ~size_t(0);
+  size_t findResume(NtId R, const char *S, size_t &P, size_t Len,
+                    const char *Pre = nullptr, size_t PreLen = 0) const;
 
   /// Number of machine states = generated functions (Table 1, "Output
   /// Functions").

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace flap {
@@ -57,7 +58,7 @@ std::string formatVerifyFinding(const char *Severity,
                                 int32_t Nt, const std::string &Detail);
 
 /// One structured parse error — the only error record the engine
-/// reports (ParseOutcome::Errors, StreamParser in recovery mode).
+/// reports (ParseOutcome::Errors, whichever core or stream fills it).
 /// message() is the string a strict wrapper fails with: a strict parse
 /// is a recovery parse with an error budget of one, so its error is
 /// exactly Errors[0].message().
@@ -98,8 +99,8 @@ struct ParseDiagnostic {
   bool operator!=(const ParseDiagnostic &O) const { return !(*this == O); }
 };
 
-/// The number of errors the recovering wrappers and the streaming and
-/// serving options survive by default.
+/// The number of errors the recovering wrappers and the serving options
+/// survive by default.
 constexpr size_t DefaultMaxErrors = 100;
 
 /// The ONE error-budget rule every recovering driver applies — the
@@ -143,13 +144,26 @@ struct LineTracker {
   uint64_t LineStart = 0; ///< absolute offset of the current line start
   uint32_t Line = 1;      ///< 1-based line number at ScannedTo
 
-  /// Absorbs the \p N bytes at absolute offset ScannedTo.
+  /// Absorbs the \p N bytes at absolute offset ScannedTo. Every stream
+  /// passes each compacted chunk through here, so the count is blocked:
+  /// a one-byte accumulator per Block bytes cannot wrap and lets the
+  /// compiler vectorize the inner loop (portable C++, no intrinsics);
+  /// memrchr then finds the line start.
   void advance(const char *S, size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      if (S[I] == '\n') {
-        ++Line;
-        LineStart = ScannedTo + I + 1;
-      }
+    constexpr size_t Block = 255;
+    uint64_t Lines = 0;
+    for (size_t I = 0; I < N; I += Block) {
+      const size_t End = I + Block < N ? I + Block : N;
+      uint8_t C = 0;
+      for (size_t K = I; K < End; ++K)
+        C += S[K] == '\n';
+      Lines += C;
+    }
+    if (Lines) {
+      Line += static_cast<uint32_t>(Lines);
+      const char *NL = static_cast<const char *>(memrchr(S, '\n', N));
+      LineStart = ScannedTo + static_cast<uint64_t>(NL - S) + 1;
+    }
     ScannedTo += N;
   }
 

@@ -134,12 +134,12 @@ struct FlapParser {
   /// Stream.h): feed chunks, finish, take the value. The FlapParser must
   /// outlive the returned StreamParser.
   StreamParser stream(void *User = nullptr) const {
-    StreamOptions O;
-    O.User = User;
-    return StreamParser(M, O);
+    ParseRequest Req;
+    Req.User = User;
+    return StreamParser(M, Req);
   }
-  StreamParser stream(const StreamOptions &O) const {
-    return StreamParser(M, O);
+  StreamParser stream(const ParseRequest &Req) const {
+    return StreamParser(M, Req);
   }
 };
 

@@ -18,7 +18,7 @@
 ///   - EventSink: SAX — append flat Enter/Token/Reduce/Eps events (see
 ///     ParseEvent in Compile.h). Token text views the caller's input in
 ///     the whole-buffer drivers; the streaming driver copies it into the
-///     undrained batch's arena at match time, so it never needs to
+///     undrained outcome's arena at match time, so it never needs to
 ///     retain input beyond the in-progress lexeme.
 ///   - RecognizeSink: recognition — every hook but the failure record
 ///     is a no-op and the driver walks the nonterminals-only NtPool.

@@ -8,7 +8,6 @@
 #include "engine/Stream.h"
 
 #include "engine/Sink.h"
-#include "support/StrUtil.h"
 
 #include <algorithm>
 #include <cassert>
@@ -18,24 +17,20 @@ using scankernel::ScanOutcome;
 using scankernel::Tab16;
 using scankernel::Tab8;
 
-StreamParser::StreamParser(const CompiledParser &Machine, StreamOptions Opts)
-    : M(&Machine), StartNt(Opts.Start == NoNt ? Machine.Start : Opts.Start),
-      User(Opts.User), Recognize(Opts.Recognize),
-      EventMode(!Opts.Recognize && Opts.Events), RecoverMode(Opts.Recover),
-      Budget(Opts.MaxErrors),
-      TrackRetain(!Opts.Recognize && !EventMode && Machine.Actions &&
+StreamParser::StreamParser(const CompiledParser &Machine, ParseRequest Request)
+    : M(&Machine), Req(Request), Budget(Request.MaxErrors),
+      TrackRetain(Request.Mode == ParseMode::Values && Machine.Actions &&
                   Machine.Actions->readsInput()) {
-  assert(StartNt < M->Nts.size() && "entry nonterminal out of range");
-  // The entry contract shared with the whole-buffer drivers: value and
-  // event streams refuse an undeclared ValueFree entry up front (in
-  // recovery mode as the one Fatal diagnostic, like the request cores).
-  if (!Recognize && M->Nts[StartNt].ValueFree) {
-    ParseDiagnostic D = M->entryRefusal(StartNt);
-    ErrMsg = D.message();
-    if (RecoverMode) {
-      Errs.push_back(std::move(D));
-      Truncated = true;
-    }
+  begin();
+}
+
+void StreamParser::begin() {
+  // The entry contract shared with the request cores: value and event
+  // streams refuse an undeclared ValueFree entry up front, as the one
+  // Fatal diagnostic.
+  StartNt = M->admit(Req, Res);
+  if (StartNt == NoNt) {
+    Diag = Res.Errors.back();
     Ph = Phase::Fail;
     return;
   }
@@ -43,28 +38,19 @@ StreamParser::StreamParser(const CompiledParser &Machine, StreamOptions Opts)
 }
 
 void StreamParser::reset() {
-  if (!Recognize && M->Nts[StartNt].ValueFree)
-    return; // keep the constructor's deliberate Fail state
   Ph = Phase::Run;
   Buf.clear();
   WinBase = 0;
   Pos = 0;
   MidScan = false;
   Stack.clear();
-  Stack.push_back(M->packNt(StartNt));
   Values.clear();
   NumVals = 0;
   Retain.clear();
-  ErrMsg.clear();
+  Res.clear();
+  Diag = ParseDiagnostic();
+  Misuse = nullptr;
   ErrOff = 0;
-  Out = Value();
-  EvLog.Events.clear();
-  EvLog.Text.clear();
-  Errs.clear();
-  SegVals.clear();
-  Pending = ParseDiagnostic();
-  HavePending = false;
-  Truncated = false;
   Budget.reset();
   RePos = 0;
   ShadowLen = 0;
@@ -78,6 +64,7 @@ void StreamParser::reset() {
   // re-adopt the arena here: debug owner asserts then track the new
   // serving thread instead of tripping on the old one's id.
   Pool->adoptOwner();
+  begin();
 }
 
 // Final-value collection is the shared ValueStack::collect() policy —
@@ -187,27 +174,21 @@ struct StreamParser::VSink {
   }
 };
 
-/// Event mode: delegates to the library EventSink over the current
-/// window (base = WinBase), so the streamed event stream is emitted by
-/// the *same code* as a whole-buffer parseEvents and the two cannot
+/// Event mode: the library EventSink itself over the current window
+/// (base = WinBase), so the streamed event stream is emitted by the
+/// *same code* as a whole-buffer events request and the two cannot
 /// drift. Token text is copied inside the hook into the undrained
-/// batch's arena — after it returns the window bytes are droppable,
+/// outcome's arena — after it returns the window bytes are droppable,
 /// which is what keeps the carry at O(in-progress lexeme).
-struct StreamParser::ESink {
-  static constexpr bool Markers = true;
-  static constexpr bool Enters = true;
-
-  EventSink Inner;
-
+struct StreamParser::ESink : EventSink {
   ESink(StreamParser &SP, ParseContext &Ctx)
-      : Inner(Ctx.Input, &SP.EvLog.Events, Ctx.Base, &SP.EvLog.Text) {}
+      : EventSink(Ctx.Input, &SP.Res.Events, Ctx.Base, arenaOf(SP.Res)) {}
 
-  void enter(NtId N) { Inner.enter(N); }
-  void marker(uint32_t Idx) { Inner.marker(Idx); }
-  void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
-    Inner.token(Meta, Begin, End);
+  static TextArena *arenaOf(ParseOutcome &O) {
+    if (!O.Text)
+      O.Text = std::make_shared<TextArena>();
+    return O.Text.get();
   }
-  void eps(NtId N, int32_t Chain) { Inner.eps(N, Chain); }
 };
 
 /// Recognize mode: the whole-buffer RecognizeSink itself, given the
@@ -231,7 +212,7 @@ void StreamParser::compact() {
   }
   // Diagnostics need line/column for offsets whose prefix may be
   // compacted away: absorb the bytes once, before they go.
-  if (RecoverMode && KeepAbs > LT.ScannedTo)
+  if (KeepAbs > LT.ScannedTo)
     LT.advance(Buf.data() + static_cast<size_t>(LT.ScannedTo - WinBase),
                static_cast<size_t>(KeepAbs - LT.ScannedTo));
   size_t Cut = static_cast<size_t>(KeepAbs - WinBase);
@@ -257,37 +238,15 @@ void StreamParser::compact() {
     CarryHW = Buf.size();
 }
 
-StreamStatus StreamParser::failParse(NtId N) {
-  const uint64_t Off = WinBase + Pos;
-  if (RecoverMode)
-    return recoverAt(N, /*Trailing=*/false, Off);
-  // Byte-identical diagnostics to the whole-buffer loop, rendered by
-  // the one shared formatter (engine/Diagnostic.h), with absolute
-  // stream offsets.
-  ErrMsg = formatParseErrorAt(Off, M->NtExpected[N], M->NtNames[N]);
-  releaseAfterError(Off);
-  return StreamStatus::Error;
-}
-
-StreamStatus StreamParser::failTrailing() {
-  const uint64_t Off = WinBase + Pos;
-  if (RecoverMode)
-    return recoverAt(NoNt, /*Trailing=*/true, Off);
-  ErrMsg = formatTrailingAt(Off);
-  releaseAfterError(Off);
-  return StreamStatus::Error;
-}
-
 StreamStatus StreamParser::recoverAt(NtId N, bool Trailing, uint64_t Off) {
   // Close the segment first — the whole-buffer loop's endSegment
   // policy: a Trailing failure means a value *completed* before the
   // leftover input, so it ships; a parse failure drops the partial.
-  // (Event mode keeps the failed segment's partial events in EvLog —
-  // they were delivered at match time, same as a whole-buffer events
-  // request's outcome.)
-  if (!Recognize && !EventMode) {
+  // (Event mode keeps the failed segment's partial events — they were
+  // delivered at match time, same as a whole-buffer events request.)
+  if (Req.Mode == ParseMode::Values) {
     if (Trailing)
-      SegVals.push_back(Values.collect());
+      Res.Values.push_back(Values.collect());
     else
       Values.clear();
   }
@@ -300,24 +259,18 @@ StreamStatus StreamParser::recoverAt(NtId N, bool Trailing, uint64_t Off) {
     F.failTrailing(Off);
   else
     F.failParse(N, Off);
-  ParseDiagnostic D = failureOf(*M, F);
+  Diag = failureOf(*M, F);
   // Lazily absorb the window bytes up to the failure (compact() already
   // absorbed everything before the window).
-  LT.locate(Buf.data(), WinBase, D);
+  LT.locate(Buf.data(), WinBase, Diag);
 
-  const CompiledParser::SyncSpec &SS = M->SyncSpecs[StartNt];
-  if (Budget.charge(D, SS.HasSync, Truncated)) {
-    // The error budget is spent, or the grammar has no sync tokens. The
-    // stream then fails like a strict parse — ErrMsg is exactly the
-    // string a budget of one produces — but Errs, SegVals and EvLog
-    // survive the release: they are consumer output.
-    ErrMsg = D.message();
-    Errs.push_back(std::move(D));
+  if (Budget.charge(Diag, M->SyncSpecs[StartNt].HasSync, Res.Truncated)) {
+    // The error budget is spent (a strict stream's first failure), or
+    // the grammar has no sync tokens: the diagnostic is Fatal.
+    Res.Errors.push_back(Diag);
     releaseAfterError(Off);
     return StreamStatus::Error;
   }
-  Pending = std::move(D);
-  HavePending = true;
   RePos = static_cast<size_t>(Off - WinBase);
   Stack.clear();
   Ph = Phase::Resync;
@@ -325,67 +278,54 @@ StreamStatus StreamParser::recoverAt(NtId N, bool Trailing, uint64_t Off) {
 }
 
 bool StreamParser::stepResync(bool Final) {
-  assert(HavePending && "resync phase without a pending diagnostic");
-  const char *S = Buf.data();
   const size_t Len = Buf.size();
-  const CompiledParser::SyncSpec &SS = M->SyncSpecs[StartNt];
   size_t P = RePos;
-  for (;;) {
-    // First sync byte at or after P (the whole-buffer findResume rule,
-    // restartable at a chunk boundary: the decision at a sync byte J
-    // depends only on the byte at J+1).
-    const size_t J = skipRun(SS.NotSync, S, P, Len);
-    if (J + 1 >= Len) {
-      // No sync byte in the window, or the sync byte is the last byte
-      // seen so far — either way undecidable until more input arrives
-      // (the byte *after* the sync byte determines viability). Park the
-      // cursor on the first unresolved position; compact() keeps the
-      // window from there.
-      RePos = J;
-      if (!Final)
-        return false;
-      // End of stream: no viable re-entry point — same resolution as
-      // the whole-buffer driver (a sync byte as the very last byte
-      // yields SkipToEnd, not a phantom empty segment).
-      Pending.Act = ParseDiagnostic::Action::SkipToEnd;
-      Pending.ResumeOff = WinBase + Len;
-      Errs.push_back(std::move(Pending));
-      HavePending = false;
-      Pos = Len;
-      Out = Value::unit();
-      Ph = Phase::Done;
-      return true;
-    }
-    if (SS.admissible(S, J, SyncShadow, ShadowLen) &&
-        M->entryLive(StartNt, static_cast<unsigned char>(S[J + 1]))) {
-      // Viable: re-enter the machine at the recovery nonterminal just
-      // past the sync byte.
-      Pending.Act = ParseDiagnostic::Action::Resync;
-      Pending.ResumeOff = WinBase + J + 1;
-      Errs.push_back(std::move(Pending));
-      HavePending = false;
-      Pos = J + 1;
-      Stack.push_back(M->packNt(StartNt));
-      Ph = Phase::Run;
-      return true;
-    }
-    P = J + 1;
+  const size_t Q =
+      M->findResume(StartNt, Buf.data(), P, Len, SyncShadow, ShadowLen);
+  if (Q == CompiledParser::NoResume) {
+    // Undecidable until more input arrives: park the cursor on the
+    // first unresolved position; compact() keeps the window from there.
+    RePos = P;
+    if (!Final)
+      return false;
+    // End of stream: no viable re-entry point — same resolution as the
+    // whole-buffer driver (a sync byte as the very last byte yields
+    // SkipToEnd, not a phantom empty segment).
+    Diag.Act = ParseDiagnostic::Action::SkipToEnd;
+    Diag.ResumeOff = WinBase + Len;
+    Pos = Len;
+    Ph = Phase::Done;
+  } else {
+    // Viable: re-enter the machine at the entry nonterminal just past
+    // the sync byte.
+    Diag.Act = ParseDiagnostic::Action::Resync;
+    Diag.ResumeOff = WinBase + Q;
+    Pos = Q;
+    Stack.push_back(M->packNt(StartNt));
+    Ph = Phase::Run;
   }
+  Res.Errors.push_back(std::move(Diag));
+  return true;
+}
+
+StreamStatus StreamParser::misuse(const char *Msg, uint64_t ErrOffset) {
+  Misuse = Msg;
+  releaseAfterError(ErrOffset);
+  return StreamStatus::Error;
 }
 
 void StreamParser::releaseAfterError(uint64_t ErrOffset) {
   // The post-error contract (Stream.h reset() doc): the diagnostic, its
-  // position, and any *undrained events* are all an errored stream
+  // position, and the *undrained outcome* are all an errored stream
   // keeps. The carry bytes, live values, retain watermarks, suspended
-  // scan, symbol stack and any unconsumed result are released *now* —
-  // an errored parser sitting in a connection pool holds no stale input
-  // or pool nodes while it waits for take()/reset(). Before this,
-  // take()-after-error left them all live until the next reset().
-  // EvLog deliberately survives: events are consumer *output*, already
-  // "sent" — dropping them would make the delivered stream depend on
-  // when the consumer last drained (the split-invariance tests compare
-  // the error-prefix streams verbatim); a consumer that drains between
-  // feeds holds them all anyway.
+  // scan and symbol stack are released *now* — an errored parser
+  // sitting in a connection pool holds no stale input or pool nodes
+  // while it waits for take()/reset(). The outcome deliberately
+  // survives: it is consumer *output*, already "sent" — dropping it
+  // would make the delivered stream depend on when the consumer last
+  // drained (the split-invariance tests compare the error-prefix
+  // streams verbatim); a consumer that drains between feeds holds it
+  // all anyway.
   Ph = Phase::Fail;
   ErrOff = ErrOffset;
   Stack.clear();
@@ -396,19 +336,13 @@ void StreamParser::releaseAfterError(uint64_t ErrOffset) {
   WinBase += Buf.size(); // streamedBytes() == WinBase + Buf.size() holds
   Buf.clear();
   Pos = 0;
-  Out = Value();
 }
 
 StreamStatus StreamParser::complete() {
-  if (RecoverMode) {
-    // The final segment ran to a clean end-of-stream: ship its value
-    // like every earlier completed segment; take() yields unit.
-    if (!Recognize && !EventMode)
-      SegVals.push_back(Values.collect());
-    Out = Value::unit();
-  } else {
-    Out = (Recognize || EventMode) ? Value::unit() : Values.collect();
-  }
+  // The final segment ran to a clean end-of-stream: ship its value like
+  // every earlier completed segment.
+  if (Req.Mode == ParseMode::Values)
+    Res.Values.push_back(Values.collect());
   NumVals = 0;
   Retain.clear();
   Ph = Phase::Done;
@@ -435,7 +369,7 @@ StreamStatus StreamParser::pumpT() {
       SinkT::Markers ? M->AccMeta.data() : M->AccNtMeta.data();
   const uint32_t *SymPool =
       SinkT::Markers ? M->PackedPool.data() : M->NtPool.data();
-  ParseContext Ctx{std::string_view(S, Len), User, WinBase, Pool};
+  ParseContext Ctx{std::string_view(S, Len), Req.User, WinBase, Pool};
   SinkT Sk(*this, Ctx);
 
   if (Ph == Phase::Run) {
@@ -498,7 +432,7 @@ StreamStatus StreamParser::pumpT() {
         NtId N = CompiledParser::packedNt(E);
         int32_t EpsChain = M->Nts[N].EpsChain;
         if (EpsChain < 0)
-          return failParse(N);
+          return recoverAt(N, /*Trailing=*/false, WinBase + Pos);
         Sk.eps(N, EpsChain);
         break;
       }
@@ -513,7 +447,7 @@ StreamStatus StreamParser::pumpT() {
     if (!MidScan) {
       if (M->SkipState < 0 || Pos == Len) {
         if (Pos < Len)
-          return failTrailing();
+          return recoverAt(NoNt, /*Trailing=*/true, WinBase + Pos);
         if (!Final)
           return StreamStatus::NeedData;
         return complete();
@@ -535,7 +469,7 @@ StreamStatus StreamParser::pumpT() {
     }
     // No further skip match is possible at Pos.
     if (Pos < Len)
-      return failTrailing();
+      return recoverAt(NoNt, /*Trailing=*/true, WinBase + Pos);
     if (!Final)
       return StreamStatus::NeedData;
     return complete();
@@ -543,23 +477,24 @@ StreamStatus StreamParser::pumpT() {
 }
 
 template <bool Final> StreamStatus StreamParser::pump() {
-  if (M->Trans8.empty()) {
-    if (Recognize)
-      return pumpT<Tab16, RSink, Final>();
-    if (EventMode)
-      return pumpT<Tab16, ESink, Final>();
-    return pumpT<Tab16, VSink, Final>();
-  }
-  if (Recognize)
-    return pumpT<Tab8, RSink, Final>();
-  if (EventMode)
-    return pumpT<Tab8, ESink, Final>();
-  return pumpT<Tab8, VSink, Final>();
+  auto Run = [&](auto Width) {
+    using Tab = decltype(Width);
+    switch (Req.Mode) {
+    case ParseMode::Values:
+      return pumpT<Tab, VSink, Final>();
+    case ParseMode::Events:
+      return pumpT<Tab, ESink, Final>();
+    case ParseMode::Recognize:
+      break;
+    }
+    return pumpT<Tab, RSink, Final>();
+  };
+  return M->Trans8.empty() ? Run(Tab16{}) : Run(Tab8{});
 }
 
 template <bool Final> StreamStatus StreamParser::drivePump() {
-  // Without recovery this is one pump. With it, a failure inside pump()
-  // parks the stream in Phase::Resync; when the sync point is already
+  // Without a failure this is one pump. A failure within the error
+  // budget parks the stream in Phase::Resync; when the sync point is already
   // in the window the resync resolves immediately and parsing re-enters
   // — possibly several times per chunk on dense corruption. Termination
   // mirrors the whole-buffer driver: every re-entry point is strictly
@@ -583,19 +518,15 @@ StreamStatus StreamParser::feed(std::string_view Chunk) {
   if (Ph == Phase::Done) {
     if (Chunk.empty())
       return StreamStatus::Done;
-    ErrMsg = "feed() after finish()";
-    releaseAfterError(WinBase + Pos);
-    return StreamStatus::Error;
+    return misuse("feed() after finish()", WinBase + Pos);
   }
   // Token spans (and Lexeme offsets generally) are uint32: one stream is
   // limited to 4 GiB, like a whole-buffer parse. Fail gracefully instead
   // of letting absolute offsets wrap (the same guard discipline as the
   // packed-symbol widths in compileFused).
-  if (WinBase + Buf.size() + Chunk.size() > uint64_t(UINT32_MAX)) {
-    ErrMsg = "stream exceeds the 32-bit offset space (4 GiB)";
-    releaseAfterError(WinBase + Buf.size());
-    return StreamStatus::Error;
-  }
+  if (WinBase + Buf.size() + Chunk.size() > uint64_t(UINT32_MAX))
+    return misuse("stream exceeds the 32-bit offset space (4 GiB)",
+                  WinBase + Buf.size());
   if (!Chunk.empty())
     Buf.append(Chunk.data(), Chunk.size());
   StreamStatus St = drivePump</*Final=*/false>();
@@ -625,15 +556,14 @@ StreamStatus StreamParser::finish() {
 Result<Value> StreamParser::take() {
   switch (Ph) {
   case Phase::Done: {
-    // Leave Out a genuine unit value: a second take() then returns
-    // unit instead of a moved-from shell whose tag still claims a
-    // boxed payload.
-    Value V = std::move(Out);
-    Out = Value();
+    if (Res.Values.empty())
+      return Value::unit();
+    Value V = std::move(Res.Values.back());
+    Res.Values.pop_back();
     return V;
   }
   case Phase::Fail:
-    return Err(ErrMsg);
+    return Err(Misuse ? std::string(Misuse) : Diag.message());
   default:
     return Err("stream parse not finished (call finish())");
   }

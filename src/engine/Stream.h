@@ -44,18 +44,33 @@
 ///   - Actions must not stash absolute offsets in user context and
 ///     dereference them in a *later* action; spans are only addressable
 ///     while a value referencing them is live on the value stack.
-///   - *Event mode* (StreamOptions::Events) sidesteps value retention
+///   - *Event mode* (ParseMode::Events) sidesteps value retention
 ///     entirely: token text is copied at match time into the undrained
-///     EventBatch's arena, so the carry is the in-progress lexeme —
-///     O(longest lexeme) even for the document-spanning bracket
-///     structures above.
+///     outcome's TextArena (ParseOutcome::Text), so the carry is the
+///     in-progress lexeme — O(longest lexeme) even for the
+///     document-spanning bracket structures above.
 ///
-/// Offsets: all reported offsets — token spans in values, error
-/// messages, offset() — are absolute stream offsets, identical to a
-/// whole-buffer parse of the concatenated chunks (the chunked
-/// differential fuzzer asserts byte-identical values and error strings
-/// at every split point). Token spans are uint32, so one stream is
-/// limited to 4 GiB, like a whole-buffer parse.
+/// One request, one outcome: a stream is built from the ParseRequest
+/// the whole-buffer cores take (entry, mode, error budget, user
+/// context) and reports into the ParseOutcome CompiledParser::run fills
+/// — values of completed segments, events, diagnostics with line and
+/// column, Truncated. drain() hands over what accumulated since the
+/// last drain; drained at the end, the outcome equals run()'s on the
+/// concatenated chunks at every split (tests/RecoveryDiffTest.cpp). A
+/// strict stream is a budget of one: its first failure is the one Fatal
+/// diagnostic. With a larger budget a failure skips to the next viable
+/// sync point (engine/README.md "The recovery contract"), re-enters the
+/// machine at the entry nonterminal and keeps going; the
+/// resynchronization scan suspends across chunk boundaries, and a
+/// diagnostic reaches the outcome only once its recovery action
+/// (Resync/SkipToEnd/Fatal) is known.
+///
+/// Offsets: all reported offsets — token spans in values, diagnostics,
+/// offset() — are absolute stream offsets, identical to a whole-buffer
+/// parse of the concatenated chunks (the chunked differential fuzzer
+/// asserts byte-identical values and error strings at every split
+/// point). Token spans are uint32, so one stream is limited to 4 GiB,
+/// like a whole-buffer parse.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,123 +96,50 @@ enum class StreamStatus : uint8_t {
   Error     ///< parse failed; take() yields the diagnostic
 };
 
-struct StreamOptions {
-  /// Entry nonterminal; NoNt uses the machine's start symbol (the
-  /// machine is one table set shared by every entry point, §8). Value
-  /// and event streams refuse an undeclared ValueFree entry up front
-  /// (CompiledParser::entryRefusal); Recognize accepts every entry.
-  NtId Start = NoNt;
-  /// Opaque pointer exposed to actions as ParseContext::User.
-  void *User = nullptr;
-  /// Recognition only: no values, no actions (the streaming analogue of
-  /// CompiledParser::recognize). Takes precedence over Events.
-  bool Recognize = false;
-  /// SAX event mode: instead of building values, the parser appends
-  /// ParseEvents to an EventBatch (drained with takeEvents()), copying
-  /// each token's text *eagerly* at match time into the batch's own
-  /// text arena. Because an event never references the window after
-  /// its hook returns, the parser retains no input beyond the
-  /// in-progress lexeme — the carry stays O(longest lexeme) even on a
-  /// document-spanning bracket structure that value mode would
-  /// legitimately retain back to its opening delimiter. take() yields
-  /// unit on success.
-  bool Events = false;
-  /// Sync-token error recovery — the streaming analogue of a
-  /// CompiledParser::run request with a budget, with byte-identical
-  /// diagnostics (the recovery differential suite compares the
-  /// ParseDiagnostic lists at every chunk split). On a parse failure the parser skips to the
-  /// next viable sync point (engine/README.md "The recovery contract"),
-  /// re-enters the machine at the entry nonterminal, and keeps going:
-  /// feed() keeps returning NeedData, completed segment values
-  /// accumulate for takeValues(), and the structured error list
-  /// accumulates for errors()/takeErrors(). The resynchronization scan
-  /// itself suspends across chunk boundaries — a diagnostic is never
-  /// exposed until its recovery action (Resync/SkipToEnd/Fatal) is
-  /// known. take() yields unit on success. Composes with Events and
-  /// Recognize.
-  bool Recover = false;
-  /// Recovery only: stop after this many recorded errors (the last one
-  /// is marked Action::Fatal and truncated() turns true; the stream
-  /// then errors like a non-recovery failure). 0 behaves as 1
-  /// (ErrorBudget).
-  size_t MaxErrors = DefaultMaxErrors;
-};
-
-/// A run of streamed events together with the bytes their token text
-/// views: the text arena travels with the events, so a drained batch is
-/// self-contained — its views stay valid after further feeds, reset()
-/// and destruction of the parser, for as long as the batch lives
-/// (moving it keeps them valid too). Iterates like a vector of events.
-class EventBatch {
-public:
-  using const_iterator = std::vector<ParseEvent>::const_iterator;
-
-  size_t size() const { return Events.size(); }
-  const ParseEvent &operator[](size_t I) const { return Events[I]; }
-  const_iterator begin() const { return Events.begin(); }
-  const_iterator end() const { return Events.end(); }
-
-private:
-  friend class StreamParser;
-  std::vector<ParseEvent> Events;
-  TextArena Text;
-};
-
 /// A resumable parse over one input stream. Not thread-safe; one
 /// instance per stream (reset() recycles buffers for the next stream).
 class StreamParser {
 public:
-  /// \p M must outlive the parser.
-  explicit StreamParser(const CompiledParser &M, StreamOptions Opts = {});
+  /// \p M must outlive the parser. \p Req selects the entry, the mode,
+  /// the error budget (1, the default, is strict) and the actions' user
+  /// context. Value and event streams refuse an undeclared ValueFree
+  /// entry up front (CompiledParser::admit): the outcome then holds the
+  /// one Fatal refusal and the stream is in the Error state.
+  explicit StreamParser(const CompiledParser &M, ParseRequest Req = {});
+  /// One parser per stream: a copy would append to the same undrained
+  /// outcome's text arena.
+  StreamParser(const StreamParser &) = delete;
+  StreamParser &operator=(const StreamParser &) = delete;
+  StreamParser(StreamParser &&) = default;
+  StreamParser &operator=(StreamParser &&) = default;
 
   /// Consumes \p Chunk. NeedData means the parse is suspended waiting
-  /// for more input; Error means it failed (take() has the diagnostic —
-  /// errors surface as soon as they are decidable, not at finish()).
+  /// for more input (or still resynchronizing); Error means it failed —
+  /// errors surface as soon as they are decidable, not at finish().
   StreamStatus feed(std::string_view Chunk);
 
   /// Ends the stream: runs the suspended scan to end-of-input, absorbs
   /// trailing skip input, and completes the parse.
   StreamStatus finish();
 
-  /// After finish(): the semantic value (or unit in Recognize/Events
-  /// mode), or the parse error. Calling take() before finish() returns
-  /// an error. After a parse error, take() is repeatable: every call
-  /// returns the same diagnostic (the post-error contract — see
-  /// reset()).
+  /// The strict view of the stream. After finish(): the value of the
+  /// last completed segment, moved out of the outcome (unit when there
+  /// is none: recognize and event modes, or already drained). After a
+  /// failure: the message of the diagnostic that ended the stream,
+  /// repeatably (the post-error contract — see reset()). Before
+  /// finish(): an error.
   Result<Value> take();
 
-  /// Event mode: moves out the events accumulated since the last call,
-  /// with the arena their token text lives in — the returned batch owns
-  /// its text. Drain between feeds to keep consumer memory bounded —
-  /// the parser itself never retains input beyond the in-progress
-  /// lexeme.
-  EventBatch takeEvents() { return std::exchange(EvLog, EventBatch()); }
-  /// The undrained events (event mode); their text lives until they are
-  /// drained with takeEvents() (then as long as that batch) or dropped
-  /// by reset().
-  const std::vector<ParseEvent> &events() const { return EvLog.Events; }
-
-  /// Recovery mode: moves out the values of the segments completed
-  /// since the last call (one Value per recovered record). Drain
-  /// between feeds to keep consumer memory bounded.
-  std::vector<Value> takeValues() {
-    std::vector<Value> Out;
-    Out.swap(SegVals);
-    return Out;
-  }
-  /// Recovery mode: the undrained structured diagnostics. A failure
-  /// whose resynchronization is still in flight is *not* listed — every
-  /// exposed diagnostic has its recovery action resolved.
-  const std::vector<ParseDiagnostic> &errors() const { return Errs; }
-  /// Recovery mode: moves out the diagnostics accumulated since the
-  /// last call. Draining does not reset the MaxErrors accounting.
-  std::vector<ParseDiagnostic> takeErrors() {
-    std::vector<ParseDiagnostic> Out;
-    Out.swap(Errs);
-    return Out;
-  }
-  /// Recovery mode: true once MaxErrors stopped the stream early.
-  bool truncated() const { return Truncated; }
+  /// Moves out everything reported since the last drain — segment
+  /// values, events with the arena their text lives in, diagnostics,
+  /// Truncated — leaving an empty outcome. The drained outcome is
+  /// self-contained: its event text stays valid after further feeds,
+  /// reset() and destruction of the parser. Drain between feeds to keep
+  /// consumer memory bounded; the parser itself retains no input beyond
+  /// what live values reference (event mode: the in-progress lexeme).
+  ParseOutcome drain() { return std::exchange(Res, ParseOutcome()); }
+  /// The undrained outcome.
+  const ParseOutcome &outcome() const { return Res; }
 
   StreamStatus status() const {
     return Ph == Phase::Done   ? StreamStatus::Done
@@ -233,14 +175,14 @@ public:
   /// any terminal or mid-stream state.
   ///
   /// Post-error contract (pinned by tests/StreamDiffTest.cpp): a parse
-  /// error releases the carry, the live values, their retain watermarks
-  /// and any unconsumed result immediately — an errored parser holds
-  /// only the diagnostic, its position, and (in event mode) the
-  /// undrained events, which are consumer output and stay retrievable
-  /// via takeEvents(). take() returns the error, repeatably;
-  /// feed()/finish() keep returning Error; offset() reports the error
-  /// position; and reset() fully recovers the parser for the next
-  /// stream.
+  /// error releases the carry, the live values and their retain
+  /// watermarks immediately — an errored parser holds only the
+  /// diagnostic, its position, and the undrained outcome, which is
+  /// consumer output and stays retrievable via drain(). take() returns
+  /// the error, repeatably; feed()/finish() keep returning Error;
+  /// offset() reports the error position; and reset() fully recovers
+  /// the parser for the next stream, applying the entry contract again
+  /// (a refused entry's outcome again holds its one refusal).
   void reset();
 
   /// The per-stream value arena (kept warm across reset()); escaped
@@ -253,9 +195,9 @@ private:
   /// buffer capacities to pin reset()'s reuse contract.
   friend struct StreamParserTestPeer;
 
-  /// Resync: recovery mode only — a failure was recorded and the parser
-  /// is scanning for the next viable sync point (possibly across many
-  /// chunks); status() reports NeedData.
+  /// Resync: a failure was recorded within the error budget and the
+  /// parser is scanning for the next viable sync point (possibly across
+  /// many chunks); status() reports NeedData.
   enum class Phase : uint8_t { Run, Trail, Resync, Done, Fail };
 
   /// The streaming sink policies (Stream.cpp): value building with
@@ -265,6 +207,9 @@ private:
   struct ESink;
   struct RSink;
 
+  /// Admits the request's entry (CompiledParser::admit) and arms the
+  /// machine on it, or enters Phase::Fail with the refusal.
+  void begin();
   template <typename Tab, typename SinkT, bool Final> StreamStatus pumpT();
   template <bool Final> StreamStatus pump();
   /// The outer drive loop: alternates pump() with resynchronization
@@ -272,11 +217,12 @@ private:
   /// phase. Recovery restarts (fail → resync → re-enter) resolve within
   /// one call when the sync point is already in the window.
   template <bool Final> StreamStatus drivePump();
-  /// Recovery: records the failure as the pending diagnostic, closes
-  /// the current segment (a Trailing failure completed its value; a
-  /// parse failure drops the partial), and either enters Phase::Resync
-  /// or — at the error limit, or for a grammar with no sync tokens —
-  /// seals the diagnostic as Fatal and fails the stream.
+  /// Every failure: closes the current segment (a Trailing failure
+  /// completed its value; a parse failure drops the partial), builds
+  /// the diagnostic and charges it to the budget — the whole-buffer
+  /// loop's rule. Within budget the parser enters Phase::Resync with
+  /// the diagnostic pending; at the limit, or for a grammar with no sync
+  /// tokens, the diagnostic is Fatal and the stream fails.
   StreamStatus recoverAt(NtId N, bool Trailing, uint64_t Off);
   /// Advances the resynchronization scan over the window. Returns false
   /// when suspended waiting for more input (never when \p Final);
@@ -297,8 +243,10 @@ private:
     Retain.push_back({Idx, W, Min});
   }
   void compact();
-  StreamStatus failParse(NtId N);
-  StreamStatus failTrailing();
+  /// Fails the stream for a misuse that is not a parse diagnostic
+  /// (feed() after finish(), the 4 GiB offset limit): take() reports
+  /// \p Msg.
+  StreamStatus misuse(const char *Msg, uint64_t ErrOffset);
   /// Enters Phase::Fail: records the error offset and releases the
   /// carry, values, retain watermarks, suspended scan and symbol stack
   /// (the post-error contract; see reset()).
@@ -306,12 +254,9 @@ private:
   StreamStatus complete();
 
   const CompiledParser *M;
-  NtId StartNt;
-  void *User;
-  bool Recognize;
-  bool EventMode;
-  bool RecoverMode;
-  ErrorBudget Budget; ///< drain-immune: counts every diagnostic
+  ParseRequest Req;
+  NtId StartNt = NoNt; ///< the admitted entry (NoNt when refused)
+  ErrorBudget Budget;  ///< drain-immune: counts every diagnostic
   /// False when no registered action reads lexeme text
   /// (ActionTable::readsInput()): retain watermarks then need no
   /// tracking at all — the carry is just the in-progress lexeme — and
@@ -343,25 +288,14 @@ private:
   };
   std::vector<RetainEnt> Retain;
   static constexpr uint64_t NoRetain = ~uint64_t(0);
-  std::string ErrMsg;
-  uint64_t ErrOff = 0; ///< absolute error position (Phase::Fail only)
-  Value Out;
-  EventBatch EvLog; ///< event mode: undrained events and their text
-  /// Recovery state. The scan cursor RePos is window-relative; the
-  /// pending diagnostic is complete except for Act/ResumeOff, which the
-  /// resynchronization scan fills in before it reaches Errs. Budget
-  /// counts every diagnostic ever recorded this stream so takeErrors()
-  /// draining cannot reset the MaxErrors accounting. LT mirrors the
-  /// whole-buffer recovery driver's lazy line/column tracker — it
-  /// absorbs each input byte at most once (compacted-away prefixes in
-  /// compact(), the remainder when a diagnostic materializes), so the
-  /// streamed Line/Col equal a whole-buffer parse's exactly.
-  std::vector<ParseDiagnostic> Errs; ///< resolved, undrained diagnostics
-  std::vector<Value> SegVals;        ///< completed segment values
-  ParseDiagnostic Pending;           ///< failure awaiting its action
-  bool HavePending = false;
-  bool Truncated = false; ///< MaxErrors stopped the stream early
-  size_t RePos = 0;       ///< window-relative resync scan cursor
+  ParseOutcome Res; ///< reported since the last drain()
+  /// The failure awaiting its action (Phase::Resync; the scan fills in
+  /// Act/ResumeOff before it reaches Res), or the one that ended the
+  /// stream (Phase::Fail; take() renders it).
+  ParseDiagnostic Diag;
+  const char *Misuse = nullptr; ///< Phase::Fail for a misuse, not Diag
+  uint64_t ErrOff = 0;          ///< absolute error position (Phase::Fail)
+  size_t RePos = 0;             ///< window-relative resync scan cursor
   /// The last bytes compacted away before Buf[0] (at most MaxSeqLen-1),
   /// so the resynchronization scan can recognize a multi-byte sync
   /// sequence (csv's "\r\n") split by a compaction boundary — see
@@ -381,6 +315,10 @@ private:
       ShadowLen = Keep + N;
     }
   }
+  /// The whole-buffer loop's lazy line/column tracker: it absorbs each
+  /// input byte at most once (compacted-away prefixes in compact(), the
+  /// remainder when a diagnostic materializes), so the streamed
+  /// Line/Col equal a whole-buffer parse's exactly.
   LineTracker LT;
   size_t CarryHW = 0;
   /// Per-stream value arena (see ParseScratch::Pool); reset() keeps it.

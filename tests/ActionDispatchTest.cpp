@@ -69,9 +69,7 @@ struct DispatchRig {
   Result<Value> streamParse(std::string_view In,
                             const std::vector<size_t> &Cuts) {
     std::shared_ptr<void> C;
-    StreamOptions O;
-    O.User = fresh(C);
-    StreamParser SP(P.M, O);
+    StreamParser SP = P.stream(fresh(C));
     size_t Prev = 0;
     for (size_t Cut : Cuts) {
       SP.feed(In.substr(Prev, Cut - Prev));

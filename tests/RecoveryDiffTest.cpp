@@ -25,9 +25,11 @@
 ///     no viable sync point yields SkipToEnd, not a phantom segment.
 ///   - One request table: every mode (values, events, recognize) at
 ///     budgets 1 and 100 gives the identical ParseOutcome through run(),
-///     the batch core, a 2-worker ParseService and, for record entries,
-///     runRecords at Limit = size; a budget of one is exactly the
-///     recovering outcome cut at its first diagnostic; and every strict
+///     the batch core, a 2-worker ParseService, a StreamParser fed in
+///     1-, 7- and 4096-byte chunks and drained after every feed, and,
+///     for record entries, runRecords at Limit = size; a budget of one
+///     is exactly the recovering outcome cut at its first diagnostic;
+///     and every strict
 ///     wrapper fails with Errors[0].message().
 ///
 /// The checked-in corrupted corpus (tests/corpus/) runs the same
@@ -102,14 +104,13 @@ struct RecoveryRig {
     P = R.take();
   }
 
-  /// Streams \p In in recovery mode, cut at \p Cuts; returns the
-  /// accumulated values/errors/truncated flag. \p Final controls
-  /// whether finish() is called (always true here).
-  RecoveredParse streamRecover(std::string_view In,
-                               const std::vector<size_t> &Cuts) {
-    StreamOptions O;
-    O.Recover = true;
-    StreamParser SP(P.M, O);
+  /// Streams \p In with the default error budget, cut at \p Cuts;
+  /// returns the drained outcome.
+  ParseOutcome streamRecover(std::string_view In,
+                             const std::vector<size_t> &Cuts) {
+    ParseRequest Req;
+    Req.MaxErrors = DefaultMaxErrors;
+    StreamParser SP(P.M, Req);
     size_t Prev = 0;
     for (size_t Cut : Cuts) {
       SP.feed(In.substr(Prev, Cut - Prev));
@@ -117,11 +118,7 @@ struct RecoveryRig {
     }
     SP.feed(In.substr(Prev));
     SP.finish();
-    RecoveredParse Out;
-    Out.Values = SP.takeValues();
-    Out.Errors = SP.takeErrors();
-    Out.Truncated = SP.truncated();
-    return Out;
+    return SP.drain();
   }
 };
 
@@ -262,20 +259,21 @@ TEST(RecoveryDiffTest, StreamingEventRecoveryMatchesWholeBuffer) {
     RecoveredParse Whole = request(R.P.M, Bad, Scr, ParseMode::Events);
     const std::vector<ParseEvent> &WholeEvs = Whole.Events;
     for (size_t Cut = 0; Cut <= Bad.size(); Cut += 7) {
-      StreamOptions O;
-      O.Recover = true;
-      O.Events = true;
-      StreamParser SP(R.P.M, O);
+      ParseRequest Req;
+      Req.Mode = ParseMode::Events;
+      Req.MaxErrors = DefaultMaxErrors;
+      StreamParser SP(R.P.M, Req);
       SP.feed(std::string_view(Bad).substr(0, Cut));
       SP.feed(std::string_view(Bad).substr(Cut));
       SP.finish();
-      EventBatch Evs = SP.takeEvents();
+      const ParseOutcome Got = SP.drain();
+      const std::vector<ParseEvent> &Evs = Got.Events;
       ASSERT_EQ(WholeEvs.size(), Evs.size())
           << Def->Name << " cut " << Cut;
       for (size_t I = 0; I < Evs.size(); ++I)
         ASSERT_EQ(WholeEvs[I], Evs[I])
             << Def->Name << " cut " << Cut << " event " << I;
-      std::vector<ParseDiagnostic> Errs = SP.takeErrors();
+      const std::vector<ParseDiagnostic> &Errs = Got.Errors;
       ASSERT_EQ(Whole.Errors.size(), Errs.size())
           << Def->Name << " cut " << Cut;
       for (size_t I = 0; I < Errs.size(); ++I)
@@ -324,20 +322,20 @@ TEST(RecoveryDiffTest, MaxErrorsTruncatesIdentically) {
 
   // Streaming: same limit, same list; the stream then fails like a
   // non-recovery parse whose message is the fatal diagnostic's.
-  StreamOptions O;
-  O.Recover = true;
-  O.MaxErrors = 3;
-  StreamParser SP(R.P.M, O);
+  ParseRequest Req;
+  Req.MaxErrors = 3;
+  StreamParser SP(R.P.M, Req);
   for (size_t At = 0; At < Bad.size(); At += 31)
     if (SP.feed(std::string_view(Bad).substr(At, 31)) ==
         StreamStatus::Error)
       break;
   SP.finish();
-  std::vector<ParseDiagnostic> Errs = SP.takeErrors();
+  const ParseOutcome Got = SP.drain();
+  const std::vector<ParseDiagnostic> &Errs = Got.Errors;
   ASSERT_EQ(Whole.Errors.size(), Errs.size());
   for (size_t I = 0; I < Errs.size(); ++I)
     EXPECT_EQ(Whole.Errors[I], Errs[I]) << "diagnostic " << I;
-  EXPECT_EQ(Whole.Truncated, SP.truncated());
+  EXPECT_EQ(Whole.Truncated, Got.Truncated);
   if (Whole.Truncated) {
     EXPECT_EQ(SP.status(), StreamStatus::Error);
     EXPECT_EQ(SP.take().error(), Whole.Errors.back().message());
@@ -385,14 +383,53 @@ TEST(RecoveryDiffTest, LineAndColumnMatchTextEditors) {
   }
 }
 
+TEST(RecoveryDiffTest, BlockedLineTrackerMatchesByteLoop) {
+  // LineTracker::advance counts newlines in 255-byte blocks with a
+  // one-byte accumulator. Line and LineStart must equal a byte-at-a-time
+  // count over random text fed at random split points — including runs
+  // of more than 255 consecutive newlines, the accumulator's width edge.
+  Rng Rand(77);
+  for (int Round = 0; Round < 60; ++Round) {
+    std::string Text;
+    const size_t N = Rand.below(3000);
+    for (size_t I = 0; I < N; ++I)
+      Text.push_back(Rand.chance(1, 8)
+                         ? '\n'
+                         : static_cast<char>('a' + Rand.below(26)));
+    if (Round % 3 == 0)
+      Text.insert(Rand.below(Text.size() + 1),
+                  std::string(256 + Rand.below(600), '\n'));
+    LineTracker LT;
+    uint32_t Line = 1;
+    uint64_t LineStart = 0;
+    size_t At = 0;
+    while (At < Text.size()) {
+      const size_t Len = std::min<size_t>(
+          Text.size() - At, Rand.chance(1, 4) ? Text.size() : Rand.below(700));
+      LT.advance(Text.data() + At, Len);
+      for (size_t I = At; I < At + Len; ++I)
+        if (Text[I] == '\n') {
+          ++Line;
+          LineStart = I + 1;
+        }
+      At += Len;
+      const std::string Tag =
+          "round " + std::to_string(Round) + " at " + std::to_string(At);
+      ASSERT_EQ(LT.ScannedTo, At) << Tag;
+      ASSERT_EQ(LT.Line, Line) << Tag;
+      ASSERT_EQ(LT.LineStart, LineStart) << Tag;
+    }
+  }
+}
+
 TEST(RecoveryDiffTest, StreamResetClearsRecoveryState) {
   // One recovering StreamParser, many streams: diagnostics, segment
   // values, truncation and the line tracker must not leak across
   // reset() (lines restart at 1).
   RecoveryRig R(makeSexpGrammar());
-  StreamOptions O;
-  O.Recover = true;
-  StreamParser SP(R.P.M, O);
+  ParseRequest Req;
+  Req.MaxErrors = DefaultMaxErrors;
+  StreamParser SP(R.P.M, Req);
   ParseScratch Scr;
   for (int Conn = 0; Conn < 3; ++Conn) {
     const std::string In = "(a)\n(!\n(b)\n"; // one error per stream
@@ -400,14 +437,10 @@ TEST(RecoveryDiffTest, StreamResetClearsRecoveryState) {
     for (size_t At = 0; At < In.size(); At += 2)
       SP.feed(std::string_view(In).substr(At, 2));
     SP.finish();
-    RecoveredParse Str;
-    Str.Values = SP.takeValues();
-    Str.Errors = SP.takeErrors();
-    Str.Truncated = SP.truncated();
-    expectSameRecovery(Whole, Str, "conn " + std::to_string(Conn));
+    expectSameRecovery(Whole, SP.drain(), "conn " + std::to_string(Conn));
     SP.reset();
-    EXPECT_TRUE(SP.errors().empty());
-    EXPECT_FALSE(SP.truncated());
+    EXPECT_TRUE(SP.outcome().Errors.empty());
+    EXPECT_FALSE(SP.outcome().Truncated);
   }
 }
 
@@ -538,6 +571,32 @@ void expectSameOutcome(const ParseOutcome &A, const ParseOutcome &B,
     ASSERT_EQ(A.Events[I], B.Events[I]) << What << ": event " << I;
 }
 
+/// The stream column of the request table: \p In fed to a StreamParser
+/// for \p Req in \p Chunk-byte pieces, drained after every feed. All is
+/// the drained pieces concatenated; Parts keep their event text alive.
+struct StreamedOutcome {
+  std::vector<ParseOutcome> Parts;
+  ParseOutcome All;
+};
+StreamedOutcome streamRequest(const CompiledParser &M, const ParseRequest &Req,
+                              std::string_view In, size_t Chunk) {
+  StreamedOutcome S;
+  StreamParser SP(M, Req);
+  for (size_t At = 0; At < In.size(); At += Chunk) {
+    SP.feed(In.substr(At, Chunk));
+    S.Parts.push_back(SP.drain());
+  }
+  SP.finish();
+  S.Parts.push_back(SP.drain());
+  for (const ParseOutcome &P : S.Parts) {
+    S.All.Values.insert(S.All.Values.end(), P.Values.begin(), P.Values.end());
+    S.All.Events.insert(S.All.Events.end(), P.Events.begin(), P.Events.end());
+    S.All.Errors.insert(S.All.Errors.end(), P.Errors.begin(), P.Errors.end());
+    S.All.Truncated |= P.Truncated;
+  }
+  return S;
+}
+
 /// Strict is a budget of one: the strict outcome is the recovering one
 /// cut at its first diagnostic, which turns Fatal and truncates.
 void expectStrictPrefix(const ParseOutcome &Strict, const ParseOutcome &Rec,
@@ -625,6 +684,13 @@ TEST(RecoveryDiffTest, OneRequestTableAcrossWholeBufferCores) {
           expectSameOutcome(One, Batch[I],
                             Def->Name + " batch " + modeName(Mode) +
                                 " input " + std::to_string(I));
+          for (size_t Chunk : {size_t(1), size_t(7), size_t(4096)})
+            expectSameOutcome(One,
+                              streamRequest(M, Req, Views[I], Chunk).All,
+                              Def->Name + " stream " + modeName(Mode) +
+                                  " budget " + std::to_string(Budget) +
+                                  " chunk " + std::to_string(Chunk) +
+                                  " input " + std::to_string(I));
           T[B][Mode].push_back(std::move(One));
         }
       }

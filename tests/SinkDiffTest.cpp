@@ -15,7 +15,7 @@
 /// the document-spanning bracket corpora (sexp, ppm) whose value-mode
 /// retention is legitimately document-sized. The lifetime contract of
 /// the flat ParseEvent is pinned too: whole-buffer text views the
-/// caller's input, streamed text lives in the drained batch and
+/// caller's input, streamed text lives in the drained outcome and
 /// survives later feeds, reset() and the parser. The batch core must
 /// agree with one-shot parseFrom input for input.
 ///
@@ -138,24 +138,24 @@ struct SinkRig {
     EXPECT_EQ(*Val, Re) << Def->Name << " replay drift on '" << In << "'";
   }
 
-  /// Streams \p In in event mode, cut at \p Cuts, draining events after
-  /// every feed (the bounded-consumer pattern) into \p Batches.
+  /// Streams \p In in event mode, cut at \p Cuts, draining the outcome
+  /// after every feed (the bounded-consumer pattern) into \p Batches.
   StreamStatus streamEvents(std::string_view In,
                             const std::vector<size_t> &Cuts,
-                            std::vector<EventBatch> &Batches,
+                            std::vector<ParseOutcome> &Batches,
                             std::string &Err, size_t *CarryHW = nullptr) {
-    StreamOptions O;
-    O.Events = true;
-    StreamParser SP(P.M, O);
+    ParseRequest Req;
+    Req.Mode = ParseMode::Events;
+    StreamParser SP(P.M, Req);
     size_t Prev = 0;
     for (size_t Cut : Cuts) {
       SP.feed(In.substr(Prev, Cut - Prev));
-      Batches.push_back(SP.takeEvents());
+      Batches.push_back(SP.drain());
       Prev = Cut;
     }
     SP.feed(In.substr(Prev));
     SP.finish();
-    Batches.push_back(SP.takeEvents());
+    Batches.push_back(SP.drain());
     if (CarryHW)
       *CarryHW = SP.carryHighWater();
     if (SP.status() == StreamStatus::Error)
@@ -171,12 +171,12 @@ struct SinkRig {
     std::vector<ParseEvent> Whole;
     ParseScratch Scratch;
     Status WS = P.M.parseEvents(P.M.Start, In, Scratch, Whole);
-    std::vector<EventBatch> Batches;
+    std::vector<ParseOutcome> Batches;
     std::string StrErr;
     StreamStatus SS = streamEvents(In, Cuts, Batches, StrErr);
-    std::vector<ParseEvent> Str; // views text the batches own
-    for (const EventBatch &B : Batches)
-      Str.insert(Str.end(), B.begin(), B.end());
+    std::vector<ParseEvent> Str; // views text the drained outcomes own
+    for (const ParseOutcome &B : Batches)
+      Str.insert(Str.end(), B.Events.begin(), B.Events.end());
     ASSERT_EQ(WS.ok(), SS == StreamStatus::Done)
         << Def->Name << " (" << Cuts.size() << " cuts) on '" << In << "'";
     ASSERT_EQ(Whole.size(), Str.size())
@@ -231,13 +231,13 @@ TEST(SinkDiffTest, NonTokenEventsCarryNoSpanOrText) {
       std::vector<size_t> Cuts;
       for (size_t At = Chunk; At < In.size(); At += Chunk)
         Cuts.push_back(At);
-      std::vector<EventBatch> Batches;
+      std::vector<ParseOutcome> Batches;
       std::string Err;
       ASSERT_EQ(R.streamEvents(In, Cuts, Batches, Err), StreamStatus::Done)
           << Def->Name << ": " << Err;
       size_t N = 0;
-      for (const EventBatch &B : Batches)
-        N += nonTokenWithPayload(B);
+      for (const ParseOutcome &B : Batches)
+        N += nonTokenWithPayload(B.Events);
       EXPECT_EQ(N, 0u) << Def->Name << " streamed at " << Chunk << " B";
     }
   }
@@ -343,7 +343,7 @@ TEST(SinkDiffTest, EventModeCarryIsLexemeBoundedOnBracketCorpora) {
     for (size_t At = 4096; At < W.Input.size(); At += 4096)
       Cuts.push_back(At);
 
-    std::vector<EventBatch> Evs;
+    std::vector<ParseOutcome> Evs;
     std::string Err;
     size_t EventCarry = 0;
     ASSERT_EQ(R.streamEvents(W.Input, Cuts, Evs, Err, &EventCarry),
@@ -358,9 +358,7 @@ TEST(SinkDiffTest, EventModeCarryIsLexemeBoundedOnBracketCorpora) {
     // the refactor turns document-sized retention into lexeme-sized.
     if (std::string(Name) == "ppm") {
       std::shared_ptr<void> C;
-      StreamOptions VO;
-      VO.User = R.fresh(C);
-      StreamParser VP(R.P.M, VO);
+      StreamParser VP = R.P.stream(R.fresh(C));
       size_t Prev2 = 0;
       for (size_t Cut : Cuts) {
         VP.feed(std::string_view(W.Input).substr(Prev2, Cut - Prev2));
@@ -627,19 +625,34 @@ TEST(SinkDiffTest, UndeclaredValueFreeEntryIsRefusedInEveryMode) {
   EXPECT_EQ(RRE.S, RecordRun::Stop::Error);
   EXPECT_TRUE(Evs.empty());
 
-  for (int Mode = 0; Mode < 3; ++Mode) { // values, events, recovery
-    StreamOptions O;
-    O.Start = N;
-    O.Events = Mode == 1;
-    O.Recover = Mode == 2;
-    StreamParser SP(M, O);
-    EXPECT_EQ(SP.feed(In), StreamStatus::Error) << "stream mode " << Mode;
-    EXPECT_EQ(SP.finish(), StreamStatus::Error);
-    EXPECT_EQ(SP.take().error(), Msg) << "stream mode " << Mode;
-    EXPECT_EQ(SP.errors(), Mode == 2 ? Fatal : std::vector<ParseDiagnostic>{});
-    SP.reset(); // the refusal survives a reset
-    EXPECT_EQ(SP.status(), StreamStatus::Error);
-  }
+  // The stream admits its entry like the cores, in the constructor and
+  // again in every reset(): after a drain and a reset the outcome holds
+  // the one refusal again.
+  for (ParseMode Mode : {ParseMode::Values, ParseMode::Events})
+    for (size_t Budget : {size_t(1), DefaultMaxErrors}) {
+      SCOPED_TRACE("stream mode " + std::to_string(static_cast<int>(Mode)) +
+                   " budget " + std::to_string(Budget));
+      ParseRequest Req;
+      Req.Entry = N;
+      Req.Mode = Mode;
+      Req.MaxErrors = Budget;
+      StreamParser SP(M, Req);
+      for (int Round = 0; Round < 2; ++Round) {
+        EXPECT_EQ(SP.status(), StreamStatus::Error);
+        EXPECT_EQ(SP.feed(In), StreamStatus::Error);
+        EXPECT_EQ(SP.finish(), StreamStatus::Error);
+        EXPECT_EQ(SP.take().error(), Msg);
+        const ParseOutcome O = SP.drain();
+        EXPECT_EQ(O.Errors, Fatal);
+        EXPECT_TRUE(O.Truncated);
+        EXPECT_TRUE(O.Values.empty());
+        EXPECT_TRUE(O.Events.empty());
+        EXPECT_TRUE(SP.outcome().Errors.empty());
+        SP.reset(); // the refusal survives a reset
+        EXPECT_EQ(SP.outcome().Errors, Fatal);
+        EXPECT_TRUE(SP.outcome().Truncated);
+      }
+    }
 
   // Recognize modes accept the entry.
   EXPECT_TRUE(request(M, In, Scratch, ParseMode::Recognize, 1, N).clean());
@@ -651,12 +664,10 @@ TEST(SinkDiffTest, UndeclaredValueFreeEntryIsRefusedInEveryMode) {
   EXPECT_TRUE(RecOut.clean());
   EXPECT_EQ(Rec.S, RecordRun::Stop::End);
   EXPECT_EQ(Rec.NumRecords, 1u);
-  StreamOptions O;
-  O.Start = N;
-  O.Recognize = true;
-  StreamParser SP(M, O);
+  StreamParser SP(M, RecReq);
   SP.feed(In);
   EXPECT_EQ(SP.finish(), StreamStatus::Done);
+  EXPECT_TRUE(SP.drain().clean());
 }
 
 TEST(SinkDiffTest, DeclaredPureTokenRootKeepsItsValueInEveryMode) {
@@ -735,21 +746,19 @@ TEST(SinkDiffTest, DeclaredPureTokenRootKeepsItsValueInEveryMode) {
       EXPECT_EQ(Recs.Values[0], *Spec) << "runRecords";
     }
 
-    for (int Mode = 0; Mode < 2; ++Mode) { // values, events
-      StreamOptions O;
-      O.Start = C;
-      O.Events = Mode == 1;
-      StreamParser SP(M, O);
+    for (ParseMode Mode : {ParseMode::Values, ParseMode::Events}) {
+      ParseRequest Req;
+      Req.Entry = C;
+      Req.Mode = Mode;
+      StreamParser SP(M, Req);
       for (char Ch : In)
         SP.feed(std::string_view(&Ch, 1));
       SP.finish();
       Result<Value> Got = SP.take();
-      if (Mode == 1 && Got.ok()) {
-        EventBatch B = SP.takeEvents();
-        Got = replayEvents(M, std::vector<ParseEvent>(B.begin(), B.end()),
-                           In, nullptr);
-      }
-      Same(Got, Mode ? "stream events" : "stream values");
+      const bool Events = Mode == ParseMode::Events;
+      if (Events && Got.ok())
+        Got = replayEvents(M, SP.drain().Events, In, nullptr);
+      Same(Got, Events ? "stream events" : "stream values");
     }
   }
 }
@@ -849,32 +858,32 @@ TEST(SinkDiffTest, StreamedEventTextOutlivesFeedsResetAndParser) {
     for (size_t Chunk : {size_t(1), size_t(7), size_t(64), size_t(4096)}) {
       const std::string Tag =
           Def->Name + " chunk " + std::to_string(Chunk);
-      std::vector<EventBatch> Batches;
+      std::vector<ParseOutcome> Batches;
       {
-        StreamOptions O;
-        O.Events = true;
-        StreamParser SP(R.P.M, O);
+        ParseRequest Req;
+        Req.Mode = ParseMode::Events;
+        StreamParser SP(R.P.M, Req);
         for (size_t At = 0; At < In.size(); At += Chunk) {
           std::string Piece = In.substr(At, Chunk);
           ASSERT_NE(SP.feed(Piece), StreamStatus::Error) << Tag;
           std::fill(Piece.begin(), Piece.end(), '\0');
-          const size_t Undrained = SP.events().size();
-          Batches.push_back(SP.takeEvents());
-          ASSERT_EQ(Batches.back().size(), Undrained) << Tag;
-          ASSERT_TRUE(SP.events().empty()) << Tag;
+          const size_t Undrained = SP.outcome().Events.size();
+          Batches.push_back(SP.drain());
+          ASSERT_EQ(Batches.back().Events.size(), Undrained) << Tag;
+          ASSERT_TRUE(SP.outcome().Events.empty()) << Tag;
         }
         ASSERT_EQ(SP.finish(), StreamStatus::Done) << Tag;
-        Batches.push_back(SP.takeEvents());
+        Batches.push_back(SP.drain());
         // Reuse the parser (and its window) for another document, left
         // undrained when the parser dies.
         SP.reset();
         SP.feed(Other);
         SP.finish();
-        EXPECT_FALSE(SP.events().empty()) << Tag;
+        EXPECT_FALSE(SP.outcome().Events.empty()) << Tag;
       }
       size_t K = 0;
-      for (const EventBatch &B : Batches)
-        for (const ParseEvent &E : B) {
+      for (const ParseOutcome &B : Batches)
+        for (const ParseEvent &E : B.Events) {
           ASSERT_LT(K, Whole.size()) << Tag << ": extra events";
           ASSERT_EQ(E, Whole[K]) << Tag << " event " << K;
           ++K;

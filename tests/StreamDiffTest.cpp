@@ -68,9 +68,7 @@ struct StreamRig {
                             const std::vector<size_t> &Cuts,
                             size_t *CarryHW = nullptr) {
     std::shared_ptr<void> C;
-    StreamOptions O;
-    O.User = fresh(C);
-    StreamParser SP(P.M, O);
+    StreamParser SP = P.stream(fresh(C));
     size_t Prev = 0;
     for (size_t Cut : Cuts) {
       SP.feed(In.substr(Prev, Cut - Prev));
@@ -103,9 +101,9 @@ struct StreamRig {
           << Def->Name << " error drift on '" << In << "'";
     }
 
-    StreamOptions RO;
-    RO.Recognize = true;
-    StreamParser SR(P.M, RO);
+    ParseRequest RR;
+    RR.Mode = ParseMode::Recognize;
+    StreamParser SR(P.M, RR);
     size_t Prev = 0;
     for (size_t Cut : Cuts) {
       SR.feed(In.substr(Prev, Cut - Prev));
@@ -388,9 +386,9 @@ TEST(StreamDiffTest, ResetServesManyConnectionsAcrossModes) {
   // and erroring, back to back; reset() must leave no residue (stale
   // events, stale errors, stale carry) between them.
   StreamRig R(makeJsonGrammar());
-  StreamOptions O;
-  O.Events = true;
-  StreamParser SP(R.P.M, O);
+  ParseRequest Req;
+  Req.Mode = ParseMode::Events;
+  StreamParser SP(R.P.M, Req);
   for (int Conn = 0; Conn < 4; ++Conn) {
     Workload W = genWorkload("json", 40 + static_cast<uint64_t>(Conn), 400);
     std::string In = W.Input;
@@ -405,7 +403,8 @@ TEST(StreamDiffTest, ResetServesManyConnectionsAcrossModes) {
           StreamStatus::Error)
         break;
     SP.finish();
-    EventBatch Evs = SP.takeEvents();
+    const ParseOutcome Got = SP.drain();
+    const std::vector<ParseEvent> &Evs = Got.Events;
     std::vector<ParseEvent> WholeEvs;
     ParseScratch Scr;
     Status WS = R.P.M.parseEvents(R.P.M.Start, In, Scr, WholeEvs);
@@ -416,7 +415,8 @@ TEST(StreamDiffTest, ResetServesManyConnectionsAcrossModes) {
     if (Corrupt)
       EXPECT_EQ(SP.take().error(), WS.error()) << Conn;
     SP.reset();
-    EXPECT_TRUE(SP.events().empty()) << "reset left undrained events";
+    EXPECT_TRUE(SP.outcome().Events.empty()) << "reset left undrained events";
+    EXPECT_TRUE(SP.outcome().Errors.empty()) << "reset left stale errors";
   }
 }
 
@@ -481,7 +481,7 @@ TEST(StreamDiffTest, StreamLexerErrorOffsets) {
 }
 
 TEST(StreamDiffTest, RecoveryModeMatchesWholeBufferAtRandomSplits) {
-  // Recovery-mode streaming (StreamOptions::Recover) gets the same
+  // Recovering streams (a budget above one) get the same
   // differential discipline as plain streaming: the recovered segment
   // values, the structured diagnostic list, and the truncation flag
   // must match a recovering CompiledParser::run over the concatenated
@@ -506,9 +506,7 @@ TEST(StreamDiffTest, RecoveryModeMatchesWholeBufferAtRandomSplits) {
       RecoveredParse Whole;
       R.P.M.run(Req, In, Scratch, Whole);
       for (int Round = 0; Round < 6; ++Round) {
-        StreamOptions O;
-        O.Recover = true;
-        StreamParser SP(R.P.M, O);
+        StreamParser SP(R.P.M, Req);
         size_t At = 0;
         while (At < In.size()) {
           size_t N = 1 + Rand.below(Rand.chance(1, 3) ? 8 : 256);
@@ -516,8 +514,9 @@ TEST(StreamDiffTest, RecoveryModeMatchesWholeBufferAtRandomSplits) {
           At += N;
         }
         SP.finish();
-        std::vector<Value> Vals = SP.takeValues();
-        std::vector<ParseDiagnostic> Errs = SP.takeErrors();
+        const ParseOutcome Got = SP.drain();
+        const std::vector<Value> &Vals = Got.Values;
+        const std::vector<ParseDiagnostic> &Errs = Got.Errors;
         ASSERT_EQ(Whole.Errors.size(), Errs.size())
             << Def->Name << " seed " << Seed << " round " << Round;
         for (size_t I = 0; I < Errs.size(); ++I)
@@ -526,7 +525,7 @@ TEST(StreamDiffTest, RecoveryModeMatchesWholeBufferAtRandomSplits) {
         ASSERT_EQ(Whole.Values.size(), Vals.size()) << Def->Name;
         for (size_t I = 0; I < Vals.size(); ++I)
           ASSERT_EQ(Whole.Values[I], Vals[I]) << Def->Name << " value " << I;
-        EXPECT_EQ(Whole.Truncated, SP.truncated()) << Def->Name;
+        EXPECT_EQ(Whole.Truncated, Got.Truncated) << Def->Name;
       }
     }
   }
@@ -534,13 +533,13 @@ TEST(StreamDiffTest, RecoveryModeMatchesWholeBufferAtRandomSplits) {
 
 TEST(StreamDiffTest, MultiEntryStreaming) {
   // Streaming from a non-default entry point: same machine, same tables
-  // (paper §8), entry selected via StreamOptions::Start.
+  // (paper §8), entry selected via ParseRequest::Entry.
   auto Def = makeJsonGrammar();
   StreamRig R(Def);
-  // The machine's own start; exercising the options path.
-  StreamOptions O;
-  O.Start = R.P.M.Start;
-  StreamParser SP(R.P.M, O);
+  // The machine's own start; exercising the request path.
+  ParseRequest Req;
+  Req.Entry = R.P.M.Start;
+  StreamParser SP(R.P.M, Req);
   const std::string In = "{\"k\": [1, 2, {}]}";
   for (char C : In)
     SP.feed(std::string_view(&C, 1));
