@@ -882,140 +882,7 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
   return M;
 }
 
-//===----------------------------------------------------------------------===//
-// The residual machine (the generated code of Fig. 10)
-//===----------------------------------------------------------------------===//
-
 namespace {
-
-using scankernel::ScanOutcome;
-using scankernel::Tab16;
-using scankernel::Tab8;
-
-/// Absorbs F2 whitespace from \p Pos: scans the skip nonterminal until
-/// it fails or matches empty, and returns the offset reached.
-template <typename Tab>
-size_t matchTrailingSkipT(const CompiledParser &M, std::string_view Input,
-                          size_t Pos) {
-  if (M.SkipState < 0)
-    return Pos;
-  const size_t Len = Input.size();
-  const typename Tab::Cell *T = Tab::table(M);
-  const scankernel::Tiers Tr = scankernel::tiersOf(M);
-  while (Pos < Len) {
-    scankernel::ScanState Sc;
-    if (scankernel::scanEnter<Tab, true>(
-            T, M.Skip.data(), Tr, static_cast<uint32_t>(M.SkipState), Pos,
-            Input.data(), Len, Sc) != ScanOutcome::Match ||
-        Sc.BestEnd == Pos)
-      break;
-    Pos = Sc.BestEnd;
-  }
-  return Pos;
-}
-
-/// The residual loop — ONE templated core for every driver mode,
-/// instantiated per table width × sink policy (engine/Sink.h). Work
-/// items are packed symbols: a matched continuation whose tail starts
-/// with a nonterminal continues into it directly (the generated code's
-/// direct tail call) instead of a stack round-trip. The sink decides
-/// what tokens, markers and ε-fallbacks *mean*: ValueSink builds values,
-/// RecognizeSink only records the failure site (markers compiled out,
-/// NtPool walked), EventSink appends the SAX stream. Every hook is
-/// force-inlined and every mode split is an
-/// `if constexpr`, so each instantiation specializes to the code its
-/// hand-written predecessor had — BENCH_fig11.json gates this.
-///
-/// A finished lexeme resolves its continuation through the packed
-/// accept-metadata entry (one indexed load off the best state id; see
-/// the fusion note in Compile.h) instead of three dependent array reads
-/// — on json's terminal-accept structural bytes this removes the
-/// dominant share of the per-lexeme residual-loop cost.
-///
-/// \returns true on a complete parse; false after Sk.failParse /
-/// Sk.failTrailing recorded the failure site.
-///
-/// \p EndPos selects *record* mode (recordLoop below):
-/// when non-null the machine stops as soon as the entry nonterminal's
-/// run completes — no trailing-skip absorption, no whole-input check —
-/// and stores the end offset there; failTrailing can then never fire.
-/// The branch sits outside the scan loop, so the whole-buffer
-/// instantiations are unchanged.
-template <typename Tab, typename Sink>
-bool driveImpl(const CompiledParser &M, NtId StartNt, std::string_view Input,
-               std::vector<uint32_t> &Stack, Sink &Sk, size_t Pos0 = 0,
-               size_t *EndPos = nullptr) {
-  Stack.clear();
-  Stack.push_back(M.packNt(StartNt));
-  size_t Pos = Pos0;
-  const size_t Len = Input.size();
-  const char *S = Input.data();
-  const typename Tab::Cell *T = Tab::table(M);
-  const SkipSet *Skip = M.Skip.data();
-  const scankernel::Tiers Tr = scankernel::tiersOf(M);
-  const uint64_t *Meta =
-      Sink::Markers ? M.AccMeta.data() : M.AccNtMeta.data();
-  const uint32_t *Pool = Sink::Markers ? M.PackedPool.data()
-                                       : M.NtPool.data();
-
-  while (!Stack.empty()) {
-    uint32_t E = Stack.back();
-    Stack.pop_back();
-    for (;;) {
-      if constexpr (Sink::Markers) {
-        if (E & CompiledParser::ActBit) {
-          // Marker: the occurrence's micro-op (possibly rewritten by
-          // dead-token elision); MSlow escapes into the full Action.
-          Sk.marker(E & ~CompiledParser::ActBit);
-          break;
-        }
-      }
-      if constexpr (Sink::Enters)
-        Sk.enter(CompiledParser::packedNt(E));
-      // The residual loop: branch on characters only.
-      // A Final scan matched exactly when Sc.Bs >= 0. Branching on that
-      // register rather than on the returned outcome measured ~4% faster
-      // on small-document json parses with gcc 12.
-      scankernel::ScanState Sc;
-      scankernel::scanEnter<Tab, true>(T, Skip, Tr, E & 0xffffu, Pos, S, Len,
-                                       Sc);
-      Pos = Sc.Base;
-      if (Sc.Bs >= 0) {
-        const uint64_t Mt = Meta[Sc.Bs]; // one load: token + packed tail
-        Sk.token(Mt, Pos, Sc.BestEnd);
-        Pos = Sc.BestEnd;
-        const uint32_t TL = CompiledParser::metaLen(Mt);
-        if (TL != 0) {
-          const uint32_t TO = CompiledParser::metaOff(Mt);
-          for (uint32_t J = TL; J-- > 1;)
-            Stack.push_back(Pool[TO + J]);
-          E = Pool[TO]; // direct continuation into the first tail symbol
-          continue;
-        }
-        break;
-      }
-      NtId N = CompiledParser::packedNt(E);
-      int32_t EpsChain = M.Nts[N].EpsChain;
-      if (EpsChain >= 0) {
-        Sk.eps(N, EpsChain);
-        break;
-      }
-      Sk.failParse(N, Pos);
-      return false;
-    }
-  }
-
-  if (EndPos) {
-    *EndPos = Pos;
-    return true;
-  }
-  Pos = matchTrailingSkipT<Tab>(M, Input, Pos);
-  if (Pos != Len) {
-    Sk.failTrailing(Pos);
-    return false;
-  }
-  return true;
-}
 
 //===--------------------------------------------------------------------===//
 // The error budget: failure → diagnostic → resume point
@@ -1066,7 +933,14 @@ void wholeLoop(const CompiledParser &M, NtId R, std::string_view Input,
   LineTracker LT;
   size_t Q = 0;
   for (;;) {
-    const bool Ok = driveImpl<Tab>(M, R, Input, Stack, Sk, Q);
+    Stack.clear();
+    Stack.push_back(M.packNt(R));
+    size_t Pos = Q;
+    bool Ok = driveImpl<Tab>(M, Input, Pos, Stack, Sk) == DriveStatus::Done;
+    if (Ok && matchTrailingSkipT<Tab>(M, Input, Pos) == DriveStatus::Fail) {
+      Sk.failTrailing(Pos);
+      Ok = false;
+    }
     Sk.endSegment(Ok || Sk.FailTrailing, Out);
     if (Ok)
       return;
@@ -1089,7 +963,8 @@ RecordRun recordLoop(const CompiledParser &M, NtId R, std::string_view Input,
   RecordRun RR;
   const size_t Len = Input.size();
   LineTracker LT{Pos, Pos, 1};
-  size_t P = matchTrailingSkipT<Tab>(M, Input, Pos);
+  size_t P = Pos;
+  matchTrailingSkipT<Tab>(M, Input, P);
   RR.First = P;
   for (;;) {
     if (P == Len) {
@@ -1102,18 +977,24 @@ RecordRun recordLoop(const CompiledParser &M, NtId R, std::string_view Input,
       RR.Next = P;
       return RR;
     }
+    // A record ends where the entry's run completes: no whole-input
+    // check, and the skip input after it is absorbed below.
+    Stack.clear();
+    Stack.push_back(M.packNt(R));
     size_t End = P;
-    const bool Ok = driveImpl<Tab>(M, R, Input, Stack, Sk, P, &End);
+    const bool Ok =
+        driveImpl<Tab>(M, Input, End, Stack, Sk) == DriveStatus::Done;
     // A nullable record nonterminal that consumed nothing would loop
     // forever at P: a grammar-shape error, Fatal in every mode.
     const bool Empty = Ok && End == P;
     Sk.endSegment(Ok && !Empty, Out);
     if (Ok && !Empty) {
       ++RR.NumRecords;
-      P = matchTrailingSkipT<Tab>(M, Input, End);
+      P = End;
+      matchTrailingSkipT<Tab>(M, Input, P);
       continue;
     }
-    // Record-mode drives never failTrailing; this is a parse failure.
+    // A record run never fails trailing; this is a parse failure.
     ParseDiagnostic D;
     if (Empty) {
       D.K = ParseDiagnostic::Kind::EmptyRecord;
@@ -1130,30 +1011,48 @@ RecordRun recordLoop(const CompiledParser &M, NtId R, std::string_view Input,
       RR.Next = Len;
       return RR;
     }
-    P = matchTrailingSkipT<Tab>(M, Input, Q);
+    P = Q;
+    matchTrailingSkipT<Tab>(M, Input, P);
   }
 }
 
-/// Builds the request's sink once and hands it to \p F — the one
-/// runtime mode switch per call.
+/// Builds the request's sink once and hands it, with the table width
+/// (scankernel::withWidth), to \p F — the one runtime mode and width
+/// switch per call.
 template <typename Fn>
 decltype(auto) withSink(const CompiledParser &M, ParseMode Mode,
                         ParseScratch &Scratch, Fn &&F) {
+  auto Drive = [&](auto &Sk) {
+    return scankernel::withWidth(M, [&](auto Width) { return F(Sk, Width); });
+  };
   switch (Mode) {
   case ParseMode::Values: {
     Scratch.reset();
     ValueSink Sk(M, Scratch);
-    return F(Sk);
+    return Drive(Sk);
   }
   case ParseMode::Events: {
     EventSink Sk;
-    return F(Sk);
+    return Drive(Sk);
   }
   case ParseMode::Recognize:
     break;
   }
   RecognizeSink Sk;
-  return F(Sk);
+  return Drive(Sk);
+}
+
+/// The span limit, checked where a core admits an input: a values
+/// request past MaxSpanBytes would wrap every later token span, so it
+/// gets one Fatal LimitExceeded diagnostic instead and nothing is
+/// parsed. Recognize and events requests are unlimited.
+bool admitLength(const ParseRequest &Req, std::string_view Input,
+                 ParseOutcome &Out) {
+  if (Req.Mode != ParseMode::Values || Input.size() <= MaxSpanBytes)
+    return true;
+  Out.Errors.emplace_back().K = ParseDiagnostic::Kind::LimitExceeded;
+  Out.Truncated = true;
+  return false;
 }
 
 /// The strict wrappers' error: the outcome's first diagnostic.
@@ -1226,16 +1125,12 @@ bool CompiledParser::run(const ParseRequest &Req, std::string_view Input,
                          ParseScratch &Scratch, ParseOutcome &Out) const {
   const size_t Errs = Out.Errors.size();
   const NtId R = admit(Req, Out);
-  if (R == NoNt)
+  if (R == NoNt || !admitLength(Req, Input, Out))
     return false;
-  withSink(*this, Req.Mode, Scratch, [&](auto &Sk) {
+  withSink(*this, Req.Mode, Scratch, [&](auto &Sk, auto Width) {
     Sk.bind(Input, Out, Req.User);
-    if (Trans8.empty())
-      wholeLoop<Tab16>(*this, R, Input, Scratch.Stack, Sk,
-                       ErrorBudget(Req.MaxErrors), Out);
-    else
-      wholeLoop<Tab8>(*this, R, Input, Scratch.Stack, Sk,
-                      ErrorBudget(Req.MaxErrors), Out);
+    wholeLoop<decltype(Width)>(*this, R, Input, Scratch.Stack, Sk,
+                               ErrorBudget(Req.MaxErrors), Out);
   });
   return Out.Errors.size() == Errs;
 }
@@ -1262,19 +1157,14 @@ void CompiledParser::runBatch(const ParseRequest &Req,
   // Earlier values stay valid while later inputs run — pooled nodes
   // recycle only once their value dies, and escaped values pin the
   // pages.
-  withSink(*this, Req.Mode, Scratch, [&](auto &Sk) {
-    auto Loop = [&](auto Width) {
-      using Tab = decltype(Width);
-      for (size_t I = 0; I < N; ++I) {
-        Sk.bind(Inputs[I], Out[I], Users ? Users[I] : Req.User);
-        wholeLoop<Tab>(*this, R, Inputs[I], Scratch.Stack, Sk,
-                       ErrorBudget(Req.MaxErrors), Out[I]);
-      }
-    };
-    if (Trans8.empty())
-      Loop(Tab16{});
-    else
-      Loop(Tab8{});
+  withSink(*this, Req.Mode, Scratch, [&](auto &Sk, auto Width) {
+    for (size_t I = 0; I < N; ++I) {
+      if (!admitLength(Req, Inputs[I], Out[I]))
+        continue;
+      Sk.bind(Inputs[I], Out[I], Users ? Users[I] : Req.User);
+      wholeLoop<decltype(Width)>(*this, R, Inputs[I], Scratch.Stack, Sk,
+                                 ErrorBudget(Req.MaxErrors), Out[I]);
+    }
   });
 }
 
@@ -1283,19 +1173,17 @@ RecordRun CompiledParser::runRecords(const ParseRequest &Req,
                                      size_t Limit, ParseScratch &Scratch,
                                      ParseOutcome &Out) const {
   const NtId R = admit(Req, Out);
-  if (R == NoNt) {
+  if (R == NoNt || !admitLength(Req, Input, Out)) {
     RecordRun RR;
     RR.S = RecordRun::Stop::Error;
     RR.First = RR.Next = Pos;
     return RR;
   }
-  return withSink(*this, Req.Mode, Scratch, [&](auto &Sk) {
+  return withSink(*this, Req.Mode, Scratch, [&](auto &Sk, auto Width) {
     Sk.bind(Input, Out, Req.User);
-    return Trans8.empty()
-               ? recordLoop<Tab16>(*this, R, Input, Pos, Limit, Scratch.Stack,
-                                   Sk, ErrorBudget(Req.MaxErrors), Out)
-               : recordLoop<Tab8>(*this, R, Input, Pos, Limit, Scratch.Stack,
-                                  Sk, ErrorBudget(Req.MaxErrors), Out);
+    return recordLoop<decltype(Width)>(*this, R, Input, Pos, Limit,
+                                       Scratch.Stack, Sk,
+                                       ErrorBudget(Req.MaxErrors), Out);
   });
 }
 

@@ -59,6 +59,8 @@ std::string ParseDiagnostic::message() const {
     return formatEntryRefusal(Where);
   if (K == Kind::EmptyRecord)
     return formatEmptyRecord(Off, Where);
+  if (K == Kind::LimitExceeded)
+    return OffsetLimitMessage;
   return formatParseErrorAt(Off, Expected, Where);
 }
 

@@ -47,6 +47,15 @@ std::string formatEntryRefusal(const std::string &Where);
 /// matched empty input at \p Off, so it cannot delimit a sequence.
 std::string formatEmptyRecord(uint64_t Off, const std::string &Where);
 
+/// Token spans (Value::token) and lexeme offsets are 32-bit, so a
+/// values request, a stream and the standalone lexer accept at most this
+/// many input bytes. Past it they fail with OffsetLimitMessage, which a
+/// ParseOutcome carries as one Fatal LimitExceeded diagnostic. Events
+/// and recognition keep 64-bit offsets.
+constexpr uint64_t MaxSpanBytes = UINT32_MAX;
+constexpr const char *OffsetLimitMessage =
+    "input exceeds the 32-bit offset space (4 GiB)";
+
 /// Renders one table-verifier finding (engine/Verify.h) through the
 /// same formatter seam the parse diagnostics use, so every structured
 /// record the engine emits has exactly one string rendering.
@@ -67,7 +76,9 @@ struct ParseDiagnostic {
     Parse,      ///< no production matched while parsing Nt
     Trailing,   ///< a value completed but input remained
     Entry,      ///< entry Nt refused before parsing (always Fatal, Off 0)
-    EmptyRecord ///< record Nt matched empty input (always Fatal)
+    EmptyRecord, ///< record Nt matched empty input (always Fatal)
+    LimitExceeded ///< refused before parsing: the input is past a limit
+                  ///< (MaxSpanBytes for values; always Fatal, Off 0)
   };
   /// What the recovery driver did after recording the error.
   enum class Action : uint8_t {

@@ -7,10 +7,9 @@
 ///
 /// \file
 /// The per-nonterminal longest-match scan of the staged machine — the
-/// one scan automaton every engine path runs: the whole-buffer drivers
-/// (parse / recognize / events, the record drivers, recovery and the
-/// trailing-skip matcher in src/engine/Compile.cpp), the push-style
-/// streaming parser (src/engine/Stream.cpp), and the standalone
+/// one scan automaton every engine path runs: the residual loop and the
+/// trailing-skip matcher (src/engine/Sink.h), which every whole-buffer,
+/// batch, record and streamed parse drives, and the standalone
 /// CompiledLexer / StreamLexer (src/lexer/CompiledLexer.cpp).
 ///
 /// The scan's complete register file is a ScanState: the current DFA
@@ -54,8 +53,9 @@
 /// instantiation to the reference lexer interpreter.
 ///
 /// All positions in a ScanState are window-relative; streaming callers
-/// maintain the window-base-to-absolute-offset mapping and rebase the
-/// state when they compact the carry buffer.
+/// maintain the window-base-to-absolute-offset mapping, park a
+/// suspended scan in a ParkedScan, and rebase it when they compact the
+/// carry buffer.
 ///
 /// Determinism of this kernel is also what the data-parallel shard tier
 /// (engine/Shard.h) leans on: because every scan decision is a pure
@@ -95,6 +95,14 @@ struct Tab16 {
   static bool dead(Cell V) { return V < 0; }
 };
 
+/// The parser's one run-time width switch: calls \p F with Tab8{} when
+/// the machine has the 8-bit table, else Tab16{}, so a driver names its
+/// instantiation once (`using Tab = decltype(Width)`).
+template <typename Fn>
+decltype(auto) withWidth(const CompiledParser &M, Fn &&F) {
+  return M.Trans8.empty() ? F(Tab16{}) : F(Tab8{});
+}
+
 /// The dispatch-tier bounds of one machine (Compile.h has the range
 /// map). Bundled so every caller hands the kernel one value; the
 /// kernels unpack it into scalars immediately, before the
@@ -124,6 +132,14 @@ struct ScanState {
   size_t Base;     ///< lexeme base, advanced over committed F2 whitespace
   size_t BestEnd;  ///< end of the best match
   size_t I;        ///< read cursor (first unconsumed byte)
+
+  /// Rebases the registers after the window's first \p Cut bytes were
+  /// dropped (\p Cut never exceeds Base).
+  void rebase(size_t Cut) {
+    Base -= Cut;
+    BestEnd -= Cut;
+    I -= Cut;
+  }
 };
 
 /// Initial registers for scanning a nonterminal whose start state is
@@ -131,6 +147,13 @@ struct ScanState {
 inline ScanState scanBegin(uint32_t Start, size_t Pos) {
   return {Start, Start, -1, Pos, Pos, Pos};
 }
+
+/// A scan suspended (More) between two windows: the streaming parser's
+/// whole lexing state. The next window re-enters it through scanStep().
+struct ParkedScan {
+  ScanState Sc{};
+  bool Live = false; ///< a scan is parked in Sc
+};
 
 enum class ScanOutcome : uint8_t { Match, Fail, More };
 

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The *Sink policy* seam of the execution tier. Every driver — the
-/// whole-buffer residual loop in Compile.cpp and the streaming pump in
-/// Stream.cpp — is one templated core parameterized by a compile-time
-/// sink that decides what a finished lexeme, a marker occurrence and an
-/// ε-fallback *mean*:
+/// The *Sink policy* seam of the execution tier, and the one residual
+/// loop it drives (driveImpl, below, with its trailing-skip matcher).
+/// Every driver — the whole-buffer, batch and record loops in
+/// Compile.cpp and the streaming pump in Stream.cpp — runs that one
+/// templated core, parameterized by a compile-time sink that decides
+/// what a finished lexeme, a marker occurrence and an ε-fallback *mean*:
 ///
 ///   - ValueSink: today's semantics — push token values, run the pooled
 ///     micro-ops, collect the final Value. Bit-for-bit the behaviour the
@@ -31,7 +32,7 @@
 /// whole-buffer loops shared a kernel through run-time indirection;
 /// BENCH_fig11.json gates the ValueSink instantiation against that).
 ///
-/// Sink policy contract (duck-typed; the drivers require):
+/// Sink policy contract (duck-typed; the residual loop requires):
 ///
 ///   static constexpr bool Markers;  // true → drive the full PackedPool
 ///                                   //   (marker() delivered per
@@ -47,13 +48,16 @@
 ///   void failParse(NtId N, uint64_t Pos);   // the failure site
 ///   void failTrailing(uint64_t Pos);
 ///
+/// and every driver closes a segment through
+///
+///   void endSegment(bool Completed, ParseOutcome &Out);
+///                                   // a segment ended: deliver its
+///                                   //   value, or drop the partials
+///
 /// The request cores (Compile.cpp) additionally call
 ///
 ///   void bind(std::string_view Input, ParseOutcome &Out, void *User);
 ///                                   // aim at the next input / outcome
-///   void endSegment(bool Completed, ParseOutcome &Out);
-///                                   // a segment ended: deliver its
-///                                   //   value, or drop the partials
 ///
 /// Event ordering, lexeme-text lifetime and the suspension interaction
 /// are documented on ParseEvent (Compile.h) and in engine/README.md
@@ -65,6 +69,7 @@
 #define FLAP_ENGINE_SINK_H
 
 #include "engine/Compile.h"
+#include "engine/ScanKernel.h"
 
 #include <string>
 #include <vector>
@@ -277,6 +282,183 @@ struct RecognizeSink : FailSite {
   FLAP_SINK_INLINE void eps(NtId, int32_t) {}
   void endSegment(bool, ParseOutcome &) {}
 };
+
+//===----------------------------------------------------------------------===//
+// The residual machine (the generated code of Fig. 10)
+//===----------------------------------------------------------------------===//
+
+/// How one run of the residual loop (or the trailing-skip match) ended.
+enum class DriveStatus : uint8_t {
+  Done, ///< the run completed (the trailing match reached the window end)
+  Fail, ///< the run failed (Sk.failParse has the site), or input other
+        ///< than skip remains after the trailing match
+  More  ///< the window ended mid-scan (streamed, not Final): the scan is
+        ///< parked (and the residual loop's work item re-pushed)
+};
+
+/// The residual loop — ONE templated core for every driver, instantiated
+/// per table width × sink policy × (Final, Streamed). Work items are
+/// packed symbols on \p Stack, which the caller arms (the entry
+/// nonterminal) or carries over from a suspended run: a matched
+/// continuation whose tail starts with a nonterminal continues into it
+/// directly (the generated code's direct tail call) instead of a stack
+/// round-trip. The sink decides what tokens, markers and ε-fallbacks
+/// *mean*: ValueSink builds values, RecognizeSink only records the
+/// failure site (markers compiled out, NtPool walked), EventSink appends
+/// the SAX stream. Every hook is force-inlined and every mode split is
+/// an `if constexpr`, so each instantiation specializes to the code its
+/// hand-written predecessor had — BENCH_fig11.json gates this.
+///
+/// A finished lexeme resolves its continuation through the packed
+/// accept-metadata entry (one indexed load off the best state id; see
+/// the fusion note in Compile.h) instead of three dependent array reads
+/// — on json's terminal-accept structural bytes this removes the
+/// dominant share of the per-lexeme residual-loop cost.
+///
+/// \p Streamed = true is the push-style stream (engine/Stream.h), which
+/// differs in exactly three places: a scan parked in \p Park re-enters
+/// through scanStep before anything else runs (the same attempt, so no
+/// marker or Enter fires twice across a chunk boundary); a More outcome
+/// parks the scan and re-pushes its work item; and the hooks see
+/// absolute offsets, window offsets plus \p Base. With Streamed = false
+/// (every whole-buffer, batch and record call) all three compile away.
+///
+/// \returns Done with \p Pos at the end of the entry's run (the caller
+/// absorbs trailing skip input or stops a record there), Fail after
+/// Sk.failParse recorded the site, or More.
+template <typename Tab, typename Sink, bool Final = true, bool Streamed = false>
+DriveStatus driveImpl(const CompiledParser &M, std::string_view Window,
+                      size_t &Pos, std::vector<uint32_t> &Stack, Sink &Sk,
+                      scankernel::ParkedScan *Park = nullptr,
+                      uint64_t Base = 0) {
+  static_assert(Final || Streamed, "only a streamed run can suspend");
+  size_t P = Pos;
+  const uint64_t B = Streamed ? Base : 0;
+  const size_t Len = Window.size();
+  const char *S = Window.data();
+  const typename Tab::Cell *T = Tab::table(M);
+  const SkipSet *Skip = M.Skip.data();
+  const scankernel::Tiers Tr = scankernel::tiersOf(M);
+  const uint64_t *Meta =
+      Sink::Markers ? M.AccMeta.data() : M.AccNtMeta.data();
+  const uint32_t *Pool = Sink::Markers ? M.PackedPool.data()
+                                       : M.NtPool.data();
+  bool Resume = Streamed && Park->Live;
+
+  while (!Stack.empty()) {
+    uint32_t E = Stack.back();
+    Stack.pop_back();
+    for (;;) {
+      scankernel::ScanState Sc;
+      scankernel::ScanOutcome O;
+      if (Streamed && Resume) {
+        // Re-enter the parked scan with the grown window, through the
+        // general kernel (which subsumes the first-byte dispatch byte by
+        // byte).
+        Resume = false;
+        Park->Live = false;
+        Sc = Park->Sc;
+        O = scankernel::scanStep<Tab, Final>(T, Skip, Tr, Sc, S, Len);
+      } else {
+        if constexpr (Sink::Markers) {
+          if (E & CompiledParser::ActBit) {
+            // Marker: the occurrence's micro-op (possibly rewritten by
+            // dead-token elision); MSlow escapes into the full Action.
+            Sk.marker(E & ~CompiledParser::ActBit);
+            break;
+          }
+        }
+        if constexpr (Sink::Enters)
+          Sk.enter(CompiledParser::packedNt(E));
+        // The residual loop: branch on characters only.
+        O = scankernel::scanEnter<Tab, Final>(T, Skip, Tr, E & 0xffffu, P,
+                                              S, Len, Sc);
+      }
+      if constexpr (!Final) {
+        if (O == scankernel::ScanOutcome::More) {
+          Stack.push_back(E); // the next window's run pops it back
+          Park->Sc = Sc;
+          Park->Live = true;
+          Pos = P;
+          return DriveStatus::More;
+        }
+      }
+      // Past More, a scan matched exactly when Sc.Bs >= 0. Branching on
+      // that register rather than on the returned outcome measured ~4%
+      // faster on small-document json parses with gcc 12.
+      (void)O;
+      P = Sc.Base; // a failed scan absorbed committed F2 whitespace too
+      if (Sc.Bs >= 0) {
+        const uint64_t Mt = Meta[Sc.Bs]; // one load: token + packed tail
+        Sk.token(Mt, B + P, B + Sc.BestEnd);
+        P = Sc.BestEnd;
+        const uint32_t TL = CompiledParser::metaLen(Mt);
+        if (TL != 0) {
+          const uint32_t TO = CompiledParser::metaOff(Mt);
+          for (uint32_t J = TL; J-- > 1;)
+            Stack.push_back(Pool[TO + J]);
+          E = Pool[TO]; // direct continuation into the first tail symbol
+          continue;
+        }
+        break;
+      }
+      NtId N = CompiledParser::packedNt(E);
+      int32_t EpsChain = M.Nts[N].EpsChain;
+      if (EpsChain >= 0) {
+        Sk.eps(N, EpsChain);
+        break;
+      }
+      Sk.failParse(N, B + P);
+      Pos = P;
+      return DriveStatus::Fail;
+    }
+  }
+  Pos = P;
+  return DriveStatus::Done;
+}
+
+/// Absorbs trailing F2 whitespace from \p Pos: rescans the skip
+/// nonterminal until it fails or matches empty, leaving \p Pos at the
+/// offset reached. The one trailing-skip matcher of the whole-buffer,
+/// record and streamed drivers; like driveImpl, a streamed call resumes
+/// a scan parked in \p Park first and, not Final, parks one on More.
+/// \returns Done when \p Pos reached the window's end, Fail when other
+/// input remains there, or More.
+template <typename Tab, bool Final = true, bool Streamed = false>
+DriveStatus matchTrailingSkipT(const CompiledParser &M,
+                               std::string_view Window, size_t &Pos,
+                               scankernel::ParkedScan *Park = nullptr) {
+  const size_t Len = Window.size();
+  const typename Tab::Cell *T = Tab::table(M);
+  const scankernel::Tiers Tr = scankernel::tiersOf(M);
+  while (M.SkipState >= 0) {
+    scankernel::ScanState Sc;
+    scankernel::ScanOutcome O;
+    if (Streamed && Park->Live) {
+      Park->Live = false;
+      Sc = Park->Sc;
+      O = scankernel::scanStep<Tab, Final>(T, M.Skip.data(), Tr, Sc,
+                                           Window.data(), Len);
+    } else {
+      if (Pos >= Len)
+        break;
+      O = scankernel::scanEnter<Tab, Final>(
+          T, M.Skip.data(), Tr, static_cast<uint32_t>(M.SkipState), Pos,
+          Window.data(), Len, Sc);
+    }
+    if constexpr (!Final) {
+      if (O == scankernel::ScanOutcome::More) {
+        Park->Sc = Sc;
+        Park->Live = true;
+        return DriveStatus::More;
+      }
+    }
+    if (O != scankernel::ScanOutcome::Match || Sc.BestEnd == Pos)
+      break;
+    Pos = Sc.BestEnd;
+  }
+  return Pos == Len ? DriveStatus::Done : DriveStatus::Fail;
+}
 
 } // namespace flap
 

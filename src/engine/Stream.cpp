@@ -13,9 +13,6 @@
 #include <cassert>
 
 using namespace flap;
-using scankernel::ScanOutcome;
-using scankernel::Tab16;
-using scankernel::Tab8;
 
 StreamParser::StreamParser(const CompiledParser &Machine, ParseRequest Request)
     : M(&Machine), Req(Request), Budget(Request.MaxErrors),
@@ -42,7 +39,7 @@ void StreamParser::reset() {
   Buf.clear();
   WinBase = 0;
   Pos = 0;
-  MidScan = false;
+  Park.Live = false;
   Stack.clear();
   Values.clear();
   NumVals = 0;
@@ -122,15 +119,15 @@ inline void StreamParser::applyActionId(ActionId A, ParseContext &Ctx) {
 
 //===----------------------------------------------------------------------===//
 // The streaming sink policies — the same compile-time contract as the
-// whole-buffer sinks (engine/Sink.h), so pumpT() is one templated core
-// for all three modes. Each is constructed per pump from (parser,
-// context); hooks receive *absolute* stream offsets.
+// whole-buffer sinks (engine/Sink.h), driven by the same residual loop
+// (driveImpl with Streamed = true). Each is constructed per pump from
+// (parser, context); hooks receive *absolute* stream offsets.
 //===----------------------------------------------------------------------===//
 
 /// Value mode: token pushes + pooled micro-op dispatch, with the
 /// streaming extra the whole-buffer ValueSink does not need — retain
 /// watermark bookkeeping, routed through StreamParser::applyOp.
-struct StreamParser::VSink {
+struct StreamParser::VSink : FailSite {
   static constexpr bool Markers = true;
   static constexpr bool Enters = false;
 
@@ -172,6 +169,17 @@ struct StreamParser::VSink {
         SP.applyActionId(A, Ctx);
     }
   }
+
+  /// The whole-buffer ValueSink's segment policy, plus the retain
+  /// watermarks the segment's values held.
+  void endSegment(bool Completed, ParseOutcome &Out) {
+    if (Completed)
+      Out.Values.push_back(SP.Values.collect());
+    else
+      SP.Values.clear();
+    SP.NumVals = 0;
+    SP.Retain.clear();
+  }
 };
 
 /// Event mode: the library EventSink itself over the current window
@@ -199,17 +207,13 @@ struct StreamParser::RSink : RecognizeSink {
 };
 
 void StreamParser::compact() {
-  uint64_t KeepAbs;
-  if (Ph == Phase::Resync) {
-    // Mid-resynchronization the only live position is the scan cursor
-    // (the segment's values were collected or dropped at the failure,
-    // so no retain watermark reaches further back).
-    KeepAbs = WinBase + RePos;
-  } else {
-    KeepAbs = WinBase + (MidScan ? Sc.Base : Pos);
-    if (!Retain.empty())
-      KeepAbs = std::min(KeepAbs, Retain.back().RunMin);
-  }
+  // Keep from offset() — the parse position, the parked lexeme's base or
+  // the resync cursor — or from further back while a live value's
+  // retain watermark reaches there (never mid-resynchronization: the
+  // failed segment's values were collected or dropped at the failure).
+  uint64_t KeepAbs = offset();
+  if (!Retain.empty())
+    KeepAbs = std::min(KeepAbs, Retain.back().RunMin);
   // Diagnostics need line/column for offsets whose prefix may be
   // compacted away: absorb the bytes once, before they go.
   if (KeepAbs > LT.ScannedTo)
@@ -226,11 +230,8 @@ void StreamParser::compact() {
     } else {
       Pos -= Cut;
     }
-    if (MidScan) {
-      Sc.Base -= Cut;
-      Sc.BestEnd -= Cut;
-      Sc.I -= Cut;
-    }
+    if (Park.Live)
+      Park.Sc.rebase(Cut);
   }
   // Sampled after the cut: what remains is exactly the carry crossing
   // into the next chunk (carryBytes()), not the just-fed chunk.
@@ -238,27 +239,7 @@ void StreamParser::compact() {
     CarryHW = Buf.size();
 }
 
-StreamStatus StreamParser::recoverAt(NtId N, bool Trailing, uint64_t Off) {
-  // Close the segment first — the whole-buffer loop's endSegment
-  // policy: a Trailing failure means a value *completed* before the
-  // leftover input, so it ships; a parse failure drops the partial.
-  // (Event mode keeps the failed segment's partial events — they were
-  // delivered at match time, same as a whole-buffer events request.)
-  if (Req.Mode == ParseMode::Values) {
-    if (Trailing)
-      Res.Values.push_back(Values.collect());
-    else
-      Values.clear();
-  }
-  NumVals = 0;
-  Retain.clear();
-  MidScan = false;
-
-  FailSite F;
-  if (Trailing)
-    F.failTrailing(Off);
-  else
-    F.failParse(N, Off);
+StreamStatus StreamParser::recoverAt(const FailSite &F) {
   Diag = failureOf(*M, F);
   // Lazily absorb the window bytes up to the failure (compact() already
   // absorbed everything before the window).
@@ -268,10 +249,10 @@ StreamStatus StreamParser::recoverAt(NtId N, bool Trailing, uint64_t Off) {
     // The error budget is spent (a strict stream's first failure), or
     // the grammar has no sync tokens: the diagnostic is Fatal.
     Res.Errors.push_back(Diag);
-    releaseAfterError(Off);
+    releaseAfterError(F.FailOff);
     return StreamStatus::Error;
   }
-  RePos = static_cast<size_t>(Off - WinBase);
+  RePos = static_cast<size_t>(F.FailOff - WinBase);
   Stack.clear();
   Ph = Phase::Resync;
   return StreamStatus::NeedData; // drivePump() resumes the resync scan
@@ -332,152 +313,47 @@ void StreamParser::releaseAfterError(uint64_t ErrOffset) {
   Values.clear();
   NumVals = 0;
   Retain.clear();
-  MidScan = false;
+  Park.Live = false;
   WinBase += Buf.size(); // streamedBytes() == WinBase + Buf.size() holds
   Buf.clear();
   Pos = 0;
 }
 
-StreamStatus StreamParser::complete() {
-  // The final segment ran to a clean end-of-stream: ship its value like
-  // every earlier completed segment.
-  if (Req.Mode == ParseMode::Values)
-    Res.Values.push_back(Values.collect());
-  NumVals = 0;
-  Retain.clear();
-  Ph = Phase::Done;
+/// One pump over the window: the shared residual loop (engine/Sink.h,
+/// Streamed = true) resumes the parked scan and the symbol stack, then
+/// the shared trailing-skip matcher absorbs what follows the entry's run.
+/// Either one suspends (More) when the window ends mid-scan. A segment
+/// that ended closes through the sink's endSegment, as in the
+/// whole-buffer loop: a Trailing failure means a value *completed*
+/// before the leftover input, so it ships; a parse failure drops the
+/// partial (event mode keeps the partial events — they were delivered
+/// at match time, as in a whole-buffer events request).
+template <typename Tab, typename SinkT, bool Final>
+StreamStatus StreamParser::pumpT() {
+  const std::string_view W(Buf);
+  ParseContext Ctx{W, Req.User, WinBase, Pool};
+  SinkT Sk(*this, Ctx);
+  DriveStatus St = DriveStatus::Done;
+  if (Ph == Phase::Run)
+    St = driveImpl<Tab, SinkT, Final, /*Streamed=*/true>(*M, W, Pos, Stack,
+                                                         Sk, &Park, WinBase);
+  if (St == DriveStatus::Done) {
+    Ph = Phase::Trail;
+    St = matchTrailingSkipT<Tab, Final, /*Streamed=*/true>(*M, W, Pos, &Park);
+    if (St == DriveStatus::Fail)
+      Sk.failTrailing(WinBase + Pos);
+  }
+  if (St == DriveStatus::More || (!Final && St == DriveStatus::Done))
+    return StreamStatus::NeedData;
+  Sk.endSegment(St == DriveStatus::Done || Sk.FailTrailing, Res);
+  if (St == DriveStatus::Fail)
+    return recoverAt(Sk);
+  Ph = Phase::Done; // a clean end of stream
   return StreamStatus::Done;
 }
 
-/// The residual loop with suspension points — the streaming counterpart
-/// of driveImpl in Compile.cpp, the same templated core shape
-/// parameterized by the sink policy (VSink/ESink/RSink above), with the
-/// same direct continuation into a matched tail's first symbol. A
-/// suspension (More) re-pushes the in-flight work item and parks the
-/// scan registers in Sc; the next pump pops it back and resumes the scan
-/// where the window ended. Enter events fire on the *fresh* entry only —
-/// a resumed scan is the same attempt, so a chunk boundary never
-/// duplicates an event (the SinkDiffTest split sweeps pin this).
-template <typename Tab, typename SinkT, bool Final>
-StreamStatus StreamParser::pumpT() {
-  const char *S = Buf.data();
-  const size_t Len = Buf.size();
-  const typename Tab::Cell *T = Tab::table(*M);
-  const SkipSet *Skip = M->Skip.data();
-  const scankernel::Tiers Tr = scankernel::tiersOf(*M);
-  const uint64_t *Meta =
-      SinkT::Markers ? M->AccMeta.data() : M->AccNtMeta.data();
-  const uint32_t *SymPool =
-      SinkT::Markers ? M->PackedPool.data() : M->NtPool.data();
-  ParseContext Ctx{std::string_view(S, Len), Req.User, WinBase, Pool};
-  SinkT Sk(*this, Ctx);
-
-  if (Ph == Phase::Run) {
-    bool Resume = MidScan;
-    // The scan registers live in a pump-local state; the member Sc is
-    // only written on suspension (and read on resume), keeping the
-    // per-lexeme path as store-free as the whole-buffer loop's.
-    scankernel::ScanState LSc;
-    while (Resume || !Stack.empty()) {
-      uint32_t E = Stack.back();
-      Stack.pop_back();
-      for (;;) {
-        ScanOutcome O;
-        if (Resume) {
-          // Re-enter the suspended scan with the grown window. Resume
-          // takes the general kernel, which subsumes the first-byte
-          // dispatch classification byte by byte; fresh scans below go
-          // through the dispatch.
-          Resume = false;
-          MidScan = false;
-          LSc = Sc;
-          O = scankernel::scanStep<Tab, Final>(T, Skip, Tr, LSc, S, Len);
-        } else {
-          if constexpr (SinkT::Markers) {
-            if (E & CompiledParser::ActBit) {
-              Sk.marker(E & ~CompiledParser::ActBit);
-              break;
-            }
-          }
-          if constexpr (SinkT::Enters)
-            Sk.enter(CompiledParser::packedNt(E));
-          // Fresh lexeme: first-byte dispatch entry. An empty window
-          // suspends on the dispatch byte (More with the entry
-          // registers parked in LSc).
-          O = scankernel::scanEnter<Tab, Final>(T, Skip, Tr, E & 0xffffu,
-                                                Pos, S, Len, LSc);
-        }
-        if (O == ScanOutcome::Match) {
-          const uint64_t Mt = Meta[LSc.Bs]; // one fused metadata load
-          Sk.token(Mt, WinBase + LSc.Base, WinBase + LSc.BestEnd);
-          Pos = LSc.BestEnd;
-          const uint32_t TL = CompiledParser::metaLen(Mt);
-          if (TL != 0) {
-            const uint32_t TO = CompiledParser::metaOff(Mt);
-            for (uint32_t J = TL; J-- > 1;)
-              Stack.push_back(SymPool[TO + J]);
-            E = SymPool[TO]; // direct continuation into the first tail symbol
-            continue;
-          }
-          break;
-        }
-        if (O == ScanOutcome::More) {
-          Stack.push_back(E); // resume pops it back
-          Sc = LSc;
-          MidScan = true;
-          return StreamStatus::NeedData;
-        }
-        // Fail: the scan absorbed any committed F2 whitespace into Base.
-        Pos = LSc.Base;
-        NtId N = CompiledParser::packedNt(E);
-        int32_t EpsChain = M->Nts[N].EpsChain;
-        if (EpsChain < 0)
-          return recoverAt(N, /*Trailing=*/false, WinBase + Pos);
-        Sk.eps(N, EpsChain);
-        break;
-      }
-    }
-    Ph = Phase::Trail;
-  }
-
-  // Phase::Trail — absorb trailing skip input, then end the stream.
-  assert(Ph == Phase::Trail && "pump entered in a terminal phase");
-  for (;;) {
-    ScanOutcome O;
-    if (!MidScan) {
-      if (M->SkipState < 0 || Pos == Len) {
-        if (Pos < Len)
-          return recoverAt(NoNt, /*Trailing=*/true, WinBase + Pos);
-        if (!Final)
-          return StreamStatus::NeedData;
-        return complete();
-      }
-      O = scankernel::scanEnter<Tab, Final>(
-          T, Skip, Tr, static_cast<uint32_t>(M->SkipState), Pos, S, Len,
-          Sc);
-    } else {
-      O = scankernel::scanStep<Tab, Final>(T, Skip, Tr, Sc, S, Len);
-    }
-    if (O == ScanOutcome::More) {
-      MidScan = true;
-      return StreamStatus::NeedData;
-    }
-    MidScan = false;
-    if (O == ScanOutcome::Match && Sc.BestEnd > Pos) {
-      Pos = Sc.BestEnd;
-      continue; // rescan: more trailing skip may follow
-    }
-    // No further skip match is possible at Pos.
-    if (Pos < Len)
-      return recoverAt(NoNt, /*Trailing=*/true, WinBase + Pos);
-    if (!Final)
-      return StreamStatus::NeedData;
-    return complete();
-  }
-}
-
 template <bool Final> StreamStatus StreamParser::pump() {
-  auto Run = [&](auto Width) {
+  return scankernel::withWidth(*M, [&](auto Width) {
     using Tab = decltype(Width);
     switch (Req.Mode) {
     case ParseMode::Values:
@@ -488,8 +364,7 @@ template <bool Final> StreamStatus StreamParser::pump() {
       break;
     }
     return pumpT<Tab, RSink, Final>();
-  };
-  return M->Trans8.empty() ? Run(Tab16{}) : Run(Tab8{});
+  });
 }
 
 template <bool Final> StreamStatus StreamParser::drivePump() {
@@ -521,12 +396,10 @@ StreamStatus StreamParser::feed(std::string_view Chunk) {
     return misuse("feed() after finish()", WinBase + Pos);
   }
   // Token spans (and Lexeme offsets generally) are uint32: one stream is
-  // limited to 4 GiB, like a whole-buffer parse. Fail gracefully instead
-  // of letting absolute offsets wrap (the same guard discipline as the
-  // packed-symbol widths in compileFused).
-  if (WinBase + Buf.size() + Chunk.size() > uint64_t(UINT32_MAX))
-    return misuse("stream exceeds the 32-bit offset space (4 GiB)",
-                  WinBase + Buf.size());
+  // limited to MaxSpanBytes, like a whole-buffer values parse. Fail
+  // gracefully instead of letting absolute offsets wrap.
+  if (WinBase + Buf.size() + Chunk.size() > MaxSpanBytes)
+    return misuse(OffsetLimitMessage, WinBase + Buf.size());
   if (!Chunk.empty())
     Buf.append(Chunk.data(), Chunk.size());
   StreamStatus St = drivePump</*Final=*/false>();

@@ -16,9 +16,10 @@
 /// What makes this a refactor rather than a rewrite (and the reason the
 /// paper's design is uniquely suited to it): the fused machine keeps
 /// *all* lexing state in a handful of registers — no token buffer, no
-/// memo table. A suspension is therefore just a saved ScanState
-/// (ScanKernel.h) plus the residual loop's symbol stack, which already
-/// lives in ParseScratch form.
+/// memo table. A suspension is therefore just a parked ScanState
+/// (ScanKernel.h) plus the residual loop's symbol stack, and the stream
+/// runs the whole-buffer residual loop itself (driveImpl in
+/// engine/Sink.h, instantiated Streamed).
 ///
 /// Memory model — the carry buffer:
 ///
@@ -69,8 +70,8 @@
 /// offset() — are absolute stream offsets, identical to a whole-buffer
 /// parse of the concatenated chunks (the chunked differential fuzzer
 /// asserts byte-identical values and error strings at every split
-/// point). Token spans are uint32, so one stream is limited to 4 GiB,
-/// like a whole-buffer parse.
+/// point). Token spans are uint32, so one stream is limited to
+/// MaxSpanBytes (4 GiB), like a whole-buffer values parse.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,6 +89,8 @@
 #include <vector>
 
 namespace flap {
+
+struct FailSite;
 
 /// Outcome of a feed()/finish() call.
 enum class StreamStatus : uint8_t {
@@ -156,7 +159,7 @@ public:
       return ErrOff;
     if (Ph == Phase::Resync)
       return WinBase + RePos;
-    return WinBase + (MidScan ? Sc.Base : Pos);
+    return WinBase + (Park.Live ? Park.Sc.Base : Pos);
   }
 
   /// Total bytes fed so far.
@@ -210,6 +213,8 @@ private:
   /// Admits the request's entry (CompiledParser::admit) and arms the
   /// machine on it, or enters Phase::Fail with the refusal.
   void begin();
+  /// One run of the shared residual loop and trailing-skip matcher over
+  /// the window (engine/Sink.h), and the phase transitions they decide.
   template <typename Tab, typename SinkT, bool Final> StreamStatus pumpT();
   template <bool Final> StreamStatus pump();
   /// The outer drive loop: alternates pump() with resynchronization
@@ -217,13 +222,13 @@ private:
   /// phase. Recovery restarts (fail → resync → re-enter) resolve within
   /// one call when the sync point is already in the window.
   template <bool Final> StreamStatus drivePump();
-  /// Every failure: closes the current segment (a Trailing failure
-  /// completed its value; a parse failure drops the partial), builds
-  /// the diagnostic and charges it to the budget — the whole-buffer
-  /// loop's rule. Within budget the parser enters Phase::Resync with
-  /// the diagnostic pending; at the limit, or for a grammar with no sync
-  /// tokens, the diagnostic is Fatal and the stream fails.
-  StreamStatus recoverAt(NtId N, bool Trailing, uint64_t Off);
+  /// Every failure, at the site the pump's sink recorded (its segment
+  /// already closed): builds the diagnostic and charges it to the budget
+  /// — the whole-buffer loop's rule. Within budget the parser enters
+  /// Phase::Resync with the diagnostic pending; at the limit, or for a
+  /// grammar with no sync tokens, the diagnostic is Fatal and the stream
+  /// fails.
+  StreamStatus recoverAt(const FailSite &F);
   /// Advances the resynchronization scan over the window. Returns false
   /// when suspended waiting for more input (never when \p Final);
   /// returns true once resolved — the pending diagnostic is pushed with
@@ -244,14 +249,13 @@ private:
   }
   void compact();
   /// Fails the stream for a misuse that is not a parse diagnostic
-  /// (feed() after finish(), the 4 GiB offset limit): take() reports
-  /// \p Msg.
+  /// (feed() after finish(), the MaxSpanBytes offset limit): take()
+  /// reports \p Msg.
   StreamStatus misuse(const char *Msg, uint64_t ErrOffset);
   /// Enters Phase::Fail: records the error offset and releases the
   /// carry, values, retain watermarks, suspended scan and symbol stack
   /// (the post-error contract; see reset()).
   void releaseAfterError(uint64_t ErrOffset);
-  StreamStatus complete();
 
   const CompiledParser *M;
   ParseRequest Req;
@@ -268,8 +272,7 @@ private:
   std::string Buf;       ///< the window: carry + current chunk
   uint64_t WinBase = 0;  ///< absolute stream offset of Buf[0]
   size_t Pos = 0;        ///< window-relative parse position
-  bool MidScan = false;  ///< a scan is suspended in Sc
-  scankernel::ScanState Sc{};
+  scankernel::ParkedScan Park; ///< the scan suspended at the window's end
   std::vector<uint32_t> Stack; ///< packed symbols (CompiledParser::packNt)
   ValueStack Values;
   size_t NumVals = 0; ///< Values.size(), tracked to keep size() (a

@@ -7,6 +7,7 @@
 
 #include "lexer/CompiledLexer.h"
 
+#include "engine/Diagnostic.h"
 #include "engine/DispatchTier.h"
 #include "engine/ScanKernel.h"
 #include "support/StrUtil.h"
@@ -205,6 +206,9 @@ LexStatus CompiledLexer::next(std::string_view Input, uint32_t &Pos,
 }
 
 Result<std::vector<Lexeme>> CompiledLexer::lexAll(std::string_view Input) const {
+  // Lexeme offsets are uint32: refuse what they cannot address.
+  if (Input.size() > MaxSpanBytes)
+    return Err(OffsetLimitMessage);
   std::vector<Lexeme> Out;
   uint32_t Pos = 0;
   while (true) {
@@ -229,8 +233,8 @@ Result<std::vector<Lexeme>> CompiledLexer::lexAll(std::string_view Input) const 
 /// kernel (the lexer DFA is the staged machine with no self-skip tiers,
 /// so the Tiers bundle passes PureSkip = SelfSkip = 0; the dispatch-tier
 /// renumbering is otherwise the same). Fresh lexemes enter through the
-/// first-byte dispatch (scanEnter); a More outcome parks the registers
-/// in the members — suspension on the dispatch byte included — and the
+/// first-byte dispatch (scanEnter); a More outcome leaves the registers
+/// parked in Sc — suspension on the dispatch byte included — and the
 /// next pump resumes through the general kernel. Final decides
 /// end-of-input like nextRaw does.
 template <typename Tab, bool Final>
@@ -240,38 +244,28 @@ Status StreamLexer::pumpT(std::vector<Lexeme> &Out,
   const size_t Len = Buf.size();
   const scankernel::Tiers Tr{0, 0, L->NumTerm, L->NumPureRun, L->NumAccept};
   for (;;) {
-    scankernel::ScanState Sc;
     scankernel::ScanOutcome O;
     if (!MidScan) {
-      if (Pos >= Len)
+      if (Sc.Base >= Len)
         return Status::success();
-      O = scankernel::scanEnter<Tab, Final>(
-          T, L->Skip.data(), Tr, static_cast<uint32_t>(L->Start), Pos, S,
-          Len, Sc);
+      O = scankernel::scanEnter<Tab, Final>(T, L->Skip.data(), Tr,
+                                            static_cast<uint32_t>(L->Start),
+                                            Sc.Base, S, Len, Sc);
     } else {
-      Sc = {static_cast<uint32_t>(L->Start), State, BestState, Pos,
-            BestEnd, I};
       O = scankernel::scanStep<Tab, Final>(T, L->Skip.data(), Tr, Sc, S,
                                            Len);
     }
-    State = Sc.Cur;
-    BestState = Sc.Bs;
-    Pos = Sc.Base;
-    BestEnd = Sc.BestEnd;
-    I = Sc.I;
-    if (O == scankernel::ScanOutcome::More) {
-      MidScan = true;
+    MidScan = O == scankernel::ScanOutcome::More;
+    if (MidScan)
       return Status::success(); // suspended mid-lexeme (or mid-dispatch)
-    }
-    MidScan = false;
     if (O == scankernel::ScanOutcome::Fail)
       return Err(format("lexing failed at offset %llu (no rule matches)",
-                        static_cast<unsigned long long>(WinBase + Pos)));
-    TokenId Tok = L->Toks[L->Accept[BestState]];
+                        static_cast<unsigned long long>(WinBase + Sc.Base)));
+    TokenId Tok = L->Toks[L->Accept[Sc.Bs]];
     if (Tok != NoToken)
-      Out.push_back({Tok, static_cast<uint32_t>(WinBase + Pos),
-                     static_cast<uint32_t>(WinBase + BestEnd)});
-    Pos = BestEnd;
+      Out.push_back({Tok, static_cast<uint32_t>(WinBase + Sc.Base),
+                     static_cast<uint32_t>(WinBase + Sc.BestEnd)});
+    Sc.Base = Sc.BestEnd;
   }
 }
 
@@ -285,20 +279,16 @@ Status StreamLexer::feed(std::string_view Chunk, std::vector<Lexeme> &Out) {
   if (Finished)
     return Err("feed() after finish()");
   // Lexeme offsets are uint32: fail gracefully before they can wrap.
-  if (WinBase + Buf.size() + Chunk.size() > uint64_t(UINT32_MAX))
-    return Err("stream exceeds the 32-bit offset space (4 GiB)");
+  if (WinBase + Buf.size() + Chunk.size() > MaxSpanBytes)
+    return Err(OffsetLimitMessage);
   if (!Chunk.empty())
     Buf.append(Chunk.data(), Chunk.size());
   Status St = pump</*Final=*/false>(Out);
   // Carry only the in-progress lexeme: drop everything before its base.
-  if (Pos > 0) {
-    Buf.erase(0, Pos);
-    WinBase += Pos;
-    if (MidScan) {
-      BestEnd -= Pos;
-      I -= Pos;
-    }
-    Pos = 0;
+  if (const size_t Cut = Sc.Base) {
+    Buf.erase(0, Cut);
+    WinBase += Cut;
+    Sc.rebase(Cut);
   }
   return St;
 }
@@ -315,11 +305,7 @@ Status StreamLexer::finish(std::vector<Lexeme> &Out) {
 void StreamLexer::reset() {
   Buf.clear();
   WinBase = 0;
-  Pos = 0;
+  Sc = {};
   MidScan = false;
-  State = 0;
-  BestState = -1;
-  BestEnd = 0;
-  I = 0;
   Finished = false;
 }

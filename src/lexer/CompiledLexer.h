@@ -18,6 +18,7 @@
 #define FLAP_LEXER_COMPILEDLEXER_H
 
 #include "engine/RunSkip.h"
+#include "engine/ScanKernel.h"
 #include "engine/TableStore.h"
 #include "lexer/LexerSpec.h"
 #include "regex/Alphabet.h"
@@ -134,7 +135,7 @@ public:
   Status finish(std::vector<Lexeme> &Out);
 
   /// Absolute stream offset of the current lexeme's base.
-  uint64_t offset() const { return WinBase + Pos; }
+  uint64_t offset() const { return WinBase + Sc.Base; }
   /// Bytes carried across chunk boundaries.
   size_t carryBytes() const { return Buf.size(); }
 
@@ -148,12 +149,9 @@ private:
   const CompiledLexer *L;
   std::string Buf;      ///< window: in-progress lexeme bytes + chunk
   uint64_t WinBase = 0; ///< absolute stream offset of Buf[0]
-  size_t Pos = 0;       ///< window-relative lexeme base
-  bool MidScan = false; ///< scan suspended in the registers below
-  uint32_t State = 0;   ///< current DFA state
-  int32_t BestState = -1;
-  size_t BestEnd = 0;
-  size_t I = 0; ///< read cursor
+  /// The scan registers; Sc.Base is the window-relative lexeme base.
+  scankernel::ScanState Sc{};
+  bool MidScan = false; ///< a scan is suspended in Sc
   bool Finished = false;
 };
 

@@ -43,14 +43,18 @@
 #include "engine/Sink.h"
 #include "engine/Stream.h"
 #include "grammars/Grammars.h"
+#include "lexer/CompiledLexer.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
+
+#include <sys/mman.h>
 
 using namespace flap;
 
@@ -848,6 +852,74 @@ TEST(RecoveryDiffTest, NullableRecordEntryIsOneDiagnosticInEveryMode) {
       EXPECT_EQ(O.Truncated, Budget == 1) << Tag;
       EXPECT_EQ(O.Values.size(), Mode == ParseMode::Values ? 2u : 0u) << Tag;
     }
+}
+
+/// Token spans are 32-bit: a values request on more than MaxSpanBytes
+/// is refused with one Fatal LimitExceeded diagnostic before any span
+/// could wrap, in each values core, and lexAll() errs instead of
+/// returning a truncated lexeme list. The 4 GiB input is a read-only
+/// MAP_NORESERVE mapping that is never touched.
+TEST(RecoveryDiffTest, ValuesPastTheSpanLimitAreRefused) {
+  const uint64_t Size = MaxSpanBytes + 2; // 2^32 + 1 bytes
+  if (Size > std::numeric_limits<size_t>::max())
+    GTEST_SKIP() << "no 4 GiB address space";
+  void *Map = mmap(nullptr, static_cast<size_t>(Size), PROT_READ,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Map == MAP_FAILED)
+    GTEST_SKIP() << "cannot map 4 GiB of address space";
+  const std::string_view Huge(static_cast<const char *>(Map),
+                              static_cast<size_t>(Size));
+  auto Def = makeJsonGrammar();
+  RecoveryRig R(Def);
+  const CompiledParser &M = R.P.M;
+  ParseDiagnostic Want;
+  Want.K = ParseDiagnostic::Kind::LimitExceeded;
+  auto expectRefused = [&](const ParseOutcome &O, const std::string &Tag) {
+    ASSERT_EQ(O.Errors.size(), 1u) << Tag;
+    EXPECT_EQ(O.Errors[0], Want) << Tag;
+    EXPECT_EQ(O.Errors[0].Act, ParseDiagnostic::Action::Fatal) << Tag;
+    EXPECT_EQ(O.Errors[0].message(), OffsetLimitMessage) << Tag;
+    EXPECT_TRUE(O.Truncated) << Tag;
+    EXPECT_TRUE(O.Values.empty()) << Tag;
+  };
+  for (size_t Budget : TableBudgets) {
+    const std::string Tag = "budget " + std::to_string(Budget);
+    ParseRequest Req;
+    Req.MaxErrors = Budget;
+    ParseScratch Scr;
+    ParseOutcome One;
+    EXPECT_FALSE(M.run(Req, Huge, Scr, One)) << Tag;
+    expectRefused(One, Tag + " run");
+    // A batch refuses only the input past the limit.
+    const std::string_view Batch[] = {"[1]", Huge};
+    std::vector<ParseOutcome> Outs;
+    M.runBatch(Req, Batch, 2, Scr, Outs);
+    EXPECT_TRUE(Outs[0].clean()) << Tag;
+    EXPECT_EQ(Outs[0].Values.size(), 1u) << Tag;
+    expectRefused(Outs[1], Tag + " batch");
+    ParseOutcome Recs;
+    const RecordRun RR = M.runRecords(Req, Huge, 0, Huge.size(), Scr, Recs);
+    EXPECT_EQ(RR.S, RecordRun::Stop::Error) << Tag;
+    expectRefused(Recs, Tag + " records");
+  }
+  // Events and recognition keep 64-bit offsets: no limit applies, and
+  // the strict parse fails at the first byte like any other input.
+  for (ParseMode Mode : {ParseMode::Events, ParseMode::Recognize}) {
+    ParseRequest Req;
+    Req.Mode = Mode;
+    ParseScratch Scr;
+    ParseOutcome O;
+    M.run(Req, Huge, Scr, O);
+    ASSERT_EQ(O.Errors.size(), 1u) << modeName(Mode);
+    EXPECT_NE(O.Errors[0].K, ParseDiagnostic::Kind::LimitExceeded)
+        << modeName(Mode);
+    EXPECT_EQ(O.Errors[0].Off, 0u) << modeName(Mode);
+  }
+  CompiledLexer Lex(*Def->Re, R.P.Canon);
+  const Result<std::vector<Lexeme>> Lexed = Lex.lexAll(Huge);
+  ASSERT_FALSE(Lexed.ok());
+  EXPECT_EQ(Lexed.error(), OffsetLimitMessage);
+  munmap(Map, static_cast<size_t>(Size));
 }
 
 } // namespace

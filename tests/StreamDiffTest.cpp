@@ -38,6 +38,14 @@ struct StreamParserTestPeer {
   static size_t carryCapacity(const StreamParser &SP) {
     return SP.Buf.capacity();
   }
+  /// A scan is parked with some of its lexeme's bytes already read.
+  static bool midLexeme(const StreamParser &SP) {
+    return SP.Park.Live && SP.offset() < SP.streamedBytes();
+  }
+  /// The resynchronization scan is suspended, waiting for input.
+  static bool midResync(const StreamParser &SP) {
+    return SP.Ph == StreamParser::Phase::Resync;
+  }
 };
 } // namespace flap
 
@@ -527,6 +535,85 @@ TEST(StreamDiffTest, RecoveryModeMatchesWholeBufferAtRandomSplits) {
           ASSERT_EQ(Whole.Values[I], Vals[I]) << Def->Name << " value " << I;
         EXPECT_EQ(Whole.Truncated, Got.Truncated) << Def->Name;
       }
+    }
+  }
+}
+
+TEST(StreamDiffTest, MovedMidLexemeAndMidResyncFinishesLikeRun) {
+  // The defaulted move of a suspended StreamParser carries everything
+  // the next pump resumes: the parked scan, the symbol stack, the
+  // pending diagnostic and the resync cursor. Move a recovering stream
+  // after the first feed that ends inside a lexeme and again after the
+  // first that ends inside a resynchronization; the drained outcome
+  // must still equal run() on the whole input.
+  for (auto &Def : allBenchmarkGrammars()) {
+    StreamRig R(Def);
+    const CompiledParser &M = R.P.M;
+    const Workload W = genWorkload(Def->Name, 23, 600);
+    for (ParseMode Mode : {ParseMode::Values, ParseMode::Events}) {
+      const std::string Tag =
+          Def->Name + (Mode == ParseMode::Values ? " values" : " events");
+      ParseRequest Req;
+      Req.Mode = Mode;
+      Req.MaxErrors = DefaultMaxErrors;
+      // Corrupt one byte a third of the way in: the first position whose
+      // failure resynchronizes rather than skipping to the end.
+      std::string In;
+      ParseOutcome Whole;
+      for (size_t At = W.Input.size() / 3; At < W.Input.size(); ++At) {
+        In = W.Input;
+        In[At] = '\x01';
+        Whole = ParseOutcome();
+        ParseScratch Scr;
+        std::shared_ptr<void> C;
+        Req.User = R.fresh(C);
+        M.run(Req, In, Scr, Whole);
+        if (!Whole.Errors.empty() &&
+            Whole.Errors[0].Act == ParseDiagnostic::Action::Resync)
+          break;
+      }
+      ASSERT_FALSE(Whole.Errors.empty()) << Tag << ": no failure";
+      ASSERT_EQ(Whole.Errors[0].Act, ParseDiagnostic::Action::Resync) << Tag;
+
+      std::shared_ptr<void> C;
+      Req.User = R.fresh(C);
+      StreamParser A(M, Req);
+      std::vector<ParseOutcome> Parts; // keep the event text alive
+      bool MovedMidLexeme = false, MovedMidResync = false;
+      for (size_t At = 0; At < In.size(); ++At) {
+        A.feed(std::string_view(In).substr(At, 1));
+        Parts.push_back(A.drain());
+        const bool Lexeme =
+            !MovedMidLexeme && StreamParserTestPeer::midLexeme(A);
+        const bool Resync =
+            !MovedMidResync && StreamParserTestPeer::midResync(A);
+        if (Lexeme || Resync) {
+          StreamParser B(std::move(A)); // move construction...
+          A = std::move(B);             // ...and move assignment
+          MovedMidLexeme |= Lexeme;
+          MovedMidResync |= Resync;
+        }
+      }
+      EXPECT_TRUE(MovedMidLexeme) << Tag;
+      EXPECT_TRUE(MovedMidResync) << Tag;
+      A.finish();
+      Parts.push_back(A.drain());
+
+      ParseOutcome Got;
+      for (const ParseOutcome &P : Parts) {
+        Got.Values.insert(Got.Values.end(), P.Values.begin(), P.Values.end());
+        Got.Events.insert(Got.Events.end(), P.Events.begin(), P.Events.end());
+        Got.Errors.insert(Got.Errors.end(), P.Errors.begin(), P.Errors.end());
+        Got.Truncated |= P.Truncated;
+      }
+      EXPECT_EQ(Whole.Errors, Got.Errors) << Tag;
+      EXPECT_EQ(Whole.Truncated, Got.Truncated) << Tag;
+      ASSERT_EQ(Whole.Values.size(), Got.Values.size()) << Tag;
+      for (size_t I = 0; I < Got.Values.size(); ++I)
+        EXPECT_EQ(Whole.Values[I], Got.Values[I]) << Tag << " value " << I;
+      ASSERT_EQ(Whole.Events.size(), Got.Events.size()) << Tag;
+      for (size_t I = 0; I < Got.Events.size(); ++I)
+        ASSERT_EQ(Whole.Events[I], Got.Events[I]) << Tag << " event " << I;
     }
   }
 }
