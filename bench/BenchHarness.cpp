@@ -48,7 +48,7 @@ WalkMatch walkScanT(const Cell *T, const int32_t *Acc, int32_t Start,
     const Cell Next = T[static_cast<size_t>(Cur) * 256 +
                         static_cast<unsigned char>(In[I])];
     if constexpr (std::is_same_v<Cell, uint8_t>) {
-      if (Next == CompiledParser::Dead8)
+      if (Next == ScanTables::Dead8)
         break;
     } else if (Next < 0) {
       break;
@@ -63,10 +63,10 @@ WalkMatch walkScanT(const Cell *T, const int32_t *Acc, int32_t Start,
 
 WalkMatch walkScan(const CompiledParser &M, int32_t Start,
                    std::string_view In, size_t Pos) {
-  return M.Trans8.empty() ? walkScanT(M.Trans16.data(), M.AcceptCont.data(),
-                                      Start, In, Pos)
-                          : walkScanT(M.Trans8.data(), M.AcceptCont.data(),
-                                      Start, In, Pos);
+  const ScanTables &T = M.Scan;
+  return T.Trans8.empty()
+             ? walkScanT(T.Trans16.data(), M.AcceptCont.data(), Start, In, Pos)
+             : walkScanT(T.Trans8.data(), M.AcceptCont.data(), Start, In, Pos);
 }
 
 /// Parses (\p Build) or recognizes \p In from M.Start; true on success.

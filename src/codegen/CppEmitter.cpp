@@ -17,13 +17,13 @@ using namespace flap;
 namespace {
 
 /// Bytes leading from \p State to each distinct successor, as CharSets
-/// (merging alphabet classes with the same target — the per-state version
-/// of the character-class optimization).
+/// (merging bytes with the same target — the per-state version of the
+/// character-class optimization).
 std::map<int32_t, CharSet> successorSets(const CompiledParser &M,
                                          int32_t State) {
   std::map<int32_t, CharSet> Out;
   for (int C = 0; C < 256; ++C) {
-    int32_t Next = M.Trans[State * M.NumCls + M.ClsMap[C]];
+    int32_t Next = M.Scan.Trans16[static_cast<size_t>(State) * 256 + C];
     if (Next != CompiledParser::Dead)
       Out[Next].insert(static_cast<unsigned char>(C));
   }
@@ -65,7 +65,7 @@ std::string flap::emitCpp(const CompiledParser &M, const std::string &Name) {
   O += "// Generated by flap-cpp: staged fused parser for '" + Name +
        "'.\n";
   O += format("// %d states, %d character classes, %zu continuations.\n",
-              NumStates, M.NumCls, M.Conts.size());
+              NumStates, M.numClasses(), M.Conts.size());
   O += "// Token-free: branches only on input characters (paper §5.5).\n";
   O += "#include <cstddef>\n#include <cstdint>\n#include <vector>\n\n";
   // SIMD run-skip kernels (same selection discipline as the library's

@@ -132,7 +132,7 @@ uint64_t flap::artifactTraitsWord() {
   const uint32_t Sizes[] = {
       sizeof(Sym),          sizeof(MicroOp),
       sizeof(CompiledParser::Cont), sizeof(SkipSet),
-      sizeof(CompiledParser::NtInfo), sizeof(Alphabet),
+      sizeof(CompiledParser::NtInfo), sizeof(dispatchtier::Bounds),
       sizeof(TokenId),      sizeof(ActionId),
       sizeof(uint64_t),     sizeof(int)};
   return artifactHash(Sizes, sizeof(Sizes), ArtifactHashSeed);
@@ -159,13 +159,16 @@ void flap::rehashArtifact(std::string &Blob) {
 
 namespace {
 
+/// A machine's scan tables (ScanTables, engine/DispatchTier.h) take
+/// NumScanSections consecutive ids from a base: the tier bounds, then
+/// Trans16, Trans8 and Skip. The parser's set and the lexer's set go
+/// through the same writer and borrower (addScanTables/borrowScanTables).
+constexpr uint32_t NumScanSections = 4;
+
 enum SectionId : uint32_t {
   SecParserScalars = 1,
-  SecTrans,
-  SecTrans16,
-  SecTrans8,
-  SecAcceptCont,
-  SecSkip,
+  SecParserScan,
+  SecAcceptCont = SecParserScan + NumScanSections,
   SecConts,
   SecTailPool,
   SecAccMeta,
@@ -182,22 +185,12 @@ enum SectionId : uint32_t {
   SecEntries,
   SecGrammarName,
   SecLexScalars,
-  SecLexTrans,
-  SecLexTrans16,
-  SecLexTrans8,
-  SecLexAccept,
-  SecLexSkip,
+  SecLexScan,
+  SecLexAccept = SecLexScan + NumScanSections,
   SecLexToks,
 };
 
 struct ParserScalars {
-  uint8_t ClsMap[256];
-  int32_t NumCls;
-  int32_t NumPureSkip;
-  int32_t NumSelfSkip;
-  int32_t NumTermAcc;
-  int32_t NumPureAcc;
-  int32_t NumAccept;
   int32_t SkipState;
   uint32_t Start;
   uint8_t HasLexer;
@@ -206,10 +199,6 @@ struct ParserScalars {
 static_assert(std::is_trivially_copyable<ParserScalars>::value, "");
 
 struct LexScalars {
-  Alphabet Alpha;
-  int32_t NumTerm;
-  int32_t NumPureRun;
-  int32_t NumAccept;
   int32_t Start;
 };
 static_assert(std::is_trivially_copyable<LexScalars>::value, "");
@@ -324,45 +313,16 @@ MappedBlob::~MappedBlob() {
 
 namespace flap {
 struct ArtifactAccess {
-  static LexScalars scalars(const CompiledLexer &L) {
-    LexScalars S;
-    S.Alpha = L.Alpha;
-    S.NumTerm = L.NumTerm;
-    S.NumPureRun = L.NumPureRun;
-    S.NumAccept = L.NumAccept;
-    S.Start = L.Start;
-    return S;
-  }
-  static const Table<int32_t> &trans(const CompiledLexer &L) {
-    return L.Trans;
-  }
-  static const Table<int16_t> &trans16(const CompiledLexer &L) {
-    return L.Trans16;
-  }
-  static const Table<uint8_t> &trans8(const CompiledLexer &L) {
-    return L.Trans8;
-  }
-  static const Table<int32_t> &accept(const CompiledLexer &L) {
-    return L.Accept;
-  }
-  static const Table<SkipSet> &skip(const CompiledLexer &L) { return L.Skip; }
-  static const Table<TokenId> &toks(const CompiledLexer &L) { return L.Toks; }
-
+  // Lex is CompiledLexer (loading) or const CompiledLexer (writing).
+  template <typename Lex> static auto &scan(Lex &L) { return L.Scan; }
+  template <typename Lex> static auto &accept(Lex &L) { return L.Accept; }
+  template <typename Lex> static auto &toks(Lex &L) { return L.Toks; }
+  static LexScalars scalars(const CompiledLexer &L) { return {L.Start}; }
   static std::shared_ptr<CompiledLexer> make(const LexScalars &S) {
     auto L = std::shared_ptr<CompiledLexer>(new CompiledLexer());
-    L->Alpha = S.Alpha;
-    L->NumTerm = S.NumTerm;
-    L->NumPureRun = S.NumPureRun;
-    L->NumAccept = S.NumAccept;
     L->Start = S.Start;
     return L;
   }
-  static Table<int32_t> &trans(CompiledLexer &L) { return L.Trans; }
-  static Table<int16_t> &trans16(CompiledLexer &L) { return L.Trans16; }
-  static Table<uint8_t> &trans8(CompiledLexer &L) { return L.Trans8; }
-  static Table<int32_t> &accept(CompiledLexer &L) { return L.Accept; }
-  static Table<SkipSet> &skip(CompiledLexer &L) { return L.Skip; }
-  static Table<TokenId> &toks(CompiledLexer &L) { return L.Toks; }
 };
 } // namespace flap
 
@@ -477,6 +437,15 @@ std::string packEntries(const std::map<std::string, NtId> &E) {
   return B;
 }
 
+/// Writes one machine's scan tables to the NumScanSections sections
+/// from \p Base.
+void addScanTables(Writer &W, uint32_t Base, const ScanTables &T) {
+  W.addPod(Base, T.Tiers);
+  W.addTable(Base + 1, T.Trans16);
+  W.addTable(Base + 2, T.Trans8);
+  W.addTable(Base + 3, T.Skip);
+}
+
 } // namespace
 
 std::string flap::serializeArtifact(const FlapParser &P,
@@ -486,23 +455,13 @@ std::string flap::serializeArtifact(const FlapParser &P,
 
   ParserScalars S;
   memset(&S, 0, sizeof(S));
-  memcpy(S.ClsMap, M.ClsMap, 256);
-  S.NumCls = M.NumCls;
-  S.NumPureSkip = M.NumPureSkip;
-  S.NumSelfSkip = M.NumSelfSkip;
-  S.NumTermAcc = M.NumTermAcc;
-  S.NumPureAcc = M.NumPureAcc;
-  S.NumAccept = M.NumAccept;
   S.SkipState = M.SkipState;
   S.Start = M.Start;
   S.HasLexer = L != nullptr;
   W.addPod(SecParserScalars, S);
 
-  W.addTable(SecTrans, M.Trans);
-  W.addTable(SecTrans16, M.Trans16);
-  W.addTable(SecTrans8, M.Trans8);
+  addScanTables(W, SecParserScan, M.Scan);
   W.addTable(SecAcceptCont, M.AcceptCont);
-  W.addTable(SecSkip, M.Skip);
   W.addTable(SecConts, M.Conts);
   W.addTable(SecTailPool, M.TailPool);
   W.addTable(SecAccMeta, M.AccMeta);
@@ -522,11 +481,8 @@ std::string flap::serializeArtifact(const FlapParser &P,
 
   if (L) {
     W.addPod(SecLexScalars, ArtifactAccess::scalars(*L));
-    W.addTable(SecLexTrans, ArtifactAccess::trans(*L));
-    W.addTable(SecLexTrans16, ArtifactAccess::trans16(*L));
-    W.addTable(SecLexTrans8, ArtifactAccess::trans8(*L));
+    addScanTables(W, SecLexScan, ArtifactAccess::scan(*L));
     W.addTable(SecLexAccept, ArtifactAccess::accept(*L));
-    W.addTable(SecLexSkip, ArtifactAccess::skip(*L));
     W.addTable(SecLexToks, ArtifactAccess::toks(*L));
   }
 
@@ -717,6 +673,18 @@ Status unpackStrings(const BlobView &V, uint32_t Id,
   return Status::success();
 }
 
+/// Borrows one machine's scan tables back from the NumScanSections
+/// sections written by addScanTables from \p Base.
+Status borrowScanTables(const BlobView &V, uint32_t Base, ScanTables &T) {
+  if (Status St = readPodSection(V, Base, T.Tiers); !St.ok())
+    return St;
+  if (Status St = borrowTable(V, Base + 1, T.Trans16); !St.ok())
+    return St;
+  if (Status St = borrowTable(V, Base + 2, T.Trans8); !St.ok())
+    return St;
+  return borrowTable(V, Base + 3, T.Skip);
+}
+
 } // namespace
 
 Result<ArtifactInfo> flap::inspectArtifact(const std::string &Path) {
@@ -769,27 +737,14 @@ Result<LoadedArtifact> flap::loadArtifact(std::shared_ptr<MappedBlob> Blob,
   ParserScalars S;
   if (Status St = readPodSection(V, SecParserScalars, S); !St.ok())
     return Err(St.error());
-  memcpy(M.ClsMap, S.ClsMap, 256);
-  M.NumCls = S.NumCls;
-  M.NumPureSkip = S.NumPureSkip;
-  M.NumSelfSkip = S.NumSelfSkip;
-  M.NumTermAcc = S.NumTermAcc;
-  M.NumPureAcc = S.NumPureAcc;
-  M.NumAccept = S.NumAccept;
   M.SkipState = S.SkipState;
   M.Start = S.Start;
   A.Info.HasLexer = S.HasLexer != 0;
 
   // The zero-copy core: every hot table becomes a view into the mapping.
-  if (Status St = borrowTable(V, SecTrans, M.Trans); !St.ok())
-    return Err(St.error());
-  if (Status St = borrowTable(V, SecTrans16, M.Trans16); !St.ok())
-    return Err(St.error());
-  if (Status St = borrowTable(V, SecTrans8, M.Trans8); !St.ok())
+  if (Status St = borrowScanTables(V, SecParserScan, M.Scan); !St.ok())
     return Err(St.error());
   if (Status St = borrowTable(V, SecAcceptCont, M.AcceptCont); !St.ok())
-    return Err(St.error());
-  if (Status St = borrowTable(V, SecSkip, M.Skip); !St.ok())
     return Err(St.error());
   if (Status St = borrowTable(V, SecConts, M.Conts); !St.ok())
     return Err(St.error());
@@ -921,20 +876,11 @@ Result<LoadedArtifact> flap::loadArtifact(std::shared_ptr<MappedBlob> Blob,
     if (Status St = readPodSection(V, SecLexScalars, LS); !St.ok())
       return Err(St.error());
     std::shared_ptr<CompiledLexer> L = ArtifactAccess::make(LS);
-    if (Status St = borrowTable(V, SecLexTrans, ArtifactAccess::trans(*L));
-        !St.ok())
-      return Err(St.error());
     if (Status St =
-            borrowTable(V, SecLexTrans16, ArtifactAccess::trans16(*L));
-        !St.ok())
-      return Err(St.error());
-    if (Status St = borrowTable(V, SecLexTrans8, ArtifactAccess::trans8(*L));
+            borrowScanTables(V, SecLexScan, ArtifactAccess::scan(*L));
         !St.ok())
       return Err(St.error());
     if (Status St = borrowTable(V, SecLexAccept, ArtifactAccess::accept(*L));
-        !St.ok())
-      return Err(St.error());
-    if (Status St = borrowTable(V, SecLexSkip, ArtifactAccess::skip(*L));
         !St.ok())
       return Err(St.error());
     if (Status St = borrowTable(V, SecLexToks, ArtifactAccess::toks(*L));

@@ -21,17 +21,20 @@
 ///   [payload sections...]       each table section 64-byte aligned
 ///
 /// Payload table sections are the machine's packed in-memory formats
-/// written raw (Trans8/Trans16/Trans, packed AccMeta, OpPool, packed
-/// symbol pools, SkipSets, ...), so loading a table is a bounds check
-/// plus Table<T>::borrow() — zero copy, zero allocation, the mapped
-/// pages ARE the tables. Cold, non-POD state (nonterminal names,
-/// expected-token strings, ε-chains, sync sequences, entry points) is
-/// serialized structurally and copied out at load; it is small and off
-/// the hot path. Two pieces intentionally do not serialize and are
-/// rebuilt at load in microseconds: EpsPrograms (they hold live Values)
-/// and the binding to the in-process ActionTable, which is instead
-/// *checked* against the blob's ActionHash — an artifact only loads
-/// against the action table shape it was compiled with.
+/// written raw (the scan tables — tier bounds, Trans16, Trans8, Skip —
+/// packed AccMeta, OpPool, packed symbol pools, ...), so loading a
+/// table is a bounds check plus Table<T>::borrow() — zero copy, zero
+/// allocation, the mapped pages ARE the tables. The parser's and the
+/// optional lexer's scan tables (ScanTables, engine/DispatchTier.h)
+/// share one section layout, written and borrowed by the same code.
+/// Cold, non-POD state (nonterminal names, expected-token strings,
+/// ε-chains, sync sequences, entry points) is serialized structurally
+/// and copied out at load; it is small and off the hot path. Two pieces
+/// intentionally do not serialize and are rebuilt at load in
+/// microseconds: EpsPrograms (they hold live Values) and the binding to
+/// the in-process ActionTable, which is instead *checked* against the
+/// blob's ActionHash — an artifact only loads against the action table
+/// shape it was compiled with.
 ///
 /// ## Trust model
 ///
@@ -75,7 +78,7 @@ namespace flap {
 /// format. There is no cross-version migration: a version mismatch is a
 /// load error and the caller recompiles (the artifact cache does this
 /// transparently).
-constexpr uint32_t ArtifactFormatVersion = 1;
+constexpr uint32_t ArtifactFormatVersion = 2;
 
 /// Little-/big-endian detector: written as the native integer, read
 /// back and compared; a byte-swapped value means the blob was produced
@@ -88,8 +91,9 @@ struct ArtifactHeader {
   uint32_t FormatVersion; ///< ArtifactFormatVersion
   uint32_t EndianTag;     ///< ArtifactEndianTag, native byte order
   /// Hash of the element sizes/layout the tables were written with
-  /// (sizeof Sym/MicroOp/Cont/SkipSet/NtInfo/Alphabet/...). A compiler
-  /// or ABI that lays the PODs out differently cannot borrow them.
+  /// (sizeof Sym/MicroOp/Cont/SkipSet/NtInfo/dispatchtier::Bounds/...).
+  /// A compiler or ABI that lays the PODs out differently cannot borrow
+  /// them.
   uint64_t TraitsWord;
   /// Shape hash of the ActionTable the machine was compiled against
   /// (per action: arity, kind, selectors, immediate, name). Load-time

@@ -11,7 +11,6 @@
 #include "engine/ScanKernel.h"
 #include "engine/Verify.h"
 #include "engine/Sink.h"
-#include "regex/Alphabet.h"
 #include "support/StrUtil.h"
 
 #include <cassert>
@@ -103,9 +102,8 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
 
   // Memoized state generation — "there is at most one generated function
   // S_{F_n,k} for any particular F_n and k" (§5.4). Transitions are
-  // first computed per *byte* (rows of 256), each state deriving along
-  // its own derivative-class partition (Owens et al.); a compression
-  // pass below folds equivalent bytes into global classes.
+  // computed per *byte* (rows of 256), each state deriving along its own
+  // derivative-class partition (Owens et al.).
   std::unordered_map<ItemSet, int32_t, ItemSetHash> StateIds;
   std::vector<ItemSet> States;
   std::vector<int32_t> AcceptRaw; // pre-renumbering accepting cont or -1
@@ -204,11 +202,11 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
       return Err(format("staged parser exceeds %zu states", MaxStates));
   }
 
-  // Dispatch-tier encoding: renumber states into tiers so a single
-  // transition load classifies a lexeme's entry (Compile.h has the full
-  // range map). The coarse split is unchanged — [0, NumSelfSkip) accept
-  // an F2 whitespace continuation, [NumSelfSkip, NumAccept) a regular
-  // one, then the rest — and each accepting tier is subdivided by the
+  // Dispatch-tier encoding (buildScanTables): renumber states into tiers
+  // so a single transition load classifies a lexeme's entry (Compile.h
+  // has the full range map). The coarse split — [0, SelfSkip) accept an
+  // F2 whitespace continuation, [SelfSkip, Accept) a regular one, then
+  // the rest — and each accepting tier is subdivided by the
   // state's *outgoing shape*: no transitions at all (terminal: the
   // lexeme is decided at the dispatch byte) or transitions confined to
   // the self-loop (pure run: the bulk-classified run is the rest of the
@@ -216,29 +214,18 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
   // decision and the entry dispatch all become register compares; the
   // dependent AcceptCont load leaves the per-byte loop entirely.
   const size_t NumStates = States.size();
-  std::vector<int32_t> Perm;
-  dispatchtier::Bounds Tiers = dispatchtier::renumber(
-      Rows, NumStates,
-      [&](size_t S) {
-        int32_t A = AcceptRaw[S];
-        if (A < 0)
-          return dispatchtier::AcceptClass::None;
-        return M.Conts[A].SelfSkip ? dispatchtier::AcceptClass::SelfSkip
-                                   : dispatchtier::AcceptClass::Regular;
-      },
-      Perm);
-  M.NumPureSkip = Tiers.PureSkip;
-  M.NumSelfSkip = Tiers.SelfSkip;
-  M.NumTermAcc = Tiers.TermAcc;
-  M.NumPureAcc = Tiers.PureAcc;
-  M.NumAccept = Tiers.Accept;
-
-  std::vector<int32_t> PRows(NumStates * 256, CompiledParser::Dead);
-  for (size_t S = 0; S < NumStates; ++S)
-    for (int C = 0; C < 256; ++C) {
-      int32_t D = Rows[S * 256 + C];
-      PRows[static_cast<size_t>(Perm[S]) * 256 + C] = D < 0 ? D : Perm[D];
-    }
+  std::vector<dispatchtier::AcceptClass> Classes(NumStates);
+  for (size_t S = 0; S < NumStates; ++S) {
+    int32_t A = AcceptRaw[S];
+    Classes[S] = A < 0 ? dispatchtier::AcceptClass::None
+                 : M.Conts[A].SelfSkip ? dispatchtier::AcceptClass::SelfSkip
+                                       : dispatchtier::AcceptClass::Regular;
+  }
+  // The int16 transition table: the MaxPackedStates guard keeps state
+  // ids within range.
+  static_assert(CompiledParser::MaxPackedStates <= (1u << 15),
+                "int16 state space");
+  const std::vector<int32_t> Perm = buildScanTables(M.Scan, Rows, Classes);
   M.AcceptCont.assign(NumStates, -1);
   for (size_t S = 0; S < NumStates; ++S)
     M.AcceptCont[static_cast<size_t>(Perm[S])] = AcceptRaw[S];
@@ -246,16 +233,6 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
     Nt.StartState = Perm[Nt.StartState];
   if (M.SkipState >= 0)
     M.SkipState = Perm[M.SkipState];
-
-  // Run-state skip metadata: the byte set on which each state loops to
-  // itself (identifier/number/whitespace/string interiors).
-  M.Skip.resize(NumStates);
-  for (size_t S = 0; S < NumStates; ++S) {
-    for (int C = 0; C < 256; ++C)
-      if (PRows[S * 256 + C] == static_cast<int32_t>(S))
-        M.Skip[S].set(static_cast<unsigned char>(C));
-    M.Skip[S].finalize();
-  }
 
   // Packed symbol pools + state-indexed accept metadata. Stack entries
   // and tails carry the nonterminal's start state inline, so the
@@ -808,8 +785,9 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
   if (M.PackedPool.size() > 0xffffffffull)
     return Err("packed symbol pool exceeds the 32-bit accept-metadata "
                "offset width");
-  M.AccMeta.assign(M.NumAccept, CompiledParser::packMeta(NoToken, 0, 0));
-  M.AccNtMeta.assign(M.NumAccept, CompiledParser::packMeta(NoToken, 0, 0));
+  const uint64_t NoMeta = CompiledParser::packMeta(NoToken, 0, 0);
+  M.AccMeta.assign(M.Scan.Tiers.Accept, NoMeta);
+  M.AccNtMeta.assign(M.Scan.Tiers.Accept, NoMeta);
   for (size_t S = 0; S < NumStates; ++S) {
     int32_t A = AcceptRaw[S];
     if (A < 0)
@@ -819,46 +797,6 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
         CompiledParser::packMeta(ContParseTok[A], ContPLen[A], ContPOff[A]);
     M.AccNtMeta[NewS] =
         CompiledParser::packMeta(NoToken, ContNLen[A], ContNOff[A]);
-  }
-
-  // Character-class compression (§5.5): bytes with identical columns
-  // across every state form one class.
-  std::map<std::vector<int32_t>, int> ColumnIds;
-  for (int C = 0; C < 256; ++C) {
-    std::vector<int32_t> Col(NumStates);
-    for (size_t S = 0; S < NumStates; ++S)
-      Col[S] = PRows[S * 256 + C];
-    auto It =
-        ColumnIds.emplace(std::move(Col), static_cast<int>(ColumnIds.size()))
-            .first;
-    M.ClsMap[C] = static_cast<uint8_t>(It->second);
-  }
-  M.NumCls = static_cast<int>(ColumnIds.size());
-  M.Trans.assign(NumStates * M.NumCls, CompiledParser::Dead);
-  for (const auto &[Col, Cls] : ColumnIds)
-    for (size_t S = 0; S < NumStates; ++S)
-      M.Trans[S * M.NumCls + Cls] = Col[S];
-
-  // The byte-indexed hot-loop table (int16: the MaxPackedStates guard
-  // keeps state ids within range).
-  static_assert(CompiledParser::MaxPackedStates <= (1u << 15),
-                "int16 state space");
-  M.Trans16.assign(NumStates * 256, static_cast<int16_t>(-1));
-  for (size_t S = 0; S < NumStates; ++S)
-    for (int C = 0; C < 256; ++C)
-      M.Trans16[S * 256 + C] = static_cast<int16_t>(PRows[S * 256 + C]);
-  // 8-bit table selection: ids [0, NumStates) must leave 0xff free for
-  // the Dead8 sentinel, so the cutoff is 255 states (max id 254) — a
-  // machine with 256 reachable states would alias state id 255 with
-  // Dead8 and must take the int16 table.
-  if (NumStates <= CompiledParser::MaxSmallStates) {
-    M.Trans8.assign(NumStates * 256, CompiledParser::Dead8);
-    for (size_t S = 0; S < NumStates; ++S)
-      for (int C = 0; C < 256; ++C) {
-        int32_t D = PRows[S * 256 + C];
-        if (D >= 0)
-          M.Trans8[S * 256 + C] = static_cast<uint8_t>(D);
-      }
   }
 
   // Post-compilation audit (engine/Verify.h): in assert builds — and
@@ -1023,7 +961,8 @@ template <typename Fn>
 decltype(auto) withSink(const CompiledParser &M, ParseMode Mode,
                         ParseScratch &Scratch, Fn &&F) {
   auto Drive = [&](auto &Sk) {
-    return scankernel::withWidth(M, [&](auto Width) { return F(Sk, Width); });
+    return scankernel::withWidth(M.Scan,
+                                 [&](auto Width) { return F(Sk, Width); });
   };
   switch (Mode) {
   case ParseMode::Values: {

@@ -37,6 +37,12 @@
 ///   - *Table-width templating*: the scan and the residual loop are
 ///     instantiated once per table width (uint8 for <= 255 states, int16
 ///     otherwise); the width is selected once per parse, not per scan.
+///   - *One scan-table set*: the byte-indexed tables, the skip sets and
+///     the tier bounds are a ScanTables (engine/DispatchTier.h), built,
+///     audited and serialized by the same code as the standalone lexer
+///     DFA's. The §5.5 character classes are not a stored table: the
+///     emitter branches on byte ranges of Trans16 rows and numClasses()
+///     counts distinct byte columns on demand.
 ///   - *Allocation-free residual loop*: continuation tails live in one
 ///     contiguous TailPool (offset/length per continuation), and the
 ///     symbol/value stacks come from a caller-provided ParseScratch that
@@ -64,6 +70,7 @@
 #include "cfe/Action.h"
 #include "core/Fuse.h"
 #include "engine/Diagnostic.h"
+#include "engine/DispatchTier.h"
 #include "engine/RunSkip.h"
 #include "engine/TableStore.h"
 #include "support/Result.h"
@@ -418,7 +425,7 @@ public:
   /// Number of machine states = generated functions (Table 1, "Output
   /// Functions").
   int numStates() const { return static_cast<int>(AcceptCont.size()); }
-  int numClasses() const { return NumCls; }
+  int numClasses() const { return Scan.numClasses(); }
 
   //===--------------------------------------------------------------===//
   // Tables (public: read by the code generator and by tests)
@@ -429,78 +436,53 @@ public:
   // and branch-free either way.
   //===--------------------------------------------------------------===//
 
-  uint8_t ClsMap[256] = {0};
-  int NumCls = 1;
-  /// [State*NumCls + Cls] → next state, or Dead (-1). The canonical
-  /// class-compressed table, used by the code generator and tests.
-  Table<int32_t> Trans;
-  /// [State*256 + Byte] → next state (int16, Dead16 = -1): the hot-loop
-  /// table. One dependent load per input byte — the table analogue of
-  /// the generated code's direct branching. Under the dispatch-tier
-  /// encoding every state's 256-entry row is also its first-byte
-  /// dispatch table (see the Num* tier bounds below): no separate array
-  /// is materialized, so dispatch costs zero extra cache footprint.
-  Table<int16_t> Trans16;
-  /// Compact variant used when the machine has at most MaxSmallStates
-  /// states (every benchmark grammar): fits L1, sentinel Dead8 = 0xff.
-  Table<uint8_t> Trans8;
-  static constexpr uint8_t Dead8 = 0xff;
-  /// 8-bit table cutoff: state ids must leave 0xff free for Dead8, so at
-  /// most 255 states (max id 254) may select Trans8. A 256-state machine
-  /// would alias state id 255 with the sentinel.
-  static constexpr size_t MaxSmallStates = 255;
+  /// The scan tables (engine/DispatchTier.h): Trans16, Trans8 under the
+  /// MaxSmallStates cutoff, the run-skip sets and the tier bounds.
+  ///
+  /// State ids are tiered (the dispatch-tier encoding). The coarse
+  /// partition: [0, SelfSkip) accept a SelfSkip (F2 whitespace)
+  /// continuation, [SelfSkip, Accept) accept a regular continuation, the
+  /// rest do not accept. Both per-byte acceptance and the end-of-lexeme
+  /// "rescan in place?" decision are register compares — no table load.
+  ///
+  /// Each coarse tier is further split so one transition load classifies
+  /// a lexeme's entry (the *first-byte dispatch table*: the 256-entry
+  /// row of the start state). In Scan.Tiers:
+  ///
+  ///   [0, PureSkip)          pure self-skip runs: F2 whitespace states
+  ///                          whose outgoing transitions stay within the
+  ///                          self-loop — the committed whitespace run is
+  ///                          the whole lexeme and the scan re-dispatches
+  ///                          in place.
+  ///   [PureSkip, SelfSkip)   other self-skip accepting.
+  ///   [SelfSkip, TermAcc)    terminal accepting: no outgoing transitions
+  ///                          at all — the lexeme is decided by the
+  ///                          dispatch load alone (json's structural
+  ///                          bytes live here).
+  ///   [TermAcc, PureAcc)     pure accepting runs: outgoing ⊆ the
+  ///                          (nonempty) self-loop — the run consumed by
+  ///                          the bulk classifier is the rest of the
+  ///                          lexeme, acceptance decided once (sexp
+  ///                          atoms, bare identifiers).
+  ///   [PureAcc, Accept)      other accepting.
+  ScanTables Scan;
   /// Width limits enforced by compileFused (packNt packs an NtId into 15
   /// bits and a start state into 16; Trans16 stores ids as int16).
   static constexpr size_t MaxPackedNts = 0x7fff;
   static constexpr size_t MaxPackedStates = size_t(1) << 15;
-  /// State ids are tiered (the dispatch-tier encoding). The coarse
-  /// partition is unchanged: [0, NumSelfSkip) accept a SelfSkip (F2
-  /// whitespace) continuation, [NumSelfSkip, NumAccept) accept a regular
-  /// continuation, the rest do not accept. Both per-byte acceptance and
-  /// the end-of-lexeme "rescan in place?" decision are register compares
-  /// — no table load.
-  ///
-  /// Each coarse tier is further split so one transition load classifies
-  /// a lexeme's entry (the *first-byte dispatch table*: the 256-entry
-  /// row of the start state, byte-class-compressed at construction):
-  ///
-  ///   [0, NumPureSkip)          pure self-skip runs: F2 whitespace
-  ///                             states whose outgoing transitions stay
-  ///                             within the self-loop — the committed
-  ///                             whitespace run is the whole lexeme and
-  ///                             the scan re-dispatches in place.
-  ///   [NumPureSkip, NumSelfSkip) other self-skip accepting.
-  ///   [NumSelfSkip, NumTermAcc) terminal accepting: no outgoing
-  ///                             transitions at all — the lexeme is
-  ///                             decided by the dispatch load alone
-  ///                             (json's structural bytes live here).
-  ///   [NumTermAcc, NumPureAcc)  pure accepting runs: outgoing ⊆ the
-  ///                             (nonempty) self-loop — the run consumed
-  ///                             by the bulk classifier is the rest of
-  ///                             the lexeme, acceptance decided once
-  ///                             (sexp atoms, bare identifiers).
-  ///   [NumPureAcc, NumAccept)   other accepting.
-  int32_t NumPureSkip = 0;
-  int32_t NumSelfSkip = 0;
-  int32_t NumTermAcc = 0;
-  int32_t NumPureAcc = 0;
-  int32_t NumAccept = 0;
   /// [State] → continuation selected when this state is reached with the
   /// longest match so far, or -1. Consulted by the code generator, the
   /// verifier, tests and the bench's flap(prePR) walk; the accelerated
   /// loop uses the state-indexed Acc* arrays below instead.
   Table<int32_t> AcceptCont;
-  /// [State] → set of bytes on which the state loops to itself; empty
-  /// for states with no self-loop. Drives run skipping.
-  Table<SkipSet> Skip;
   Table<Cont> Conts;
   /// All continuation tails, flattened back-to-back (oldest first).
   Table<Sym> TailPool;
 
   //===--------------------------------------------------------------===//
-  // State-indexed accept metadata ([0, NumAccept) entries): the scan
-  // resolves a finished lexeme with direct loads off the best state id,
-  // no AcceptCont→Conts pointer chase.
+  // State-indexed accept metadata ([0, Scan.Tiers.Accept) entries): the
+  // scan resolves a finished lexeme with direct loads off the best state
+  // id, no AcceptCont→Conts pointer chase.
   //
   // Dispatch-level accept-metadata fusion: the token, tail length and
   // tail offset are *packed into one 64-bit entry* per accepting state —
@@ -650,7 +632,7 @@ public:
   /// whitespace production, so its dispatch row covers them).
   bool entryLive(NtId N, unsigned char B) const {
     const size_t Row = static_cast<size_t>(Nts[N].StartState) * 256 + B;
-    return Trans8.empty() ? Trans16[Row] >= 0 : Trans8[Row] != Dead8;
+    return Scan.Trans16[Row] >= 0;
   }
   std::vector<std::vector<ActionId>> EpsChains;
 

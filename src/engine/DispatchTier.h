@@ -1,4 +1,4 @@
-//===- engine/DispatchTier.h - Dispatch-tier state renumbering -*- C++ -*-===//
+//===- engine/DispatchTier.h - The shared scan-table set -------*- C++ -*-===//
 //
 // Part of flap-cpp, a C++ reproduction of "flap: A Deterministic Parser
 // with Fused Lexing" (PLDI 2023).
@@ -6,13 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The dispatch-tier state-id encoding shared by the staged machine
-/// (engine/Compile.cpp) and the standalone lexer DFA
-/// (lexer/CompiledLexer.cpp). Both machines renumber their states so one
-/// transition load classifies a lexeme's entry — the soundness of every
-/// first-byte dispatch fast path depends on the two encodings staying in
-/// lockstep, so the shape classification and the tier partition live
-/// here, once.
+/// The scan-table set shared by the staged machine (engine/Compile.cpp)
+/// and the standalone lexer DFA (lexer/CompiledLexer.cpp): the
+/// byte-indexed transition tables, the run-skip sets and the
+/// dispatch-tier bounds the scan kernel (engine/ScanKernel.h) runs on.
+/// Both machines hold one ScanTables and fill it through the one
+/// buildScanTables(); the table audit (engine/Verify.cpp) and the
+/// artifact sections (engine/Artifact.cpp) each handle it once, for both.
+///
+/// Both machines renumber their states so one transition load
+/// classifies a lexeme's entry — the soundness of every first-byte
+/// dispatch fast path depends on that encoding, so the shape
+/// classification and the tier partition live here, once.
 ///
 /// Tiers, in id order (see Compile.h for the range semantics):
 ///
@@ -32,6 +37,9 @@
 #ifndef FLAP_ENGINE_DISPATCHTIER_H
 #define FLAP_ENGINE_DISPATCHTIER_H
 
+#include "engine/RunSkip.h"
+#include "engine/TableStore.h"
+
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +48,8 @@ namespace dispatchtier {
 
 /// Tier range bounds over the renumbered id space:
 /// [0, PureSkip) ⊆ [0, SelfSkip) ⊆ ... ⊆ [0, Accept) ⊆ [0, NumStates).
+/// The scan kernels take it by value and unpack it into scalars before
+/// the per-byte loop.
 struct Bounds {
   int32_t PureSkip = 0;
   int32_t SelfSkip = 0;
@@ -60,7 +70,7 @@ enum class AcceptClass : uint8_t {
 /// 2 = general. The shape half of the tier classification, exposed so
 /// the table verifier (engine/Verify.cpp) re-derives each state's tier
 /// through the exact code that assigned it.
-inline int outShape(const std::vector<int32_t> &Rows, size_t S) {
+template <typename RowsT> int outShape(const RowsT &Rows, size_t S) {
   bool Any = false, Other = false;
   for (int C = 0; C < 256; ++C) {
     int32_t D = Rows[S * 256 + C];
@@ -74,7 +84,7 @@ inline int outShape(const std::vector<int32_t> &Rows, size_t S) {
 
 /// Tier index (0..5, the id-order tiers of the file comment) from an
 /// accept class and an outgoing shape. This pairing with outShape() IS
-/// the encoding; renumber() below and the verifier share it.
+/// the encoding; buildScanTables() and the verifier share it.
 inline int tierOf(AcceptClass A, int Shape) {
   if (A == AcceptClass::None)
     return 5;
@@ -103,49 +113,48 @@ inline int tierOfId(const Bounds &B, int32_t S) {
   return 5;
 }
 
-/// Computes the dispatch-tier permutation for a machine of \p NumStates
-/// states whose pre-renumbering per-byte rows are Rows[S*256 + C]
-/// (negative = dead). \p ClassOf maps a pre-renumbering state id to its
-/// AcceptClass. On return Perm[old] = new, and the result carries the
-/// tier bounds in the new id space. The permutation is stable within
-/// each tier (ids sorted by old id), so renumbering is deterministic.
-template <typename ClassFn>
-inline Bounds renumber(const std::vector<int32_t> &Rows, size_t NumStates,
-                       ClassFn ClassOf, std::vector<int32_t> &Perm) {
-  auto TierOf = [&](size_t S) {
-    return tierOf(ClassOf(S), outShape(Rows, S));
-  };
-  Perm.assign(NumStates, 0);
-  Bounds B;
-  int32_t NextId = 0;
-  for (int Tier = 0; Tier <= 5; ++Tier) {
-    for (size_t S = 0; S < NumStates; ++S)
-      if (TierOf(S) == Tier)
-        Perm[S] = NextId++;
-    switch (Tier) {
-    case 0:
-      B.PureSkip = NextId;
-      break;
-    case 1:
-      B.SelfSkip = NextId;
-      break;
-    case 2:
-      B.TermAcc = NextId;
-      break;
-    case 3:
-      B.PureAcc = NextId;
-      break;
-    case 4:
-      B.Accept = NextId;
-      break;
-    default:
-      break;
-    }
-  }
-  return B;
-}
-
 } // namespace dispatchtier
+
+/// One machine's scan tables: everything the scan kernel reads.
+struct ScanTables {
+  /// [State*256 + Byte] → next state, or -1 (dead): the int16 hot-loop
+  /// table. Under the dispatch-tier encoding every state's 256-entry row
+  /// is also its first-byte dispatch table: no separate array is
+  /// materialized, so dispatch costs zero extra cache footprint.
+  Table<int16_t> Trans16;
+  /// The same function narrowed to uint8 (sentinel Dead8) when the
+  /// machine has at most MaxSmallStates states (every benchmark grammar
+  /// and lexer): fits L1. Empty otherwise.
+  Table<uint8_t> Trans8;
+  /// [State] → the bytes on which the state loops to itself (lexeme
+  /// interiors); the scan hands those runs to the bulk classifier.
+  Table<SkipSet> Skip;
+  dispatchtier::Bounds Tiers;
+
+  static constexpr uint8_t Dead8 = 0xff;
+  /// 8-bit table cutoff: state ids must leave 0xff free for Dead8, so at
+  /// most 255 states (max id 254) may select Trans8. A 256-state machine
+  /// would alias state id 255 with the sentinel.
+  static constexpr size_t MaxSmallStates = 255;
+
+  /// Distinct byte columns of Trans16 — the machine's character classes
+  /// (§5.5). Counted on demand: a cold path for reports and tests.
+  int numClasses() const;
+};
+
+/// Fills \p T from a machine's pre-renumbering per-byte rows
+/// (Rows[S*256 + C], negative = dead) and per-state accept classes
+/// (\p Classes, one per state): renumbers the states into the
+/// dispatch tiers, writes the permuted rows to Trans16 (and to Trans8
+/// under the MaxSmallStates cutoff), derives each state's exact skip
+/// set and records the tier bounds. The permutation is stable within
+/// each tier (ids sorted by old id), so the build is deterministic.
+/// \returns Perm with Perm[old] = new, so the caller can remap its own
+/// accept data and start states.
+std::vector<int32_t>
+buildScanTables(ScanTables &T, const std::vector<int32_t> &Rows,
+                const std::vector<dispatchtier::AcceptClass> &Classes);
+
 } // namespace flap
 
 #endif // FLAP_ENGINE_DISPATCHTIER_H

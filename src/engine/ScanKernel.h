@@ -72,7 +72,7 @@
 #ifndef FLAP_ENGINE_SCANKERNEL_H
 #define FLAP_ENGINE_SCANKERNEL_H
 
-#include "engine/Compile.h"
+#include "engine/DispatchTier.h"
 #include "engine/RunSkip.h"
 
 #include <cstddef>
@@ -86,41 +86,31 @@ namespace scankernel {
 /// into the per-scan path.
 struct Tab8 {
   using Cell = uint8_t;
-  static const Cell *table(const CompiledParser &M) { return M.Trans8.data(); }
-  static bool dead(Cell V) { return V == CompiledParser::Dead8; }
+  static const Cell *table(const ScanTables &T) { return T.Trans8.data(); }
+  static bool dead(Cell V) { return V == ScanTables::Dead8; }
 };
 struct Tab16 {
   using Cell = int16_t;
-  static const Cell *table(const CompiledParser &M) { return M.Trans16.data(); }
+  static const Cell *table(const ScanTables &T) { return T.Trans16.data(); }
   static bool dead(Cell V) { return V < 0; }
 };
 
-/// The parser's one run-time width switch: calls \p F with Tab8{} when
-/// the machine has the 8-bit table, else Tab16{}, so a driver names its
+/// The one run-time width switch: calls \p F with Tab8{} when the
+/// machine has the 8-bit table, else Tab16{}, so a driver names its
 /// instantiation once (`using Tab = decltype(Width)`).
 template <typename Fn>
-decltype(auto) withWidth(const CompiledParser &M, Fn &&F) {
-  return M.Trans8.empty() ? F(Tab16{}) : F(Tab8{});
+FLAP_SINK_INLINE decltype(auto) withWidth(const ScanTables &T, Fn &&F) {
+  return T.Trans8.empty() ? F(Tab16{}) : F(Tab8{});
 }
 
-/// The dispatch-tier bounds of one machine (Compile.h has the range
-/// map). Bundled so every caller hands the kernel one value; the
-/// kernels unpack it into scalars immediately, before the
-/// per-byte loop. A machine with no self-skip tiers (the standalone
-/// lexer DFA) passes PureSkip = SelfSkip = 0 — the encoding degenerates
-/// to terminal / pure-run / accepting / rest, sharing all kernel code.
-struct Tiers {
-  int32_t PureSkip;
-  int32_t SelfSkip;
-  int32_t TermAcc;
-  int32_t PureAcc;
-  int32_t Accept;
-};
-
-inline Tiers tiersOf(const CompiledParser &M) {
-  return {M.NumPureSkip, M.NumSelfSkip, M.NumTermAcc, M.NumPureAcc,
-          M.NumAccept};
-}
+/// Marks a width lambda that runs a force-inlined kernel itself (the
+/// lexer's per-lexeme scan), so the kernel lands in the caller as it
+/// would without the lambda: `[&](auto Width) FLAP_WIDTH_INLINE {...}`.
+#if defined(__GNUC__) || defined(__clang__)
+#define FLAP_WIDTH_INLINE __attribute__((always_inline))
+#else
+#define FLAP_WIDTH_INLINE
+#endif
 
 /// The scan's complete register file; see the file comment. A suspended
 /// scan (More) is resumed by re-entering scanStep() with the same state
@@ -188,9 +178,10 @@ template <typename Tab, bool Final>
 __attribute__((always_inline))
 #endif
 inline ScanOutcome
-scanCore(const typename Tab::Cell *T, const SkipSet *Skip, Tiers Tr,
-         uint32_t Start, uint32_t Cur, int32_t Bs, size_t Base,
-         size_t BestEnd, size_t I, const char *S, size_t Len, ScanState &St) {
+scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
+         dispatchtier::Bounds Tr, uint32_t Start, uint32_t Cur, int32_t Bs,
+         size_t Base, size_t BestEnd, size_t I, const char *S, size_t Len,
+         ScanState &St) {
   const int32_t NumSelfSkip = Tr.SelfSkip;
   const int32_t NumAccept = Tr.Accept;
   const int32_t NumTermAcc = Tr.TermAcc;
@@ -274,8 +265,8 @@ Rescan:
 /// *resuming* a suspended scan; fresh scans enter through scanEnter.
 template <typename Tab, bool Final>
 inline ScanOutcome scanStep(const typename Tab::Cell *T, const SkipSet *Skip,
-                            Tiers Tr, ScanState &St, const char *S,
-                            size_t Len) {
+                            dispatchtier::Bounds Tr, ScanState &St,
+                            const char *S, size_t Len) {
   return scanCore<Tab, Final>(T, Skip, Tr, St.Start, St.Cur, St.Bs, St.Base,
                               St.BestEnd, St.I, S, Len, St);
 }
@@ -291,9 +282,9 @@ template <typename Tab, bool Final>
 __attribute__((always_inline))
 #endif
 inline ScanOutcome
-scanEnter(const typename Tab::Cell *T, const SkipSet *Skip, Tiers Tr,
-          uint32_t Start, size_t Pos, const char *S, size_t Len,
-          ScanState &St) {
+scanEnter(const typename Tab::Cell *T, const SkipSet *Skip,
+          dispatchtier::Bounds Tr, uint32_t Start, size_t Pos, const char *S,
+          size_t Len, ScanState &St) {
   for (;;) {
     if (Pos >= Len) {
       St = scanBegin(Start, Pos);

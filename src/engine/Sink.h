@@ -336,9 +336,9 @@ DriveStatus driveImpl(const CompiledParser &M, std::string_view Window,
   const uint64_t B = Streamed ? Base : 0;
   const size_t Len = Window.size();
   const char *S = Window.data();
-  const typename Tab::Cell *T = Tab::table(M);
-  const SkipSet *Skip = M.Skip.data();
-  const scankernel::Tiers Tr = scankernel::tiersOf(M);
+  const typename Tab::Cell *T = Tab::table(M.Scan);
+  const SkipSet *Skip = M.Scan.Skip.data();
+  const dispatchtier::Bounds Tr = M.Scan.Tiers;
   const uint64_t *Meta =
       Sink::Markers ? M.AccMeta.data() : M.AccNtMeta.data();
   const uint32_t *Pool = Sink::Markers ? M.PackedPool.data()
@@ -429,21 +429,22 @@ DriveStatus matchTrailingSkipT(const CompiledParser &M,
                                std::string_view Window, size_t &Pos,
                                scankernel::ParkedScan *Park = nullptr) {
   const size_t Len = Window.size();
-  const typename Tab::Cell *T = Tab::table(M);
-  const scankernel::Tiers Tr = scankernel::tiersOf(M);
+  const typename Tab::Cell *T = Tab::table(M.Scan);
+  const SkipSet *Skip = M.Scan.Skip.data();
+  const dispatchtier::Bounds Tr = M.Scan.Tiers;
   while (M.SkipState >= 0) {
     scankernel::ScanState Sc;
     scankernel::ScanOutcome O;
     if (Streamed && Park->Live) {
       Park->Live = false;
       Sc = Park->Sc;
-      O = scankernel::scanStep<Tab, Final>(T, M.Skip.data(), Tr, Sc,
+      O = scankernel::scanStep<Tab, Final>(T, Skip, Tr, Sc,
                                            Window.data(), Len);
     } else {
       if (Pos >= Len)
         break;
       O = scankernel::scanEnter<Tab, Final>(
-          T, M.Skip.data(), Tr, static_cast<uint32_t>(M.SkipState), Pos,
+          T, Skip, Tr, static_cast<uint32_t>(M.SkipState), Pos,
           Window.data(), Len, Sc);
     }
     if constexpr (!Final) {

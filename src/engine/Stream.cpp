@@ -353,7 +353,7 @@ StreamStatus StreamParser::pumpT() {
 }
 
 template <bool Final> StreamStatus StreamParser::pump() {
-  return scankernel::withWidth(*M, [&](auto Width) {
+  return scankernel::withWidth(M->Scan, [&](auto Width) {
     using Tab = decltype(Width);
     switch (Req.Mode) {
     case ParseMode::Values:

@@ -100,6 +100,131 @@ bool rangesConsistent(const SkipSet &S) {
   return true;
 }
 
+/// What the scan-table audit established, for the passes that index
+/// rows and tier prefixes after it.
+struct ScanAudit {
+  bool BoundsOk = true; ///< tier bounds monotone and within the machine
+  bool T16Ok = false;   ///< Trans16 holds one 256-entry row per state
+  bool RowsOk = false;  ///< ... and every target is in [-1, NS)
+};
+
+/// The one scan-table audit (engine/DispatchTier.h), shared by the
+/// staged machine and the lexer DFA: tier bounds, table sizes, Trans16
+/// target ranges, Trans8 agreement, each state's tier re-derived from
+/// its outgoing shape and accept class through the exact DispatchTier.h
+/// classification that assigned it (what makes the dispatch fast
+/// paths' register compares sound), and each skip set's exactness and
+/// range/bitmap agreement (the SIMD and bitmap kernels must classify
+/// identically). \p Classes holds each state's accept class as the
+/// machine's own accept data claims it, or is empty when that data
+/// failed its own checks (the tier re-derivation is then skipped).
+ScanAudit
+auditScanTables(Checker &C, const ScanTables &T, size_t NS,
+                const std::vector<dispatchtier::AcceptClass> &Classes) {
+  ScanAudit A;
+  const dispatchtier::Bounds &Tr = T.Tiers;
+  const int32_t B[6] = {0, Tr.PureSkip, Tr.SelfSkip,
+                        Tr.TermAcc, Tr.PureAcc, Tr.Accept};
+  const char *Names[6] = {"", "Tiers.PureSkip", "Tiers.SelfSkip",
+                          "Tiers.TermAcc", "Tiers.PureAcc", "Tiers.Accept"};
+  for (int I = 1; I < 6; ++I)
+    if (!C.expect(B[I] >= B[I - 1])) {
+      A.BoundsOk = false;
+      C.error(Names[I], -1, -1,
+              format("tier bound %d below its predecessor %d (bounds "
+                     "must be monotone)",
+                     B[I], B[I - 1]));
+    }
+  if (!C.expect(Tr.Accept <= static_cast<int32_t>(NS))) {
+    A.BoundsOk = false;
+    C.error("Tiers.Accept", -1, -1,
+            format("accepting tier bound %d exceeds the %zu-state machine",
+                   Tr.Accept, NS));
+  }
+
+  A.T16Ok = C.expect(T.Trans16.size() == NS * 256);
+  if (!A.T16Ok)
+    C.error("Trans16", -1, -1,
+            format("%zu entries for %zu states (expected %zu)",
+                   T.Trans16.size(), NS, NS * 256));
+  // Trans8 is present exactly when the machine fits the 8-bit width: a
+  // small machine without it would silently run the wider kernel.
+  const bool T8Ok =
+      C.expect(T.Trans8.empty()
+                   ? NS > ScanTables::MaxSmallStates
+                   : (NS <= ScanTables::MaxSmallStates &&
+                      T.Trans8.size() == NS * 256));
+  if (!T8Ok)
+    C.error("Trans8", -1, -1,
+            format("%zu entries for %zu states (present, with %zu, iff "
+                   "at most %zu states)",
+                   T.Trans8.size(), NS, NS * 256,
+                   ScanTables::MaxSmallStates));
+  const bool SkipOk = C.expect(T.Skip.size() == NS);
+  if (!SkipOk)
+    C.error("Skip", -1, -1,
+            format("%zu skip sets for %zu states", T.Skip.size(), NS));
+
+  if (!A.T16Ok || !A.BoundsOk)
+    return A; // everything below walks Trans16 rows / tier prefixes
+
+  A.RowsOk = true;
+  for (size_t I = 0; I < T.Trans16.size(); ++I) {
+    int32_t D = T.Trans16[I];
+    if (!C.expect(D >= -1 && D < static_cast<int32_t>(NS))) {
+      A.RowsOk = false;
+      C.error(format("Trans16[%zu]", I), static_cast<int32_t>(I / 256),
+              -1, format("target %d out of range [-1, %zu)", D, NS));
+    }
+  }
+  if (T8Ok && !T.Trans8.empty())
+    for (size_t S = 0; S < NS; ++S)
+      for (int Bt = 0; Bt < 256; ++Bt) {
+        int32_t T16 = T.Trans16[S * 256 + Bt];
+        uint8_t T8 = T.Trans8[S * 256 + Bt];
+        bool Agree = T16 < 0 ? T8 == ScanTables::Dead8
+                             : T8 == static_cast<uint8_t>(T16) &&
+                                   T8 != ScanTables::Dead8;
+        if (!C.expect(Agree)) {
+          C.error(format("Trans8[%zu]", S * 256 + Bt),
+                  static_cast<int32_t>(S), -1,
+                  format("8-bit target %d disagrees with Trans16 target "
+                         "%d on byte %d",
+                         T8, T16, Bt));
+          break; // one finding per state row is enough
+        }
+      }
+  if (!A.RowsOk)
+    return A;
+
+  if (Classes.size() == NS)
+    for (size_t S = 0; S < NS; ++S) {
+      int Derived = dispatchtier::tierOf(
+          Classes[S], dispatchtier::outShape(T.Trans16, S));
+      int Claimed = dispatchtier::tierOfId(Tr, static_cast<int32_t>(S));
+      if (!C.expect(Derived == Claimed))
+        C.error("tier", static_cast<int32_t>(S), -1,
+                format("state id sits in tier %d but its shape/accept "
+                       "class re-derives tier %d",
+                       Claimed, Derived));
+    }
+
+  if (SkipOk)
+    for (size_t S = 0; S < NS; ++S) {
+      bool Exact = true;
+      for (int Bt = 0; Bt < 256 && Exact; ++Bt)
+        Exact = T.Skip[S].test(static_cast<unsigned char>(Bt)) ==
+                (T.Trans16[S * 256 + Bt] == static_cast<int32_t>(S));
+      if (!C.expect(Exact))
+        C.error(format("Skip[%zu]", S), static_cast<int32_t>(S), -1,
+                "skip set disagrees with the state's self-loop bytes");
+      if (!C.expect(rangesConsistent(T.Skip[S])))
+        C.error(format("Skip[%zu]", S), static_cast<int32_t>(S), -1,
+                "range decomposition disagrees with the bitmap");
+    }
+  return A;
+}
+
 /// One value-producing symbol of a production tail in either world:
 /// a child nonterminal, or a marker popping Arity values and pushing 1.
 struct VEntry {
@@ -292,101 +417,62 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
   const size_t NumNts = M.Nts.size();
   const size_t NumConts = M.Conts.size();
 
+  if (!C.expect(NS <= CompiledParser::MaxPackedStates))
+    C.error("numStates", -1, -1,
+            format("%zu states exceed the 16-bit packed id width (max "
+                   "%zu)",
+                   NS, CompiledParser::MaxPackedStates));
+  if (!C.expect(NumNts <= CompiledParser::MaxPackedNts))
+    C.error("Nts", -1, -1,
+            format("%zu nonterminals exceed the 15-bit packed NtId "
+                   "width (max %zu)",
+                   NumNts, CompiledParser::MaxPackedNts));
+
   //===------------------------------------------------------------===//
-  // Tier bounds: monotone, within the state space, within the packed
-  // id width. Everything the first-byte dispatch fast paths compare
-  // against lives in these five integers.
+  // Per-state accept structure: AcceptCont must be an accepting-prefix
+  // map. Its continuations' kinds are the accept classes the scan-table
+  // audit re-derives every state's tier from.
   //===------------------------------------------------------------===//
-  bool BoundsOk = true;
-  {
-    const int32_t B[6] = {0,           M.NumPureSkip, M.NumSelfSkip,
-                          M.NumTermAcc, M.NumPureAcc,  M.NumAccept};
-    const char *Names[6] = {"",          "NumPureSkip", "NumSelfSkip",
-                            "NumTermAcc", "NumPureAcc",  "NumAccept"};
-    for (int I = 1; I < 6; ++I)
-      if (!C.expect(B[I] >= B[I - 1])) {
-        BoundsOk = false;
-        C.error(Names[I], -1, -1,
-                format("tier bound %d below its predecessor %d (bounds "
-                       "must be monotone)",
-                       B[I], B[I - 1]));
-      }
-    if (!C.expect(M.NumAccept <= static_cast<int32_t>(NS))) {
-      BoundsOk = false;
-      C.error("NumAccept", -1, -1,
-              format("accepting tier bound %d exceeds the %zu-state "
-                     "machine",
-                     M.NumAccept, NS));
+  const int32_t NumAccept = M.Scan.Tiers.Accept;
+  bool AcceptRefsOk = true, ClassesOk = true;
+  std::vector<dispatchtier::AcceptClass> Classes(NS);
+  for (size_t S = 0; S < NS; ++S) {
+    int32_t A = M.AcceptCont[S];
+    if (!C.expect(A >= -1 && A < static_cast<int32_t>(NumConts))) {
+      AcceptRefsOk = ClassesOk = false;
+      C.error(format("AcceptCont[%zu]", S), static_cast<int32_t>(S), -1,
+              format("continuation %d out of range [-1, %zu)", A,
+                     NumConts));
+      continue;
     }
-    if (!C.expect(NS <= CompiledParser::MaxPackedStates))
-      C.error("numStates", -1, -1,
-              format("%zu states exceed the 16-bit packed id width (max "
-                     "%zu)",
-                     NS, CompiledParser::MaxPackedStates));
-    if (!C.expect(NumNts <= CompiledParser::MaxPackedNts))
-      C.error("Nts", -1, -1,
-              format("%zu nonterminals exceed the 15-bit packed NtId "
-                     "width (max %zu)",
-                     NumNts, CompiledParser::MaxPackedNts));
+    if (!C.expect((A >= 0) == (S < static_cast<size_t>(NumAccept)))) {
+      AcceptRefsOk = false;
+      C.error(format("AcceptCont[%zu]", S), static_cast<int32_t>(S), -1,
+              A >= 0 ? std::string("non-accepting tier state carries a "
+                                   "continuation")
+                     : std::string("accepting tier state carries no "
+                                   "continuation"));
+    }
+    Classes[S] = A < 0 ? dispatchtier::AcceptClass::None
+                 : M.Conts[A].SelfSkip ? dispatchtier::AcceptClass::SelfSkip
+                                       : dispatchtier::AcceptClass::Regular;
   }
+  if (!ClassesOk)
+    Classes.clear();
+  const ScanAudit SA = auditScanTables(C, M.Scan, NS, Classes);
+  const bool RowsOk = SA.RowsOk;
 
   //===------------------------------------------------------------===//
   // Structural sizes. Later passes index off these, so a wrong size
   // both gets its own finding and gates the dependent checks.
   //===------------------------------------------------------------===//
-  bool ClsOk = C.expect(M.NumCls >= 1 && M.NumCls <= 256);
-  if (!ClsOk)
-    C.error("NumCls", -1, -1,
-            format("%d byte classes (expected 1..256)", M.NumCls));
-  if (ClsOk)
-    for (int B = 0; B < 256; ++B)
-      if (!C.expect(M.ClsMap[B] < M.NumCls)) {
-        ClsOk = false;
-        C.error(format("ClsMap[%d]", B), -1, -1,
-                format("class %d out of range [0, %d)", M.ClsMap[B],
-                       M.NumCls));
-        break;
-      }
-
-  bool T16Ok = C.expect(M.Trans16.size() == NS * 256);
-  if (!T16Ok)
-    C.error("Trans16", -1, -1,
-            format("%zu entries for %zu states (expected %zu)",
-                   M.Trans16.size(), NS, NS * 256));
-  bool TOk = ClsOk && C.expect(M.Trans.size() ==
-                               NS * static_cast<size_t>(M.NumCls));
-  if (ClsOk && !TOk)
-    C.error("Trans", -1, -1,
-            format("%zu entries (expected %zu states x %d classes)",
-                   M.Trans.size(), NS, M.NumCls));
-  bool T8Ok = C.expect(M.Trans8.empty() ||
-                       (NS <= CompiledParser::MaxSmallStates &&
-                        M.Trans8.size() == NS * 256));
-  if (!T8Ok)
-    C.error("Trans8", -1, -1,
-            format("%zu entries (must be empty, or %zu with at most %zu "
-                   "states)",
-                   M.Trans8.size(), NS * 256,
-                   CompiledParser::MaxSmallStates));
-  if (!C.expect(!M.Trans8.empty() || NS > CompiledParser::MaxSmallStates))
-    C.finding(VerifyFinding::Severity::Warning, "Trans8", -1, -1,
-              format("machine has %zu states but no 8-bit table; the "
-                     "hot loops fall back to the int16 width",
-                     NS));
-
-  bool SkipOk = C.expect(M.Skip.size() == NS);
-  if (!SkipOk)
-    C.error("Skip", -1, -1,
-            format("%zu skip sets for %zu states", M.Skip.size(), NS));
-  bool AccOk = BoundsOk &&
-               C.expect(M.AccMeta.size() ==
-                        static_cast<size_t>(M.NumAccept)) &&
-               C.expect(M.AccNtMeta.size() ==
-                        static_cast<size_t>(M.NumAccept));
-  if (BoundsOk && !AccOk)
+  bool AccOk = SA.BoundsOk &&
+               C.expect(M.AccMeta.size() == static_cast<size_t>(NumAccept)) &&
+               C.expect(M.AccNtMeta.size() == static_cast<size_t>(NumAccept));
+  if (SA.BoundsOk && !AccOk)
     C.error("AccMeta", -1, -1,
-            format("%zu/%zu packed accept entries for NumAccept=%d",
-                   M.AccMeta.size(), M.AccNtMeta.size(), M.NumAccept));
+            format("%zu/%zu packed accept entries for Tiers.Accept=%d",
+                   M.AccMeta.size(), M.AccNtMeta.size(), NumAccept));
   bool NtParOk = C.expect(M.NtNames.size() == NumNts) &&
                  C.expect(M.NtExpected.size() == NumNts) &&
                  C.expect(M.SyncSpecs.size() == NumNts);
@@ -410,136 +496,8 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
   if (!ActsOk)
     C.error("Actions", -1, -1, "action table pointer is null");
 
-  if (!T16Ok || !BoundsOk)
+  if (!SA.T16Ok || !SA.BoundsOk)
     return R; // everything below walks Trans16 rows / tier prefixes
-
-  //===------------------------------------------------------------===//
-  // Transition-target ranges + cross-table agreement. Trans16 is the
-  // source of truth the rows are checked against; Trans (class
-  // compressed) and Trans8 (narrow) must agree entry for entry.
-  //===------------------------------------------------------------===//
-  bool RowsOk = true;
-  for (size_t I = 0; I < M.Trans16.size(); ++I) {
-    int32_t D = M.Trans16[I];
-    if (!C.expect(D >= -1 && D < static_cast<int32_t>(NS))) {
-      RowsOk = false;
-      C.error(format("Trans16[%zu]", I), static_cast<int32_t>(I / 256),
-              -1,
-              format("target %d out of range [-1, %zu)", D, NS));
-    }
-  }
-  if (TOk)
-    for (size_t I = 0; I < M.Trans.size(); ++I) {
-      int32_t D = M.Trans[I];
-      if (!C.expect(D >= -1 && D < static_cast<int32_t>(NS)))
-        C.error(format("Trans[%zu]", I),
-                static_cast<int32_t>(I / M.NumCls), -1,
-                format("target %d out of range [-1, %zu)", D, NS));
-    }
-  if (TOk && ClsOk)
-    for (size_t S = 0; S < NS; ++S)
-      for (int B = 0; B < 256; ++B) {
-        int32_t T16 = M.Trans16[S * 256 + B];
-        int32_t T = M.Trans[S * M.NumCls + M.ClsMap[B]];
-        if (!C.expect(T16 == T)) {
-          C.error(format("Trans[%zu]", S * M.NumCls + M.ClsMap[B]),
-                  static_cast<int32_t>(S), -1,
-                  format("class-compressed target %d disagrees with "
-                         "Trans16 target %d on byte %d",
-                         T, T16, B));
-          B = 256; // one finding per state row is enough
-        }
-      }
-  if (T8Ok && !M.Trans8.empty())
-    for (size_t S = 0; S < NS; ++S)
-      for (int B = 0; B < 256; ++B) {
-        int32_t T16 = M.Trans16[S * 256 + B];
-        uint8_t T8 = M.Trans8[S * 256 + B];
-        bool Agree = T16 < 0 ? T8 == CompiledParser::Dead8
-                             : T8 == static_cast<uint8_t>(T16) &&
-                                   T8 != CompiledParser::Dead8;
-        if (!C.expect(Agree)) {
-          C.error(format("Trans8[%zu]", S * 256 + B),
-                  static_cast<int32_t>(S), -1,
-                  format("8-bit target %d disagrees with Trans16 target "
-                         "%d on byte %d",
-                         T8, T16, B));
-          B = 256;
-        }
-      }
-
-  //===------------------------------------------------------------===//
-  // Per-state accept structure and tier conformance: AcceptCont must be
-  // an accepting-prefix map, and every state's tier — re-derived from
-  // its outgoing shape and accept class through the exact DispatchTier.h
-  // classification that assigned it — must match the tier its id sits
-  // in. This is what makes the dispatch fast paths' register compares
-  // sound.
-  //===------------------------------------------------------------===//
-  bool AcceptRefsOk = true;
-  for (size_t S = 0; S < NS; ++S) {
-    int32_t A = M.AcceptCont[S];
-    if (!C.expect(A >= -1 && A < static_cast<int32_t>(NumConts))) {
-      AcceptRefsOk = false;
-      C.error(format("AcceptCont[%zu]", S), static_cast<int32_t>(S), -1,
-              format("continuation %d out of range [-1, %zu)", A,
-                     NumConts));
-      continue;
-    }
-    if (!C.expect((A >= 0) == (S < static_cast<size_t>(M.NumAccept)))) {
-      AcceptRefsOk = false;
-      C.error(format("AcceptCont[%zu]", S), static_cast<int32_t>(S), -1,
-              A >= 0 ? std::string("non-accepting tier state carries a "
-                                   "continuation")
-                     : std::string("accepting tier state carries no "
-                                   "continuation"));
-    }
-  }
-  if (RowsOk && AcceptRefsOk) {
-    std::vector<int32_t> Rows(NS * 256);
-    for (size_t I = 0; I < Rows.size(); ++I)
-      Rows[I] = M.Trans16[I];
-    dispatchtier::Bounds B;
-    B.PureSkip = M.NumPureSkip;
-    B.SelfSkip = M.NumSelfSkip;
-    B.TermAcc = M.NumTermAcc;
-    B.PureAcc = M.NumPureAcc;
-    B.Accept = M.NumAccept;
-    for (size_t S = 0; S < NS; ++S) {
-      int32_t A = M.AcceptCont[S];
-      dispatchtier::AcceptClass Cls =
-          A < 0 ? dispatchtier::AcceptClass::None
-                : (M.Conts[A].SelfSkip
-                       ? dispatchtier::AcceptClass::SelfSkip
-                       : dispatchtier::AcceptClass::Regular);
-      int Derived = dispatchtier::tierOf(Cls, dispatchtier::outShape(Rows, S));
-      int Claimed = dispatchtier::tierOfId(B, static_cast<int32_t>(S));
-      if (!C.expect(Derived == Claimed))
-        C.error("tier", static_cast<int32_t>(S), -1,
-                format("state id sits in tier %d but its shape/accept "
-                       "class re-derives tier %d",
-                       Claimed, Derived));
-    }
-  }
-
-  //===------------------------------------------------------------===//
-  // Skip sets: exactness against the self-loop (test(b) iff the state
-  // loops to itself on b) and range/bitmap agreement — the SIMD and
-  // bitmap kernels must classify identically.
-  //===------------------------------------------------------------===//
-  if (SkipOk && RowsOk)
-    for (size_t S = 0; S < NS; ++S) {
-      bool Exact = true;
-      for (int B = 0; B < 256 && Exact; ++B)
-        Exact = M.Skip[S].test(static_cast<unsigned char>(B)) ==
-                (M.Trans16[S * 256 + B] == static_cast<int32_t>(S));
-      if (!C.expect(Exact))
-        C.error(format("Skip[%zu]", S), static_cast<int32_t>(S), -1,
-                "skip set disagrees with the state's self-loop bytes");
-      if (!C.expect(rangesConsistent(M.Skip[S])))
-        C.error(format("Skip[%zu]", S), static_cast<int32_t>(S), -1,
-                "range decomposition disagrees with the bitmap");
-    }
 
   //===------------------------------------------------------------===//
   // Continuations and their pools.
@@ -643,7 +601,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
   std::vector<int32_t> ContMetaState(NumConts, -1);
   bool MetaOk = AccOk && AcceptRefsOk && ContsOk;
   if (MetaOk)
-    for (size_t S = 0; S < static_cast<size_t>(M.NumAccept); ++S) {
+    for (size_t S = 0; S < static_cast<size_t>(NumAccept); ++S) {
       int32_t A = M.AcceptCont[S];
       uint64_t PM = M.AccMeta[S], NM = M.AccNtMeta[S];
       uint32_t PTok = CompiledParser::metaTok(PM);
@@ -909,7 +867,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
     if (M.AcceptCont[S] >= 0)
       return false;
     for (int B = 0; B < 256; ++B)
-      if (M.Trans16[static_cast<size_t>(S) * 256 + B] >= 0)
+      if (M.Scan.Trans16[static_cast<size_t>(S) * 256 + B] >= 0)
         return false;
     return true;
   };
@@ -1027,7 +985,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
         int32_t SS0 = M.Nts[N].StartState;
         bool Live = false;
         for (int B = 0; B < 256 && !Live; ++B)
-          Live = M.Trans16[static_cast<size_t>(SS0) * 256 + B] >= 0;
+          Live = M.Scan.Trans16[static_cast<size_t>(SS0) * 256 + B] >= 0;
         if (!C.expect(Live))
           C.error(format("SyncSpecs[%zu]", N), SS0,
                   static_cast<int32_t>(N),
@@ -1070,7 +1028,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
       int32_t S = Work.back();
       Work.pop_back();
       for (int B = 0; B < 256; ++B) {
-        int32_t D = M.Trans16[static_cast<size_t>(S) * 256 + B];
+        int32_t D = M.Scan.Trans16[static_cast<size_t>(S) * 256 + B];
         if (D < 0)
           continue;
         if (Owner[D] == Unowned) {
@@ -1084,7 +1042,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
     }
   }
   std::vector<int32_t> ContNt(NumConts, -1);
-  for (size_t S = 0; S < static_cast<size_t>(M.NumAccept); ++S) {
+  for (size_t S = 0; S < static_cast<size_t>(NumAccept); ++S) {
     int32_t A = M.AcceptCont[S];
     int32_t Own = Owner[S];
     if (Own < 0)
@@ -1268,110 +1226,19 @@ VerifyReport flap::verifyCompiledLexer(const CompiledLexer &L,
   Checker C(R, Opts, "lexer");
   const size_t NS = L.Accept.size();
 
-  bool BoundsOk =
-      C.expect(0 <= L.NumTerm && L.NumTerm <= L.NumPureRun &&
-               L.NumPureRun <= L.NumAccept &&
-               L.NumAccept <= static_cast<int32_t>(NS));
-  if (!BoundsOk)
-    C.error("NumTerm/NumPureRun/NumAccept", -1, -1,
-            format("tier bounds %d <= %d <= %d <= %zu violated",
-                   L.NumTerm, L.NumPureRun, L.NumAccept, NS));
-
-  bool ClsOk =
-      C.expect(L.Alpha.NumClasses >= 1 && L.Alpha.NumClasses <= 256);
-  if (!ClsOk)
-    C.error("Alpha.NumClasses", -1, -1,
-            format("%d byte classes (expected 1..256)",
-                   L.Alpha.NumClasses));
-  if (ClsOk)
-    for (int B = 0; B < 256; ++B)
-      if (!C.expect(L.Alpha.Map[B] < L.Alpha.NumClasses)) {
-        ClsOk = false;
-        C.error(format("Alpha.Map[%d]", B), -1, -1,
-                format("class %d out of range [0, %d)", L.Alpha.Map[B],
-                       L.Alpha.NumClasses));
-        break;
-      }
-
-  bool T16Ok = C.expect(L.Trans16.size() == NS * 256);
-  if (!T16Ok)
-    C.error("Trans16", -1, -1,
-            format("%zu entries for %zu states (expected %zu)",
-                   L.Trans16.size(), NS, NS * 256));
-  bool TOk = ClsOk &&
-             C.expect(L.Trans.size() ==
-                      NS * static_cast<size_t>(L.Alpha.NumClasses));
-  if (ClsOk && !TOk)
-    C.error("Trans", -1, -1,
-            format("%zu entries (expected %zu states x %d classes)",
-                   L.Trans.size(), NS, L.Alpha.NumClasses));
-  bool T8Ok =
-      C.expect(L.Trans8.empty()
-                   ? NS > 255
-                   : (NS <= 255 && L.Trans8.size() == NS * 256));
-  if (!T8Ok)
-    C.error("Trans8", -1, -1,
-            format("%zu entries for %zu states (present iff at most 255 "
-                   "states)",
-                   L.Trans8.size(), NS));
-  bool SkipOk = C.expect(L.Skip.size() == NS);
-  if (!SkipOk)
-    C.error("Skip", -1, -1,
-            format("%zu skip sets for %zu states", L.Skip.size(), NS));
   if (!C.expect(L.Start >= 0 && L.Start < static_cast<int32_t>(NS)))
     C.error("Start", L.Start, -1,
             format("start state %d out of range [0, %zu)", L.Start, NS));
 
-  if (!T16Ok || !BoundsOk)
-    return R;
-
-  bool RowsOk = true;
-  for (size_t I = 0; I < L.Trans16.size(); ++I) {
-    int32_t D = L.Trans16[I];
-    if (!C.expect(D >= -1 && D < static_cast<int32_t>(NS))) {
-      RowsOk = false;
-      C.error(format("Trans16[%zu]", I), static_cast<int32_t>(I / 256),
-              -1, format("target %d out of range [-1, %zu)", D, NS));
-    }
-  }
-  if (TOk && ClsOk)
-    for (size_t S = 0; S < NS; ++S)
-      for (int B = 0; B < 256; ++B) {
-        int32_t T16 = L.Trans16[S * 256 + B];
-        int32_t T =
-            L.Trans[S * L.Alpha.NumClasses + L.Alpha.Map[B]];
-        if (!C.expect(T16 == T)) {
-          C.error(format("Trans[%zu]",
-                         S * L.Alpha.NumClasses + L.Alpha.Map[B]),
-                  static_cast<int32_t>(S), -1,
-                  format("class-compressed target %d disagrees with "
-                         "Trans16 target %d on byte %d",
-                         T, T16, B));
-          B = 256;
-        }
-      }
-  if (T8Ok && !L.Trans8.empty())
-    for (size_t S = 0; S < NS; ++S)
-      for (int B = 0; B < 256; ++B) {
-        int32_t T16 = L.Trans16[S * 256 + B];
-        uint8_t T8 = L.Trans8[S * 256 + B];
-        bool Agree = T16 < 0 ? T8 == 0xff
-                             : T8 == static_cast<uint8_t>(T16) &&
-                                   T8 != 0xff;
-        if (!C.expect(Agree)) {
-          C.error(format("Trans8[%zu]", S * 256 + B),
-                  static_cast<int32_t>(S), -1,
-                  format("8-bit target %d disagrees with Trans16 "
-                         "target %d on byte %d",
-                         T8, T16, B));
-          B = 256;
-        }
-      }
-
   // Accept-prefix consistency: a state accepts (a valid rule) iff its
   // id sits in the accepting prefix, and the rule's token is in range.
+  // The lexer has no self-skip class, so the scan-table audit's tier
+  // re-derivation also proves tiers 0/1 empty.
+  std::vector<dispatchtier::AcceptClass> Classes(NS);
   for (size_t S = 0; S < NS; ++S) {
     int32_t A = L.Accept[S];
+    Classes[S] = A >= 0 ? dispatchtier::AcceptClass::Regular
+                        : dispatchtier::AcceptClass::None;
     if (!C.expect(A >= -1 && A < static_cast<int32_t>(L.Toks.size()))) {
       C.error(format("Accept[%zu]", S), static_cast<int32_t>(S), -1,
               format("rule %d out of range [-1, %zu)", A,
@@ -1379,55 +1246,14 @@ VerifyReport flap::verifyCompiledLexer(const CompiledLexer &L,
       continue;
     }
     if (!C.expect((A >= 0) ==
-                  (S < static_cast<size_t>(L.NumAccept))))
+                  (S < static_cast<size_t>(L.Scan.Tiers.Accept))))
       C.error(format("Accept[%zu]", S), static_cast<int32_t>(S), -1,
               A >= 0 ? std::string("non-accepting tier state carries a "
                                    "rule")
                      : std::string(
                            "accepting tier state carries no rule"));
   }
-
-  // Tier re-derivation through the shared DispatchTier classification
-  // (the lexer has no self-skip class, so tiers 0/1 must be empty).
-  if (RowsOk) {
-    std::vector<int32_t> Rows(NS * 256);
-    for (size_t I = 0; I < Rows.size(); ++I)
-      Rows[I] = L.Trans16[I];
-    dispatchtier::Bounds B;
-    B.PureSkip = 0;
-    B.SelfSkip = 0;
-    B.TermAcc = L.NumTerm;
-    B.PureAcc = L.NumPureRun;
-    B.Accept = L.NumAccept;
-    for (size_t S = 0; S < NS; ++S) {
-      dispatchtier::AcceptClass Cls =
-          L.Accept[S] < 0 ? dispatchtier::AcceptClass::None
-                          : dispatchtier::AcceptClass::Regular;
-      int Derived =
-          dispatchtier::tierOf(Cls, dispatchtier::outShape(Rows, S));
-      int Claimed = dispatchtier::tierOfId(B, static_cast<int32_t>(S));
-      if (!C.expect(Derived == Claimed))
-        C.error("tier", static_cast<int32_t>(S), -1,
-                format("state id sits in tier %d but its shape/accept "
-                       "class re-derives tier %d",
-                       Claimed, Derived));
-    }
-  }
-
-  if (SkipOk && RowsOk)
-    for (size_t S = 0; S < NS; ++S) {
-      bool Exact = true;
-      for (int B = 0; B < 256 && Exact; ++B)
-        Exact = L.Skip[S].test(static_cast<unsigned char>(B)) ==
-                (L.Trans16[S * 256 + B] == static_cast<int32_t>(S));
-      if (!C.expect(Exact))
-        C.error(format("Skip[%zu]", S), static_cast<int32_t>(S), -1,
-                "skip set disagrees with the state's self-loop bytes");
-      if (!C.expect(rangesConsistent(L.Skip[S])))
-        C.error(format("Skip[%zu]", S), static_cast<int32_t>(S), -1,
-                "range decomposition disagrees with the bitmap");
-    }
-
+  auditScanTables(C, L.Scan, NS, Classes);
   return R;
 }
 

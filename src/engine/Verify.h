@@ -58,7 +58,7 @@ struct VerifyFinding {
 
   Severity Sev = Severity::Error;
   std::string Component; ///< "parser", "lexer" or "grammar"
-  std::string Field;     ///< e.g. "Trans16[1234]", "AccMeta[7]", "NumTermAcc"
+  std::string Field;     ///< e.g. "Trans16[12]", "AccMeta[7]", "Tiers.TermAcc"
   int32_t State = -1;    ///< machine state the finding anchors to, or -1
   int32_t Nt = -1;       ///< nonterminal the finding anchors to, or -1
   std::string Detail;    ///< what the invariant required vs. what was found

@@ -13,7 +13,6 @@
 #include "support/StrUtil.h"
 
 #include <cassert>
-#include <map>
 #include <unordered_map>
 
 using namespace flap;
@@ -32,6 +31,14 @@ struct RuleVecHash {
   }
 };
 
+/// The lexer DFA's tier bounds for the scan kernel. It has no self-skip
+/// tiers (no rule accepts a self-skip continuation, and the table audit
+/// re-derives that), so PureSkip and SelfSkip go in as the constant 0
+/// and the kernel's self-skip paths fold away.
+dispatchtier::Bounds lexerTiers(const ScanTables &T) {
+  return {0, 0, T.Tiers.TermAcc, T.Tiers.PureAcc, T.Tiers.Accept};
+}
+
 } // namespace
 
 CompiledLexer::CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer) {
@@ -46,7 +53,7 @@ CompiledLexer::CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer) {
 
   // Subset construction over rule-derivative vectors. Each state derives
   // along its own derivative-class partition (Owens et al.); transitions
-  // are first stored per byte, then compressed into global classes.
+  // are stored per byte.
   std::unordered_map<std::vector<RegexId>, int32_t, RuleVecHash> StateIds;
   std::vector<std::vector<RegexId>> States;
   std::vector<int32_t> AcceptRaw;
@@ -96,97 +103,45 @@ CompiledLexer::CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer) {
     }
   }
 
-  // Dispatch-tier renumbering: the staged machine's encoding
-  // (engine/DispatchTier.h) minus its self-skip tiers — the lexer DFA
-  // never produces a self-skip accept, so the shared partition yields
-  // terminal accepting states first, then pure accepting runs, then
-  // other accepting states. The scan's per-byte acceptance test is a
-  // register compare, the matched rule is read once per lexeme, and the
-  // first transition's loaded id doubles as the lexeme's first-byte
-  // dispatch classification.
+  // The staged machine's scan-table build (engine/DispatchTier.h) minus
+  // its self-skip tiers — the lexer DFA never produces a self-skip
+  // accept, so the shared partition yields terminal accepting states
+  // first, then pure accepting runs, then other accepting states. The
+  // scan's per-byte acceptance test is a register compare, the matched
+  // rule is read once per lexeme, and the first transition's loaded id
+  // doubles as the lexeme's first-byte dispatch classification.
   const size_t NumStates = States.size();
-  std::vector<int32_t> Perm;
-  dispatchtier::Bounds Tiers = dispatchtier::renumber(
-      Rows, NumStates,
-      [&](size_t S) {
-        return AcceptRaw[S] >= 0 ? dispatchtier::AcceptClass::Regular
-                                 : dispatchtier::AcceptClass::None;
-      },
-      Perm);
-  assert(Tiers.SelfSkip == 0 && "lexer DFA has no self-skip tier");
-  NumTerm = Tiers.TermAcc;
-  NumPureRun = Tiers.PureAcc;
-  NumAccept = Tiers.Accept;
-  {
-    std::vector<int32_t> PRows(NumStates * 256, Dead);
-    for (size_t S = 0; S < NumStates; ++S)
-      for (int C = 0; C < 256; ++C) {
-        int32_t D = Rows[S * 256 + C];
-        PRows[static_cast<size_t>(Perm[S]) * 256 + C] = D < 0 ? D : Perm[D];
-      }
-    Rows.swap(PRows);
-  }
+  std::vector<dispatchtier::AcceptClass> Classes(NumStates);
+  for (size_t S = 0; S < NumStates; ++S)
+    Classes[S] = AcceptRaw[S] >= 0 ? dispatchtier::AcceptClass::Regular
+                                   : dispatchtier::AcceptClass::None;
+  const std::vector<int32_t> Perm = buildScanTables(Scan, Rows, Classes);
+  assert(Scan.Tiers.SelfSkip == 0 && "lexer DFA has no self-skip tier");
   Accept.assign(NumStates, -1);
   for (size_t S = 0; S < NumStates; ++S)
     Accept[static_cast<size_t>(Perm[S])] = AcceptRaw[S];
   Start = Perm[Start];
-
-  // Run-state skip metadata: lexeme-interior self-loops.
-  Skip.resize(NumStates);
-  for (size_t S = 0; S < NumStates; ++S) {
-    for (int C = 0; C < 256; ++C)
-      if (Rows[S * 256 + C] == static_cast<int32_t>(S))
-        Skip[S].set(static_cast<unsigned char>(C));
-    Skip[S].finalize();
-  }
-
-  // Byte-column compression into equivalence classes.
-  std::map<std::vector<int32_t>, int> ColumnIds;
-  for (int C = 0; C < 256; ++C) {
-    std::vector<int32_t> Col(NumStates);
-    for (size_t S = 0; S < NumStates; ++S)
-      Col[S] = Rows[S * 256 + C];
-    auto It =
-        ColumnIds.emplace(std::move(Col), static_cast<int>(ColumnIds.size()))
-            .first;
-    Alpha.Map[C] = static_cast<uint8_t>(It->second);
-  }
-  Alpha.NumClasses = static_cast<int>(ColumnIds.size());
-  Trans.assign(NumStates * Alpha.NumClasses, Dead);
-  for (const auto &[Col, Cls] : ColumnIds)
-    for (size_t S = 0; S < NumStates; ++S)
-      Trans[S * Alpha.NumClasses + Cls] = Col[S];
-  Trans16.assign(NumStates * 256, static_cast<int16_t>(-1));
-  for (size_t S = 0; S < NumStates; ++S)
-    for (int C = 0; C < 256; ++C)
-      Trans16[S * 256 + C] = static_cast<int16_t>(Rows[S * 256 + C]);
-  if (NumStates <= 255) {
-    Trans8.assign(NumStates * 256, Dead8);
-    for (size_t S = 0; S < NumStates; ++S)
-      for (int C = 0; C < 256; ++C)
-        if (Rows[S * 256 + C] >= 0)
-          Trans8[S * 256 + C] = static_cast<uint8_t>(Rows[S * 256 + C]);
-  }
 }
 
 LexStatus CompiledLexer::nextRaw(std::string_view Input, uint32_t &Pos,
                                  Lexeme &Out) const {
-  const uint32_t N = static_cast<uint32_t>(Input.size());
-  if (Pos >= N)
+  // Lexeme offsets are uint32: refuse what they cannot address.
+  if (Input.size() > MaxSpanBytes)
+    return LexStatus::Error;
+  if (Pos >= Input.size())
     return LexStatus::Eof;
 
   // The staged machine's scan kernel with no self-skip tiers (see
   // StreamLexer::pumpT below).
-  const scankernel::Tiers Tr{0, 0, NumTerm, NumPureRun, NumAccept};
   scankernel::ScanState Sc;
   const scankernel::ScanOutcome O =
-      !Trans8.empty()
-          ? scankernel::scanEnter<scankernel::Tab8, true>(
-                Trans8.data(), Skip.data(), Tr, static_cast<uint32_t>(Start),
-                Pos, Input.data(), N, Sc)
-          : scankernel::scanEnter<scankernel::Tab16, true>(
-                Trans16.data(), Skip.data(), Tr,
-                static_cast<uint32_t>(Start), Pos, Input.data(), N, Sc);
+      scankernel::withWidth(Scan, [&](auto Width) FLAP_WIDTH_INLINE {
+        using Tab = decltype(Width);
+        return scankernel::scanEnter<Tab, true>(
+            Tab::table(Scan), Scan.Skip.data(), lexerTiers(Scan),
+            static_cast<uint32_t>(Start), Pos, Input.data(), Input.size(),
+            Sc);
+      });
   if (O != scankernel::ScanOutcome::Match)
     return LexStatus::Error;
   const uint32_t BestEnd = static_cast<uint32_t>(Sc.BestEnd);
@@ -230,30 +185,29 @@ Result<std::vector<Lexeme>> CompiledLexer::lexAll(std::string_view Input) const 
 //===----------------------------------------------------------------------===//
 
 /// The longest-match scan over the current window, via the resumable
-/// kernel (the lexer DFA is the staged machine with no self-skip tiers,
-/// so the Tiers bundle passes PureSkip = SelfSkip = 0; the dispatch-tier
-/// renumbering is otherwise the same). Fresh lexemes enter through the
-/// first-byte dispatch (scanEnter); a More outcome leaves the registers
-/// parked in Sc — suspension on the dispatch byte included — and the
-/// next pump resumes through the general kernel. Final decides
-/// end-of-input like nextRaw does.
+/// kernel (lexerTiers: PureSkip = SelfSkip = 0; the dispatch-tier
+/// renumbering is otherwise the staged machine's).
+/// Fresh lexemes enter through the first-byte dispatch (scanEnter); a
+/// More outcome leaves the registers parked in Sc — suspension on the
+/// dispatch byte included — and the next pump resumes through the
+/// general kernel. Final decides end-of-input like nextRaw does.
 template <typename Tab, bool Final>
-Status StreamLexer::pumpT(std::vector<Lexeme> &Out,
-                          const typename Tab::Cell *T) {
+Status StreamLexer::pumpT(std::vector<Lexeme> &Out) {
+  const typename Tab::Cell *T = Tab::table(L->Scan);
+  const SkipSet *Skip = L->Scan.Skip.data();
+  const dispatchtier::Bounds Tr = lexerTiers(L->Scan);
   const char *S = Buf.data();
   const size_t Len = Buf.size();
-  const scankernel::Tiers Tr{0, 0, L->NumTerm, L->NumPureRun, L->NumAccept};
   for (;;) {
     scankernel::ScanOutcome O;
     if (!MidScan) {
       if (Sc.Base >= Len)
         return Status::success();
-      O = scankernel::scanEnter<Tab, Final>(T, L->Skip.data(), Tr,
+      O = scankernel::scanEnter<Tab, Final>(T, Skip, Tr,
                                             static_cast<uint32_t>(L->Start),
                                             Sc.Base, S, Len, Sc);
     } else {
-      O = scankernel::scanStep<Tab, Final>(T, L->Skip.data(), Tr, Sc, S,
-                                           Len);
+      O = scankernel::scanStep<Tab, Final>(T, Skip, Tr, Sc, S, Len);
     }
     MidScan = O == scankernel::ScanOutcome::More;
     if (MidScan)
@@ -270,9 +224,9 @@ Status StreamLexer::pumpT(std::vector<Lexeme> &Out,
 }
 
 template <bool Final> Status StreamLexer::pump(std::vector<Lexeme> &Out) {
-  if (L->Trans8.empty())
-    return pumpT<flap::scankernel::Tab16, Final>(Out, L->Trans16.data());
-  return pumpT<flap::scankernel::Tab8, Final>(Out, L->Trans8.data());
+  return scankernel::withWidth(L->Scan, [&](auto Width) {
+    return pumpT<decltype(Width), Final>(Out);
+  });
 }
 
 Status StreamLexer::feed(std::string_view Chunk, std::vector<Lexeme> &Out) {

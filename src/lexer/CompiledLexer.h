@@ -8,20 +8,21 @@
 /// \file
 /// A lexer compiled to a dense DFA (Owens et al. 2009 construction:
 /// states are vectors of rule derivatives, transitions computed per
-/// alphabet equivalence class). This is the token producer used by every
-/// *unfused* engine in the evaluation — the thing flap's fusion makes
-/// unnecessary.
+/// derivative class of each state). This is the token producer used by
+/// every *unfused* engine in the evaluation — the thing flap's fusion
+/// makes unnecessary. The DFA runs on the staged machine's scan tables
+/// and scan kernel (engine/DispatchTier.h, engine/ScanKernel.h): the
+/// same build, audit and artifact format, with no self-skip tiers.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FLAP_LEXER_COMPILEDLEXER_H
 #define FLAP_LEXER_COMPILEDLEXER_H
 
-#include "engine/RunSkip.h"
+#include "engine/DispatchTier.h"
 #include "engine/ScanKernel.h"
 #include "engine/TableStore.h"
 #include "lexer/LexerSpec.h"
-#include "regex/Alphabet.h"
 
 #include <string>
 #include <string_view>
@@ -51,6 +52,8 @@ public:
   CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer);
 
   /// Pulls the next non-skip lexeme starting at \p Pos, advancing it.
+  /// Lexeme offsets are uint32: an input longer than MaxSpanBytes
+  /// (engine/Diagnostic.h) is refused with Error, never read as empty.
   LexStatus next(std::string_view Input, uint32_t &Pos, Lexeme &Out) const;
 
   /// Pulls the next lexeme *including* skip matches (Tok == NoToken).
@@ -62,7 +65,7 @@ public:
   Result<std::vector<Lexeme>> lexAll(std::string_view Input) const;
 
   int numStates() const { return static_cast<int>(Accept.size()); }
-  int numClasses() const { return Alpha.NumClasses; }
+  int numClasses() const { return Scan.numClasses(); }
 
 private:
   friend class StreamLexer;
@@ -76,37 +79,19 @@ private:
   CompiledLexer() = default;
   static constexpr int32_t Dead = -1;
 
-  Alphabet Alpha;
-  /// Row-major [state][class] next-state table; Dead when stuck.
-  Table<int32_t> Trans;
-  /// Byte-indexed hot-loop table: [state*256 + byte] (int16).
-  Table<int16_t> Trans16;
-  /// Compact hot table when the DFA has ≤255 states (fits L1).
-  Table<uint8_t> Trans8;
-  static constexpr uint8_t Dead8 = 0xff;
-  /// Accepting states are renumbered into the id prefix [0, NumAccept),
-  /// so the scan tests acceptance with a compare, not an Accept load.
-  /// Within that prefix the ids carry the same dispatch-tier encoding as
-  /// the staged machine (engine/Compile.h), minus the self-skip tiers
-  /// the lexer DFA does not have:
-  ///
-  ///   [0, NumTerm)         terminal accepting (no outgoing transitions):
-  ///                        the lexeme is decided by the first-byte
-  ///                        dispatch load alone (punctuation);
-  ///   [NumTerm, NumPureRun) pure accepting runs (outgoing ⊆ the
-  ///                        nonempty self-loop): the bulk-classified run
-  ///                        is the rest of the lexeme (identifiers,
-  ///                        whitespace);
-  ///   [NumPureRun, NumAccept) other accepting.
-  int32_t NumTerm = 0;
-  int32_t NumPureRun = 0;
-  int32_t NumAccept = 0;
+  /// Accepting states are renumbered into the id prefix
+  /// [0, Scan.Tiers.Accept), so the scan tests acceptance with a
+  /// compare, not an Accept load. Within that prefix the ids carry the
+  /// staged machine's dispatch-tier encoding (engine/DispatchTier.h)
+  /// minus the self-skip tiers the lexer DFA does not have: terminal
+  /// accepting states (punctuation, decided by the first-byte dispatch
+  /// load alone), then pure accepting runs (identifiers, whitespace:
+  /// the bulk-classified run is the rest of the lexeme), then other
+  /// accepting states. The Skip sets hand lexeme interiors (identifiers,
+  /// numbers, whitespace, string bodies) to the bulk run-skip classifier.
+  ScanTables Scan;
   /// Accepting rule index per state (index into Toks), or -1.
   Table<int32_t> Accept;
-  /// Per-state self-loop byte sets: lexeme interiors (identifiers,
-  /// numbers, whitespace, string bodies) are consumed by the bulk
-  /// run-skip classifier instead of the byte-at-a-time walk.
-  Table<SkipSet> Skip;
   /// Token returned by rule I; NoToken for the skip rule.
   Table<TokenId> Toks;
   int32_t Start = 0;
@@ -142,8 +127,7 @@ public:
   void reset();
 
 private:
-  template <typename Tab, bool Final>
-  Status pumpT(std::vector<Lexeme> &Out, const typename Tab::Cell *T);
+  template <typename Tab, bool Final> Status pumpT(std::vector<Lexeme> &Out);
   template <bool Final> Status pump(std::vector<Lexeme> &Out);
 
   const CompiledLexer *L;

@@ -121,11 +121,11 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
     Result<CompiledParser> M = machineWithStates(Arena, Actions, 255, Input);
     ASSERT_TRUE(M.ok()) << M.error();
     ASSERT_EQ(M->numStates(), 255);
-    EXPECT_FALSE(M->Trans8.empty())
+    EXPECT_FALSE(M->Scan.Trans8.empty())
         << "255-state machine should select the uint8 table";
     // Every non-dead cell must stay clear of the Dead8 sentinel.
-    for (uint8_t Cell : M->Trans8)
-      if (Cell != CompiledParser::Dead8)
+    for (uint8_t Cell : M->Scan.Trans8)
+      if (Cell != ScanTables::Dead8)
         EXPECT_LT(Cell, 255);
     ParseScratch Scr;
     EXPECT_TRUE(M->parse(Input, Scr).ok());
@@ -135,7 +135,7 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
 
     // The 16-bit kernel over the same machine agrees byte-for-byte.
     CompiledParser Wide = *M;
-    Wide.Trans8.clear();
+    Wide.Scan.Trans8.clear();
     Result<Value> A = M->parse(Input, Scr), B = Wide.parse(Input, Scr);
     ASSERT_TRUE(A.ok() && B.ok());
     EXPECT_EQ(*A, *B);
@@ -149,7 +149,7 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
     Result<CompiledParser> M = machineWithStates(Arena, Actions, 256, Input);
     ASSERT_TRUE(M.ok()) << M.error();
     ASSERT_EQ(M->numStates(), 256);
-    EXPECT_TRUE(M->Trans8.empty())
+    EXPECT_TRUE(M->Scan.Trans8.empty())
         << "256-state machine would alias state id 255 with Dead8";
     ParseScratch Scr;
     EXPECT_TRUE(M->parse(Input, Scr).ok());

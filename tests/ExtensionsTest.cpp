@@ -215,7 +215,7 @@ TEST(BigMachineTest, Int16FallbackPath) {
   auto P = compileFlap(Def);
   ASSERT_TRUE(P.ok()) << P.error();
   ASSERT_GT(P->M.numStates(), 255) << "fixture no longer exercises int16";
-  EXPECT_TRUE(P->M.Trans8.empty());
+  EXPECT_TRUE(P->M.Scan.Trans8.empty());
 
   std::string In;
   int64_t N = 0;

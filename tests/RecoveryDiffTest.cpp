@@ -856,22 +856,17 @@ TEST(RecoveryDiffTest, NullableRecordEntryIsOneDiagnosticInEveryMode) {
 
 /// Token spans are 32-bit: a values request on more than MaxSpanBytes
 /// is refused with one Fatal LimitExceeded diagnostic before any span
-/// could wrap, in each values core, and lexAll() errs instead of
-/// returning a truncated lexeme list. The 4 GiB input is a read-only
-/// MAP_NORESERVE mapping that is never touched.
+/// could wrap, in each values core; lexAll() errs instead of returning a
+/// truncated lexeme list, and next()/nextRaw() return Error instead of
+/// reading a wrapped length. Both the first size past the limit (2^32
+/// bytes, whose low 32 bits read as empty) and one byte more are
+/// checked. Each input is a read-only MAP_NORESERVE mapping that is
+/// never touched.
 TEST(RecoveryDiffTest, ValuesPastTheSpanLimitAreRefused) {
-  const uint64_t Size = MaxSpanBytes + 2; // 2^32 + 1 bytes
-  if (Size > std::numeric_limits<size_t>::max())
-    GTEST_SKIP() << "no 4 GiB address space";
-  void *Map = mmap(nullptr, static_cast<size_t>(Size), PROT_READ,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (Map == MAP_FAILED)
-    GTEST_SKIP() << "cannot map 4 GiB of address space";
-  const std::string_view Huge(static_cast<const char *>(Map),
-                              static_cast<size_t>(Size));
   auto Def = makeJsonGrammar();
   RecoveryRig R(Def);
   const CompiledParser &M = R.P.M;
+  const CompiledLexer Lex(*Def->Re, R.P.Canon);
   ParseDiagnostic Want;
   Want.K = ParseDiagnostic::Kind::LimitExceeded;
   auto expectRefused = [&](const ParseOutcome &O, const std::string &Tag) {
@@ -882,44 +877,63 @@ TEST(RecoveryDiffTest, ValuesPastTheSpanLimitAreRefused) {
     EXPECT_TRUE(O.Truncated) << Tag;
     EXPECT_TRUE(O.Values.empty()) << Tag;
   };
-  for (size_t Budget : TableBudgets) {
-    const std::string Tag = "budget " + std::to_string(Budget);
-    ParseRequest Req;
-    Req.MaxErrors = Budget;
-    ParseScratch Scr;
-    ParseOutcome One;
-    EXPECT_FALSE(M.run(Req, Huge, Scr, One)) << Tag;
-    expectRefused(One, Tag + " run");
-    // A batch refuses only the input past the limit.
-    const std::string_view Batch[] = {"[1]", Huge};
-    std::vector<ParseOutcome> Outs;
-    M.runBatch(Req, Batch, 2, Scr, Outs);
-    EXPECT_TRUE(Outs[0].clean()) << Tag;
-    EXPECT_EQ(Outs[0].Values.size(), 1u) << Tag;
-    expectRefused(Outs[1], Tag + " batch");
-    ParseOutcome Recs;
-    const RecordRun RR = M.runRecords(Req, Huge, 0, Huge.size(), Scr, Recs);
-    EXPECT_EQ(RR.S, RecordRun::Stop::Error) << Tag;
-    expectRefused(Recs, Tag + " records");
+  for (const uint64_t Size : {uint64_t(MaxSpanBytes) + 1,    // 2^32 bytes
+                              uint64_t(MaxSpanBytes) + 2}) { // 2^32 + 1
+    if (Size > std::numeric_limits<size_t>::max())
+      GTEST_SKIP() << "no 4 GiB address space";
+    void *Map = mmap(nullptr, static_cast<size_t>(Size), PROT_READ,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (Map == MAP_FAILED)
+      GTEST_SKIP() << "cannot map 4 GiB of address space";
+    const std::string_view Huge(static_cast<const char *>(Map),
+                                static_cast<size_t>(Size));
+    const std::string SizeTag = std::to_string(Size) + " bytes, ";
+    for (size_t Budget : TableBudgets) {
+      const std::string Tag = SizeTag + "budget " + std::to_string(Budget);
+      ParseRequest Req;
+      Req.MaxErrors = Budget;
+      ParseScratch Scr;
+      ParseOutcome One;
+      EXPECT_FALSE(M.run(Req, Huge, Scr, One)) << Tag;
+      expectRefused(One, Tag + " run");
+      // A batch refuses only the input past the limit.
+      const std::string_view Batch[] = {"[1]", Huge};
+      std::vector<ParseOutcome> Outs;
+      M.runBatch(Req, Batch, 2, Scr, Outs);
+      EXPECT_TRUE(Outs[0].clean()) << Tag;
+      EXPECT_EQ(Outs[0].Values.size(), 1u) << Tag;
+      expectRefused(Outs[1], Tag + " batch");
+      ParseOutcome Recs;
+      const RecordRun RR =
+          M.runRecords(Req, Huge, 0, Huge.size(), Scr, Recs);
+      EXPECT_EQ(RR.S, RecordRun::Stop::Error) << Tag;
+      expectRefused(Recs, Tag + " records");
+    }
+    // Events and recognition keep 64-bit offsets: no limit applies, and
+    // the strict parse fails at the first byte like any other input.
+    for (ParseMode Mode : {ParseMode::Events, ParseMode::Recognize}) {
+      ParseRequest Req;
+      Req.Mode = Mode;
+      ParseScratch Scr;
+      ParseOutcome O;
+      M.run(Req, Huge, Scr, O);
+      ASSERT_EQ(O.Errors.size(), 1u) << SizeTag << modeName(Mode);
+      EXPECT_NE(O.Errors[0].K, ParseDiagnostic::Kind::LimitExceeded)
+          << SizeTag << modeName(Mode);
+      EXPECT_EQ(O.Errors[0].Off, 0u) << SizeTag << modeName(Mode);
+    }
+    const Result<std::vector<Lexeme>> Lexed = Lex.lexAll(Huge);
+    ASSERT_FALSE(Lexed.ok()) << SizeTag;
+    EXPECT_EQ(Lexed.error(), OffsetLimitMessage) << SizeTag;
+    // The pull API refuses the input too: never Eof (a clean end), which
+    // a length wrapped to 32 bits would report.
+    Lexeme Tok;
+    uint32_t Pos = 0;
+    EXPECT_EQ(Lex.next(Huge, Pos, Tok), LexStatus::Error) << SizeTag;
+    Pos = 0;
+    EXPECT_EQ(Lex.nextRaw(Huge, Pos, Tok), LexStatus::Error) << SizeTag;
+    munmap(Map, static_cast<size_t>(Size));
   }
-  // Events and recognition keep 64-bit offsets: no limit applies, and
-  // the strict parse fails at the first byte like any other input.
-  for (ParseMode Mode : {ParseMode::Events, ParseMode::Recognize}) {
-    ParseRequest Req;
-    Req.Mode = Mode;
-    ParseScratch Scr;
-    ParseOutcome O;
-    M.run(Req, Huge, Scr, O);
-    ASSERT_EQ(O.Errors.size(), 1u) << modeName(Mode);
-    EXPECT_NE(O.Errors[0].K, ParseDiagnostic::Kind::LimitExceeded)
-        << modeName(Mode);
-    EXPECT_EQ(O.Errors[0].Off, 0u) << modeName(Mode);
-  }
-  CompiledLexer Lex(*Def->Re, R.P.Canon);
-  const Result<std::vector<Lexeme>> Lexed = Lex.lexAll(Huge);
-  ASSERT_FALSE(Lexed.ok());
-  EXPECT_EQ(Lexed.error(), OffsetLimitMessage);
-  munmap(Map, static_cast<size_t>(Size));
 }
 
 } // namespace

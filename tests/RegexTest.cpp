@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "regex/Alphabet.h"
 #include "regex/Regex.h"
 #include "regex/RegexParser.h"
 #include "support/Rng.h"
@@ -198,15 +197,6 @@ TEST_F(RegexTest, ClassesRespectDerivatives) {
       for (int C = Lo; C <= Hi; ++C)
         EXPECT_EQ(A.derive(Re, static_cast<unsigned char>(C)), D);
   }
-}
-
-TEST_F(RegexTest, AlphabetCompression) {
-  RegexId Re = mustParseRegex(A, "[a-z]+|[0-9]+");
-  Alphabet Alpha = Alphabet::fromPartition(collectClasses(A, {Re}));
-  EXPECT_LE(Alpha.NumClasses, 4); // letters, digits, rest
-  EXPECT_EQ(Alpha.Map['a'], Alpha.Map['z']);
-  EXPECT_EQ(Alpha.Map['0'], Alpha.Map['9']);
-  EXPECT_NE(Alpha.Map['a'], Alpha.Map['0']);
 }
 
 //===----------------------------------------------------------------------===//

@@ -46,7 +46,7 @@ struct Rig {
     }
     P = R.take();
     Wide = P.M;
-    Wide.Trans8.clear();
+    Wide.Scan.Trans8.clear();
   }
 
   void *fresh(std::shared_ptr<void> &C) {
@@ -196,16 +196,16 @@ TEST(RunSkipDiffTest, DispatchTierInvariantsHoldOnEveryMachine) {
     auto P = compileFlap(Def);
     ASSERT_TRUE(P.ok()) << P.error();
     const CompiledParser &M = P->M;
-    ASSERT_LE(0, M.NumPureSkip);
-    ASSERT_LE(M.NumPureSkip, M.NumSelfSkip);
-    ASSERT_LE(M.NumSelfSkip, M.NumTermAcc);
-    ASSERT_LE(M.NumTermAcc, M.NumPureAcc);
-    ASSERT_LE(M.NumPureAcc, M.NumAccept);
-    ASSERT_LE(M.NumAccept, M.numStates());
+    ASSERT_LE(0, M.Scan.Tiers.PureSkip);
+    ASSERT_LE(M.Scan.Tiers.PureSkip, M.Scan.Tiers.SelfSkip);
+    ASSERT_LE(M.Scan.Tiers.SelfSkip, M.Scan.Tiers.TermAcc);
+    ASSERT_LE(M.Scan.Tiers.TermAcc, M.Scan.Tiers.PureAcc);
+    ASSERT_LE(M.Scan.Tiers.PureAcc, M.Scan.Tiers.Accept);
+    ASSERT_LE(M.Scan.Tiers.Accept, M.numStates());
     for (int32_t S = 0; S < M.numStates(); ++S) {
       bool Any = false, Other = false;
       for (int C = 0; C < 256; ++C) {
-        int16_t D = M.Trans16[static_cast<size_t>(S) * 256 + C];
+        int16_t D = M.Scan.Trans16[static_cast<size_t>(S) * 256 + C];
         if (D < 0)
           continue;
         Any = true;
@@ -214,23 +214,23 @@ TEST(RunSkipDiffTest, DispatchTierInvariantsHoldOnEveryMachine) {
       int32_t A = M.AcceptCont[S];
       bool SelfSkip = A >= 0 && M.Conts[A].SelfSkip;
       SCOPED_TRACE(Def->Name + " state " + std::to_string(S));
-      EXPECT_EQ(A >= 0, S < M.NumAccept);
-      EXPECT_EQ(SelfSkip, S < M.NumSelfSkip);
-      if (S < M.NumPureSkip)
+      EXPECT_EQ(A >= 0, S < M.Scan.Tiers.Accept);
+      EXPECT_EQ(SelfSkip, S < M.Scan.Tiers.SelfSkip);
+      if (S < M.Scan.Tiers.PureSkip)
         EXPECT_FALSE(Other); // pure self-skip run: outgoing ⊆ self-loop
-      else if (S < M.NumSelfSkip)
+      else if (S < M.Scan.Tiers.SelfSkip)
         EXPECT_TRUE(Other);
-      else if (S < M.NumTermAcc)
+      else if (S < M.Scan.Tiers.TermAcc)
         EXPECT_FALSE(Any); // terminal accept: no outgoing at all
-      else if (S < M.NumPureAcc) {
+      else if (S < M.Scan.Tiers.PureAcc) {
         EXPECT_TRUE(Any); // pure accepting run: nonempty self-loop only
         EXPECT_FALSE(Other);
-      } else if (S < M.NumAccept)
+      } else if (S < M.Scan.Tiers.Accept)
         EXPECT_TRUE(Other);
       // Skip metadata agrees with the self-loop row.
       for (int C = 0; C < 256; ++C)
-        EXPECT_EQ(M.Skip[S].test(static_cast<unsigned char>(C)),
-                  M.Trans16[static_cast<size_t>(S) * 256 + C] == S)
+        EXPECT_EQ(M.Scan.Skip[S].test(static_cast<unsigned char>(C)),
+                  M.Scan.Trans16[static_cast<size_t>(S) * 256 + C] == S)
             << "byte " << C;
     }
   }

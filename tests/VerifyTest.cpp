@@ -41,15 +41,8 @@ namespace flap {
 /// into the private DFA tables (declared in lexer/CompiledLexer.h).
 class VerifyTestPeer {
 public:
-  static Alphabet &alpha(CompiledLexer &L) { return L.Alpha; }
-  static Table<int32_t> &trans(CompiledLexer &L) { return L.Trans; }
-  static Table<int16_t> &trans16(CompiledLexer &L) { return L.Trans16; }
-  static Table<uint8_t> &trans8(CompiledLexer &L) { return L.Trans8; }
-  static int32_t &numTerm(CompiledLexer &L) { return L.NumTerm; }
-  static int32_t &numPureRun(CompiledLexer &L) { return L.NumPureRun; }
-  static int32_t &numAccept(CompiledLexer &L) { return L.NumAccept; }
+  static ScanTables &scan(CompiledLexer &L) { return L.Scan; }
   static Table<int32_t> &accept(CompiledLexer &L) { return L.Accept; }
-  static Table<SkipSet> &skip(CompiledLexer &L) { return L.Skip; }
   static Table<TokenId> &toks(CompiledLexer &L) { return L.Toks; }
   static int32_t &start(CompiledLexer &L) { return L.Start; }
 };
@@ -117,81 +110,74 @@ std::vector<ParserMutation> parserMutations() {
 
   // Tier bounds: each ±1 either breaks the monotone chain or moves one
   // state into a tier whose shape it cannot satisfy.
-  Add("NumPureSkip+1", [](CompiledParser &M) { ++M.NumPureSkip; return true; });
-  Add("NumPureSkip-1", [](CompiledParser &M) {
-    if (M.NumPureSkip == 0)
+  Add("Tiers.PureSkip+1",
+      [](CompiledParser &M) { ++M.Scan.Tiers.PureSkip; return true; });
+  Add("Tiers.PureSkip-1", [](CompiledParser &M) {
+    if (M.Scan.Tiers.PureSkip == 0)
       return false;
-    --M.NumPureSkip;
+    --M.Scan.Tiers.PureSkip;
     return true;
   });
-  Add("NumSelfSkip+1", [](CompiledParser &M) { ++M.NumSelfSkip; return true; });
-  Add("NumSelfSkip-1", [](CompiledParser &M) {
-    if (M.NumSelfSkip == 0)
+  Add("Tiers.SelfSkip+1",
+      [](CompiledParser &M) { ++M.Scan.Tiers.SelfSkip; return true; });
+  Add("Tiers.SelfSkip-1", [](CompiledParser &M) {
+    if (M.Scan.Tiers.SelfSkip == 0)
       return false;
-    --M.NumSelfSkip;
+    --M.Scan.Tiers.SelfSkip;
     return true;
   });
-  Add("NumTermAcc+1", [](CompiledParser &M) { ++M.NumTermAcc; return true; });
-  Add("NumTermAcc-1", [](CompiledParser &M) {
-    if (M.NumTermAcc == 0)
+  Add("Tiers.TermAcc+1",
+      [](CompiledParser &M) { ++M.Scan.Tiers.TermAcc; return true; });
+  Add("Tiers.TermAcc-1", [](CompiledParser &M) {
+    if (M.Scan.Tiers.TermAcc == 0)
       return false;
-    --M.NumTermAcc;
+    --M.Scan.Tiers.TermAcc;
     return true;
   });
-  Add("NumPureAcc+1", [](CompiledParser &M) { ++M.NumPureAcc; return true; });
-  Add("NumAccept+1", [](CompiledParser &M) { ++M.NumAccept; return true; });
-  Add("NumAccept-1", [](CompiledParser &M) {
-    if (M.NumAccept == 0)
+  Add("Tiers.PureAcc+1",
+      [](CompiledParser &M) { ++M.Scan.Tiers.PureAcc; return true; });
+  Add("Tiers.Accept+1",
+      [](CompiledParser &M) { ++M.Scan.Tiers.Accept; return true; });
+  Add("Tiers.Accept-1", [](CompiledParser &M) {
+    if (M.Scan.Tiers.Accept == 0)
       return false;
-    --M.NumAccept;
+    --M.Scan.Tiers.Accept;
     return true;
   });
 
-  // Transition tables: the three encodings are redundant, so any
-  // single-entry change breaks pairwise agreement.
+  // Transition tables: the two widths are redundant, so any
+  // single-entry change breaks their agreement (or a range, a tier or a
+  // skip set).
   Add("Trans16 flip", [](CompiledParser &M) {
-    if (M.Trans16.empty())
+    if (M.Scan.Trans16.empty())
       return false;
-    M.Trans16[0] = M.Trans16[0] == CompiledParser::Dead ? 0
-                                                        : CompiledParser::Dead;
+    M.Scan.Trans16[0] =
+        M.Scan.Trans16[0] == CompiledParser::Dead ? 0 : CompiledParser::Dead;
     return true;
   });
   Add("Trans16 out-of-range", [](CompiledParser &M) {
-    if (M.Trans16.empty())
+    if (M.Scan.Trans16.empty())
       return false;
-    M.Trans16[0] = static_cast<int16_t>(M.numStates());
-    return true;
-  });
-  Add("Trans flip", [](CompiledParser &M) {
-    if (M.Trans.empty())
-      return false;
-    M.Trans[0] = M.Trans[0] == CompiledParser::Dead ? 0 : CompiledParser::Dead;
+    M.Scan.Trans16[0] = static_cast<int16_t>(M.numStates());
     return true;
   });
   Add("Trans8 flip", [](CompiledParser &M) {
-    if (M.Trans8.empty())
+    if (M.Scan.Trans8.empty())
       return false;
-    M.Trans8[0] = M.Trans8[0] == CompiledParser::Dead8 ? 0
-                                                       : CompiledParser::Dead8;
-    return true;
-  });
-  Add("ClsMap flip", [](CompiledParser &M) {
-    if (M.numClasses() < 2)
-      return false;
-    M.ClsMap[0] =
-        static_cast<uint8_t>((M.ClsMap[0] + 1) % M.numClasses());
+    M.Scan.Trans8[0] =
+        M.Scan.Trans8[0] == ScanTables::Dead8 ? 0 : ScanTables::Dead8;
     return true;
   });
 
   // Accept prefix and metadata words.
   Add("AcceptCont cleared", [](CompiledParser &M) {
-    if (M.NumAccept == 0)
+    if (M.Scan.Tiers.Accept == 0)
       return false;
     M.AcceptCont[0] = -1;
     return true;
   });
   Add("AccMeta off+1", [](CompiledParser &M) {
-    for (int32_t S = 0; S < M.NumAccept; ++S)
+    for (int32_t S = 0; S < M.Scan.Tiers.Accept; ++S)
       if (CompiledParser::metaLen(M.AccMeta[S]) > 0) {
         M.AccMeta[S] += 1; // Off lives in the low 32 bits
         return true;
@@ -199,13 +185,13 @@ std::vector<ParserMutation> parserMutations() {
     return false;
   });
   Add("AccMeta len+1", [](CompiledParser &M) {
-    if (M.NumAccept == 0)
+    if (M.Scan.Tiers.Accept == 0)
       return false;
     M.AccMeta[0] += uint64_t(1) << 32;
     return true;
   });
   Add("AccMeta token elided", [](CompiledParser &M) {
-    for (int32_t S = 0; S < M.NumAccept; ++S)
+    for (int32_t S = 0; S < M.Scan.Tiers.Accept; ++S)
       if (CompiledParser::metaTok(M.AccMeta[S]) != CompiledParser::MetaNoTok) {
         M.AccMeta[S] |= uint64_t(CompiledParser::MetaNoTok) << 48;
         return true;
@@ -213,7 +199,7 @@ std::vector<ParserMutation> parserMutations() {
     return false;
   });
   Add("AccMeta token flipped", [](CompiledParser &M) {
-    for (int32_t S = 0; S < M.NumAccept; ++S) {
+    for (int32_t S = 0; S < M.Scan.Tiers.Accept; ++S) {
       uint32_t T = CompiledParser::metaTok(M.AccMeta[S]);
       if (T != CompiledParser::MetaNoTok && T + 1 != CompiledParser::MetaNoTok) {
         M.AccMeta[S] += uint64_t(1) << 48;
@@ -226,7 +212,7 @@ std::vector<ParserMutation> parserMutations() {
     // Un-elide: restore the head token the rewrite removed. The token
     // check passes (it matches PushTok); only the value-flow audit can
     // see the extra push.
-    for (int32_t S = 0; S < M.NumAccept; ++S) {
+    for (int32_t S = 0; S < M.Scan.Tiers.Accept; ++S) {
       TokenId PT = M.Conts[M.AcceptCont[S]].PushTok;
       if (CompiledParser::metaTok(M.AccMeta[S]) == CompiledParser::MetaNoTok &&
           PT != NoToken) {
@@ -238,7 +224,7 @@ std::vector<ParserMutation> parserMutations() {
     return false;
   });
   Add("AccNtMeta token set", [](CompiledParser &M) {
-    if (M.NumAccept == 0)
+    if (M.Scan.Tiers.Accept == 0)
       return false;
     M.AccNtMeta[0] &= 0x0000ffffffffffffULL; // MetaNoTok (0xffff) -> 0
     return true;
@@ -402,13 +388,13 @@ std::vector<ParserMutation> parserMutations() {
 
   // Skip sets (every state's set is checked for self-loop exactness).
   Add("Skip bit dropped", [](CompiledParser &M) {
-    for (SkipSet &S : M.Skip)
+    for (SkipSet &S : M.Scan.Skip)
       if (dropOneBit(S))
         return true;
     return false;
   });
   Add("Skip range corrupted", [](CompiledParser &M) {
-    for (SkipSet &S : M.Skip)
+    for (SkipSet &S : M.Scan.Skip)
       if (S.NumRanges > 0) {
         ++S.Lo[0];
         return true;
@@ -434,7 +420,7 @@ std::vector<ParserMutation> parserMutations() {
   Add("Cont pushtok flipped", [](CompiledParser &M) {
     // Only meaningful where an accepting state's metadata still
     // materializes the token: flipping PushTok breaks that agreement.
-    for (int32_t S = 0; S < M.NumAccept; ++S) {
+    for (int32_t S = 0; S < M.Scan.Tiers.Accept; ++S) {
       int32_t A = M.AcceptCont[S];
       if (CompiledParser::metaTok(M.AccMeta[S]) != CompiledParser::MetaNoTok &&
           M.Conts[A].PushTok != NoToken) {
@@ -506,49 +492,42 @@ std::vector<LexerMutation> lexerMutations() {
   auto Add = [&](const char *Name, std::function<bool(CompiledLexer &)> Fn) {
     Ms.push_back({Name, std::move(Fn)});
   };
-  Add("lexer NumTerm+1",
-      [](CompiledLexer &L) { ++P::numTerm(L); return true; });
-  Add("lexer NumPureRun-1", [](CompiledLexer &L) {
-    if (P::numPureRun(L) == 0)
+  Add("lexer Tiers.TermAcc+1",
+      [](CompiledLexer &L) { ++P::scan(L).Tiers.TermAcc; return true; });
+  Add("lexer Tiers.PureAcc-1", [](CompiledLexer &L) {
+    if (P::scan(L).Tiers.PureAcc == 0)
       return false;
-    --P::numPureRun(L);
+    --P::scan(L).Tiers.PureAcc;
     return true;
   });
-  Add("lexer NumAccept+1",
-      [](CompiledLexer &L) { ++P::numAccept(L); return true; });
+  Add("lexer Tiers.Accept+1",
+      [](CompiledLexer &L) { ++P::scan(L).Tiers.Accept; return true; });
   Add("lexer Accept cleared", [](CompiledLexer &L) {
-    if (P::numAccept(L) == 0)
+    if (P::scan(L).Tiers.Accept == 0)
       return false;
     P::accept(L)[0] = -1;
     return true;
   });
   Add("lexer Accept out-of-range", [](CompiledLexer &L) {
-    if (P::numAccept(L) == 0)
+    if (P::scan(L).Tiers.Accept == 0)
       return false;
     P::accept(L)[0] = static_cast<int32_t>(P::toks(L).size());
     return true;
   });
   Add("lexer Trans16 flip", [](CompiledLexer &L) {
-    if (P::trans16(L).empty())
+    if (P::scan(L).Trans16.empty())
       return false;
-    P::trans16(L)[0] = P::trans16(L)[0] < 0 ? 0 : int16_t(-1);
+    P::scan(L).Trans16[0] = P::scan(L).Trans16[0] < 0 ? 0 : int16_t(-1);
     return true;
   });
   Add("lexer Trans8 flip", [](CompiledLexer &L) {
-    if (P::trans8(L).empty())
+    if (P::scan(L).Trans8.empty())
       return false;
-    P::trans8(L)[0] = P::trans8(L)[0] == 0xff ? 0 : 0xff;
-    return true;
-  });
-  Add("lexer Alphabet flip", [](CompiledLexer &L) {
-    if (P::alpha(L).NumClasses < 2)
-      return false;
-    P::alpha(L).Map[0] = static_cast<uint8_t>((P::alpha(L).Map[0] + 1) %
-                                              P::alpha(L).NumClasses);
+    P::scan(L).Trans8[0] = P::scan(L).Trans8[0] == 0xff ? 0 : 0xff;
     return true;
   });
   Add("lexer Skip bit dropped", [](CompiledLexer &L) {
-    for (SkipSet &S : P::skip(L))
+    for (SkipSet &S : P::scan(L).Skip)
       if (dropOneBit(S))
         return true;
     return false;
@@ -648,7 +627,7 @@ TEST(VerifyTest, FindingsCarryStructuredAnchors) {
   auto P = compileFlap(makeJsonGrammar());
   ASSERT_TRUE(P.ok());
   CompiledParser M = P.value().M;
-  ASSERT_GT(M.NumAccept, 0);
+  ASSERT_GT(M.Scan.Tiers.Accept, 0);
   M.AcceptCont[0] = -1;
   VerifyOptions Opts;
   Opts.Lints = false;
@@ -660,6 +639,44 @@ TEST(VerifyTest, FindingsCarryStructuredAnchors) {
         !F.Field.empty() && (F.State >= 0 || F.Nt >= 0))
       Anchored = true;
   EXPECT_TRUE(Anchored) << R.summary();
+}
+
+/// Trans8 is present exactly when a machine fits the 8-bit width: a
+/// machine of at most 255 states without it would silently run the
+/// wider kernel. The staged machine and the lexer DFA share one
+/// scan-table audit, so both give the same verdict for it: an Error.
+TEST(VerifyTest, SmallMachineWithoutTrans8IsAnError) {
+  auto HasError = [](const VerifyReport &R) {
+    for (const VerifyFinding &F : R.Findings)
+      if (F.Sev == VerifyFinding::Severity::Error && F.Field == "Trans8")
+        return true;
+    return false;
+  };
+  VerifyOptions Opts;
+  Opts.Lints = false;
+  size_t Parsers = 0, Lexers = 0;
+  for (auto &Def : allBenchmarkGrammars()) {
+    auto P = compileFlap(Def);
+    ASSERT_TRUE(P.ok()) << Def->Name << ": " << P.error();
+    CompiledParser M = P.value().M;
+    if (static_cast<size_t>(M.numStates()) <= ScanTables::MaxSmallStates) {
+      ASSERT_FALSE(M.Scan.Trans8.empty()) << Def->Name;
+      M.Scan.Trans8.clear();
+      EXPECT_TRUE(HasError(verifyCompiledParser(M, Opts)))
+          << Def->Name << " parser";
+      ++Parsers;
+    }
+    CompiledLexer L(*Def->Re, P.value().Canon);
+    if (static_cast<size_t>(L.numStates()) <= ScanTables::MaxSmallStates) {
+      ASSERT_FALSE(VerifyTestPeer::scan(L).Trans8.empty()) << Def->Name;
+      VerifyTestPeer::scan(L).Trans8.clear();
+      EXPECT_TRUE(HasError(verifyCompiledLexer(L, Opts)))
+          << Def->Name << " lexer";
+      ++Lexers;
+    }
+  }
+  EXPECT_GT(Parsers, 0u);
+  EXPECT_GT(Lexers, 0u);
 }
 
 } // namespace
