@@ -10,6 +10,8 @@
 /// chunk sizes 64 B (syscall-sized socket reads), 4 KiB (page-sized) and
 /// 64 KiB (jumbo reads), plus the carry-buffer high-water mark — the
 /// streaming memory footprint that replaces whole-document buffering.
+/// Before timing, each chunk size's streamed value is compared with the
+/// whole-buffer value; a difference fails the bench (exit 1).
 /// An events panel prices the SAX path on the same corpus: whole-buffer
 /// parseEvents into a reused vector (`events_whole`) and event-mode
 /// streaming at 4 KiB chunks, drained after every feed
@@ -84,9 +86,34 @@ int main(int argc, char **argv) {
     Workload W = genWorkload(Gr, 1, Bytes);
 
     ParseScratch Scratch;
+    auto NewCtx = [&] {
+      return Def->NewCtx ? Def->NewCtx() : std::shared_ptr<void>();
+    };
+    // Value drift fails the bench as event-count drift does: at every
+    // chunk size the streamed value must equal the whole-buffer value
+    // (Value::operator==). Checked once, outside the timed loops.
+    {
+      auto Ctx = NewCtx();
+      Result<Value> WholeV = P.M.parse(W.Input, Scratch, Ctx.get());
+      for (size_t Chunk : Chunks) {
+        auto SCtx = NewCtx();
+        StreamParser SP = P.stream(SCtx.get());
+        const std::string_view In = W.Input;
+        for (size_t At = 0; At < In.size(); At += Chunk)
+          SP.feed(In.substr(At, Chunk));
+        SP.finish();
+        Result<Value> V = SP.take();
+        if (!WholeV.ok() || !V.ok() || !(*V == *WholeV)) {
+          std::fprintf(stderr,
+                       "%s: the value streamed at %zu-byte chunks differs "
+                       "from the whole-buffer value\n",
+                       Gr.c_str(), Chunk);
+          return 1;
+        }
+      }
+    }
     NamedEngine Whole{"whole", [&](std::string_view In) {
-                        auto Ctx = Def->NewCtx ? Def->NewCtx()
-                                               : std::shared_ptr<void>();
+                        auto Ctx = NewCtx();
                         return P.M.parse(In, Scratch, Ctx.get()).ok();
                       }};
     double WholeMBs = throughputMBs(Whole, W.Input);
@@ -97,8 +124,7 @@ int main(int argc, char **argv) {
       size_t Chunk = Chunks[C];
       size_t CarryHW = 0;
       NamedEngine Eng{"stream", [&](std::string_view In) {
-                        auto Ctx = Def->NewCtx ? Def->NewCtx()
-                                               : std::shared_ptr<void>();
+                        auto Ctx = NewCtx();
                         StreamParser SP = P.stream(Ctx.get());
                         for (size_t At = 0; At < In.size(); At += Chunk)
                           if (SP.feed(In.substr(At, Chunk)) ==

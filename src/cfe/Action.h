@@ -382,8 +382,8 @@ public:
   size_t size() const { return Actions.size(); }
 
   /// True when any registered action may read lexeme text. The streaming
-  /// parser consults this once per stream to decide whether retain
-  /// watermarks need tracking at all.
+  /// parser consults this once per stream to decide whether its retain
+  /// watermark needs tracking at all.
   bool readsInput() const { return AnyReadsInput; }
 
 private:
@@ -635,8 +635,8 @@ public:
   /// (CompiledParser::OpPool): a resolved micro-op runs through the
   /// inline switch; an MSlow occurrence carries its ActionId in Imm and
   /// escapes to the out-of-line full dispatch. Every value-producing
-  /// driver (whole-buffer ValueSink, streaming fast mode, the event
-  /// replay in tests) funnels through this one helper so the dispatch
+  /// driver (ValueSink, whole-buffer and streamed, and the event replay
+  /// in tests) funnels through this one helper so the dispatch
   /// semantics cannot drift between them.
 #if defined(__GNUC__) || defined(__clang__)
   __attribute__((always_inline)) inline

@@ -491,6 +491,8 @@ std::string flap::serializeArtifact(const FlapParser &P,
 
 Status flap::writeArtifact(const FlapParser &P, const std::string &Path,
                            const CompiledLexer *L) {
+  if (L && !L->status().ok())
+    return Err("artifact: " + L->status().error());
   const std::string Blob = serializeArtifact(P, L);
   const std::string Tmp =
       Path + ".tmp." + std::to_string(static_cast<long>(::getpid()));

@@ -640,8 +640,7 @@ public:
   /// when a nonterminal takes its `back` (lookahead/ε) continuation —
   /// one table-driven block instead of N ValueStack::apply round-trips.
   /// Compiled from EpsChains by compileFused; the chains themselves stay
-  /// around as the source form (streaming retain path, code generator,
-  /// verifier, artifacts).
+  /// around as the source form (code generator, verifier, artifacts).
   struct EpsProgram {
     enum Kind : uint8_t {
       Unit,     ///< empty chain: push Value::unit()

@@ -59,6 +59,9 @@
 ///   void bind(std::string_view Input, ParseOutcome &Out, void *User);
 ///                                   // aim at the next input / outcome
 ///
+/// (ValueSink::bind also takes the window's absolute base, for the
+/// streaming pump, which drives ValueSink and EventSink themselves.)
+///
 /// Event ordering, lexeme-text lifetime and the suspension interaction
 /// are documented on ParseEvent (Compile.h) and in engine/README.md
 /// ("The Sink policy").
@@ -115,8 +118,8 @@ inline ParseDiagnostic failureOf(const CompiledParser &M, const FailSite &F) {
 
 /// Runs a nonterminal's pre-fused ε-program (CompiledParser::
 /// EpsProgram): the ONE implementation every value-producing driver —
-/// whole-buffer ValueSink, the streaming pump's fast path, the event
-/// replay — shares, so ε semantics cannot drift between them.
+/// ValueSink, whole-buffer and streamed, and the event replay — shares,
+/// so ε semantics cannot drift between them.
 inline void runEpsProgram(const CompiledParser &M, int32_t Chain,
                           ValueStack &Values, ParseContext &Ctx) {
   const CompiledParser::EpsProgram &EP = M.EpsPrograms[Chain];
@@ -137,6 +140,9 @@ inline void runEpsProgram(const CompiledParser &M, int32_t Chain,
 /// The value-building sink: token pushes off the packed accept
 /// metadata, pooled micro-op dispatch with the MSlow escape, pre-fused
 /// ε-programs, and the shared ValueStack::collect() final-value policy.
+/// The streaming pump runs it too, aimed at the carry window (bind's
+/// \p Base); for grammars whose actions read input, Stream.cpp's
+/// RetainSink wraps it to keep the one retain watermark the carry needs.
 class ValueSink : public FailSite {
 public:
   static constexpr bool Markers = true;
@@ -149,10 +155,14 @@ public:
 
   /// Re-aims the sink at the next input without reconstructing the
   /// context — the pool handle's refcount carries over untouched, so
-  /// the per-input set-up inside a batch is this assignment.
-  void bind(std::string_view Input, ParseOutcome &, void *User) {
+  /// the per-input set-up inside a batch is this assignment. \p Base is
+  /// the absolute offset of Input[0]: 0 for a whole buffer, the window
+  /// base for a stream.
+  void bind(std::string_view Input, ParseOutcome &, void *User,
+            uint64_t Base = 0) {
     Ctx.Input = Input;
     Ctx.User = User;
+    Ctx.Base = Base;
   }
 
   FLAP_SINK_INLINE void enter(NtId) {}
@@ -186,10 +196,12 @@ public:
       Values.clear();
   }
 
-private:
+protected:
   const CompiledParser &M;
   ValueStack &Values;
   ParseContext Ctx;
+
+private:
   const MicroOp *Ops;
 };
 

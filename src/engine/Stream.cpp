@@ -31,7 +31,7 @@ void StreamParser::begin() {
     Ph = Phase::Fail;
     return;
   }
-  Stack.push_back(M->packNt(StartNt));
+  Scr.Stack.push_back(M->packNt(StartNt));
 }
 
 void StreamParser::reset() {
@@ -40,10 +40,8 @@ void StreamParser::reset() {
   WinBase = 0;
   Pos = 0;
   Park.Live = false;
-  Stack.clear();
-  Values.clear();
-  NumVals = 0;
-  Retain.clear();
+  Scr.reset();
+  RetainTop = 0;
   Res.clear();
   Diag = ParseDiagnostic();
   Misuse = nullptr;
@@ -60,150 +58,84 @@ void StreamParser::reset() {
   // threads (the single-owner rule on ValuePool, see cfe/Value.h), so
   // re-adopt the arena here: debug owner asserts then track the new
   // serving thread instead of tripping on the old one's id.
-  Pool->adoptOwner();
+  Scr.Pool->adoptOwner();
   begin();
 }
 
-// Final-value collection is the shared ValueStack::collect() policy —
-// identical to the whole-buffer loop by construction.
-
-inline void StreamParser::applyOp(const MicroOp &Op, ParseContext &Ctx) {
-  if (!TrackRetain) {
-    // Fast mode — the same shared dispatch as the whole-buffer loop
-    // (every caller guarantees an MSlow op carries its ActionId in Imm;
-    // see applyActionId). No action in this grammar reads lexeme text,
-    // so the window never needs to cover argument spans: skip watermark
-    // bookkeeping wholesale (ROADMAP follow-up (a)).
-    Values.applyPooled(Op, *M->Actions, Ctx);
-    return;
-  }
-  // Watermark of the result: tokens among the popped arguments (or
-  // nested in structures built from them) are the only input references
-  // the result can hold, so min over the retained arguments is a safe
-  // bound. A scalar result provably holds none and releases the carry.
-  // The sparse representation makes the common case — an action over
-  // scalar arguments producing a scalar — a single compare.
-  assert(NumVals == Values.size() && "value count out of sync");
-  // MSlow occurrences carry the authoritative arity in the Action
-  // record (the micro-op field is too narrow for >255-ary customs).
-  const Action *Slow = Op.K == MicroOp::MSlow
-                           ? &M->Actions->get(static_cast<ActionId>(Op.Imm))
-                           : nullptr;
-  const size_t Arity = Slow ? static_cast<size_t>(Slow->Arity) : Op.Arity;
-  const size_t NewLen = NumVals - Arity;
-  uint64_t Min = NoRetain;
-  while (!Retain.empty() && Retain.back().Idx >= NewLen) {
-    Min = std::min(Min, Retain.back().W);
-    Retain.pop_back();
-  }
-  if (Slow)
-    Values.apply(*Slow, Ctx);
-  else
-    Values.applyMicroOp(Op, Ctx);
-  NumVals = NewLen + 1;
-  if (Min != NoRetain) {
-    const Value &R = Values.data()[NewLen];
-    if (!R.isScalar())
-      pushRetain(NewLen, Min);
-  }
-}
-
-inline void StreamParser::applyActionId(ActionId A, ParseContext &Ctx) {
-  MicroOp Op = M->Actions->micro()[A];
-  if (Op.K == MicroOp::MSlow)
-    Op.Imm = static_cast<int64_t>(A); // the table's MSlow ops carry no
-                                      // ActionId (only pool occurrences
-                                      // do); applyOp dispatches through Imm
-  applyOp(Op, Ctx);
-}
-
 //===----------------------------------------------------------------------===//
-// The streaming sink policies — the same compile-time contract as the
-// whole-buffer sinks (engine/Sink.h), driven by the same residual loop
-// (driveImpl with Streamed = true). Each is constructed per pump from
-// (parser, context); hooks receive *absolute* stream offsets.
+// The streaming sinks are the library sinks (engine/Sink.h), aimed at the
+// window with its base, driven by the same residual loop (driveImpl with
+// Streamed = true): hooks receive *absolute* stream offsets. Event mode's
+// EventSink copies token text into the undrained outcome's arena inside
+// the hook, so the window bytes are droppable once it returns — the
+// carry stays O(in-progress lexeme).
 //===----------------------------------------------------------------------===//
 
-/// Value mode: token pushes + pooled micro-op dispatch, with the
-/// streaming extra the whole-buffer ValueSink does not need — retain
-/// watermark bookkeeping, routed through StreamParser::applyOp.
-struct StreamParser::VSink : FailSite {
-  static constexpr bool Markers = true;
-  static constexpr bool Enters = false;
-
+/// Value mode for a grammar whose actions read input: the library
+/// ValueSink, plus the retain watermark compact() honours (Stream.h,
+/// "Memory model"). The watermark lives in the sink's own members for
+/// the pump and goes back to the parser when the sink dies.
+struct StreamParser::RetainSink : ValueSink {
   StreamParser &SP;
-  ParseContext &Ctx;
+  size_t Top;   ///< the lowest retaining slot plus one; 0: none
+  uint64_t Off; ///< the absolute offset it retains from
 
-  VSink(StreamParser &SP, ParseContext &Ctx) : SP(SP), Ctx(Ctx) {}
-
-  FLAP_SINK_INLINE void enter(NtId) {}
-
-  FLAP_SINK_INLINE void marker(uint32_t Idx) {
-    SP.applyOp(SP.M->OpPool[Idx], Ctx);
+  RetainSink(StreamParser &SP, std::string_view Window)
+      : ValueSink(*SP.M, SP.Scr), SP(SP), Top(SP.RetainTop),
+        Off(SP.RetainOff) {
+    bind(Window, SP.Res, SP.Req.User, SP.WinBase);
+  }
+  RetainSink(const RetainSink &) = delete;
+  RetainSink &operator=(const RetainSink &) = delete;
+  ~RetainSink() {
+    SP.RetainTop = Top;
+    SP.RetainOff = Off;
   }
 
   FLAP_SINK_INLINE void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
-    const uint32_t Tok = CompiledParser::metaTok(Meta);
-    if (Tok != CompiledParser::MetaNoTok) { // NoTok when skip or elided
-      SP.Values.pushToken(static_cast<TokenId>(Tok),
-                          static_cast<uint32_t>(Begin),
-                          static_cast<uint32_t>(End));
-      if (SP.TrackRetain)
-        SP.pushRetain(SP.NumVals++, Begin);
+    ValueSink::token(Meta, Begin, End);
+    if (Top == 0 &&
+        CompiledParser::metaTok(Meta) != CompiledParser::MetaNoTok) {
+      Top = Values.size();
+      Off = Begin;
     }
   }
 
-  void eps(NtId, int32_t Chain) {
-    if (!SP.TrackRetain) {
-      // The same pre-fused block as the whole-buffer loop — literally:
-      // one shared implementation (engine/Sink.h).
-      runEpsProgram(*SP.M, Chain, SP.Values, Ctx);
+  FLAP_SINK_INLINE void marker(uint32_t OpIdx) {
+    ValueSink::marker(OpIdx);
+    settle();
+  }
+
+  void eps(NtId N, int32_t Chain) {
+    const CompiledParser::EpsProgram &EP = M.EpsPrograms[Chain];
+    if (EP.K != CompiledParser::EpsProgram::Ops) {
+      // One push of a constant: nothing retaining is consumed or made.
+      ValueSink::eps(N, Chain);
       return;
     }
-    const std::vector<ActionId> &ChainIds = SP.M->EpsChains[Chain];
-    if (ChainIds.empty()) {
-      SP.Values.pushUnit(); // scalar: no retain entry
-      ++SP.NumVals;
-    } else {
-      for (ActionId A : ChainIds)
-        SP.applyActionId(A, Ctx);
+    // An op may pop below the program's entry height, consuming values
+    // pushed before the fallback, so the rule runs after every op.
+    for (uint32_t I = 0; I < EP.Len; ++I) {
+      Values.applyMicro(*M.Actions, M.EpsOps[EP.Off + I], Ctx);
+      settle();
     }
   }
 
-  /// The whole-buffer ValueSink's segment policy, plus the retain
-  /// watermarks the segment's values held.
   void endSegment(bool Completed, ParseOutcome &Out) {
-    if (Completed)
-      Out.Values.push_back(SP.Values.collect());
-    else
-      SP.Values.clear();
-    SP.NumVals = 0;
-    SP.Retain.clear();
+    ValueSink::endSegment(Completed, Out);
+    Top = 0;
   }
-};
 
-/// Event mode: the library EventSink itself over the current window
-/// (base = WinBase), so the streamed event stream is emitted by the
-/// *same code* as a whole-buffer events request and the two cannot
-/// drift. Token text is copied inside the hook into the undrained
-/// outcome's arena — after it returns the window bytes are droppable,
-/// which is what keeps the carry at O(in-progress lexeme).
-struct StreamParser::ESink : EventSink {
-  ESink(StreamParser &SP, ParseContext &Ctx)
-      : EventSink(Ctx.Input, &SP.Res.Events, Ctx.Base, arenaOf(SP.Res)) {}
-
-  static TextArena *arenaOf(ParseOutcome &O) {
-    if (!O.Text)
-      O.Text = std::make_shared<TextArena>();
-    return O.Text.get();
+private:
+  /// After an action: if it consumed the lowest retaining slot, its
+  /// result (now the top slot) inherits the watermark — the lowest
+  /// retaining argument's offset, the min over them all — unless it is a
+  /// scalar, which references no input.
+  FLAP_SINK_INLINE void settle() {
+    const size_t N = Values.size();
+    if (Top >= N)
+      Top = Values.data()[N - 1].isScalar() ? 0 : N;
   }
-};
-
-/// Recognize mode: the whole-buffer RecognizeSink itself, given the
-/// streaming ctor shape — one set of no-op hooks to keep in lockstep
-/// with the contract.
-struct StreamParser::RSink : RecognizeSink {
-  RSink(StreamParser &, ParseContext &) {}
 };
 
 void StreamParser::compact() {
@@ -212,8 +144,8 @@ void StreamParser::compact() {
   // retain watermark reaches there (never mid-resynchronization: the
   // failed segment's values were collected or dropped at the failure).
   uint64_t KeepAbs = offset();
-  if (!Retain.empty())
-    KeepAbs = std::min(KeepAbs, Retain.back().RunMin);
+  if (RetainTop != 0)
+    KeepAbs = std::min(KeepAbs, RetainOff);
   // Diagnostics need line/column for offsets whose prefix may be
   // compacted away: absorb the bytes once, before they go.
   if (KeepAbs > LT.ScannedTo)
@@ -253,7 +185,7 @@ StreamStatus StreamParser::recoverAt(const FailSite &F) {
     return StreamStatus::Error;
   }
   RePos = static_cast<size_t>(F.FailOff - WinBase);
-  Stack.clear();
+  Scr.Stack.clear();
   Ph = Phase::Resync;
   return StreamStatus::NeedData; // drivePump() resumes the resync scan
 }
@@ -282,7 +214,7 @@ bool StreamParser::stepResync(bool Final) {
     Diag.Act = ParseDiagnostic::Action::Resync;
     Diag.ResumeOff = WinBase + Q;
     Pos = Q;
-    Stack.push_back(M->packNt(StartNt));
+    Scr.Stack.push_back(M->packNt(StartNt));
     Ph = Phase::Run;
   }
   Res.Errors.push_back(std::move(Diag));
@@ -298,7 +230,7 @@ StreamStatus StreamParser::misuse(const char *Msg, uint64_t ErrOffset) {
 void StreamParser::releaseAfterError(uint64_t ErrOffset) {
   // The post-error contract (Stream.h reset() doc): the diagnostic, its
   // position, and the *undrained outcome* are all an errored stream
-  // keeps. The carry bytes, live values, retain watermarks, suspended
+  // keeps. The carry bytes, live values, retain watermark, suspended
   // scan and symbol stack are released *now* — an errored parser
   // sitting in a connection pool holds no stale input or pool nodes
   // while it waits for take()/reset(). The outcome deliberately
@@ -309,10 +241,8 @@ void StreamParser::releaseAfterError(uint64_t ErrOffset) {
   // all anyway.
   Ph = Phase::Fail;
   ErrOff = ErrOffset;
-  Stack.clear();
-  Values.clear();
-  NumVals = 0;
-  Retain.clear();
+  Scr.reset();
+  RetainTop = 0;
   Park.Live = false;
   WinBase += Buf.size(); // streamedBytes() == WinBase + Buf.size() holds
   Buf.clear();
@@ -328,15 +258,13 @@ void StreamParser::releaseAfterError(uint64_t ErrOffset) {
 /// before the leftover input, so it ships; a parse failure drops the
 /// partial (event mode keeps the partial events — they were delivered
 /// at match time, as in a whole-buffer events request).
-template <typename Tab, typename SinkT, bool Final>
-StreamStatus StreamParser::pumpT() {
+template <typename Tab, bool Final, typename SinkT>
+StreamStatus StreamParser::pumpT(SinkT &Sk) {
   const std::string_view W(Buf);
-  ParseContext Ctx{W, Req.User, WinBase, Pool};
-  SinkT Sk(*this, Ctx);
   DriveStatus St = DriveStatus::Done;
   if (Ph == Phase::Run)
-    St = driveImpl<Tab, SinkT, Final, /*Streamed=*/true>(*M, W, Pos, Stack,
-                                                         Sk, &Park, WinBase);
+    St = driveImpl<Tab, SinkT, Final, /*Streamed=*/true>(
+        *M, W, Pos, Scr.Stack, Sk, &Park, WinBase);
   if (St == DriveStatus::Done) {
     Ph = Phase::Trail;
     St = matchTrailingSkipT<Tab, Final, /*Streamed=*/true>(*M, W, Pos, &Park);
@@ -353,17 +281,30 @@ StreamStatus StreamParser::pumpT() {
 }
 
 template <bool Final> StreamStatus StreamParser::pump() {
+  const std::string_view W(Buf);
   return scankernel::withWidth(M->Scan, [&](auto Width) {
     using Tab = decltype(Width);
     switch (Req.Mode) {
-    case ParseMode::Values:
-      return pumpT<Tab, VSink, Final>();
-    case ParseMode::Events:
-      return pumpT<Tab, ESink, Final>();
+    case ParseMode::Values: {
+      if (TrackRetain) {
+        RetainSink Sk(*this, W);
+        return pumpT<Tab, Final>(Sk);
+      }
+      ValueSink Sk(*M, Scr);
+      Sk.bind(W, Res, Req.User, WinBase);
+      return pumpT<Tab, Final>(Sk);
+    }
+    case ParseMode::Events: {
+      if (!Res.Text)
+        Res.Text = std::make_shared<TextArena>();
+      EventSink Sk(W, &Res.Events, WinBase, Res.Text.get());
+      return pumpT<Tab, Final>(Sk);
+    }
     case ParseMode::Recognize:
       break;
     }
-    return pumpT<Tab, RSink, Final>();
+    RecognizeSink Sk;
+    return pumpT<Tab, Final>(Sk);
   });
 }
 

@@ -29,19 +29,28 @@
 ///     benchmark grammars this is tens of bytes, independent of stream
 ///     length.
 ///   - Semantic actions may read the text of token spans reachable from
-///     their arguments (ParseContext::text / at). The parser tracks a
-///     conservative *retain watermark* per value-stack entry: a token
-///     value retains its span; an action result retains the minimum of
-///     its arguments' watermarks unless the result is a scalar
+///     their arguments (ParseContext::text / at). For a grammar whose
+///     actions do (ActionTable::readsInput()), the parser keeps one
+///     conservative *retain watermark*: the lowest value-stack slot
+///     that may still reference input, and that slot's absolute offset.
+///     A token value retains its span; an action result retains the
+///     minimum over its arguments unless it is a scalar
 ///     (unit/bool/int/real/string), which provably holds no input
-///     references. The carry is therefore bounded by the span of the
+///     references. Live watermarks never decrease going up the stack —
+///     token begins grow with push order, and a result takes the min of
+///     a contiguous top suffix, which is the lowest retaining argument's
+///     — so the lowest retaining slot alone bounds the carry: a token
+///     push sets it when none is set; an action that consumes it moves
+///     it to the result slot when the result is non-scalar and clears it
+///     otherwise. The carry is therefore bounded by the span of the
 ///     oldest *live* (not yet reduced) value — for a stream of
 ///     documents (ndjson, csv rows, pgn games) that is one document,
 ///     independent of stream length. A single bracket structure
 ///     spanning the whole stream (one giant s-expression) retains back
 ///     to its opening token: its delimiter token sits on the value
 ///     stack until the matching close, and the parser cannot know the
-///     closing action won't read it.
+///     closing action won't read it. Grammars whose actions read no
+///     input carry just the in-progress lexeme.
 ///   - Actions must not stash absolute offsets in user context and
 ///     dereference them in a *later* action; spans are only addressable
 ///     while a value referencing them is live on the value stack.
@@ -178,8 +187,8 @@ public:
   /// any terminal or mid-stream state.
   ///
   /// Post-error contract (pinned by tests/StreamDiffTest.cpp): a parse
-  /// error releases the carry, the live values and their retain
-  /// watermarks immediately — an errored parser holds only the
+  /// error releases the carry, the live values and the retain watermark
+  /// immediately — an errored parser holds only the
   /// diagnostic, its position, and the undrained outcome, which is
   /// consumer output and stays retrievable via drain(). take() returns
   /// the error, repeatably; feed()/finish() keep returning Error;
@@ -191,7 +200,7 @@ public:
   /// The per-stream value arena (kept warm across reset()); escaped
   /// values pin its pages. Exposed so serving code and tests can observe
   /// arena reuse.
-  const ValuePoolRef &pool() const { return Pool; }
+  const ValuePoolRef &pool() const { return Scr.Pool; }
 
 private:
   /// The test seam of tests/StreamDiffTest.cpp (defined there): reads
@@ -203,19 +212,18 @@ private:
   /// many chunks); status() reports NeedData.
   enum class Phase : uint8_t { Run, Trail, Resync, Done, Fail };
 
-  /// The streaming sink policies (Stream.cpp): value building with
-  /// retain tracking, SAX events, recognition. Same contract as the
-  /// whole-buffer sinks in engine/Sink.h.
-  struct VSink;
-  struct ESink;
-  struct RSink;
+  /// Value mode for a grammar whose actions read input (Stream.cpp): the
+  /// library ValueSink plus the retain watermark.
+  struct RetainSink;
 
   /// Admits the request's entry (CompiledParser::admit) and arms the
   /// machine on it, or enters Phase::Fail with the refusal.
   void begin();
   /// One run of the shared residual loop and trailing-skip matcher over
-  /// the window (engine/Sink.h), and the phase transitions they decide.
-  template <typename Tab, typename SinkT, bool Final> StreamStatus pumpT();
+  /// the window (engine/Sink.h) into \p Sk, and the phase transitions
+  /// they decide.
+  template <typename Tab, bool Final, typename SinkT>
+  StreamStatus pumpT(SinkT &Sk);
   template <bool Final> StreamStatus pump();
   /// The outer drive loop: alternates pump() with resynchronization
   /// until the window is exhausted or the stream reaches a terminal
@@ -235,25 +243,13 @@ private:
   /// its action (Resync: parsing re-enters at the sync point;
   /// SkipToEnd: the stream completes) and Ph has left Resync.
   bool stepResync(bool Final);
-  /// Runs one marker occurrence (a PackedPool op; an MSlow op carries
-  /// its ActionId in Imm) through the shared pooled dispatch, with
-  /// retain watermark bookkeeping when TrackRetain is set.
-  inline void applyOp(const MicroOp &Op, ParseContext &Ctx);
-  /// Same for a raw action id (ε-chain entries are not pool indexed).
-  inline void applyActionId(ActionId A, ParseContext &Ctx);
-  /// Records that the value at value-stack index \p Idx retains input
-  /// from absolute offset \p W on. Only called with a real watermark.
-  inline void pushRetain(size_t Idx, uint64_t W) {
-    uint64_t Min = Retain.empty() ? W : std::min(W, Retain.back().RunMin);
-    Retain.push_back({Idx, W, Min});
-  }
   void compact();
   /// Fails the stream for a misuse that is not a parse diagnostic
   /// (feed() after finish(), the MaxSpanBytes offset limit): take()
   /// reports \p Msg.
   StreamStatus misuse(const char *Msg, uint64_t ErrOffset);
   /// Enters Phase::Fail: records the error offset and releases the
-  /// carry, values, retain watermarks, suspended scan and symbol stack
+  /// carry, values, retain watermark, suspended scan and symbol stack
   /// (the post-error contract; see reset()).
   void releaseAfterError(uint64_t ErrOffset);
 
@@ -261,11 +257,10 @@ private:
   ParseRequest Req;
   NtId StartNt = NoNt; ///< the admitted entry (NoNt when refused)
   ErrorBudget Budget;  ///< drain-immune: counts every diagnostic
-  /// False when no registered action reads lexeme text
-  /// (ActionTable::readsInput()): retain watermarks then need no
-  /// tracking at all — the carry is just the in-progress lexeme — and
-  /// the ε-chain fast path applies. ~5% of parse throughput on the
-  /// grammars this covers (ROADMAP follow-up (a)).
+  /// Whether the retain watermark is kept: value mode over a grammar
+  /// with an input-reading action (ActionTable::readsInput()). Without
+  /// one the carry is just the in-progress lexeme and the pump runs the
+  /// plain ValueSink.
   bool TrackRetain;
 
   Phase Ph = Phase::Run;
@@ -273,24 +268,14 @@ private:
   uint64_t WinBase = 0;  ///< absolute stream offset of Buf[0]
   size_t Pos = 0;        ///< window-relative parse position
   scankernel::ParkedScan Park; ///< the scan suspended at the window's end
-  std::vector<uint32_t> Stack; ///< packed symbols (CompiledParser::packNt)
-  ValueStack Values;
-  size_t NumVals = 0; ///< Values.size(), tracked to keep size() (a
-                      ///< division on vector<Value>) off the hot path
-  /// Sparse retain watermarks: one entry per value-stack slot that may
-  /// still reference input (a token value, or a non-scalar action result
-  /// built from one) — scalar results carry no entry at all, so the
-  /// count-grammar hot path pays one compare per action, not a vector
-  /// mutation. Idx is strictly increasing (stack discipline); RunMin
-  /// caches the min over this entry and everything below, giving
-  /// compact() an O(1) query.
-  struct RetainEnt {
-    size_t Idx;      ///< value-stack index this entry describes
-    uint64_t W;      ///< smallest absolute offset that value may reference
-    uint64_t RunMin; ///< min over this entry and everything below it
-  };
-  std::vector<RetainEnt> Retain;
-  static constexpr uint64_t NoRetain = ~uint64_t(0);
+  /// The symbol stack, the value stack and the per-stream value arena
+  /// (kept warm across reset()).
+  ParseScratch Scr;
+  /// The retain watermark (see the memory model above): the lowest
+  /// value-stack slot that may reference input, plus one (0: none), and
+  /// the smallest absolute offset it may reference.
+  size_t RetainTop = 0;
+  uint64_t RetainOff = 0;
   ParseOutcome Res; ///< reported since the last drain()
   /// The failure awaiting its action (Phase::Resync; the scan fills in
   /// Act/ResumeOff before it reaches Res), or the one that ended the
@@ -324,8 +309,6 @@ private:
   /// Line/Col equal a whole-buffer parse's exactly.
   LineTracker LT;
   size_t CarryHW = 0;
-  /// Per-stream value arena (see ParseScratch::Pool); reset() keeps it.
-  ValuePoolRef Pool = ValuePool::create();
 };
 
 } // namespace flap

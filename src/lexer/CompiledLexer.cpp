@@ -7,6 +7,7 @@
 
 #include "lexer/CompiledLexer.h"
 
+#include "engine/Compile.h"
 #include "engine/Diagnostic.h"
 #include "engine/DispatchTier.h"
 #include "engine/ScanKernel.h"
@@ -58,10 +59,17 @@ CompiledLexer::CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer) {
   std::vector<std::vector<RegexId>> States;
   std::vector<int32_t> AcceptRaw;
   std::vector<int32_t> Rows; // States.size() * 256
+  bool Overflow = false;
   auto InternState = [&](std::vector<RegexId> V) -> int32_t {
     auto It = StateIds.find(V);
     if (It != StateIds.end())
       return It->second;
+    // The scan tables hold state ids as int16 (the staged machine's
+    // width, engine/DispatchTier.h).
+    if (States.size() >= CompiledParser::MaxPackedStates) {
+      Overflow = true;
+      return Dead;
+    }
     int32_t Id = static_cast<int32_t>(States.size());
     StateIds.emplace(V, Id);
     States.push_back(std::move(V));
@@ -80,7 +88,7 @@ CompiledLexer::CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer) {
   };
 
   Start = InternState(StartVec);
-  for (size_t Work = 0; Work < States.size(); ++Work) {
+  for (size_t Work = 0; Work < States.size() && !Overflow; ++Work) {
     // Copy: States may reallocate while interning successors.
     std::vector<RegexId> Cur = States[Work];
     std::vector<CharSet> Parts = {CharSet::all()};
@@ -101,6 +109,18 @@ CompiledLexer::CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer) {
         for (int C = Lo; C <= Hi; ++C)
           Rows[Work * 256 + C] = Dst;
     }
+  }
+
+  if (Overflow) {
+    // Refused: keep a one-state DFA that matches nothing, so every pull
+    // fails cleanly instead of reading a half-built table.
+    Built = Err(format("lexer DFA exceeds %zu states; state ids no longer "
+                       "fit the 16-bit transition tables",
+                       CompiledParser::MaxPackedStates));
+    States.resize(1);
+    AcceptRaw.assign(1, -1);
+    Rows.assign(256, Dead);
+    Start = 0;
   }
 
   // The staged machine's scan-table build (engine/DispatchTier.h) minus
@@ -161,6 +181,8 @@ LexStatus CompiledLexer::next(std::string_view Input, uint32_t &Pos,
 }
 
 Result<std::vector<Lexeme>> CompiledLexer::lexAll(std::string_view Input) const {
+  if (!Built.ok())
+    return Err(Built.error());
   // Lexeme offsets are uint32: refuse what they cannot address.
   if (Input.size() > MaxSpanBytes)
     return Err(OffsetLimitMessage);

@@ -48,8 +48,13 @@ enum class LexStatus {
 class CompiledLexer {
 public:
   /// Compiles \p Lexer. The canonical rules are disjoint, so every DFA
-  /// state accepts for at most one rule.
+  /// state accepts for at most one rule. A rule set whose DFA exceeds
+  /// CompiledParser::MaxPackedStates states is refused: status() holds
+  /// the error, lexAll() returns it, and the lexer matches nothing.
   CompiledLexer(RegexArena &Arena, const CanonicalLexer &Lexer);
+
+  /// The outcome of the build (see the constructor).
+  const Status &status() const { return Built; }
 
   /// Pulls the next non-skip lexeme starting at \p Pos, advancing it.
   /// Lexeme offsets are uint32: an input longer than MaxSpanBytes
@@ -95,6 +100,7 @@ private:
   /// Token returned by rule I; NoToken for the skip rule.
   Table<TokenId> Toks;
   int32_t Start = 0;
+  Status Built;
 };
 
 /// Push-style streaming lexer over a CompiledLexer (the unfused

@@ -567,8 +567,9 @@ TEST(ActionDispatchTest, LongPairChainsFreeWithoutRecursion) {
 }
 
 TEST(ActionDispatchTest, ReadsInputFlagsMatchTheGrammars) {
-  // json/sexp/csv never read lexeme text → the streaming parser may
-  // drop retain tracking wholesale; pgn/ppm/arith do read.
+  // json/sexp/csv never read lexeme text → their value streams run the
+  // plain ValueSink with no retain watermark; pgn/ppm/arith do read, so
+  // theirs keep the one watermark (the lowest retaining value slot).
   for (auto &Def : allBenchmarkGrammars()) {
     auto P = compileFlap(Def);
     ASSERT_TRUE(P.ok());
@@ -581,7 +582,7 @@ TEST(ActionDispatchTest, ReadsInputFlagsMatchTheGrammars) {
 
 TEST(ActionDispatchTest, CarryStaysLexemeSizedWithTrackingOff) {
   // With no input-reading actions, the streaming carry is just the
-  // suspended lexeme — not the document (ROADMAP follow-up (a)).
+  // suspended lexeme — not the document.
   DispatchRig R(makeJsonGrammar());
   ASSERT_FALSE(R.Def->L->Actions.readsInput());
   Workload W = genWorkload("json", 37, 64 * 1024);

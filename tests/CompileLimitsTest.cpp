@@ -12,10 +12,13 @@
 /// *gracefully* in compileFused — a silent wrap would corrupt every
 /// packed symbol — and the 8-bit/16-bit cutoff must sit exactly at 255
 /// states (a 256-state machine would alias state id 255 with Dead8).
+/// The lexer DFA runs on the same int16 scan tables, so a rule set past
+/// that width is refused the same way.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/Compile.h"
+#include "lexer/CompiledLexer.h"
 #include "regex/Regex.h"
 
 #include <gtest/gtest.h>
@@ -156,6 +159,47 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
     EXPECT_TRUE(M->recognize(Input, Scr));
     EXPECT_FALSE(M->parse(Input + "a", Scr).ok());
   }
+}
+
+/// A lexer for (a|b)*a(a|b)^K: "the (K+1)-th byte from the end is an
+/// a". Its DFA remembers the last K+1 bytes, so it needs 2^(K+1) states.
+CompiledLexer kthFromLastLexer(RegexArena &Arena, int K) {
+  TokenSet Toks;
+  LexerSpec Spec(Arena, Toks);
+  std::string Re = "(a|b)*a";
+  for (int I = 0; I < K; ++I)
+    Re += "(a|b)";
+  Spec.rule(Re, "word");
+  return CompiledLexer(Arena, Spec.canonicalize().take());
+}
+
+TEST(CompileLimitsTest, LexerDfaExceedingInt16IsRefused) {
+  // The lexer DFA shares the staged machine's int16 scan tables: at
+  // K = 15 it would need 65536 states, twice what fits. The build must
+  // stop at MaxPackedStates and report it, in every build type.
+  {
+    RegexArena Arena;
+    const CompiledLexer L = kthFromLastLexer(Arena, 15);
+    ASSERT_FALSE(L.status().ok());
+    EXPECT_NE(L.status().error().find("16-bit"), std::string::npos)
+        << L.status().error();
+    Result<std::vector<Lexeme>> Toks = L.lexAll("abababababababab");
+    ASSERT_FALSE(Toks.ok());
+    EXPECT_EQ(Toks.error(), L.status().error());
+    uint32_t Pos = 0;
+    Lexeme Out;
+    EXPECT_EQ(L.nextRaw("ab", Pos, Out), LexStatus::Error);
+  }
+  // Well inside the cap the same rule builds and lexes.
+  RegexArena Arena;
+  const CompiledLexer L = kthFromLastLexer(Arena, 3);
+  ASSERT_TRUE(L.status().ok()) << L.status().error();
+  EXPECT_GE(L.numStates(), 16);
+  Result<std::vector<Lexeme>> Toks = L.lexAll("bbabaa");
+  ASSERT_TRUE(Toks.ok()) << Toks.error();
+  ASSERT_EQ(Toks->size(), 1u);
+  EXPECT_EQ((*Toks)[0].End, 6u);
+  EXPECT_FALSE(L.lexAll("bbbbaa").ok());
 }
 
 } // namespace

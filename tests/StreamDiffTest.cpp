@@ -273,6 +273,202 @@ TEST(StreamDiffTest, CarryStaysBoundedOnDocumentStreams) {
   }
 }
 
+TEST(StreamDiffTest, CarryHighWaterPinnedAt4KiB) {
+  // The carry high-water at 4 KiB chunks on fixed seed-1 corpora — the
+  // figure the one-watermark rule must reproduce exactly (it is the
+  // per-slot rule it replaced, not an approximation). json, sexp and csv
+  // read no input: their carry is the in-progress lexeme. arith and pgn
+  // hold one expression or game; ppm's header check reads the width
+  // token at the end of the image, so it carries the whole input.
+  const std::pair<const char *, size_t> Pinned[] = {
+      {"json", 14}, {"sexp", 8},       {"arith", 744},
+      {"pgn", 19},  {"ppm", 237796}, {"csv", 19}};
+  for (const auto &[Name, Carry] : Pinned) {
+    std::shared_ptr<GrammarDef> Def;
+    for (auto &G : allBenchmarkGrammars())
+      if (G->Name == Name)
+        Def = G;
+    StreamRig R(Def);
+    Workload W = genWorkload(Name, 1, 256 * 1024);
+    std::vector<size_t> Cuts;
+    for (size_t At = 4096; At < W.Input.size(); At += 4096)
+      Cuts.push_back(At);
+    size_t CarryHW = 0;
+    Result<Value> V = R.streamParse(W.Input, Cuts, &CarryHW);
+    ASSERT_TRUE(V.ok()) << Name << ": " << V.error();
+    EXPECT_EQ(CarryHW, Carry) << Name;
+  }
+}
+
+/// A grammar whose documents hold a token in a non-scalar value (a pair
+/// of words) across a long body, and read its text only at the end:
+///
+///   doc := (word word) num* ';'   value: "<word1>-<word2>:<nums>"
+///   root := doc*                  value: list of the doc strings
+std::shared_ptr<GrammarDef> makeHeldTokenGrammar() {
+  auto Def = std::make_shared<GrammarDef>("held");
+  Lang &L = *Def->L;
+  TokenId Word = Def->Lexer->rule("[a-z]+", "word");
+  TokenId Num = Def->Lexer->rule("[0-9]+", "num");
+  TokenId Semi = Def->Lexer->rule(";", "semi");
+  Def->Lexer->skip("[ \\n]");
+  Px Head = L.pairUp(L.tok(Word), L.tok(Word));
+  Px Doc = L.all({Head, L.count(L.tok(Num)), L.tok(Semi)},
+                 [](ParseContext &Ctx, Value *Args) {
+                   const ValuePair &H = Args[0].asPair();
+                   return Value::string(
+                       std::string(Ctx.text(H.first.asToken())) + "-" +
+                       std::string(Ctx.text(H.second.asToken())) + ":" +
+                       std::to_string(Args[1].asInt()));
+                 },
+                 "doc");
+  Def->Root = L.star(Doc);
+  return Def;
+}
+
+TEST(StreamDiffTest, HeldTokenIsReadManyChunksLater) {
+  // The pair keeps both words' bytes in the window until the doc action
+  // reads them, ~150 bytes on: every-byte chunks put that read 150
+  // chunks after the words arrived, and random chunkings 3 or more.
+  StreamRig R(makeHeldTokenGrammar());
+  ASSERT_TRUE(R.Def->L->Actions.readsInput());
+  std::string In;
+  Rng Rand(17);
+  for (const char *Head : {"alpha beta", "gamma delta", "eps zeta"}) {
+    In += Head;
+    for (int N = 0; N < 30; ++N)
+      In += " " + std::to_string(Rand.below(10000));
+    In += ";\n";
+  }
+  R.sweepAllSplits(In);
+  for (int Round = 0; Round < 20; ++Round) {
+    std::vector<size_t> Cuts;
+    for (size_t At = 1 + Rand.below(40); At < In.size();
+         At += 1 + Rand.below(40))
+      Cuts.push_back(At);
+    EXPECT_TRUE(R.checkSplits(In, Cuts));
+  }
+  // Each doc's string frees its words: the carry is one document.
+  size_t CarryHW = 0;
+  std::vector<size_t> Every;
+  for (size_t Cut = 1; Cut < In.size(); ++Cut)
+    Every.push_back(Cut);
+  ASSERT_TRUE(R.streamParse(In, Every, &CarryHW).ok());
+  EXPECT_LT(CarryHW, In.size() / 2);
+}
+
+TEST(StreamDiffTest, DippingEpsProgramsSettleTheWatermarkPerOp) {
+  // ε-programs that pop below their entry height, consuming the token
+  // pushed before the fallback — a shape compileFused accepts from any
+  // fused grammar, built here by hand:
+  //
+  //   doc  ::= '<' keep fill [show] | '[' drop fill [show]
+  //          | '{' [toSeven] 'm' wrapup fill [show3]
+  //   keep ::= ε [seven, wrap]     wrap (token, 7) → pair: retains '<'
+  //   drop ::= ε [seven, forget]   forget (token, 7) → 7: releases '['
+  //   wrapup ::= ε [wrap, seven]   pair (7, 'm') keeps 'm' under a scalar
+  //   toSeven ('{') → 7
+  //   fill ::= 'x' fill [count] | ε [zero]
+  //   show (v, n) → "<text of v's token, or none>:<n>"
+  //   show3 (v, 7, n) → "<text of v's second>:<n>"
+  //
+  // wrapup is why the rule runs per op: settled once at the end, the
+  // scalar on top would clear the watermark the pair below still needs.
+  RegexArena Arena;
+  ActionTable Actions;
+  const ActionId Seven = Actions.addConst(Value::integer(7), "seven");
+  const ActionId ToSeven =
+      Actions.addConst(Value::integer(7), "toSeven", /*Arity=*/1);
+  const ActionId Wrap = Actions.addPair("wrap");
+  const ActionId Forget = Actions.addSelect(2, 1, "forget");
+  const ActionId Zero = Actions.addConst(Value::integer(0), "zero");
+  const ActionId Count = Actions.addAddImm(2, 1, 1, "count");
+  const ActionId Show = Actions.add(
+      2,
+      [](ParseContext &Ctx, Value *Args) {
+        std::string S = Args[0].isPair()
+                            ? std::string(Ctx.text(
+                                  Args[0].asPair().first.asToken()))
+                            : "none";
+        return Value::string(S + ":" + std::to_string(Args[1].asInt()));
+      },
+      "show");
+  const ActionId Show3 = Actions.add(
+      3,
+      [](ParseContext &Ctx, Value *Args) {
+        return Value::string(
+            std::string(Ctx.text(Args[0].asPair().second.asToken())) + ":" +
+            std::to_string(Args[2].asInt()));
+      },
+      "show3");
+  auto Prod = [&](const char *Lit, std::vector<Sym> Tail, TokenId Tok) {
+    FusedProd P;
+    P.Re = Arena.literal(Lit);
+    P.Tail = std::move(Tail);
+    P.FromTok = Tok;
+    return P;
+  };
+  FusedGrammar F;
+  F.Start = 0;
+  F.Nts.resize(6);
+  F.Nts[0].Name = "doc";
+  F.Nts[0].Prods = {
+      Prod("<", {Sym::nt(1), Sym::nt(3), Sym::act(Show)}, 0),
+      Prod("[", {Sym::nt(2), Sym::nt(3), Sym::act(Show)}, 1),
+      Prod("{",
+           {Sym::act(ToSeven), Sym::nt(4), Sym::nt(5), Sym::nt(3),
+            Sym::act(Show3)},
+           3)};
+  F.Nts[1].Name = "keep";
+  F.Nts[1].HasEps = true;
+  F.Nts[1].EpsMarkers = {Sym::act(Seven), Sym::act(Wrap)};
+  F.Nts[2].Name = "drop";
+  F.Nts[2].HasEps = true;
+  F.Nts[2].EpsMarkers = {Sym::act(Seven), Sym::act(Forget)};
+  F.Nts[3].Name = "fill";
+  F.Nts[3].Prods = {Prod("x", {Sym::nt(3), Sym::act(Count)}, 2)};
+  F.Nts[3].HasEps = true;
+  F.Nts[3].EpsMarkers = {Sym::act(Zero)};
+  F.Nts[4].Name = "m";
+  F.Nts[4].Prods = {Prod("m", {}, 4)};
+  F.Nts[5].Name = "wrapup";
+  F.Nts[5].HasEps = true;
+  F.Nts[5].EpsMarkers = {Sym::act(Wrap), Sym::act(Seven)};
+  Result<CompiledParser> M = compileFused(Arena, F, Actions);
+  ASSERT_TRUE(M.ok()) << M.error();
+
+  auto Stream = [&](std::string_view In, size_t Chunk, size_t &CarryHW) {
+    StreamParser SP(*M);
+    for (size_t At = 0; At < In.size(); At += Chunk)
+      SP.feed(In.substr(At, Chunk));
+    SP.finish();
+    CarryHW = SP.carryHighWater();
+    return SP.take();
+  };
+  ParseScratch Scr;
+  const std::string Fill(600, 'x');
+  for (const std::string &In :
+       {"<" + Fill, "[" + Fill, "{m" + Fill, std::string("<")}) {
+    Result<Value> Whole = M->parse(In, Scr);
+    ASSERT_TRUE(Whole.ok()) << Whole.error();
+    for (size_t Chunk : {size_t(1), size_t(3), size_t(64), In.size()}) {
+      size_t CarryHW = 0;
+      Result<Value> Str = Stream(In, Chunk, CarryHW);
+      ASSERT_TRUE(Str.ok()) << Str.error();
+      EXPECT_EQ(*Whole, *Str) << In.substr(0, 1) << " at " << Chunk;
+      if (In.size() > 1 && Chunk < In.size()) {
+        if (In[0] == '[')
+          EXPECT_LE(CarryHW, 2 * Chunk) << "a scalar must release '['";
+        else
+          EXPECT_GE(CarryHW, Fill.size()) << "the pair must keep its token";
+      }
+    }
+  }
+  EXPECT_EQ(*M->parse("<xxx", Scr), Value::string("<:3"));
+  EXPECT_EQ(*M->parse("[xxx", Scr), Value::string("none:3"));
+  EXPECT_EQ(*M->parse("{mxxx", Scr), Value::string("m:3"));
+}
+
 TEST(StreamDiffTest, ResetReusesTheParser) {
   StreamRig R(makeJsonGrammar());
   StreamParser SP(R.P.M);
