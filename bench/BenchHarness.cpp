@@ -16,7 +16,6 @@
 #include <dlfcn.h>
 #include <fstream>
 #include <memory>
-#include <type_traits>
 
 using namespace flapbench;
 using namespace flap;
@@ -39,20 +38,18 @@ struct WalkMatch {
   size_t End = 0;
 };
 
-template <typename Cell>
-WalkMatch walkScanT(const Cell *T, const int32_t *Acc, int32_t Start,
+template <typename Tab>
+WalkMatch walkScanT(const ScanTables &T, const int32_t *Acc, int32_t Start,
                     std::string_view In, size_t Pos) {
+  const typename Tab::Cell *Trans = Tab::table(T);
   WalkMatch W{-1, Pos};
   int32_t Cur = Start;
   for (size_t I = Pos; I < In.size();) {
-    const Cell Next = T[static_cast<size_t>(Cur) * 256 +
-                        static_cast<unsigned char>(In[I])];
-    if constexpr (std::is_same_v<Cell, uint8_t>) {
-      if (Next == ScanTables::Dead8)
-        break;
-    } else if (Next < 0) {
+    const typename Tab::Cell Next =
+        Trans[static_cast<size_t>(Cur) * 256 +
+              static_cast<unsigned char>(In[I])];
+    if (Tab::dead(Next))
       break;
-    }
     Cur = Next;
     ++I;
     if (Acc[Cur] >= 0)
@@ -63,10 +60,10 @@ WalkMatch walkScanT(const Cell *T, const int32_t *Acc, int32_t Start,
 
 WalkMatch walkScan(const CompiledParser &M, int32_t Start,
                    std::string_view In, size_t Pos) {
-  const ScanTables &T = M.Scan;
-  return T.Trans8.empty()
-             ? walkScanT(T.Trans16.data(), M.AcceptCont.data(), Start, In, Pos)
-             : walkScanT(T.Trans8.data(), M.AcceptCont.data(), Start, In, Pos);
+  return scankernel::withWidth(M.Scan, [&](auto Width) {
+    return walkScanT<decltype(Width)>(M.Scan, M.AcceptCont.data(), Start,
+                                      In, Pos);
+  });
 }
 
 /// Parses (\p Build) or recognizes \p In from M.Start; true on success.

@@ -23,7 +23,7 @@ std::map<int32_t, CharSet> successorSets(const CompiledParser &M,
                                          int32_t State) {
   std::map<int32_t, CharSet> Out;
   for (int C = 0; C < 256; ++C) {
-    int32_t Next = M.Scan.Trans16[static_cast<size_t>(State) * 256 + C];
+    int32_t Next = M.Scan.next(State, C);
     if (Next != CompiledParser::Dead)
       Out[Next].insert(static_cast<unsigned char>(C));
   }

@@ -161,8 +161,10 @@ namespace {
 
 /// A machine's scan tables (ScanTables, engine/DispatchTier.h) take
 /// NumScanSections consecutive ids from a base: the tier bounds, then
-/// Trans16, Trans8 and Skip. The parser's set and the lexer's set go
-/// through the same writer and borrower (addScanTables/borrowScanTables).
+/// Trans16, Trans8 (one of the two empty: a machine stores only the
+/// width its state count selects) and Skip. The parser's set and the
+/// lexer's set go through the same writer and borrower
+/// (addScanTables/borrowScanTables).
 constexpr uint32_t NumScanSections = 4;
 
 enum SectionId : uint32_t {

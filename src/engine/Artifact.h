@@ -21,8 +21,9 @@
 ///   [payload sections...]       each table section 64-byte aligned
 ///
 /// Payload table sections are the machine's packed in-memory formats
-/// written raw (the scan tables — tier bounds, Trans16, Trans8, Skip —
-/// packed AccMeta, OpPool, packed symbol pools, ...), so loading a
+/// written raw (the scan tables — tier bounds, Trans16, Trans8, Skip,
+/// with only the width the state count selects nonempty — packed
+/// AccMeta, OpPool, packed symbol pools, ...), so loading a
 /// table is a bounds check plus Table<T>::borrow() — zero copy, zero
 /// allocation, the mapped pages ARE the tables. The parser's and the
 /// optional lexer's scan tables (ScanTables, engine/DispatchTier.h)
@@ -78,7 +79,7 @@ namespace flap {
 /// format. There is no cross-version migration: a version mismatch is a
 /// load error and the caller recompiles (the artifact cache does this
 /// transparently).
-constexpr uint32_t ArtifactFormatVersion = 2;
+constexpr uint32_t ArtifactFormatVersion = 3;
 
 /// Little-/big-endian detector: written as the native integer, read
 /// back and compared; a byte-swapped value means the blob was produced

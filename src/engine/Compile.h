@@ -36,13 +36,15 @@
 ///     16 bytes at a time instead of walking the table per byte.
 ///   - *Table-width templating*: the scan and the residual loop are
 ///     instantiated once per table width (uint8 for <= 255 states, int16
-///     otherwise); the width is selected once per parse, not per scan.
+///     otherwise); a machine stores only its own width, selected once
+///     per parse, not per scan.
 ///   - *One scan-table set*: the byte-indexed tables, the skip sets and
 ///     the tier bounds are a ScanTables (engine/DispatchTier.h), built,
 ///     audited and serialized by the same code as the standalone lexer
 ///     DFA's. The §5.5 character classes are not a stored table: the
-///     emitter branches on byte ranges of Trans16 rows and numClasses()
-///     counts distinct byte columns on demand.
+///     emitter branches on byte ranges of transition rows (read through
+///     ScanTables::next) and numClasses() counts distinct byte columns
+///     on demand.
 ///   - *Allocation-free residual loop*: continuation tails live in one
 ///     contiguous TailPool (offset/length per continuation), and the
 ///     symbol/value stacks come from a caller-provided ParseScratch that
@@ -436,8 +438,10 @@ public:
   // and branch-free either way.
   //===--------------------------------------------------------------===//
 
-  /// The scan tables (engine/DispatchTier.h): Trans16, Trans8 under the
-  /// MaxSmallStates cutoff, the run-skip sets and the tier bounds.
+  /// The scan tables (engine/DispatchTier.h): the transition table in
+  /// the one width the state count selects (Trans8 up to
+  /// MaxSmallStates states, else Trans16), the run-skip sets and the
+  /// tier bounds.
   ///
   /// State ids are tiered (the dispatch-tier encoding). The coarse
   /// partition: [0, SelfSkip) accept a SelfSkip (F2 whitespace)
@@ -631,8 +635,7 @@ public:
   /// a lexeme (skip bytes count: F2 gives every nonterminal a
   /// whitespace production, so its dispatch row covers them).
   bool entryLive(NtId N, unsigned char B) const {
-    const size_t Row = static_cast<size_t>(Nts[N].StartState) * 256 + B;
-    return Scan.Trans16[Row] >= 0;
+    return Scan.next(Nts[N].StartState, B) >= 0;
   }
   std::vector<std::vector<ActionId>> EpsChains;
 

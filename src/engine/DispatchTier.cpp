@@ -13,13 +13,12 @@
 using namespace flap;
 
 int ScanTables::numClasses() const {
-  const size_t NumStates = Trans16.size() / 256;
-  std::set<std::vector<int16_t>> Columns;
-  std::vector<int16_t> Col(NumStates);
+  std::set<std::vector<int32_t>> Columns;
   for (int C = 0; C < 256; ++C) {
-    for (size_t S = 0; S < NumStates; ++S)
-      Col[S] = Trans16[S * 256 + C];
-    Columns.insert(Col);
+    std::vector<int32_t> Col(Skip.size()); // one entry per state
+    for (size_t S = 0; S < Col.size(); ++S)
+      Col[S] = next(S, C);
+    Columns.insert(std::move(Col));
   }
   return static_cast<int>(Columns.size());
 }
@@ -34,8 +33,10 @@ flap::buildScanTables(ScanTables &T, const std::vector<int32_t> &Rows,
   // Dispatch-tier renumbering: tier by tier, old ids in order.
   std::vector<int> TierOfOld(NumStates);
   for (size_t S = 0; S < NumStates; ++S)
-    TierOfOld[S] = dispatchtier::tierOf(Classes[S],
-                                        dispatchtier::outShape(Rows, S));
+    TierOfOld[S] = dispatchtier::tierOf(
+        Classes[S],
+        dispatchtier::outShape([&](int C) { return Rows[S * 256 + C]; },
+                               static_cast<int32_t>(S)));
   int32_t *const Ends[5] = {&T.Tiers.PureSkip, &T.Tiers.SelfSkip,
                             &T.Tiers.TermAcc, &T.Tiers.PureAcc,
                             &T.Tiers.Accept};
@@ -49,31 +50,28 @@ flap::buildScanTables(ScanTables &T, const std::vector<int32_t> &Rows,
       *Ends[Tier] = NextId;
   }
 
-  T.Trans16.assign(NumStates * 256, static_cast<int16_t>(-1));
-  for (size_t S = 0; S < NumStates; ++S)
-    for (int C = 0; C < 256; ++C) {
-      int32_t D = Rows[S * 256 + C];
-      if (D >= 0)
-        T.Trans16[static_cast<size_t>(Perm[S]) * 256 + C] =
-            static_cast<int16_t>(Perm[D]);
-    }
+  // The permuted rows, in the one width the state count selects.
+  auto Fill = [&](auto &Cells, auto Dead) {
+    Cells.assign(NumStates * 256, Dead);
+    for (size_t S = 0; S < NumStates; ++S)
+      for (int C = 0; C < 256; ++C)
+        if (int32_t D = Rows[S * 256 + C]; D >= 0)
+          Cells[static_cast<size_t>(Perm[S]) * 256 + C] =
+              static_cast<decltype(Dead)>(Perm[D]);
+  };
+  if (NumStates <= ScanTables::MaxSmallStates)
+    Fill(T.Trans8, scankernel::Tab8::Dead);
+  else
+    Fill(T.Trans16, scankernel::Tab16::Dead);
 
   // Run-state skip metadata: the byte set on which each state loops to
   // itself (identifier/number/whitespace/string interiors).
   T.Skip.assign(NumStates, SkipSet{});
   for (size_t S = 0; S < NumStates; ++S) {
     for (int C = 0; C < 256; ++C)
-      if (T.Trans16[S * 256 + C] == static_cast<int32_t>(S))
+      if (T.next(S, C) == static_cast<int32_t>(S))
         T.Skip[S].set(static_cast<unsigned char>(C));
     T.Skip[S].finalize();
-  }
-
-  T.Trans8.clear();
-  if (NumStates <= ScanTables::MaxSmallStates) {
-    T.Trans8.assign(NumStates * 256, ScanTables::Dead8);
-    for (size_t I = 0; I < NumStates * 256; ++I)
-      if (T.Trans16[I] >= 0)
-        T.Trans8[I] = static_cast<uint8_t>(T.Trans16[I]);
   }
   return Perm;
 }

@@ -8,11 +8,17 @@
 /// \file
 /// The scan-table set shared by the staged machine (engine/Compile.cpp)
 /// and the standalone lexer DFA (lexer/CompiledLexer.cpp): the
-/// byte-indexed transition tables, the run-skip sets and the
+/// byte-indexed transition table, the run-skip sets and the
 /// dispatch-tier bounds the scan kernel (engine/ScanKernel.h) runs on.
 /// Both machines hold one ScanTables and fill it through the one
 /// buildScanTables(); the table audit (engine/Verify.cpp) and the
 /// artifact sections (engine/Artifact.cpp) each handle it once, for both.
+///
+/// A machine stores its transition function once, in the width its
+/// state count selects: uint8 (Trans8) up to MaxSmallStates states,
+/// int16 (Trans16) above. The hot kernels pick the stored width once
+/// per call (scankernel::withWidth); every cold reader (emitter,
+/// resync, verifier, reports) goes through ScanTables::next().
 ///
 /// Both machines renumber their states so one transition load
 /// classifies a lexeme's entry — the soundness of every first-byte
@@ -65,19 +71,19 @@ enum class AcceptClass : uint8_t {
   None      ///< not accepting
 };
 
-/// Outgoing shape of state \p S over its per-byte row Rows[S*256 + C]
+/// Outgoing shape of state \p S whose successor on byte C is Next(C)
 /// (negative = dead): 0 = no transitions, 1 = self-loop only,
 /// 2 = general. The shape half of the tier classification, exposed so
 /// the table verifier (engine/Verify.cpp) re-derives each state's tier
 /// through the exact code that assigned it.
-template <typename RowsT> int outShape(const RowsT &Rows, size_t S) {
+template <typename NextFn> int outShape(NextFn &&Next, int32_t S) {
   bool Any = false, Other = false;
   for (int C = 0; C < 256; ++C) {
-    int32_t D = Rows[S * 256 + C];
+    int32_t D = Next(C);
     if (D < 0)
       continue;
     Any = true;
-    Other |= D != static_cast<int32_t>(S);
+    Other |= D != S;
   }
   return Other ? 2 : (Any ? 1 : 0);
 }
@@ -117,14 +123,14 @@ inline int tierOfId(const Bounds &B, int32_t S) {
 
 /// One machine's scan tables: everything the scan kernel reads.
 struct ScanTables {
-  /// [State*256 + Byte] → next state, or -1 (dead): the int16 hot-loop
-  /// table. Under the dispatch-tier encoding every state's 256-entry row
+  /// [State*256 + Byte] → next state: the hot-loop transition table.
+  /// Exactly one width is stored — Trans8 (dead = Dead8) when the
+  /// machine has at most MaxSmallStates states (every benchmark grammar
+  /// and lexer: fits L1), Trans16 (dead = -1) otherwise; the other stays
+  /// empty. Under the dispatch-tier encoding every state's 256-entry row
   /// is also its first-byte dispatch table: no separate array is
   /// materialized, so dispatch costs zero extra cache footprint.
   Table<int16_t> Trans16;
-  /// The same function narrowed to uint8 (sentinel Dead8) when the
-  /// machine has at most MaxSmallStates states (every benchmark grammar
-  /// and lexer): fits L1. Empty otherwise.
   Table<uint8_t> Trans8;
   /// [State] → the bytes on which the state loops to itself (lexeme
   /// interiors); the scan hands those runs to the bulk classifier.
@@ -137,18 +143,61 @@ struct ScanTables {
   /// would alias state id 255 with the sentinel.
   static constexpr size_t MaxSmallStates = 255;
 
-  /// Distinct byte columns of Trans16 — the machine's character classes
-  /// (§5.5). Counted on demand: a cold path for reports and tests.
+  /// Successor of state \p S on byte \p C in whichever width is
+  /// stored, or -1 (dead). The cold readers' one accessor; the hot
+  /// kernels read the table of their width directly.
+  int32_t next(size_t S, unsigned char C) const;
+
+  /// Distinct byte columns of the transition table — the machine's
+  /// character classes (§5.5). Counted on demand: a cold path for
+  /// reports and tests.
   int numClasses() const;
 };
+
+namespace scankernel {
+
+/// Table-width traits: the scan and residual loop are instantiated once
+/// per width, so no `Small ?` branch or pointer re-selection survives
+/// into the per-scan path.
+struct Tab8 {
+  using Cell = uint8_t;
+  static constexpr Cell Dead = ScanTables::Dead8;
+  static const Cell *table(const ScanTables &T) { return T.Trans8.data(); }
+  static bool dead(Cell V) { return V == Dead; }
+};
+struct Tab16 {
+  using Cell = int16_t;
+  static constexpr Cell Dead = -1;
+  static const Cell *table(const ScanTables &T) { return T.Trans16.data(); }
+  static bool dead(Cell V) { return V < 0; }
+};
+
+/// The one run-time width switch: calls \p F with Tab8{} when the
+/// machine stores the 8-bit table, else Tab16{}, so a driver names its
+/// instantiation once (`using Tab = decltype(Width)`).
+template <typename Fn>
+FLAP_SINK_INLINE decltype(auto) withWidth(const ScanTables &T, Fn &&F) {
+  return T.Trans8.empty() ? F(Tab16{}) : F(Tab8{});
+}
+
+} // namespace scankernel
+
+inline int32_t ScanTables::next(size_t S, unsigned char C) const {
+  return scankernel::withWidth(*this, [&](auto Width) -> int32_t {
+    using Tab = decltype(Width);
+    const typename Tab::Cell V = Tab::table(*this)[S * 256 + C];
+    return Tab::dead(V) ? -1 : static_cast<int32_t>(V);
+  });
+}
 
 /// Fills \p T from a machine's pre-renumbering per-byte rows
 /// (Rows[S*256 + C], negative = dead) and per-state accept classes
 /// (\p Classes, one per state): renumbers the states into the
-/// dispatch tiers, writes the permuted rows to Trans16 (and to Trans8
-/// under the MaxSmallStates cutoff), derives each state's exact skip
-/// set and records the tier bounds. The permutation is stable within
-/// each tier (ids sorted by old id), so the build is deterministic.
+/// dispatch tiers, writes the permuted rows to the one width the state
+/// count selects (Trans8 up to MaxSmallStates states, else Trans16),
+/// derives each state's exact skip set from them and records the tier
+/// bounds. The permutation is stable within each tier (ids sorted by old
+/// id), so the build is deterministic.
 /// \returns Perm with Perm[old] = new, so the caller can remap its own
 /// accept data and start states.
 std::vector<int32_t>

@@ -81,28 +81,6 @@
 namespace flap {
 namespace scankernel {
 
-/// Table-width traits: the scan and residual loop are instantiated once
-/// per width, so no `Small ?` branch or pointer re-selection survives
-/// into the per-scan path.
-struct Tab8 {
-  using Cell = uint8_t;
-  static const Cell *table(const ScanTables &T) { return T.Trans8.data(); }
-  static bool dead(Cell V) { return V == ScanTables::Dead8; }
-};
-struct Tab16 {
-  using Cell = int16_t;
-  static const Cell *table(const ScanTables &T) { return T.Trans16.data(); }
-  static bool dead(Cell V) { return V < 0; }
-};
-
-/// The one run-time width switch: calls \p F with Tab8{} when the
-/// machine has the 8-bit table, else Tab16{}, so a driver names its
-/// instantiation once (`using Tab = decltype(Width)`).
-template <typename Fn>
-FLAP_SINK_INLINE decltype(auto) withWidth(const ScanTables &T, Fn &&F) {
-  return T.Trans8.empty() ? F(Tab16{}) : F(Tab8{});
-}
-
 /// Marks a width lambda that runs a force-inlined kernel itself (the
 /// lexer's per-lexeme scan), so the kernel lands in the caller as it
 /// would without the lambda: `[&](auto Width) FLAP_WIDTH_INLINE {...}`.

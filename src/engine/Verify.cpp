@@ -104,20 +104,22 @@ bool rangesConsistent(const SkipSet &S) {
 /// rows and tier prefixes after it.
 struct ScanAudit {
   bool BoundsOk = true; ///< tier bounds monotone and within the machine
-  bool T16Ok = false;   ///< Trans16 holds one 256-entry row per state
-  bool RowsOk = false;  ///< ... and every target is in [-1, NS)
+  bool TableOk = false; ///< only the selected width, one row per state
+  bool RowsOk = false;  ///< ... and every cell is dead or a state id
 };
 
 /// The one scan-table audit (engine/DispatchTier.h), shared by the
-/// staged machine and the lexer DFA: tier bounds, table sizes, Trans16
-/// target ranges, Trans8 agreement, each state's tier re-derived from
-/// its outgoing shape and accept class through the exact DispatchTier.h
+/// staged machine and the lexer DFA: tier bounds, the one stored width
+/// (the one the state count selects, one 256-entry row per state) and
+/// its cell ranges, each state's tier re-derived from its outgoing
+/// shape and accept class through the exact DispatchTier.h
 /// classification that assigned it (what makes the dispatch fast
 /// paths' register compares sound), and each skip set's exactness and
 /// range/bitmap agreement (the SIMD and bitmap kernels must classify
-/// identically). \p Classes holds each state's accept class as the
-/// machine's own accept data claims it, or is empty when that data
-/// failed its own checks (the tier re-derivation is then skipped).
+/// identically). Every row is read through ScanTables::next(), the
+/// width the kernels run. \p Classes holds each state's accept class
+/// as the machine's own accept data claims it, or is empty when that
+/// data failed its own checks (the tier re-derivation is then skipped).
 ScanAudit
 auditScanTables(Checker &C, const ScanTables &T, size_t NS,
                 const std::vector<dispatchtier::AcceptClass> &Classes) {
@@ -142,65 +144,54 @@ auditScanTables(Checker &C, const ScanTables &T, size_t NS,
                    Tr.Accept, NS));
   }
 
-  A.T16Ok = C.expect(T.Trans16.size() == NS * 256);
-  if (!A.T16Ok)
-    C.error("Trans16", -1, -1,
-            format("%zu entries for %zu states (expected %zu)",
-                   T.Trans16.size(), NS, NS * 256));
-  // Trans8 is present exactly when the machine fits the 8-bit width: a
-  // small machine without it would silently run the wider kernel.
-  const bool T8Ok =
-      C.expect(T.Trans8.empty()
-                   ? NS > ScanTables::MaxSmallStates
-                   : (NS <= ScanTables::MaxSmallStates &&
-                      T.Trans8.size() == NS * 256));
-  if (!T8Ok)
-    C.error("Trans8", -1, -1,
-            format("%zu entries for %zu states (present, with %zu, iff "
-                   "at most %zu states)",
-                   T.Trans8.size(), NS, NS * 256,
-                   ScanTables::MaxSmallStates));
+  // One stored width, the one the state count selects: a small machine
+  // without Trans8 would silently run the wider kernel, and a second
+  // copy is a function nothing keeps in lockstep. The finding names the
+  // missing width, else the extra one.
+  const bool Small = NS <= ScanTables::MaxSmallStates;
+  const char *Name = Small ? "Trans8" : "Trans16";
+  const size_t Want = Small ? T.Trans8.size() : T.Trans16.size();
+  const size_t Other = Small ? T.Trans16.size() : T.Trans8.size();
+  A.TableOk = C.expect(Want == NS * 256 && Other == 0);
+  if (!A.TableOk)
+    C.error((Want != NS * 256) == Small ? "Trans8" : "Trans16", -1, -1,
+            format("a %zu-state machine stores %zu entries in %s only; "
+                   "found %zu there and %zu in the other width",
+                   NS, NS * 256, Name, Want, Other));
   const bool SkipOk = C.expect(T.Skip.size() == NS);
   if (!SkipOk)
     C.error("Skip", -1, -1,
             format("%zu skip sets for %zu states", T.Skip.size(), NS));
 
-  if (!A.T16Ok || !A.BoundsOk)
-    return A; // everything below walks Trans16 rows / tier prefixes
+  if (!A.TableOk || !A.BoundsOk)
+    return A; // everything below walks table rows / tier prefixes
 
   A.RowsOk = true;
-  for (size_t I = 0; I < T.Trans16.size(); ++I) {
-    int32_t D = T.Trans16[I];
-    if (!C.expect(D >= -1 && D < static_cast<int32_t>(NS))) {
-      A.RowsOk = false;
-      C.error(format("Trans16[%zu]", I), static_cast<int32_t>(I / 256),
-              -1, format("target %d out of range [-1, %zu)", D, NS));
-    }
-  }
-  if (T8Ok && !T.Trans8.empty())
-    for (size_t S = 0; S < NS; ++S)
-      for (int Bt = 0; Bt < 256; ++Bt) {
-        int32_t T16 = T.Trans16[S * 256 + Bt];
-        uint8_t T8 = T.Trans8[S * 256 + Bt];
-        bool Agree = T16 < 0 ? T8 == ScanTables::Dead8
-                             : T8 == static_cast<uint8_t>(T16) &&
-                                   T8 != ScanTables::Dead8;
-        if (!C.expect(Agree)) {
-          C.error(format("Trans8[%zu]", S * 256 + Bt),
-                  static_cast<int32_t>(S), -1,
-                  format("8-bit target %d disagrees with Trans16 target "
-                         "%d on byte %d",
-                         T8, T16, Bt));
-          break; // one finding per state row is enough
-        }
+  scankernel::withWidth(T, [&](auto Width) {
+    using Tab = decltype(Width);
+    const typename Tab::Cell *Cells = Tab::table(T);
+    for (size_t I = 0; I < NS * 256; ++I) {
+      const typename Tab::Cell V = Cells[I];
+      if (!C.expect(V == Tab::Dead ||
+                    (!Tab::dead(V) && static_cast<size_t>(V) < NS))) {
+        A.RowsOk = false;
+        C.error(format("%s[%zu]", Name, I),
+                static_cast<int32_t>(I / 256), -1,
+                format("target %d is neither dead (%d) nor in [0, %zu)",
+                       static_cast<int>(V), static_cast<int>(Tab::Dead),
+                       NS));
       }
+    }
+  });
   if (!A.RowsOk)
     return A;
 
   if (Classes.size() == NS)
     for (size_t S = 0; S < NS; ++S) {
       int Derived = dispatchtier::tierOf(
-          Classes[S], dispatchtier::outShape(T.Trans16, S));
+          Classes[S],
+          dispatchtier::outShape([&](int Bt) { return T.next(S, Bt); },
+                                 static_cast<int32_t>(S)));
       int Claimed = dispatchtier::tierOfId(Tr, static_cast<int32_t>(S));
       if (!C.expect(Derived == Claimed))
         C.error("tier", static_cast<int32_t>(S), -1,
@@ -214,7 +205,7 @@ auditScanTables(Checker &C, const ScanTables &T, size_t NS,
       bool Exact = true;
       for (int Bt = 0; Bt < 256 && Exact; ++Bt)
         Exact = T.Skip[S].test(static_cast<unsigned char>(Bt)) ==
-                (T.Trans16[S * 256 + Bt] == static_cast<int32_t>(S));
+                (T.next(S, Bt) == static_cast<int32_t>(S));
       if (!C.expect(Exact))
         C.error(format("Skip[%zu]", S), static_cast<int32_t>(S), -1,
                 "skip set disagrees with the state's self-loop bytes");
@@ -460,7 +451,6 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
   if (!ClassesOk)
     Classes.clear();
   const ScanAudit SA = auditScanTables(C, M.Scan, NS, Classes);
-  const bool RowsOk = SA.RowsOk;
 
   //===------------------------------------------------------------===//
   // Structural sizes. Later passes index off these, so a wrong size
@@ -496,8 +486,8 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
   if (!ActsOk)
     C.error("Actions", -1, -1, "action table pointer is null");
 
-  if (!SA.T16Ok || !SA.BoundsOk)
-    return R; // everything below walks Trans16 rows / tier prefixes
+  if (!SA.TableOk || !SA.BoundsOk)
+    return R; // everything below walks table rows / tier prefixes
 
   //===------------------------------------------------------------===//
   // Continuations and their pools.
@@ -867,7 +857,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
     if (M.AcceptCont[S] >= 0)
       return false;
     for (int B = 0; B < 256; ++B)
-      if (M.Scan.Trans16[static_cast<size_t>(S) * 256 + B] >= 0)
+      if (M.Scan.next(S, B) >= 0)
         return false;
     return true;
   };
@@ -924,7 +914,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
   // consistent, and a nonterminal advertising sync must have a live
   // entry dispatch row to resume into.
   //===------------------------------------------------------------===//
-  if (NtParOk && NtsOk && RowsOk)
+  if (NtParOk && NtsOk && SA.RowsOk)
     for (size_t N = 0; N < NumNts; ++N) {
       const CompiledParser::SyncSpec &SS = M.SyncSpecs[N];
       if (!C.expect(SS.HasSync == !SS.Sync.empty()))
@@ -985,7 +975,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
         int32_t SS0 = M.Nts[N].StartState;
         bool Live = false;
         for (int B = 0; B < 256 && !Live; ++B)
-          Live = M.Scan.Trans16[static_cast<size_t>(SS0) * 256 + B] >= 0;
+          Live = M.Scan.next(SS0, B) >= 0;
         if (!C.expect(Live))
           C.error(format("SyncSpecs[%zu]", N), SS0,
                   static_cast<int32_t>(N),
@@ -1002,11 +992,12 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
   // collision is itself a finding. Accepting states then map their
   // continuations back to owning nonterminals.
   //===------------------------------------------------------------===//
-  if (!RowsOk || !AcceptRefsOk || !NtsOk || !ContsOk || !MetaOk ||
+  if (!SA.RowsOk || !AcceptRefsOk || !NtsOk || !ContsOk || !MetaOk ||
       !OpsOk || !EpsOk || !PoolsOk || !ActsOk)
     return R; // value flow below assumes the structure just checked
 
   constexpr int32_t Unowned = -1, SkipOwner = -2;
+  const char *Trans = M.Scan.Trans8.empty() ? "Trans16" : "Trans8";
   std::vector<int32_t> Owner(NS, Unowned);
   {
     std::vector<int32_t> Work;
@@ -1015,7 +1006,7 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
         Owner[S0] = Own;
         Work.push_back(S0);
       } else if (!C.expect(Owner[S0] == Own))
-        C.error("Trans16", S0, Own >= 0 ? Own : -1,
+        C.error(Trans, S0, Own >= 0 ? Own : -1,
                 "state reachable from two different nonterminal "
                 "entries");
     };
@@ -1028,14 +1019,14 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
       int32_t S = Work.back();
       Work.pop_back();
       for (int B = 0; B < 256; ++B) {
-        int32_t D = M.Scan.Trans16[static_cast<size_t>(S) * 256 + B];
+        int32_t D = M.Scan.next(S, B);
         if (D < 0)
           continue;
         if (Owner[D] == Unowned) {
           Owner[D] = Owner[S];
           Work.push_back(D);
         } else if (!C.expect(Owner[D] == Owner[S]))
-          C.error("Trans16", D, Owner[S] >= 0 ? Owner[S] : -1,
+          C.error(Trans, D, Owner[S] >= 0 ? Owner[S] : -1,
                   "state reachable from two different nonterminal "
                   "entries");
       }
@@ -1162,6 +1153,16 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
     }
 
     for (size_t N = 0; N < NumNts; ++N) {
+      // compileFused tolerates a nonterminal whose productions and
+      // ε-chain disagree on its net stack effect by leaving it out of
+      // the minimum-excursion proof, but a typed grammar never yields
+      // one: here it is a corrupted chain or pool, and a path through
+      // it may pop below the frame the start symbol's proof covers.
+      // (The rewritten world shares the chains, and each of its
+      // productions is held to its reference production above.)
+      if (Ref.Known[N] && !C.expect(Ref.Usable[N]))
+        C.error("net", -1, static_cast<int32_t>(N),
+                "productions and ε-chain disagree on the net stack effect");
       if (Ref.Known[N] && Rw.Known[N]) {
         int32_t Want = Ref.Net[N] - (M.Nts[N].ValueFree ? 1 : 0);
         if (!C.expect(Rw.Net[N] == Want))

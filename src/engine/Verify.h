@@ -58,7 +58,7 @@ struct VerifyFinding {
 
   Severity Sev = Severity::Error;
   std::string Component; ///< "parser", "lexer" or "grammar"
-  std::string Field;     ///< e.g. "Trans16[12]", "AccMeta[7]", "Tiers.TermAcc"
+  std::string Field;     ///< e.g. "Trans8[12]", "AccMeta[7]", "Tiers.TermAcc"
   int32_t State = -1;    ///< machine state the finding anchors to, or -1
   int32_t Nt = -1;       ///< nonterminal the finding anchors to, or -1
   std::string Detail;    ///< what the invariant required vs. what was found
@@ -93,8 +93,8 @@ struct VerifyReport {
 };
 
 /// Audits every CompiledParser invariant: tier-bound monotonicity and
-/// per-state tier conformance (re-derived via DispatchTier.h), the three
-/// transition tables' ranges and mutual agreement, packed-width limits,
+/// per-state tier conformance (re-derived via DispatchTier.h), the one
+/// stored transition width and its cell ranges, packed-width limits,
 /// AccMeta/AccNtMeta bounds and cross-pool structural agreement, skip-set
 /// exactness, abstract interpretation of every ε-program and packed
 /// continuation tail (net stack effect, minimum excursion, ValueFree
@@ -103,7 +103,8 @@ VerifyReport verifyCompiledParser(const CompiledParser &M,
                                   const VerifyOptions &Opts = {});
 
 /// Audits the standalone lexer DFA: accept-prefix consistency, tier
-/// bounds, transition-table agreement, skip-set exactness.
+/// bounds, the one stored transition width and its cell ranges, skip-set
+/// exactness.
 VerifyReport verifyCompiledLexer(const CompiledLexer &L,
                                  const VerifyOptions &Opts);
 inline VerifyReport verifyCompiledLexer(const CompiledLexer &L) {

@@ -76,7 +76,7 @@ private:
   friend class StreamLexer;
   friend VerifyReport flap::verifyCompiledLexer(const CompiledLexer &L,
                                                 const VerifyOptions &Opts);
-  friend class VerifyTestPeer; ///< mutation suite (tests/VerifyTest.cpp)
+  friend class LexerTestPeer; ///< table fixtures (tests/ScanWidth.h)
   /// Zero-copy artifact serialization/loading (engine/Artifact.cpp):
   /// writes the tables out raw and borrows them back from a mapping.
   friend struct ArtifactAccess;

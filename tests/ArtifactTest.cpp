@@ -337,6 +337,21 @@ TEST(ArtifactCorruption, HeaderFieldFlipsAreRejected) {
   M.FormatVersion = ArtifactFormatVersion + 1;
   expectRejected(withHeader(M), "future version", true);
 
+  // Version 2 stored both transition widths of a small machine; its
+  // blobs are refused by version, before any section is read.
+  M = H;
+  M.FormatVersion = 2;
+  {
+    std::string B = withHeader(M);
+    rehashArtifact(B);
+    auto A = loadArtifact(MappedBlob::fromBuffer(std::move(B)),
+                          R.Def->L->Actions);
+    ASSERT_FALSE(A.ok()) << "version 2 loaded";
+    EXPECT_NE(A.error().find("format version 2 unsupported"),
+              std::string::npos)
+        << A.error();
+  }
+
   M = H;
   M.TraitsWord ^= 1;
   expectRejected(withHeader(M), "ABI traits mismatch", true);

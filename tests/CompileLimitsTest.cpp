@@ -11,15 +11,19 @@
 /// Dead8 sentinel (0xff) free. Grammars exceeding any width must fail
 /// *gracefully* in compileFused — a silent wrap would corrupt every
 /// packed symbol — and the 8-bit/16-bit cutoff must sit exactly at 255
-/// states (a 256-state machine would alias state id 255 with Dead8).
-/// The lexer DFA runs on the same int16 scan tables, so a rule set past
-/// that width is refused the same way.
+/// states (a 256-state machine would alias state id 255 with Dead8),
+/// each side storing only its own width. The lexer DFA runs on the same
+/// scan tables: the same cutoff selects its width, and a rule set past
+/// the int16 width is refused the same way.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/Compile.h"
 #include "lexer/CompiledLexer.h"
+#include "lexer/LexerInterp.h"
 #include "regex/Regex.h"
+
+#include "ScanWidth.h"
 
 #include <gtest/gtest.h>
 
@@ -124,8 +128,9 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
     Result<CompiledParser> M = machineWithStates(Arena, Actions, 255, Input);
     ASSERT_TRUE(M.ok()) << M.error();
     ASSERT_EQ(M->numStates(), 255);
-    EXPECT_FALSE(M->Scan.Trans8.empty())
+    EXPECT_EQ(M->Scan.Trans8.size(), 255u * 256)
         << "255-state machine should select the uint8 table";
+    EXPECT_TRUE(M->Scan.Trans16.empty()) << "one stored width";
     // Every non-dead cell must stay clear of the Dead8 sentinel.
     for (uint8_t Cell : M->Scan.Trans8)
       if (Cell != ScanTables::Dead8)
@@ -138,7 +143,7 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
 
     // The 16-bit kernel over the same machine agrees byte-for-byte.
     CompiledParser Wide = *M;
-    Wide.Scan.Trans8.clear();
+    forceTrans16(Wide.Scan);
     Result<Value> A = M->parse(Input, Scr), B = Wide.parse(Input, Scr);
     ASSERT_TRUE(A.ok() && B.ok());
     EXPECT_EQ(*A, *B);
@@ -154,10 +159,53 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
     ASSERT_EQ(M->numStates(), 256);
     EXPECT_TRUE(M->Scan.Trans8.empty())
         << "256-state machine would alias state id 255 with Dead8";
+    EXPECT_EQ(M->Scan.Trans16.size(), 256u * 256);
     ParseScratch Scr;
     EXPECT_TRUE(M->parse(Input, Scr).ok());
     EXPECT_TRUE(M->recognize(Input, Scr));
     EXPECT_FALSE(M->parse(Input + "a", Scr).ok());
+  }
+}
+
+TEST(CompileLimitsTest, LexerTrans8CutoffIsExactlyAtDead8Boundary) {
+  // The lexer DFA selects its width by the same cutoff. One literal rule
+  // a^N plus a skip rule stages to N + 2 states: the start state, one
+  // per nonempty prefix of the literal, and the skip state.
+  for (int NumStates : {255, 256}) {
+    SCOPED_TRACE(NumStates);
+    RegexArena Arena;
+    TokenSet Toks;
+    LexerSpec Spec(Arena, Toks);
+    const std::string Word(static_cast<size_t>(NumStates) - 2, 'a');
+    Spec.rule(Word, "word");
+    Spec.skip(" ");
+    const CanonicalLexer C = Spec.canonicalize().take();
+    const CompiledLexer L(Arena, C);
+    ASSERT_TRUE(L.status().ok()) << L.status().error();
+    ASSERT_EQ(L.numStates(), NumStates);
+    const ScanTables &T = LexerTestPeer::scan(L);
+    const size_t Cells = static_cast<size_t>(NumStates) * 256;
+    if (NumStates == 255) {
+      EXPECT_EQ(T.Trans8.size(), Cells);
+      EXPECT_TRUE(T.Trans16.empty());
+    } else {
+      EXPECT_TRUE(T.Trans8.empty());
+      EXPECT_EQ(T.Trans16.size(), Cells);
+    }
+    // The deepest state is reached and accepts; one byte more or less,
+    // or a foreign byte, is rejected where the reference rejects it.
+    for (const std::string &In :
+         {Word, Word + " " + Word + " ", " " + Word, Word.substr(1),
+          Word + "a", Word + "b", std::string("b"), std::string()}) {
+      Result<std::vector<Lexeme>> Want = lexAll(Arena, C, In);
+      Result<std::vector<Lexeme>> Got = L.lexAll(In);
+      ASSERT_EQ(Want.ok(), Got.ok()) << In.size() << "-byte input";
+      if (Want.ok())
+        EXPECT_EQ(*Want, *Got) << In.size() << "-byte input";
+      else
+        EXPECT_EQ(Want.error(), Got.error());
+    }
+    EXPECT_EQ(L.lexAll(Word + " " + Word)->size(), 2u);
   }
 }
 

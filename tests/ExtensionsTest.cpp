@@ -15,6 +15,8 @@
 #include "engine/Pipeline.h"
 #include "grammars/Grammars.h"
 
+#include "ScanWidth.h"
+
 #include <gtest/gtest.h>
 
 using namespace flap;
@@ -178,44 +180,14 @@ TEST(DiagnosticsTest, ErrorsNameExpectedTokens) {
 
 TEST(BigMachineTest, Int16FallbackPath) {
   // Many long distinct keyword tokens force the DFA past 255 states.
-  auto Def = std::make_shared<GrammarDef>("big");
-  Lang &L = *Def->L;
-  std::vector<TokenId> Kws;
   std::vector<std::string> Words;
-  for (int I = 0; I < 80; ++I) {
-    // Distinct 12-char keywords with distinct prefixes so DFA states
-    // cannot share: first two chars encode the index.
-    std::string W;
-    W += static_cast<char>('a' + I % 26);
-    W += static_cast<char>('a' + (I / 26) % 26);
-    for (int J = 0; J < 10; ++J)
-      W += static_cast<char>('a' + (I * 11 + J * 5) % 26);
-    if (std::find(Words.begin(), Words.end(), W) != Words.end())
-      continue;
-    Words.push_back(W);
-    Kws.push_back(Def->Lexer->rule(W, "kw" + std::to_string(I)));
-  }
-  Def->Lexer->skip(" ");
-  // Grammar: count of keywords, any of them, repeated.
-  Px Any = L.map(
-      L.tok(Kws[0]), [](ParseContext &, Value *) { return Value::integer(1); },
-      "one");
-  for (size_t I = 1; I < Kws.size(); ++I)
-    Any = L.alt(Any, L.map(L.tok(Kws[I]),
-                           [](ParseContext &, Value *) {
-                             return Value::integer(1);
-                           },
-                           "one"));
-  Def->Root = L.foldr(
-      Any, Value::integer(0),
-      [](ParseContext &, Value *A) {
-        return Value::integer(A[0].asInt() + A[1].asInt());
-      },
-      "sum");
+  auto Def = makeBigMachineGrammar(Words);
   auto P = compileFlap(Def);
   ASSERT_TRUE(P.ok()) << P.error();
   ASSERT_GT(P->M.numStates(), 255) << "fixture no longer exercises int16";
   EXPECT_TRUE(P->M.Scan.Trans8.empty());
+  EXPECT_EQ(P->M.Scan.Trans16.size(),
+            static_cast<size_t>(P->M.numStates()) * 256);
 
   std::string In;
   int64_t N = 0;

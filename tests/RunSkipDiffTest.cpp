@@ -24,6 +24,8 @@
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
 
+#include "ScanWidth.h"
+
 #include <gtest/gtest.h>
 
 using namespace flap;
@@ -31,11 +33,12 @@ using namespace flap;
 namespace {
 
 /// Machines under differential test for one grammar: the 8-bit kernel
-/// and the machine with Trans8 suppressed (forcing the 16-bit kernel).
+/// and the machine with Trans8 widened into Trans16 (forcing the 16-bit
+/// kernel).
 struct Rig {
   std::shared_ptr<GrammarDef> Def;
   FlapParser P;
-  CompiledParser Wide; ///< copy with Trans8 cleared → scan16 path
+  CompiledParser Wide; ///< copy with Trans8 widened → scan16 path
   ParseScratch Scratch;
 
   explicit Rig(std::shared_ptr<GrammarDef> D) : Def(std::move(D)) {
@@ -46,7 +49,7 @@ struct Rig {
     }
     P = R.take();
     Wide = P.M;
-    Wide.Scan.Trans8.clear();
+    forceTrans16(Wide.Scan);
   }
 
   void *fresh(std::shared_ptr<void> &C) {
@@ -205,7 +208,7 @@ TEST(RunSkipDiffTest, DispatchTierInvariantsHoldOnEveryMachine) {
     for (int32_t S = 0; S < M.numStates(); ++S) {
       bool Any = false, Other = false;
       for (int C = 0; C < 256; ++C) {
-        int16_t D = M.Scan.Trans16[static_cast<size_t>(S) * 256 + C];
+        int32_t D = M.Scan.next(S, C);
         if (D < 0)
           continue;
         Any = true;
@@ -230,7 +233,7 @@ TEST(RunSkipDiffTest, DispatchTierInvariantsHoldOnEveryMachine) {
       // Skip metadata agrees with the self-loop row.
       for (int C = 0; C < 256; ++C)
         EXPECT_EQ(M.Scan.Skip[S].test(static_cast<unsigned char>(C)),
-                  M.Scan.Trans16[static_cast<size_t>(S) * 256 + C] == S)
+                  M.Scan.next(S, C) == S)
             << "byte " << C;
     }
   }

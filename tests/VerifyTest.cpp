@@ -8,7 +8,8 @@
 /// The verifier's contract is negative: engine/Verify.h must flag a
 /// corrupted table *before* the hot loops ever see it. This suite
 /// injects single-field corruptions — one mutated copy per field class,
-/// over every benchmark grammar — and requires the verifier to report
+/// over every benchmark grammar and one >255-state grammar, whose
+/// machines store the 16-bit table — and requires the verifier to report
 /// an Error or Warning for at least 95% of the applied mutations. The
 /// misses that remain must be harmless in the strongest sense we can
 /// test: any mutated table the verifier passes is fed to the engine,
@@ -23,10 +24,13 @@
 
 #include "engine/Verify.h"
 
+#include "engine/Artifact.h"
 #include "engine/Compile.h"
 #include "engine/Pipeline.h"
 #include "grammars/Grammars.h"
 #include "lexer/CompiledLexer.h"
+
+#include "ScanWidth.h"
 
 #include <gtest/gtest.h>
 
@@ -34,20 +38,6 @@
 #include <functional>
 #include <string>
 #include <vector>
-
-namespace flap {
-
-/// Friend of CompiledLexer: hands the mutation suite mutable references
-/// into the private DFA tables (declared in lexer/CompiledLexer.h).
-class VerifyTestPeer {
-public:
-  static ScanTables &scan(CompiledLexer &L) { return L.Scan; }
-  static Table<int32_t> &accept(CompiledLexer &L) { return L.Accept; }
-  static Table<TokenId> &toks(CompiledLexer &L) { return L.Toks; }
-  static int32_t &start(CompiledLexer &L) { return L.Start; }
-};
-
-} // namespace flap
 
 using namespace flap;
 
@@ -145,9 +135,11 @@ std::vector<ParserMutation> parserMutations() {
     return true;
   });
 
-  // Transition tables: the two widths are redundant, so any
-  // single-entry change breaks their agreement (or a range, a tier or a
-  // skip set).
+  // Transition table, in the one width the machine stores (Trans16
+  // mutations apply to the >255-state machine only): a flipped cell
+  // changes its state's shape (tier), self-loop bytes (skip set) or
+  // reachability (ownership); an out-of-range cell fails the range
+  // check.
   Add("Trans16 flip", [](CompiledParser &M) {
     if (M.Scan.Trans16.empty())
       return false;
@@ -166,6 +158,12 @@ std::vector<ParserMutation> parserMutations() {
       return false;
     M.Scan.Trans8[0] =
         M.Scan.Trans8[0] == ScanTables::Dead8 ? 0 : ScanTables::Dead8;
+    return true;
+  });
+  Add("Trans8 out-of-range", [](CompiledParser &M) {
+    if (M.Scan.Trans8.empty() || M.numStates() >= ScanTables::Dead8)
+      return false;
+    M.Scan.Trans8[0] = static_cast<uint8_t>(M.numStates());
     return true;
   });
 
@@ -315,6 +313,21 @@ std::vector<ParserMutation> parserMutations() {
         Ch.push_back(Ch[0]);
         return true;
       }
+    return false;
+  });
+  Add("EpsChain arity changed, program rebuilt", [](CompiledParser &M) {
+    // What an artifact load of a corrupted chain sees: the programs are
+    // rebuilt from the chains, so they agree; only the value flow can
+    // tell the chain's net from its nonterminal's.
+    for (std::vector<ActionId> &Ch : M.EpsChains)
+      for (ActionId &A : Ch)
+        for (size_t B = 0; B < M.Actions->size(); ++B)
+          if (M.Actions->get(static_cast<ActionId>(B)).Arity !=
+              M.Actions->get(A).Arity) {
+            A = static_cast<ActionId>(B);
+            buildEpsPrograms(M, *M.Actions);
+            return true;
+          }
     return false;
   });
   Add("EpsProgram off+1", [](CompiledParser &M) {
@@ -487,7 +500,7 @@ std::vector<ParserMutation> parserMutations() {
 }
 
 std::vector<LexerMutation> lexerMutations() {
-  using P = VerifyTestPeer;
+  using P = LexerTestPeer;
   std::vector<LexerMutation> Ms;
   auto Add = [&](const char *Name, std::function<bool(CompiledLexer &)> Fn) {
     Ms.push_back({Name, std::move(Fn)});
@@ -524,6 +537,12 @@ std::vector<LexerMutation> lexerMutations() {
     if (P::scan(L).Trans8.empty())
       return false;
     P::scan(L).Trans8[0] = P::scan(L).Trans8[0] == 0xff ? 0 : 0xff;
+    return true;
+  });
+  Add("lexer Trans8 out-of-range", [](CompiledLexer &L) {
+    if (P::scan(L).Trans8.empty() || L.numStates() >= ScanTables::Dead8)
+      return false;
+    P::scan(L).Trans8[0] = static_cast<uint8_t>(L.numStates());
     return true;
   });
   Add("lexer Skip bit dropped", [](CompiledLexer &L) {
@@ -604,13 +623,19 @@ TEST(VerifyTest, CleanTablesVerifyCleanly) {
 
 TEST(VerifyTest, SingleFieldCorruptionsAreFlaggedBeforeEngineEntry) {
   Tally T;
-  for (auto &Def : allBenchmarkGrammars()) {
+  auto Run = [&](std::shared_ptr<GrammarDef> Def, const std::string &Sample) {
     auto P = compileFlap(Def);
     ASSERT_TRUE(P.ok()) << Def->Name << ": " << P.error();
-    std::string Sample = sampleInput(Def->Name);
     runParserMutations(P.value(), Sample, T);
     runLexerMutations(P.value(), Sample, T);
-  }
+  };
+  for (auto &Def : allBenchmarkGrammars())
+    Run(Def, sampleInput(Def->Name));
+  // Every benchmark machine stores Trans8; this one's parser and lexer
+  // store Trans16, so the 16-bit mutations apply somewhere.
+  std::vector<std::string> Words;
+  std::shared_ptr<GrammarDef> Big = makeBigMachineGrammar(Words);
+  Run(Big, Words[0] + " " + Words[1]);
   ASSERT_GT(T.Applied, 0u);
   for (const std::string &Miss : T.Missed)
     std::printf("verifier miss (engine survived): %s\n", Miss.c_str());
@@ -641,42 +666,79 @@ TEST(VerifyTest, FindingsCarryStructuredAnchors) {
   EXPECT_TRUE(Anchored) << R.summary();
 }
 
-/// Trans8 is present exactly when a machine fits the 8-bit width: a
-/// machine of at most 255 states without it would silently run the
-/// wider kernel. The staged machine and the lexer DFA share one
-/// scan-table audit, so both give the same verdict for it: an Error.
-TEST(VerifyTest, SmallMachineWithoutTrans8IsAnError) {
-  auto HasError = [](const VerifyReport &R) {
+/// A machine stores its transition function once, in the width its
+/// state count selects: Trans8 up to MaxSmallStates states, Trans16
+/// above, the other table empty — when compiled and after an artifact
+/// reload. The staged machine and the lexer DFA share one scan-table
+/// audit, and both verifiers refuse a machine missing its width or
+/// carrying the other one as well.
+TEST(VerifyTest, ScanTablesHoldExactlyOneWidth) {
+  auto ExpectOneWidth = [](const ScanTables &T, int NumStates,
+                           const std::string &What) {
+    const size_t Cells = static_cast<size_t>(NumStates) * 256;
+    if (static_cast<size_t>(NumStates) <= ScanTables::MaxSmallStates) {
+      EXPECT_EQ(T.Trans8.size(), Cells) << What;
+      EXPECT_TRUE(T.Trans16.empty()) << What;
+    } else {
+      EXPECT_EQ(T.Trans16.size(), Cells) << What;
+      EXPECT_TRUE(T.Trans8.empty()) << What;
+    }
+  };
+  // Clears the stored width, or adds the other one; returns its name.
+  auto Corrupt = [](ScanTables &T, bool ClearStored) -> std::string {
+    const bool Narrow = !T.Trans8.empty();
+    if (ClearStored) {
+      Narrow ? T.Trans8.clear() : T.Trans16.clear();
+      return Narrow ? "Trans8" : "Trans16";
+    }
+    if (Narrow)
+      T.Trans16 = widened(T);
+    else
+      T.Trans8.assign(T.Trans16.size(), ScanTables::Dead8);
+    return Narrow ? "Trans16" : "Trans8";
+  };
+  auto HasError = [](const VerifyReport &R, const std::string &Field) {
     for (const VerifyFinding &F : R.Findings)
-      if (F.Sev == VerifyFinding::Severity::Error && F.Field == "Trans8")
+      if (F.Sev == VerifyFinding::Severity::Error && F.Field == Field)
         return true;
     return false;
   };
   VerifyOptions Opts;
   Opts.Lints = false;
-  size_t Parsers = 0, Lexers = 0;
-  for (auto &Def : allBenchmarkGrammars()) {
+
+  std::vector<std::shared_ptr<GrammarDef>> Defs = allBenchmarkGrammars();
+  std::vector<std::string> Words;
+  Defs.push_back(makeBigMachineGrammar(Words));
+  for (auto &Def : Defs) {
     auto P = compileFlap(Def);
     ASSERT_TRUE(P.ok()) << Def->Name << ": " << P.error();
-    CompiledParser M = P.value().M;
-    if (static_cast<size_t>(M.numStates()) <= ScanTables::MaxSmallStates) {
-      ASSERT_FALSE(M.Scan.Trans8.empty()) << Def->Name;
-      M.Scan.Trans8.clear();
-      EXPECT_TRUE(HasError(verifyCompiledParser(M, Opts)))
-          << Def->Name << " parser";
-      ++Parsers;
-    }
+    const CompiledParser &M = P.value().M;
     CompiledLexer L(*Def->Re, P.value().Canon);
-    if (static_cast<size_t>(L.numStates()) <= ScanTables::MaxSmallStates) {
-      ASSERT_FALSE(VerifyTestPeer::scan(L).Trans8.empty()) << Def->Name;
-      VerifyTestPeer::scan(L).Trans8.clear();
-      EXPECT_TRUE(HasError(verifyCompiledLexer(L, Opts)))
-          << Def->Name << " lexer";
-      ++Lexers;
+    const ScanTables &LS = LexerTestPeer::scan(L);
+    ExpectOneWidth(M.Scan, M.numStates(), Def->Name + " parser");
+    ExpectOneWidth(LS, L.numStates(), Def->Name + " lexer");
+
+    Result<LoadedArtifact> A =
+        loadArtifact(MappedBlob::fromBuffer(serializeArtifact(P.value(), &L)),
+                     Def->L->Actions);
+    ASSERT_TRUE(A.ok()) << Def->Name << ": " << A.error();
+    ASSERT_TRUE(A->Lexer) << Def->Name;
+    ExpectOneWidth(A->M.Scan, A->M.numStates(), Def->Name + " reloaded");
+    ExpectOneWidth(LexerTestPeer::scan(*A->Lexer), A->Lexer->numStates(),
+                   Def->Name + " reloaded lexer");
+
+    for (bool ClearStored : {true, false}) {
+      const char *How = ClearStored ? " cleared" : " second width";
+      CompiledParser BadM = M;
+      std::string Field = Corrupt(BadM.Scan, ClearStored);
+      EXPECT_TRUE(HasError(verifyCompiledParser(BadM, Opts), Field))
+          << Def->Name << " parser " << Field << How;
+      CompiledLexer BadL = L;
+      Field = Corrupt(LexerTestPeer::scan(BadL), ClearStored);
+      EXPECT_TRUE(HasError(verifyCompiledLexer(BadL, Opts), Field))
+          << Def->Name << " lexer " << Field << How;
     }
   }
-  EXPECT_GT(Parsers, 0u);
-  EXPECT_GT(Lexers, 0u);
 }
 
 } // namespace
