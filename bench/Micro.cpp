@@ -214,8 +214,7 @@ struct CopyingEventSink {
 
   void enter(NtId N) {
     ParseEvent E;
-    E.Kind = EventKind::Enter;
-    E.Nt = N;
+    E.KindId = ParseEvent::pack(EventKind::Enter, N);
     Out->push_back(E);
   }
   void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
@@ -223,23 +222,20 @@ struct CopyingEventSink {
     if (Tok == CompiledParser::MetaNoTok)
       return;
     ParseEvent E;
-    E.Kind = EventKind::Token;
-    E.Tok = static_cast<TokenId>(Tok);
     E.Begin = Begin;
-    E.End = End;
     E.TextData = Input.data() + Begin;
+    E.Len = static_cast<uint32_t>(End - Begin);
+    E.KindId = ParseEvent::pack(EventKind::Token, Tok);
     Out->push_back(E);
   }
   void marker(uint32_t OpIdx) {
     ParseEvent E;
-    E.Kind = EventKind::Reduce;
-    E.Op = OpIdx;
+    E.KindId = ParseEvent::pack(EventKind::Reduce, OpIdx);
     Out->push_back(E);
   }
   void eps(NtId N, int32_t) {
     ParseEvent E;
-    E.Kind = EventKind::Eps;
-    E.Nt = N;
+    E.KindId = ParseEvent::pack(EventKind::Eps, N);
     Out->push_back(E);
   }
 };

@@ -43,24 +43,24 @@ int main() {
   auto Drain = [&] {
     const ParseOutcome O = SP.drain(); // owns its events' text
     for (const ParseEvent &E : O.Events) {
-      ++Counts[static_cast<int>(E.Kind)];
+      ++Counts[static_cast<int>(E.kind())];
       if (Shown < 12) { // a taste of the stream
-        switch (E.Kind) {
+        switch (E.kind()) {
         case EventKind::Enter:
-          std::printf("  Enter  %s\n", P.M.NtNames[E.Nt].c_str());
+          std::printf("  Enter  %s\n", P.M.NtNames[E.nt()].c_str());
           break;
         case EventKind::Token:
           std::printf("  Token  %s @%llu-%llu '%.*s'\n",
-                      Def->Toks->name(E.Tok).c_str(),
+                      Def->Toks->name(E.tok()).c_str(),
                       static_cast<unsigned long long>(E.Begin),
-                      static_cast<unsigned long long>(E.End),
+                      static_cast<unsigned long long>(E.end()),
                       static_cast<int>(E.text().size()), E.text().data());
           break;
         case EventKind::Reduce:
-          std::printf("  Reduce op#%u\n", E.Op);
+          std::printf("  Reduce op#%u\n", E.op());
           break;
         case EventKind::Eps:
-          std::printf("  Eps    %s\n", P.M.NtNames[E.Nt].c_str());
+          std::printf("  Eps    %s\n", P.M.NtNames[E.nt()].c_str());
           break;
         }
         ++Shown;

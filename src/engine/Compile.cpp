@@ -782,6 +782,10 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
                         "16-bit packed accept-metadata width",
                         ContPLen[C]));
   }
+  if (M.OpPool.size() > CompiledParser::MaxOps)
+    return Err(format("%zu marker occurrences exceed the 30-bit event id "
+                      "width (max %zu)",
+                      M.OpPool.size(), CompiledParser::MaxOps));
   if (M.PackedPool.size() > 0xffffffffull)
     return Err("packed symbol pool exceeds the 32-bit accept-metadata "
                "offset width");
@@ -879,7 +883,7 @@ void wholeLoop(const CompiledParser &M, NtId R, std::string_view Input,
       Sk.failTrailing(Pos);
       Ok = false;
     }
-    Sk.endSegment(Ok || Sk.FailTrailing, Out);
+    Sk.endSegment(Ok || Sk.failedTrailing(), Out);
     if (Ok)
       return;
     ParseDiagnostic D = failureOf(M, Sk);

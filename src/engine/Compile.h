@@ -143,7 +143,7 @@ struct ParseScratch {
 /// Reduce events name marker occurrences in CompiledParser::OpPool, not
 /// raw ActionIds.
 ///
-/// Lexeme-text lifetime: an event is a 32-byte trivially copyable record
+/// Lexeme-text lifetime: an event is a 24-byte trivially copyable record
 /// whose text() views bytes it does not own. The whole-buffer cores
 /// (run, runBatch, runRecords, and ShardParser over them) point it into
 /// the caller's input — valid while that input is, the
@@ -164,48 +164,62 @@ struct ParseScratch {
 /// ε-program (runEpsProgram, engine/Sink.h) on Eps — reproduces the
 /// ValueSink result exactly.
 ///
+/// Layout and limits: the 64-bit absolute Begin and the text pointer,
+/// then a 32-bit lexeme length and one 32-bit word packing the kind (top
+/// 2 bits) and the id (low 30 bits: Nt, Tok or Op). Neither narrowed
+/// field can wrap. Ids fit by construction: NtIds stay below
+/// CompiledParser::MaxPackedNts and TokenIds below MetaNoTok, and
+/// compileFused and the table audit refuse a machine whose OpPool has
+/// more than CompiledParser::MaxOps entries. A lexeme longer than
+/// MaxLen bytes ends its events request with one Fatal LimitExceeded
+/// diagnostic at the lexeme; the events before it stay. Offsets stay
+/// 64-bit, so an events request has no input-size limit.
+///
 /// Construction: the EventSink builds each event in its vector slot
 /// (emplace_back, then field stores), never in a local it copies in —
 /// the copy would reload the record with loads wider than the stores
 /// that built it, which store-to-load forwarding cannot serve (engine/
 /// README.md "The Sink policy"). The default member initializers are
-/// what leave Begin/End zero and TextData null on the non-Token kinds,
+/// what leave Begin/Len zero and TextData null on the non-Token kinds,
 /// so they are part of the contract (tests/SinkDiffTest.cpp).
 enum class EventKind : uint8_t {
-  Enter, ///< a scan of nonterminal Nt begins
-  Token, ///< lexeme accepted: Tok over [Begin, End), text in text()
-  Reduce, ///< marker occurrence Op (an index into CompiledParser::OpPool)
-  Eps    ///< nonterminal Nt took its ε/lookahead continuation
+  Enter, ///< a scan of nonterminal nt() begins
+  Token, ///< lexeme accepted: tok() over [Begin, end()), text in text()
+  Reduce, ///< marker occurrence op() (an index into CompiledParser::OpPool)
+  Eps    ///< nonterminal nt() took its ε/lookahead continuation
 };
 struct ParseEvent {
-  EventKind Kind = EventKind::Enter;
-  union {
-    NtId Nt;         ///< Enter / Eps
-    TokenId Tok;     ///< Token
-    uint32_t Op = 0; ///< Reduce: OpPool occurrence index
-  };
+  static constexpr unsigned IdBits = 30;
+  static constexpr uint32_t MaxId = (uint32_t(1) << IdBits) - 1;
+  /// The longest lexeme a Token event can describe.
+  static constexpr uint64_t MaxLen = UINT32_MAX;
+
   uint64_t Begin = 0; ///< Token: absolute span start
-  uint64_t End = 0;   ///< Token: absolute span end
-  /// Token: the lexeme's first byte (End - Begin bytes; see the lifetime
+  /// Token: the lexeme's first byte (Len bytes; see the lifetime
   /// contract above). Null for the other kinds.
   const char *TextData = nullptr;
+  uint32_t Len = 0;    ///< Token: lexeme length in bytes
+  uint32_t KindId = 0; ///< kind << IdBits | id (see pack)
+
+  static constexpr uint32_t pack(EventKind K, uint32_t Id) {
+    return static_cast<uint32_t>(K) << IdBits | Id;
+  }
+  EventKind kind() const { return static_cast<EventKind>(KindId >> IdBits); }
+  /// Whichever of nt()/tok()/op() the kind uses.
+  uint32_t id() const { return KindId & MaxId; }
+  NtId nt() const { return id(); }                           ///< Enter, Eps
+  TokenId tok() const { return static_cast<TokenId>(id()); } ///< Token
+  uint32_t op() const { return id(); }                       ///< Reduce
+  uint64_t end() const { return Begin + Len; }               ///< Token
 
   /// Token: the lexeme text; empty for the other kinds.
-  std::string_view text() const {
-    return {TextData, static_cast<size_t>(End - Begin)};
-  }
-  /// Whichever of Nt/Tok/Op the kind uses.
-  uint32_t id() const {
-    return Kind == EventKind::Token    ? static_cast<uint32_t>(Tok)
-           : Kind == EventKind::Reduce ? Op
-                                       : Nt;
-  }
+  std::string_view text() const { return {TextData, Len}; }
 
   /// Compares kind, id, span and text *content* — events viewing
   /// different copies of the same bytes are equal.
   bool operator==(const ParseEvent &O) const {
-    return Kind == O.Kind && id() == O.id() && Begin == O.Begin &&
-           End == O.End && text() == O.text();
+    return KindId == O.KindId && Begin == O.Begin && Len == O.Len &&
+           text() == O.text();
   }
   bool operator!=(const ParseEvent &O) const { return !(*this == O); }
 };
@@ -243,10 +257,10 @@ private:
 /// one per record in a record run; events mode the event stream of every
 /// segment, completed or not (failed segments keep the events already
 /// emitted); recognize mode only the verdict. Errors holds every
-/// diagnostic in input order; Truncated is set when the error budget
-/// ended the parse. A clean outcome has no errors: exactly the strict
-/// parse's result. The streaming parser fills the same outcome
-/// (StreamParser::drain).
+/// diagnostic in input order; Truncated is set when the error budget or
+/// a LimitExceeded diagnostic ended the parse. A clean outcome has no
+/// errors: exactly the strict parse's result. The streaming parser fills
+/// the same outcome (StreamParser::drain).
 struct ParseOutcome {
   std::vector<Value> Values;
   std::vector<ParseEvent> Events;
@@ -474,6 +488,10 @@ public:
   /// bits and a start state into 16; Trans16 stores ids as int16).
   static constexpr size_t MaxPackedNts = 0x7fff;
   static constexpr size_t MaxPackedStates = size_t(1) << 15;
+  /// Marker occurrences one machine may hold: a Reduce event names its
+  /// OpPool index in ParseEvent's 30-bit id field. compileFused and the
+  /// table audit (engine/Verify.h) refuse a larger pool.
+  static constexpr size_t MaxOps = size_t(ParseEvent::MaxId) + 1;
   /// [State] → continuation selected when this state is reached with the
   /// longest match so far, or -1. Consulted by the code generator, the
   /// verifier, tests and the bench's flap(prePR) walk; the accelerated

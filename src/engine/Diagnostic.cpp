@@ -32,6 +32,12 @@ std::string formatEntryRefusal(const std::string &Where) {
                 Where.c_str());
 }
 
+std::string formatLexemeLimitAt(uint64_t Off, const std::string &Where) {
+  return format("lexeme at offset %llu in '%s' exceeds the 32-bit event "
+                "length (4 GiB - 1 bytes)",
+                static_cast<unsigned long long>(Off), Where.c_str());
+}
+
 std::string formatEmptyRecord(uint64_t Off, const std::string &Where) {
   return format("parse error at offset %llu: record entry nonterminal '%s' "
                 "matched empty input (nullable records cannot delimit a "
@@ -60,7 +66,8 @@ std::string ParseDiagnostic::message() const {
   if (K == Kind::EmptyRecord)
     return formatEmptyRecord(Off, Where);
   if (K == Kind::LimitExceeded)
-    return OffsetLimitMessage;
+    return Nt == NoNt ? std::string(OffsetLimitMessage)
+                      : formatLexemeLimitAt(Off, Where);
   return formatParseErrorAt(Off, Expected, Where);
 }
 

@@ -43,6 +43,11 @@ std::string formatTrailingAt(uint64_t Off);
 /// of entry nonterminal \p Where was compiled away by dead-token elision.
 std::string formatEntryRefusal(const std::string &Where);
 
+/// Renders the event-length refusal: the lexeme at \p Off, scanned
+/// inside nonterminal \p Where, is longer than a Token event's 32-bit
+/// length field (ParseEvent::MaxLen) can describe.
+std::string formatLexemeLimitAt(uint64_t Off, const std::string &Where);
+
 /// Renders the nullable-record failure: record nonterminal \p Where
 /// matched empty input at \p Off, so it cannot delimit a sequence.
 std::string formatEmptyRecord(uint64_t Off, const std::string &Where);
@@ -77,8 +82,10 @@ struct ParseDiagnostic {
     Trailing,   ///< a value completed but input remained
     Entry,      ///< entry Nt refused before parsing (always Fatal, Off 0)
     EmptyRecord, ///< record Nt matched empty input (always Fatal)
-    LimitExceeded ///< refused before parsing: the input is past a limit
-                  ///< (MaxSpanBytes for values; always Fatal, Off 0)
+    LimitExceeded ///< past a limit, always Fatal: a values input past
+                  ///< MaxSpanBytes (refused before parsing; Off 0, no
+                  ///< Nt), or an events lexeme past ParseEvent::MaxLen
+                  ///< (at the lexeme; Nt is the nonterminal scanned)
   };
   /// What the recovery driver did after recording the error.
   enum class Action : uint8_t {
@@ -124,14 +131,17 @@ public:
   explicit ErrorBudget(size_t MaxErrors) : Max(MaxErrors ? MaxErrors : 1) {}
 
   /// Charges diagnostic \p D. Returns true when \p D ends the parse —
-  /// the budget is spent (which sets \p Truncated) or \p CanResync is
-  /// false (no sync bytes, or a grammar-shape error) — and marks it
-  /// Fatal at its own offset; false when the caller may resynchronize.
+  /// the budget is spent (which sets \p Truncated), \p CanResync is
+  /// false (no sync bytes, or a grammar-shape error), or \p D is a
+  /// LimitExceeded (which sets \p Truncated too: no resync gets past a
+  /// limit) — and marks it Fatal at its own offset; false when the
+  /// caller may resynchronize.
   bool charge(ParseDiagnostic &D, bool CanResync, bool &Truncated) {
     const bool Spent = ++Used >= Max;
-    if (!Spent && CanResync)
+    const bool Limit = D.K == ParseDiagnostic::Kind::LimitExceeded;
+    if (!Spent && CanResync && !Limit)
       return false;
-    Truncated |= Spent;
+    Truncated |= Spent || Limit;
     D.Act = ParseDiagnostic::Action::Fatal;
     D.ResumeOff = D.Off;
     return true;

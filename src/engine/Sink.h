@@ -39,14 +39,17 @@
 ///                                   //   occurrence); false → NtPool
 ///   static constexpr bool Enters;   // true → enter() before every scan
 ///   void enter(NtId N);             // a scan of N begins
-///   void token(uint64_t Meta, uint64_t Begin, uint64_t End);
+///   bool token(uint64_t Meta, uint64_t Begin, uint64_t End);
 ///                                   // lexeme accepted; Meta is the
 ///                                   //   packed accept entry (token id
-///                                   //   in the top 16 bits)
+///                                   //   in the top 16 bits); false:
+///                                   //   past a sink limit, the run
+///                                   //   fails (failLimit) right there
 ///   void marker(uint32_t OpIdx);    // marker occurrence (OpPool index)
 ///   void eps(NtId N, int32_t Chain);// ε/lookahead fallback taken
 ///   void failParse(NtId N, uint64_t Pos);   // the failure site
 ///   void failTrailing(uint64_t Pos);
+///   void failLimit(NtId N, uint64_t Pos);
 ///
 /// and every driver closes a segment through
 ///
@@ -85,19 +88,28 @@ namespace flap {
 /// the Fig. 9 reference interpreter and the streaming parser included —
 /// renders through the formatters in engine/Diagnostic.h).
 struct FailSite {
-  NtId FailNt = NoNt;   ///< failing nonterminal (parse failures)
+  NtId FailNt = NoNt;   ///< failing nonterminal (parse and limit failures)
   uint64_t FailOff = 0; ///< absolute failure offset
-  bool FailTrailing = false;
+  /// Parse, Trailing, or LimitExceeded (a token() hook refused a lexeme).
+  ParseDiagnostic::Kind FailKind = ParseDiagnostic::Kind::Parse;
 
   void failParse(NtId N, uint64_t Pos) {
     FailNt = N;
     FailOff = Pos;
-    FailTrailing = false;
+    FailKind = ParseDiagnostic::Kind::Parse;
   }
   void failTrailing(uint64_t Pos) {
     FailNt = NoNt;
     FailOff = Pos;
-    FailTrailing = true;
+    FailKind = ParseDiagnostic::Kind::Trailing;
+  }
+  void failLimit(NtId N, uint64_t Pos) {
+    FailNt = N;
+    FailOff = Pos;
+    FailKind = ParseDiagnostic::Kind::LimitExceeded;
+  }
+  bool failedTrailing() const {
+    return FailKind == ParseDiagnostic::Kind::Trailing;
   }
 };
 
@@ -105,12 +117,12 @@ struct FailSite {
 /// recovery action are the caller's to fill.
 inline ParseDiagnostic failureOf(const CompiledParser &M, const FailSite &F) {
   ParseDiagnostic D;
-  D.K = F.FailTrailing ? ParseDiagnostic::Kind::Trailing
-                       : ParseDiagnostic::Kind::Parse;
+  D.K = F.FailKind;
   D.Off = F.FailOff;
-  if (!F.FailTrailing) {
+  if (F.FailNt != NoNt) {
     D.Nt = F.FailNt;
-    D.Expected = M.NtExpected[F.FailNt];
+    if (D.K == ParseDiagnostic::Kind::Parse)
+      D.Expected = M.NtExpected[F.FailNt];
     D.Where = M.NtNames[F.FailNt];
   }
   return D;
@@ -167,12 +179,14 @@ public:
 
   FLAP_SINK_INLINE void enter(NtId) {}
 
-  FLAP_SINK_INLINE void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
+  /// Never refuses: a values input is admitted only up to MaxSpanBytes.
+  FLAP_SINK_INLINE bool token(uint64_t Meta, uint64_t Begin, uint64_t End) {
     const uint32_t Tok = CompiledParser::metaTok(Meta);
     if (Tok != CompiledParser::MetaNoTok) // NoTok when skip or elided
       Values.pushToken(static_cast<TokenId>(Tok),
                        static_cast<uint32_t>(Begin),
                        static_cast<uint32_t>(End));
+    return true;
   }
 
   FLAP_SINK_INLINE void marker(uint32_t OpIdx) {
@@ -205,19 +219,24 @@ private:
   const MicroOp *Ops;
 };
 
-/// The SAX sink: every hook appends one flat ParseEvent — no per-event
-/// allocation — and builds it in its vector slot (emplace_back, then
-/// field stores), never in a local that push_back would copy: that
-/// copy reloads the 32 bytes as two 16-byte loads straddling the
-/// narrower stores that just wrote them, which store-to-load forwarding
-/// cannot serve (engine/README.md "The Sink policy"). The defaulted
-/// fields keep the other kinds' Begin/End zero and TextData null. A
-/// Token event's text views the input window (the
-/// whole-buffer cores: valid while the caller's input is), or, given
-/// a TextArena, a copy made inside the hook (the streaming pump: the
-/// event then never references the window after the hook returns,
-/// which is what lets the stream drop every byte behind the
-/// in-progress lexeme).
+/// The SAX sink: every hook appends one flat 24-byte ParseEvent — no
+/// per-event allocation — and builds it in its vector slot
+/// (emplace_back, then field stores), never in a local that push_back
+/// would copy: that copy reloads the record with 16-byte loads
+/// straddling the narrower stores that just wrote it, which
+/// store-to-load forwarding cannot serve (engine/README.md "The Sink
+/// policy"). The defaulted fields keep the other kinds' Begin/Len zero
+/// and TextData null. Both narrowed fields are checked limits: every id
+/// fits the 30-bit id field (the static_asserts below and
+/// CompiledParser::MaxOps), and token() refuses a lexeme longer than
+/// ParseEvent::MaxLen — one predictable branch per Token event — which
+/// fails the run there with a Fatal LimitExceeded diagnostic and keeps
+/// the events before it. A Token event's text views the input window
+/// (the whole-buffer cores: valid while the caller's input is), or,
+/// given a TextArena, a copy made inside the hook (the streaming pump:
+/// the event then never references the window after the hook returns,
+/// which is what lets the stream drop every byte behind the in-progress
+/// lexeme).
 class EventSink : public FailSite {
 public:
   static constexpr bool Markers = true;
@@ -238,36 +257,33 @@ public:
   }
 
   void enter(NtId N) {
-    ParseEvent &E = Out->emplace_back();
-    E.Kind = EventKind::Enter;
-    E.Nt = N;
+    Out->emplace_back().KindId = ParseEvent::pack(EventKind::Enter, N);
   }
 
-  void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
+  bool token(uint64_t Meta, uint64_t Begin, uint64_t End) {
     const uint32_t Tok = CompiledParser::metaTok(Meta);
     if (Tok == CompiledParser::MetaNoTok)
-      return; // skip production, or dead-token elision: no value flows
+      return true; // skip production, or dead-token elision: no value
+    const uint64_t Len = End - Begin;
+    if (__builtin_expect(Len > ParseEvent::MaxLen, 0))
+      return false;
     const char *P = Input.data() + static_cast<size_t>(Begin - Base);
     if (Text)
-      P = Text->copy(P, static_cast<size_t>(End - Begin));
+      P = Text->copy(P, static_cast<size_t>(Len));
     ParseEvent &E = Out->emplace_back();
-    E.Kind = EventKind::Token;
-    E.Tok = static_cast<TokenId>(Tok);
     E.Begin = Begin;
-    E.End = End;
     E.TextData = P;
+    E.Len = static_cast<uint32_t>(Len);
+    E.KindId = ParseEvent::pack(EventKind::Token, Tok);
+    return true;
   }
 
   void marker(uint32_t OpIdx) {
-    ParseEvent &E = Out->emplace_back();
-    E.Kind = EventKind::Reduce;
-    E.Op = OpIdx;
+    Out->emplace_back().KindId = ParseEvent::pack(EventKind::Reduce, OpIdx);
   }
 
   void eps(NtId N, int32_t) {
-    ParseEvent &E = Out->emplace_back();
-    E.Kind = EventKind::Eps;
-    E.Nt = N;
+    Out->emplace_back().KindId = ParseEvent::pack(EventKind::Eps, N);
   }
 
   /// Events already appended stay, completed segment or not.
@@ -280,6 +296,11 @@ private:
   TextArena *Text;
 };
 
+// Every id a hook packs fits ParseEvent's 30-bit id field; OpPool
+// indices are bounded by CompiledParser::MaxOps at compile and audit time.
+static_assert(CompiledParser::MaxPackedNts <= ParseEvent::MaxId);
+static_assert(CompiledParser::MetaNoTok <= ParseEvent::MaxId);
+
 /// The recognition sink: no values, no events — every hook but the
 /// failure record compiles away and the driver walks the
 /// nonterminals-only NtPool.
@@ -289,7 +310,7 @@ struct RecognizeSink : FailSite {
 
   void bind(std::string_view, ParseOutcome &, void *) {}
   FLAP_SINK_INLINE void enter(NtId) {}
-  FLAP_SINK_INLINE void token(uint64_t, uint64_t, uint64_t) {}
+  FLAP_SINK_INLINE bool token(uint64_t, uint64_t, uint64_t) { return true; }
   FLAP_SINK_INLINE void marker(uint32_t) {}
   FLAP_SINK_INLINE void eps(NtId, int32_t) {}
   void endSegment(bool, ParseOutcome &) {}
@@ -298,6 +319,16 @@ struct RecognizeSink : FailSite {
 //===----------------------------------------------------------------------===//
 // The residual machine (the generated code of Fig. 10)
 //===----------------------------------------------------------------------===//
+
+/// Every driveImpl and matchTrailingSkipT instantiation starts on a
+/// 64-byte boundary, so where the linker happens to place a hot driver
+/// cannot move its loop's offset within a cache line (and with it the
+/// measured speed) when unrelated code grows or shrinks.
+#if defined(__GNUC__) || defined(__clang__)
+#define FLAP_HOT_ALIGN __attribute__((aligned(64)))
+#else
+#define FLAP_HOT_ALIGN
+#endif
 
 /// How one run of the residual loop (or the trailing-skip match) ended.
 enum class DriveStatus : uint8_t {
@@ -339,10 +370,10 @@ enum class DriveStatus : uint8_t {
 /// absorbs trailing skip input or stops a record there), Fail after
 /// Sk.failParse recorded the site, or More.
 template <typename Tab, typename Sink, bool Final = true, bool Streamed = false>
-DriveStatus driveImpl(const CompiledParser &M, std::string_view Window,
-                      size_t &Pos, std::vector<uint32_t> &Stack, Sink &Sk,
-                      scankernel::ParkedScan *Park = nullptr,
-                      uint64_t Base = 0) {
+FLAP_HOT_ALIGN DriveStatus
+driveImpl(const CompiledParser &M, std::string_view Window, size_t &Pos,
+          std::vector<uint32_t> &Stack, Sink &Sk,
+          scankernel::ParkedScan *Park = nullptr, uint64_t Base = 0) {
   static_assert(Final || Streamed, "only a streamed run can suspend");
   size_t P = Pos;
   const uint64_t B = Streamed ? Base : 0;
@@ -402,7 +433,14 @@ DriveStatus driveImpl(const CompiledParser &M, std::string_view Window,
       P = Sc.Base; // a failed scan absorbed committed F2 whitespace too
       if (Sc.Bs >= 0) {
         const uint64_t Mt = Meta[Sc.Bs]; // one load: token + packed tail
-        Sk.token(Mt, B + P, B + Sc.BestEnd);
+        if (!Sk.token(Mt, B + P, B + Sc.BestEnd)) {
+          // A lexeme past the sink's limit (EventSink: ParseEvent::
+          // MaxLen) ends the run at its start; the sinks that never
+          // refuse compile this away.
+          Sk.failLimit(CompiledParser::packedNt(E), B + P);
+          Pos = P;
+          return DriveStatus::Fail;
+        }
         P = Sc.BestEnd;
         const uint32_t TL = CompiledParser::metaLen(Mt);
         if (TL != 0) {
@@ -437,9 +475,9 @@ DriveStatus driveImpl(const CompiledParser &M, std::string_view Window,
 /// \returns Done when \p Pos reached the window's end, Fail when other
 /// input remains there, or More.
 template <typename Tab, bool Final = true, bool Streamed = false>
-DriveStatus matchTrailingSkipT(const CompiledParser &M,
-                               std::string_view Window, size_t &Pos,
-                               scankernel::ParkedScan *Park = nullptr) {
+FLAP_HOT_ALIGN DriveStatus
+matchTrailingSkipT(const CompiledParser &M, std::string_view Window,
+                   size_t &Pos, scankernel::ParkedScan *Park = nullptr) {
   const size_t Len = Window.size();
   const typename Tab::Cell *T = Tab::table(M.Scan);
   const SkipSet *Skip = M.Scan.Skip.data();

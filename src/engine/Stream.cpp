@@ -92,13 +92,14 @@ struct StreamParser::RetainSink : ValueSink {
     SP.RetainOff = Off;
   }
 
-  FLAP_SINK_INLINE void token(uint64_t Meta, uint64_t Begin, uint64_t End) {
+  FLAP_SINK_INLINE bool token(uint64_t Meta, uint64_t Begin, uint64_t End) {
     ValueSink::token(Meta, Begin, End);
     if (Top == 0 &&
         CompiledParser::metaTok(Meta) != CompiledParser::MetaNoTok) {
       Top = Values.size();
       Off = Begin;
     }
+    return true;
   }
 
   FLAP_SINK_INLINE void marker(uint32_t OpIdx) {
@@ -273,7 +274,7 @@ StreamStatus StreamParser::pumpT(SinkT &Sk) {
   }
   if (St == DriveStatus::More || (!Final && St == DriveStatus::Done))
     return StreamStatus::NeedData;
-  Sk.endSegment(St == DriveStatus::Done || Sk.FailTrailing, Res);
+  Sk.endSegment(St == DriveStatus::Done || Sk.failedTrailing(), Res);
   if (St == DriveStatus::Fail)
     return recoverAt(Sk);
   Ph = Phase::Done; // a clean end of stream

@@ -482,6 +482,14 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
     C.error("OpActs", -1, -1,
             format("%zu action ids for %zu pool ops", M.OpActs.size(),
                    M.OpPool.size()));
+  // A Reduce event carries its OpPool index in a 30-bit id field.
+  if (!C.expect(M.OpPool.size() <= CompiledParser::MaxOps)) {
+    OpParOk = false;
+    C.error("OpPool", -1, -1,
+            format("%zu marker occurrences exceed the 30-bit event id "
+                   "width (max %zu)",
+                   M.OpPool.size(), CompiledParser::MaxOps));
+  }
   bool ActsOk = C.expect(M.Actions != nullptr);
   if (!ActsOk)
     C.error("Actions", -1, -1, "action table pointer is null");
@@ -901,10 +909,12 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
                      M.Start, NumNts));
     }
     if (!C.expect(M.SkipState >= -1 &&
-                  M.SkipState < static_cast<int32_t>(NS)))
+                  M.SkipState < static_cast<int32_t>(NS))) {
+      NtsOk = false; // the ownership pass below seeds from SkipState
       C.error("SkipState", M.SkipState, -1,
               format("state %d out of range [-1, %zu)", M.SkipState,
                      NS));
+    }
   }
 
   //===------------------------------------------------------------===//

@@ -54,6 +54,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <future>
 #include <string>
 #include <thread>
@@ -389,28 +390,51 @@ TEST(ArtifactCorruption, MaliciousBlobsAreCaughtOrSurvived) {
   Rig R(makeJsonGrammar());
   ASSERT_TRUE(R.Ready);
   const Workload W = genWorkload("json", 7, 1 << 12);
-  // A checksum-consistent adversary: flip bits anywhere, re-checksum.
-  // The Verify audit (untrusted loads) is now the trust boundary: the
-  // blob either fails to load with a structured error, or yields a
-  // machine whose parse may fail but must not crash or hang.
-  size_t Rejected = 0, Loaded = 0;
-  for (size_t I = 0; I < 120; ++I) {
-    const size_t Byte =
-        sizeof(ArtifactHeader) + (I * 40503u) % (R.Blob.size() -
-                                                 sizeof(ArtifactHeader));
-    std::string B = R.Blob;
-    B[Byte] = static_cast<char>(B[Byte] ^ (1u << (I % 8)));
-    rehashArtifact(B);
-    auto A =
-        loadArtifact(MappedBlob::fromBuffer(std::move(B)), R.Def->L->Actions);
-    if (!A.ok()) {
-      EXPECT_EQ(A.error().rfind("artifact:", 0), 0u) << A.error();
-      ++Rejected;
-      continue;
+  // A checksum-consistent adversary: flip bits, re-checksum. The Verify
+  // audit (untrusted loads) is now the trust boundary: the blob either
+  // fails to load with a structured error, or yields a machine whose
+  // parses — values and events, which run the markers and ε-programs
+  // recognition skips — may fail but must not crash or hang. The flips
+  // are spread over every section the blob's section table lists, the
+  // same number per section, so which tables get corrupted does not
+  // depend on how large each one happens to be.
+  ArtifactHeader H;
+  std::memcpy(&H, R.Blob.data(), sizeof(H));
+  ASSERT_GT(H.NumSections, 0u);
+  ASSERT_LE(sizeof(H) + H.NumSections * sizeof(ArtifactSection),
+            R.Blob.size());
+  constexpr size_t FlipsPerSection = 4;
+  size_t Rejected = 0, Loaded = 0, Flips = 0;
+  for (uint32_t S = 0; S < H.NumSections; ++S) {
+    ArtifactSection Sec;
+    std::memcpy(&Sec, R.Blob.data() + sizeof(H) + S * sizeof(Sec),
+                sizeof(Sec));
+    const uint64_t Bytes = Sec.Count * Sec.ElemSize;
+    ASSERT_LE(Sec.Offset + Bytes, R.Blob.size()) << "section " << Sec.Id;
+    if (Bytes == 0)
+      continue; // the unused table width, an empty pool
+    for (size_t J = 0; J < FlipsPerSection; ++J) {
+      const size_t Byte = static_cast<size_t>(
+          Sec.Offset + (2 * J + 1) * Bytes / (2 * FlipsPerSection));
+      std::string B = R.Blob;
+      B[Byte] = static_cast<char>(B[Byte] ^ (1u << (Flips++ % 8)));
+      rehashArtifact(B);
+      auto A = loadArtifact(MappedBlob::fromBuffer(std::move(B)),
+                            R.Def->L->Actions);
+      if (!A.ok()) {
+        EXPECT_EQ(A.error().rfind("artifact:", 0), 0u) << A.error();
+        ++Rejected;
+        continue;
+      }
+      ++Loaded;
+      for (ParseMode Mode : {ParseMode::Values, ParseMode::Events}) {
+        ParseRequest Req;
+        Req.Mode = Mode;
+        ParseScratch Scr;
+        ParseOutcome O;
+        (void)A->M.run(Req, W.Input, Scr, O); // must return, clean or not
+      }
     }
-    ++Loaded;
-    ParseScratch Scr;
-    (void)A->M.parse(W.Input, Scr); // must return, cleanly or not
   }
   // The sweep must actually exercise both the audit and the engine; a
   // fuzzer that only ever hits one side proves nothing about the other.

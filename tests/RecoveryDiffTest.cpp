@@ -936,4 +936,87 @@ TEST(RecoveryDiffTest, ValuesPastTheSpanLimitAreRefused) {
   }
 }
 
+/// A Token event stores its lexeme length in 32 bits: an events request
+/// whose lexeme is longer than ParseEvent::MaxLen ends with one Fatal
+/// LimitExceeded diagnostic at that lexeme — at every budget, no resync
+/// gets past it — and keeps the events before it, while a lexeme of
+/// exactly MaxLen bytes parses with its full span and text. The input is
+/// "a" followed by a run of zero bytes (one `\x00+` lexeme) in a
+/// read-only MAP_NORESERVE mapping: only the page holding the "a" is
+/// ever written, the zero run reads the shared zero page.
+TEST(RecoveryDiffTest, EventsPastTheLexemeLimitAreRefused) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "scanning 4 GiB would commit TSan's shadow of it";
+#endif
+  if (ParseEvent::MaxLen + 2 > std::numeric_limits<size_t>::max())
+    GTEST_SKIP() << "no 4 GiB address space";
+  auto Def = std::make_shared<GrammarDef>("zeros");
+  Lang &L = *Def->L;
+  const TokenId A = Def->Lexer->rule("a", "a");
+  const TokenId Z = Def->Lexer->rule("\\x00+", "zeros");
+  Def->Root = L.all(
+      {L.tok(A), L.tok(Z)}, [](ParseContext &, Value *V) { return V[1]; },
+      "second");
+  auto PR = compileFlap(Def);
+  ASSERT_TRUE(PR.ok()) << PR.error();
+  const CompiledParser &M = PR->M;
+
+  const size_t Page = 4096;
+  const size_t Size = Page + static_cast<size_t>(ParseEvent::MaxLen) + 1;
+  void *Map = mmap(nullptr, Size, PROT_READ,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Map == MAP_FAILED)
+    GTEST_SKIP() << "cannot map 4 GiB of address space";
+  char *Base = static_cast<char *>(Map);
+  ASSERT_EQ(mprotect(Base, Page, PROT_READ | PROT_WRITE), 0);
+  Base[Page - 1] = 'a';
+  // "a" + MaxLen zero bytes, and "a" + MaxLen + 1 zero bytes.
+  const std::string_view AtLimit(Base + Page - 1,
+                                 static_cast<size_t>(ParseEvent::MaxLen) + 1);
+  const std::string_view Past(AtLimit.data(), AtLimit.size() + 1);
+
+  ParseScratch Scr;
+  ParseRequest Req;
+  Req.Mode = ParseMode::Events;
+  ParseOutcome Ok;
+  EXPECT_TRUE(M.run(Req, AtLimit, Scr, Ok));
+  size_t ZeroRun = Ok.Events.size();
+  for (size_t I = 0; I < Ok.Events.size(); ++I)
+    if (Ok.Events[I].kind() == EventKind::Token && Ok.Events[I].tok() == Z)
+      ZeroRun = I;
+  ASSERT_LT(ZeroRun, Ok.Events.size());
+  ASSERT_GT(ZeroRun, 0u);
+  const ParseEvent &E = Ok.Events[ZeroRun];
+  EXPECT_EQ(E.Begin, 1u);
+  EXPECT_EQ(E.Len, ParseEvent::MaxLen);
+  EXPECT_EQ(E.end(), uint64_t(ParseEvent::MaxLen) + 1);
+  EXPECT_EQ(E.text().data(), AtLimit.data() + 1);
+  EXPECT_EQ(E.text().size(), AtLimit.size() - 1);
+  // The scan that matched the run is the nonterminal entered last.
+  const ParseEvent &Entered = Ok.Events[ZeroRun - 1];
+  ASSERT_EQ(Entered.kind(), EventKind::Enter);
+
+  for (size_t Budget : TableBudgets) {
+    const std::string Tag = "budget " + std::to_string(Budget);
+    Req.MaxErrors = Budget;
+    ParseOutcome O;
+    EXPECT_FALSE(M.run(Req, Past, Scr, O)) << Tag;
+    ASSERT_EQ(O.Errors.size(), 1u) << Tag;
+    const ParseDiagnostic &D = O.Errors[0];
+    EXPECT_EQ(D.K, ParseDiagnostic::Kind::LimitExceeded) << Tag;
+    EXPECT_EQ(D.Act, ParseDiagnostic::Action::Fatal) << Tag;
+    EXPECT_EQ(D.Off, 1u) << Tag;
+    EXPECT_EQ(D.Line, 1u) << Tag;
+    EXPECT_EQ(D.Col, 2u) << Tag;
+    EXPECT_EQ(D.Nt, Entered.nt()) << Tag;
+    EXPECT_EQ(D.message(), formatLexemeLimitAt(1, M.NtNames[D.Nt])) << Tag;
+    EXPECT_TRUE(O.Truncated) << Tag;
+    // Every event before the refused lexeme stays.
+    EXPECT_EQ(O.Events, std::vector<ParseEvent>(Ok.Events.begin(),
+                                                Ok.Events.begin() + ZeroRun))
+        << Tag;
+  }
+  munmap(Map, Size);
+}
+
 } // namespace

@@ -38,11 +38,18 @@
 
 using namespace flap;
 
-// The layout the event drivers rely on: appending an event is a 32-byte
-// store, and a vector of them copies and frees as raw memory.
+// The layout the event drivers rely on: appending an event is a 24-byte
+// store (64-bit Begin and text pointer, a 32-bit length, and the kind
+// and a 30-bit id in one 32-bit word), and a vector of them copies and
+// frees as raw memory. Both narrowed fields are checked limits: a lexeme
+// longer than ParseEvent::MaxLen ends the events request with one Fatal
+// LimitExceeded diagnostic (RecoveryDiffTest.
+// EventsPastTheLexemeLimitAreRefused), and a machine with more than
+// CompiledParser::MaxOps marker occurrences is refused (VerifyTest.
+// OpPoolPastTheEventIdWidthIsRefused).
 static_assert(std::is_trivially_copyable_v<ParseEvent>);
 static_assert(std::is_trivially_destructible_v<ParseEvent>);
-static_assert(sizeof(ParseEvent) <= 32);
+static_assert(sizeof(ParseEvent) == 24);
 
 namespace {
 
@@ -81,21 +88,21 @@ Value replayEvents(const CompiledParser &M,
   ParseContext Ctx{Input, User, 0, Scr.Pool};
   ValueStack &Vals = Scr.Values;
   for (const ParseEvent &E : Evs) {
-    switch (E.Kind) {
+    switch (E.kind()) {
     case EventKind::Enter:
       break; // structural only
     case EventKind::Token:
       // Lexeme-text contract: the text is the span's bytes.
       EXPECT_EQ(E.text(), Input.substr(static_cast<size_t>(E.Begin),
-                                       static_cast<size_t>(E.End - E.Begin)));
-      Vals.push(Value::token(E.Tok, static_cast<uint32_t>(E.Begin),
-                             static_cast<uint32_t>(E.End)));
+                                       static_cast<size_t>(E.end() - E.Begin)));
+      Vals.push(Value::token(E.tok(), static_cast<uint32_t>(E.Begin),
+                             static_cast<uint32_t>(E.end())));
       break;
     case EventKind::Reduce:
-      Vals.applyPooled(M.OpPool[E.Op], *M.Actions, Ctx);
+      Vals.applyPooled(M.OpPool[E.op()], *M.Actions, Ctx);
       break;
     case EventKind::Eps:
-      runEpsProgram(M, M.Nts[E.Nt].EpsChain, Vals, Ctx);
+      runEpsProgram(M, M.Nts[E.nt()].EpsChain, Vals, Ctx);
       break;
     }
   }
@@ -207,13 +214,13 @@ TEST(SinkDiffTest, EventReplayMatchesValueSinkAllGrammars) {
 }
 
 /// Counts the non-Token events in \p Evs that carry a span or text.
-/// ParseEvent promises Begin == End == 0 and a null TextData for every
+/// ParseEvent promises Begin == Len == 0 and a null TextData for every
 /// kind but Token; the sink writes events in place, so this pins that
 /// each hook still leaves those fields at their defaults.
 template <typename Events> size_t nonTokenWithPayload(const Events &Evs) {
   size_t N = 0;
   for (const ParseEvent &E : Evs)
-    N += E.Kind != EventKind::Token && (E.Begin || E.End || E.TextData);
+    N += E.kind() != EventKind::Token && (E.Begin || E.Len || E.TextData);
   return N;
 }
 
@@ -770,7 +777,7 @@ size_t expectTextViewsInput(const std::vector<ParseEvent> &Evs,
                             std::string_view In, const std::string &Tag) {
   size_t Tokens = 0;
   for (const ParseEvent &E : Evs) {
-    if (E.Kind != EventKind::Token)
+    if (E.kind() != EventKind::Token)
       continue;
     ++Tokens;
     const std::string_view T = E.text();

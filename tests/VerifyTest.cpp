@@ -13,7 +13,8 @@
 /// an Error or Warning for at least 95% of the applied mutations. The
 /// misses that remain must be harmless in the strongest sense we can
 /// test: any mutated table the verifier passes is fed to the engine,
-/// which must complete a parse without crashing.
+/// which must complete a recognize, a values and an events request
+/// without crashing.
 ///
 /// Every mutation flips exactly one field (one table entry, one bound,
 /// one bit, one claim), modelling a staging bug or a bit-rot of a
@@ -38,6 +39,8 @@
 #include <functional>
 #include <string>
 #include <vector>
+
+#include <sys/mman.h>
 
 using namespace flap;
 
@@ -578,10 +581,18 @@ void runParserMutations(const FlapParser &Base, const std::string &Sample,
     } else {
       T.Missed.push_back(std::string(Base.Def->Name) + "/" + Mu.Name);
       // Zero-crash contract: a corruption the verifier passes must be
-      // harmless to the engine. (A wrong *answer* is acceptable here —
-      // a crash or sanitizer report is not.)
-      ParseScratch Scr;
-      (void)M.recognize(Sample, Scr);
+      // harmless to the engine in every mode — values and events run
+      // the markers and ε-programs recognition skips, so a missed
+      // value-flow corruption aborts here. (A wrong *answer* is
+      // acceptable — a crash or sanitizer report is not.)
+      for (ParseMode Mode :
+           {ParseMode::Recognize, ParseMode::Values, ParseMode::Events}) {
+        ParseRequest Req;
+        Req.Mode = Mode;
+        ParseScratch Scr;
+        ParseOutcome O;
+        (void)M.run(Req, Sample, Scr, O);
+      }
     }
   }
 }
@@ -664,6 +675,37 @@ TEST(VerifyTest, FindingsCarryStructuredAnchors) {
         !F.Field.empty() && (F.State >= 0 || F.Nt >= 0))
       Anchored = true;
   EXPECT_TRUE(Anchored) << R.summary();
+}
+
+/// A Reduce event carries its OpPool index in ParseEvent's 30-bit id
+/// field, so the audit refuses a pool of more than CompiledParser::MaxOps
+/// occurrences (compileFused makes the same check). The seam is a
+/// borrowed OpPool view one entry past the bound over a read-only
+/// MAP_NORESERVE mapping: no 2^30-op grammar is compiled, and the size
+/// finding gates the per-op walk, so the mapping is barely touched.
+TEST(VerifyTest, OpPoolPastTheEventIdWidthIsRefused) {
+  static_assert(CompiledParser::MaxOps == size_t(1) << 30);
+  auto P = compileFlap(makeJsonGrammar());
+  ASSERT_TRUE(P.ok());
+  CompiledParser M = P.value().M;
+  const size_t Ops = CompiledParser::MaxOps + 1;
+  const size_t Bytes = Ops * sizeof(MicroOp);
+  void *Map = mmap(nullptr, Bytes, PROT_READ,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Map == MAP_FAILED)
+    GTEST_SKIP() << "cannot map " << Bytes << " bytes of address space";
+  M.OpPool.borrow(static_cast<const MicroOp *>(Map), Ops);
+  VerifyOptions Opts;
+  Opts.Lints = false;
+  const VerifyReport R = verifyCompiledParser(M, Opts);
+  munmap(Map, Bytes);
+  EXPECT_FALSE(R.ok());
+  bool Refused = false;
+  for (const VerifyFinding &F : R.Findings)
+    Refused |= F.Sev == VerifyFinding::Severity::Error &&
+               F.Field == "OpPool" &&
+               F.Detail.find("30-bit event id") != std::string::npos;
+  EXPECT_TRUE(Refused) << R.summary();
 }
 
 /// A machine stores its transition function once, in the width its
