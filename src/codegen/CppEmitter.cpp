@@ -56,16 +56,67 @@ std::string bitmapInit(const CharSet &S) {
                 static_cast<unsigned long long>(Bits[3]));
 }
 
+/// `static const Type Name[] = {...};` over \p N items rendered by
+/// \p Item, eight per line; an empty table gets one 0 (C++ has no
+/// zero-length arrays, and no index reaches it).
+template <typename ItemFn>
+std::string cArray(const char *Type, const char *Name, size_t N,
+                   ItemFn &&Item) {
+  std::string O = format("static const %s %s[] = {", Type, Name);
+  for (size_t I = 0; I < N; ++I)
+    O += (I % 8 == 0 ? "\n    " : " ") + Item(I) + ",";
+  return O + (N == 0 ? "0};\n" : "\n};\n");
+}
+
+/// The op table of the emitted value machine: OpPool's occurrences
+/// (a Reduce's OpPool index is its op index), then one range of ops per
+/// ε-program, whose starts \p EpsOff records (one past the last program
+/// too); a Unit or OneConst program is one arity-0 constant op. Empty
+/// unless every op is a scalar micro-op the machine's `long` values
+/// carry: no MSlow (the full Action record), no MTokInt (tokens push 0
+/// placeholders, so lexeme text is not available), no MMaxAcc (its packed
+/// count+max scalar needs 64 bits), no non-scalar constant.
+std::vector<MicroOp> valueOps(const CompiledParser &M,
+                              std::vector<uint32_t> &EpsOff) {
+  if (M.Actions == nullptr || M.Actions->size() == 0)
+    return {};
+  std::vector<MicroOp> Ops(M.OpPool.begin(), M.OpPool.end());
+  for (const CompiledParser::EpsProgram &EP : M.EpsPrograms) {
+    EpsOff.push_back(static_cast<uint32_t>(Ops.size()));
+    for (uint32_t J = 0; J < EP.Len; ++J) // Ops programs only
+      Ops.push_back(M.Actions->micro()[M.EpsOps[EP.Off + J]]);
+    if (EP.K == CompiledParser::EpsProgram::Ops)
+      continue;
+    const Value &C = EP.ConstVal; // unit for a Unit program
+    MicroOp K; // MSlow, refused below, for any other constant
+    K.Arity = 0;
+    if (C.isInt() || C.isBool() || C.isUnit())
+      K.K = C.isInt() ? MicroOp::MInt : C.isBool() ? MicroOp::MBool
+                                                   : MicroOp::MUnit;
+    K.Imm = C.isInt() ? C.asInt() : C.isBool() && C.asBool();
+    Ops.push_back(K);
+  }
+  EpsOff.push_back(static_cast<uint32_t>(Ops.size()));
+  for (const MicroOp &Op : Ops)
+    if (Op.K == MicroOp::MSlow || Op.K == MicroOp::MTokInt ||
+        Op.K == MicroOp::MMaxAcc)
+      return {};
+  return Ops;
+}
+
 } // namespace
 
 std::string flap::emitCpp(const CompiledParser &M, const std::string &Name) {
   std::string O;
   const int NumStates = M.numStates();
+  const dispatchtier::Bounds &Tiers = M.Scan.Tiers;
 
   O += "// Generated by flap-cpp: staged fused parser for '" + Name +
        "'.\n";
-  O += format("// %d states, %d character classes, %zu continuations.\n",
-              NumStates, M.numClasses(), M.Conts.size());
+  O += format("// %d states, %d character classes, %zu pool symbols, %zu "
+              "marker ops.\n",
+              NumStates, M.numClasses(), M.PackedPool.size(),
+              M.OpPool.size());
   O += "// Token-free: branches only on input characters (paper §5.5).\n";
   O += "#include <cstddef>\n#include <cstdint>\n#include <vector>\n\n";
   // SIMD run-skip kernels (same selection discipline as the library's
@@ -78,7 +129,9 @@ std::string flap::emitCpp(const CompiledParser &M, const std::string &Name) {
        "#define FLAPGEN_NEON 1\n"
        "#endif\n\n";
   O += "namespace {\n\n";
-  O += "struct MR { int32_t cont; long end; };\n\n";
+  O += "// A scan's result: the best accepting state (-1: none) and where "
+       "its match ends.\n";
+  O += "struct MR { int32_t best; long end; };\n\n";
 
   // Forward declarations — the mutually recursive parse_k functions —
   // and the self-loop bitmaps that drive run skipping (one per state
@@ -88,15 +141,17 @@ std::string flap::emitCpp(const CompiledParser &M, const std::string &Name) {
     Succs[S] = successorSets(M, S);
   // Terminal accepting states (no successors at all): their match is
   // decided by the byte that enters them, so predecessors return the
-  // continuation directly instead of tail-calling — the generated-code
-  // analogue of the library's first-byte dispatch tier.
+  // state directly instead of tail-calling — the generated-code analogue
+  // of the library's first-byte dispatch tier. Their functions stay for
+  // the one-function-per-state shape, called at most as a scan entry.
+  auto Accepts = [&](int32_t S) { return S < Tiers.Accept; };
   auto IsTerminalAccept = [&](int32_t S) {
-    return M.AcceptCont[S] >= 0 && Succs[S].empty();
+    return Accepts(S) && Succs[S].empty();
   };
   for (int S = 0; S < NumStates; ++S) {
-    O += format("static MR parse_%d(const unsigned char *s, long i, "
+    O += format("%sstatic MR parse_%d(const unsigned char *s, long i, "
                 "long len, int32_t best, long be);\n",
-                S);
+                IsTerminalAccept(S) ? "[[maybe_unused]] " : "", S);
     auto Loop = Succs[S].find(S);
     if (Loop != Succs[S].end())
       O += format("static const uint64_t loop_%d[4] = ", S) +
@@ -194,40 +249,44 @@ std::string flap::emitCpp(const CompiledParser &M, const std::string &Name) {
   // one-byte lookahead (length-1 runs pay a single bitmap test), then
   // scan one character, updating the best-match registers, and tail-call
   // the successor state — returning directly for terminal-accepting
-  // successors.
+  // successors. A state without successors only reports the registers.
   for (int S = 0; S < NumStates; ++S) {
+    std::map<int32_t, CharSet> &Succ = Succs[S];
+    if (Succ.empty()) {
+      O += format("static MR parse_%d(const unsigned char *, long, long, "
+                  "int32_t best, long be) {\n  return MR{best, be};\n}\n\n",
+                  S);
+      continue;
+    }
     O += format("static MR parse_%d(const unsigned char *s, long i, "
                 "long len, int32_t best, long be) {\n",
                 S);
-    std::map<int32_t, CharSet> &Succ = Succs[S];
     bool HasLoop = Succ.count(S) != 0;
     if (HasLoop) {
-      int32_t Acc = M.AcceptCont[S];
       O += format("  if (i < len && ((loop_%d[s[i] >> 6] >> (s[i] & 63)) "
                   "& 1u)) {\n    i = skip_%d(s, i + 1, len);\n",
                   S, S);
-      if (Acc >= 0)
-        O += format("    best = %d; be = i;\n", Acc);
+      if (Accepts(S))
+        O += format("    best = %d; be = i;\n", S);
       O += "  }\n";
+      if (Succ.size() == 1) {
+        O += "  return MR{best, be};\n}\n\n";
+        continue;
+      }
     }
     O += "  if (i >= len) return MR{best, be};\n";
-    if (Succ.empty() || (Succ.size() == 1 && HasLoop)) {
-      O += "  return MR{best, be};\n}\n\n";
-      continue;
-    }
     O += "  switch (s[i]) {\n";
     for (const auto &[Next, Set] : Succ) {
       if (Next == S)
         continue; // self-loop bytes were consumed by the run-skip loop
       O += "  " + caseArms(Set) + "\n";
-      int32_t Acc = M.AcceptCont[Next];
-      if (Acc >= 0 && IsTerminalAccept(Next))
+      if (IsTerminalAccept(Next))
         // First-byte dispatch fusion: a terminal-accepting successor has
         // no outgoing transitions, so the match is decided here.
-        O += format("    return MR{%d, i + 1};\n", Acc);
-      else if (Acc >= 0)
+        O += format("    return MR{%d, i + 1};\n", Next);
+      else if (Accepts(Next))
         O += format("    return parse_%d(s, i + 1, len, %d, i + 1);\n",
-                    Next, Acc);
+                    Next, Next);
       else
         O += format("    return parse_%d(s, i + 1, len, best, be);\n",
                     Next);
@@ -235,316 +294,188 @@ std::string flap::emitCpp(const CompiledParser &M, const std::string &Name) {
     O += "  default:\n    return MR{best, be};\n  }\n}\n\n";
   }
 
-  // Static continuation tables.
-  std::string TailSyms, TailOff, Push, SelfSkip;
-  uint32_t Off = 0;
-  for (const auto &K : M.Conts) {
-    TailOff += format("%u, ", Off);
-    Push += K.PushTok != NoToken ? "1, " : "0, ";
-    SelfSkip += K.SelfSkip ? "1, " : "0, ";
-    for (uint32_t J = 0; J < K.TailLen; ++J) {
-      const Sym &S = M.tail(K)[J];
-      if (S.isNt()) {
-        TailSyms += format("%u, ", S.Idx);
-        ++Off;
-      }
-    }
-  }
-  TailOff += format("%u", Off);
-  O += "static const uint32_t ContTailOff[] = {" + TailOff + "};\n";
-  O += "static const uint32_t ContTailSym[] = {0" +
-       (TailSyms.empty() ? std::string() : ", " + TailSyms.substr(0, TailSyms.size() - 2)) +
-       "};\n";
-  O += "static const uint8_t ContPush[] = {0" +
-       (Push.empty() ? std::string() : ", " + Push.substr(0, Push.size() - 2)) +
-       "};\n";
-  // Full continuation tails — nonterminals *and* markers (bit 31 tags an
-  // action id) — plus the pushed token per continuation: the tables
-  // behind the event driver and the value machine. Unlike the library's
-  // packed pools these carry the *unrewritten* symbol stream (no
-  // dead-token elision): generated events name raw ActionIds and report
-  // every pushed token, the same stream the Fig. 9 reference
-  // interpreter (engine/FusedInterp.h) runs.
-  std::string FullOff, FullSyms, ContToks;
-  uint32_t FOff = 0;
-  for (const auto &K : M.Conts) {
-    FullOff += format("%u, ", FOff);
-    ContToks += format("%d, ", K.PushTok);
-    for (uint32_t J = 0; J < K.TailLen; ++J) {
-      const Sym &S = M.tail(K)[J];
-      FullSyms += S.isNt() ? format("%uu, ", S.Idx)
-                           : format("0x%08xu, ",
-                                    0x80000000u | static_cast<uint32_t>(S.Idx));
-      ++FOff;
-    }
-  }
-  FullOff += format("%u", FOff);
-  O += "static const uint32_t FTOff[] = {" + FullOff + "};\n";
-  O += "static const uint32_t FTSym[] = {0" +
-       (FullSyms.empty() ? std::string()
-                         : ", " + FullSyms.substr(0, FullSyms.size() - 2)) +
-       "};\n";
-  O += "static const int32_t ContTok[] = {0" +
-       (ContToks.empty() ? std::string()
-                         : ", " + ContToks.substr(0, ContToks.size() - 2)) +
-       "};\n";
-  // F2 whitespace continuations (n → r_skip n): the drivers rescan the
-  // same nonterminal in place — the library scan's self-skip fusion —
-  // instead of a stack round trip per whitespace lexeme.
-  O += "static const uint8_t ContSkip[] = {0" +
-       (SelfSkip.empty()
-            ? std::string()
-            : ", " + SelfSkip.substr(0, SelfSkip.size() - 2)) +
-       "};\n";
-
-  std::string Starts, Eps;
-  for (const auto &Nt : M.Nts) {
-    Starts += format("%d, ", Nt.StartState);
-    Eps += Nt.EpsChain >= 0 ? "1, " : "0, ";
-  }
-  O += "static const int32_t NtStart[] = {" +
-       Starts.substr(0, Starts.size() - 2) + "};\n";
-  O += "static const uint8_t NtEps[] = {" + Eps.substr(0, Eps.size() - 2) +
-       "};\n\n";
+  // The library's packed tables (engine/Compile.h): per accepting state
+  // the packed accept entry — token in bits 63..48 (0xffff: none, or
+  // elided), tail length in 47..32, tail offset in 31..0 — over the full
+  // pool (markers: bit 31, an OpPool index) or the nonterminals-only
+  // pool; pool and stack entries are packed nonterminals, NtId in bits
+  // 30..16 and its scan start state in 15..0.
+  auto Hex64 = [](uint64_t V) {
+    return format("0x%016llxull", static_cast<unsigned long long>(V));
+  };
+  auto Hex32 = [](uint32_t V) { return format("0x%08xu", V); };
+  O += cArray("uint64_t", "AccMeta", M.AccMeta.size(),
+              [&](size_t I) { return Hex64(M.AccMeta[I]); });
+  O += cArray("uint64_t", "AccNtMeta", M.AccNtMeta.size(),
+              [&](size_t I) { return Hex64(M.AccNtMeta[I]); });
+  O += cArray("uint32_t", "PackedPool", M.PackedPool.size(),
+              [&](size_t I) { return Hex32(M.PackedPool[I]); });
+  O += cArray("uint32_t", "NtPool", M.NtPool.size(),
+              [&](size_t I) { return Hex32(M.NtPool[I]); });
+  // Per nonterminal: its ε-program (the ε/lookahead fallback), or -1.
+  O += cArray("int32_t", "NtEps", M.Nts.size(), [&](size_t I) {
+    return format("%d", M.Nts[I].EpsChain);
+  });
+  O += "\n";
 
   // Dispatch on the start state without indirect calls: a switch with a
   // direct call per reachable start state.
-  O += "static MR runNt(int32_t st, const unsigned char *s, long pos, "
-       "long len) {\n  switch (st) {\n";
   std::map<int32_t, bool> StartStates;
   for (const auto &Nt : M.Nts)
     StartStates[Nt.StartState] = true;
   if (M.SkipState >= 0)
     StartStates[M.SkipState] = true;
+  O += "static MR runNt(uint32_t st, const unsigned char *s, long pos, "
+       "long len) {\n  switch (st) {\n";
   for (const auto &[St, Unused] : StartStates)
     O += format("  case %d: return parse_%d(s, pos, len, -1, pos);\n", St,
                 St);
   O += "  default: return MR{-1, pos};\n  }\n}\n\n";
-  O += "} // namespace\n\n";
 
-  // The driver: explicit nonterminal stack, best-match continuations.
-  O += "extern \"C\" long " + Name +
-       "_parse(const char *input, size_t n) {\n";
-  O += "  const unsigned char *s = "
-       "reinterpret_cast<const unsigned char *>(input);\n";
-  O += "  const long len = static_cast<long>(n);\n";
+  // The one residual loop, driveImpl's (engine/Sink.h) sink contract: a
+  // sink K says whether it walks the full pool (Markers) and wants a
+  // call per scan (Enters), and what a lexeme, a marker and an
+  // ε-fallback mean.
+  O += "// The residual loop: an explicit stack of packed symbols; a matched "
+       "lexeme's\n// tail continues directly into its first symbol. "
+       "Returns 0, or -1 on a parse error.\n";
+  O += "template <class K> long drive(const unsigned char *s, long len, K "
+       "&k) {\n";
+  O += "  const uint64_t *meta = K::Markers ? AccMeta : AccNtMeta;\n";
+  O += "  const uint32_t *pool = K::Markers ? PackedPool : NtPool;\n";
   O += "  std::vector<uint32_t> stack;\n";
-  O += format("  stack.push_back(%u);\n", M.Start);
-  O += "  long pos = 0, count = 0;\n";
-  O += "  while (!stack.empty()) {\n";
-  O += "    uint32_t nt = stack.back(); stack.pop_back();\n";
-  O += "    MR m = runNt(NtStart[nt], s, pos, len);\n";
-  O += "    while (m.cont >= 0 && ContSkip[1 + m.cont]) {\n";
-  O += "      pos = m.end; // F2 whitespace: rescan in place\n";
-  O += "      m = runNt(NtStart[nt], s, pos, len);\n";
-  O += "    }\n";
-  O += "    if (m.cont >= 0) {\n";
-  O += "      if (ContPush[1 + m.cont]) ++count;\n";
-  O += "      pos = m.end;\n";
-  O += "      for (uint32_t j = ContTailOff[m.cont + 1]; "
-       "j-- > ContTailOff[m.cont];)\n";
-  O += "        stack.push_back(ContTailSym[1 + j]);\n";
-  O += "      continue;\n";
-  O += "    }\n";
-  O += "    if (NtEps[nt]) continue;\n";
-  O += "    return -1;\n";
-  O += "  }\n";
-  if (M.SkipState >= 0) {
-    O += "  // absorb trailing skip lexemes\n";
-    O += "  while (pos < len) {\n";
-    O += format("    MR m = runNt(%d, s, pos, len);\n", M.SkipState);
-    O += "    if (m.cont < 0 || m.end == pos) break;\n";
-    O += "    pos = m.end;\n";
-    O += "  }\n";
-  }
-  O += "  return pos == len ? count : -1;\n";
-  O += "}\n";
-
-  // The event driver — the generated analogue of the library's
-  // EventSink policy (engine/Sink.h): the same residual loop over the
-  // *full* tails, reporting Enter (kind 0, nonterminal), Token (kind 1,
-  // token id over [begin, end)), Reduce (kind 2, raw ActionId) and Eps
-  // (kind 3, nonterminal) through the callback. Replaying token pushes
-  // and action applications in stream order reproduces the semantic
-  // value (tests/CodegenTest.cpp pins this against the library
-  // engines). Returns the number of events, or -1 on reject.
-  O += "\nextern \"C\" long " + Name +
-       "_parse_events(const char *input, size_t n,\n"
-       "    void (*ev)(void *user, int kind, long id, long begin, "
-       "long end), void *user) {\n";
-  O += "  const unsigned char *s = "
-       "reinterpret_cast<const unsigned char *>(input);\n";
-  O += "  const long len = static_cast<long>(n);\n";
-  O += "  std::vector<uint32_t> stack;\n";
-  O += format("  stack.push_back(%u);\n", M.Start);
-  O += "  long pos = 0, count = 0;\n";
-  O += "  while (!stack.empty()) {\n";
-  O += "    uint32_t e = stack.back(); stack.pop_back();\n";
-  O += "    if (e & 0x80000000u) {\n";
-  O += "      if (ev) ev(user, 2, (long)(e & 0x7fffffffu), pos, pos);\n";
-  O += "      ++count;\n      continue;\n    }\n";
-  O += "    if (ev) ev(user, 0, (long)e, pos, pos);\n    ++count;\n";
-  O += "    MR m = runNt(NtStart[e], s, pos, len);\n";
-  O += "    while (m.cont >= 0 && ContSkip[1 + m.cont]) {\n";
-  O += "      pos = m.end; // F2 whitespace: rescan in place\n";
-  O += "      m = runNt(NtStart[e], s, pos, len);\n";
-  O += "    }\n";
-  O += "    if (m.cont >= 0) {\n";
-  O += "      if (ContTok[1 + m.cont] >= 0) {\n";
-  O += "        if (ev) ev(user, 1, ContTok[1 + m.cont], pos, m.end);\n";
-  O += "        ++count;\n      }\n";
-  O += "      pos = m.end;\n";
-  O += "      for (uint32_t j = FTOff[m.cont + 1]; j-- > FTOff[m.cont];)\n";
-  O += "        stack.push_back(FTSym[1 + j]);\n";
-  O += "      continue;\n";
-  O += "    }\n";
-  O += "    if (NtEps[e]) {\n";
-  O += "      if (ev) ev(user, 3, (long)e, pos, pos);\n";
-  O += "      ++count;\n      continue;\n    }\n";
-  O += "    return -1;\n";
-  O += "  }\n";
-  if (M.SkipState >= 0) {
-    O += "  // absorb trailing skip lexemes\n";
-    O += "  while (pos < len) {\n";
-    O += format("    MR m = runNt(%d, s, pos, len);\n", M.SkipState);
-    O += "    if (m.cont < 0 || m.end == pos) break;\n";
-    O += "    pos = m.end;\n";
-    O += "  }\n";
-  }
-  O += "  return pos == len ? count : -1;\n";
-  O += "}\n";
-
-  // The value machine: emitted only when every action is a scalar
-  // micro-op, i.e. the grammar's semantics compile entirely to the same
-  // tagged switch dispatch the library engines run (no custom
-  // callables to serialize). Values are longs; tokens push a 0
-  // placeholder (never read by these action kinds' surviving selectors
-  // in integer-valued grammars).
-  bool CanEmitValues = M.Actions != nullptr && M.Actions->size() > 0;
-  if (CanEmitValues)
-    for (size_t A = 0; A < M.Actions->size(); ++A) {
-      // MSlow needs the full Action record; MTokInt reads lexeme text,
-      // which the emitted value machine (tokens push 0 placeholders)
-      // cannot reproduce; MMaxAcc's packed count+max scalar needs 64
-      // bits, which the machine's `long` values do not guarantee.
-      const MicroOp &Op = M.Actions->micro()[A];
-      CanEmitValues &= Op.K != MicroOp::MSlow &&
-                       Op.K != MicroOp::MTokInt &&
-                       Op.K != MicroOp::MMaxAcc;
-    }
-  if (!CanEmitValues)
-    return O;
-
-  const ActionTable &AT = *M.Actions;
-  auto IntArr = [&O](const char *Type, const char *Name,
-                     const std::vector<long long> &Items) {
-    O += format("static const %s %s[] = {0", Type, Name); // [0] sentinel
-    for (long long I : Items)
-      O += format(", %lld", I);
-    O += "};\n";
-  };
-  std::vector<long long> AK, AA, AS, AS2, AI;
-  for (size_t A = 0; A < AT.size(); ++A) {
-    const MicroOp &Op = AT.micro()[A];
-    AK.push_back(static_cast<int>(Op.K));
-    AA.push_back(Op.Arity);
-    AS.push_back(Op.Sel);
-    AS2.push_back(Op.Sel2);
-    AI.push_back(Op.Imm);
-  }
-  // The ε-chain programs (the full tails themselves are the FTOff/FTSym
-  // tables shared with the event driver).
-  std::vector<long long> EOff, ELen, EOps;
-  for (const auto &Nt : M.Nts) {
-    if (Nt.EpsChain < 0) {
-      EOff.push_back(0);
-      ELen.push_back(0);
-      continue;
-    }
-    const std::vector<ActionId> &Chain = M.EpsChains[Nt.EpsChain];
-    EOff.push_back(static_cast<long long>(EOps.size()));
-    ELen.push_back(static_cast<long long>(Chain.size()));
-    for (ActionId A : Chain)
-      EOps.push_back(A);
-  }
-
-  O += "\nnamespace {\n\n";
-  IntArr("uint8_t", "ActK", AK);
-  IntArr("uint8_t", "ActA", AA);
-  IntArr("int16_t", "ActS", AS);
-  IntArr("int16_t", "ActS2", AS2);
-  IntArr("long long", "ActImm", AI);
-  IntArr("uint32_t", "NtEpsOff", EOff);
-  IntArr("uint32_t", "NtEpsLen", ELen);
-  IntArr("uint32_t", "EpsOp", EOps);
-
-  // The switch dispatch — the generated analogue of
-  // ValueStack::applyMicroOp.
-  O += R"(
-static void vapply(uint32_t a, std::vector<long> &vals) {
-  const int ar = ActA[1 + a];
-  const size_t base = vals.size() - (size_t)ar;
-  long r = 0;
-  switch (ActK[1 + a]) {
-  case 0: r = 0; break;                                   // unit
-  case 1: r = (long)ActImm[1 + a]; break;                 // const int
-  case 2: r = ActImm[1 + a] != 0; break;                  // const bool
-  case 3: r = vals[base + (size_t)ActS[1 + a]]; break;    // select
-  case 4: r = vals[base + (size_t)ActS[1 + a]] +
-              vals[base + (size_t)ActS2[1 + a]]; break;   // add args
-  case 5: r = vals[base + (size_t)ActS[1 + a]] +
-              (long)ActImm[1 + a]; break;                 // add imm
-  }
-  vals.resize(base);
-  vals.push_back(r);
-}
-
-} // namespace
-
-)";
-  O += "extern \"C\" long " + Name +
-       "_parse_value(const char *input, size_t n, long *out) {\n";
-  O += "  const unsigned char *s = "
-       "reinterpret_cast<const unsigned char *>(input);\n";
-  O += "  const long len = static_cast<long>(n);\n";
-  O += "  std::vector<uint32_t> stack;\n  std::vector<long> vals;\n";
-  O += format("  stack.push_back(%u);\n", M.Start);
+  O += format("  stack.push_back(0x%08xu);\n", M.packNt(M.Start));
   O += "  long pos = 0;\n";
   O += "  while (!stack.empty()) {\n";
-  O += "    uint32_t e = stack.back(); stack.pop_back();\n";
-  O += "    if (e & 0x80000000u) { vapply(e & 0x7fffffffu, vals); "
-       "continue; }\n";
-  O += "    MR m = runNt(NtStart[e], s, pos, len);\n";
-  O += "    while (m.cont >= 0 && ContSkip[1 + m.cont]) {\n";
-  O += "      pos = m.end; // F2 whitespace: rescan in place\n";
-  O += "      m = runNt(NtStart[e], s, pos, len);\n";
-  O += "    }\n";
-  O += "    if (m.cont >= 0) {\n";
-  O += "      if (ContPush[1 + m.cont]) vals.push_back(0);\n";
-  O += "      pos = m.end;\n";
-  O += "      for (uint32_t j = FTOff[m.cont + 1]; j-- > FTOff[m.cont];)\n";
-  O += "        stack.push_back(FTSym[1 + j]);\n";
-  O += "      continue;\n";
-  O += "    }\n";
-  O += "    if (NtEps[e]) {\n";
-  O += "      uint32_t off = NtEpsOff[1 + e], cnt = NtEpsLen[1 + e];\n";
-  O += "      if (cnt == 0) { vals.push_back(0); continue; }\n";
-  O += "      for (uint32_t j = 0; j < cnt; ++j) vapply(EpsOp[1 + off + j], "
-       "vals);\n";
-  O += "      continue;\n";
-  O += "    }\n";
-  O += "    return -1;\n";
-  O += "  }\n";
-  if (M.SkipState >= 0) {
-    O += "  while (pos < len) {\n";
-    O += format("    MR m = runNt(%d, s, pos, len);\n", M.SkipState);
-    O += "    if (m.cont < 0 || m.end == pos) break;\n";
-    O += "    pos = m.end;\n";
-    O += "  }\n";
+  O += "    uint32_t e = stack.back();\n    stack.pop_back();\n";
+  O += "    for (;;) {\n";
+  O += "      if constexpr (K::Markers) {\n";
+  O += "        if (e & 0x80000000u) {\n";
+  O += "          k.marker(e & 0x7fffffffu);\n          break;\n"
+       "        }\n      }\n";
+  O += "      const uint32_t nt = (e >> 16) & 0x7fffu;\n";
+  O += "      if constexpr (K::Enters)\n        k.enter(nt);\n";
+  O += "      MR m = runNt(e & 0xffffu, s, pos, len);\n";
+  if (Tiers.SelfSkip > 0) {
+    O += format("      while ((uint32_t)m.best < %du) {\n", Tiers.SelfSkip);
+    O += "        pos = m.end; // F2 whitespace: rescan in place\n";
+    O += "        m = runNt(e & 0xffffu, s, pos, len);\n      }\n";
   }
-  O += "  if (pos != len) return -1;\n";
-  O += "  *out = vals.size() == 1 ? vals[0] : 0;\n";
-  O += "  return 0;\n";
-  O += "}\n";
+  O += "      if (m.best >= 0) {\n";
+  O += "        const uint64_t mt = meta[m.best];\n";
+  O += "        k.token(mt, pos, m.end);\n        pos = m.end;\n";
+  O += "        const uint32_t tl = (uint32_t)(mt >> 32) & 0xffffu;\n";
+  O += "        if (tl == 0)\n          break;\n";
+  O += "        const uint32_t to = (uint32_t)mt;\n";
+  O += "        for (uint32_t j = tl; j-- > 1;)\n"
+       "          stack.push_back(pool[to + j]);\n";
+  O += "        e = pool[to];\n        continue;\n      }\n";
+  O += "      if (NtEps[nt] < 0)\n        return -1;\n";
+  O += "      k.eps(nt, NtEps[nt]);\n      break;\n    }\n  }\n";
+  if (M.SkipState >= 0) {
+    O += "  while (pos < len) { // absorb trailing skip lexemes\n";
+    O += format("    MR m = runNt(%d, s, pos, len);\n", M.SkipState);
+    O += "    if (m.best < 0 || m.end == pos)\n      break;\n";
+    O += "    pos = m.end;\n  }\n";
+  }
+  O += "  return pos == len ? 0 : -1;\n}\n\n";
+
+  // The sinks. Recognition counts the lexemes the loop resolves — every
+  // one but F2 whitespace, which rescans inside the scan.
+  O += "struct CountSink {\n"
+       "  static constexpr bool Markers = false, Enters = false;\n"
+       "  long n;\n"
+       "  void enter(uint32_t) {}\n"
+       "  void token(uint64_t, long, long) { ++n; }\n"
+       "  void marker(uint32_t) {}\n"
+       "  void eps(uint32_t, int32_t) {}\n"
+       "};\n\n";
+  // The library EventSink's stream: kind 0 Enter, 1 Token, 2 Reduce
+  // (an OpPool index), 3 Eps; only a Token has a span.
+  O += "typedef void (*EventFn)(void *user, int kind, long id, long begin, "
+       "long end);\n"
+       "struct EventSink {\n"
+       "  static constexpr bool Markers = true, Enters = true;\n"
+       "  EventFn ev;\n  void *user;\n  long n;\n"
+       "  void emit(int kind, long id, long b, long e) {\n"
+       "    if (ev)\n      ev(user, kind, id, b, e);\n    ++n;\n  }\n"
+       "  void enter(uint32_t nt) { emit(0, nt, 0, 0); }\n"
+       "  void token(uint64_t mt, long b, long e) {\n"
+       "    if ((mt >> 48) != 0xffffu) // skip, or dead-token elision\n"
+       "      emit(1, (long)(mt >> 48), b, e);\n  }\n"
+       "  void marker(uint32_t op) { emit(2, op, 0, 0); }\n"
+       "  void eps(uint32_t nt, int32_t) { emit(3, nt, 0, 0); }\n"
+       "};\n\n";
+
+  // The value machine: emitted only when every op the machine can run is
+  // a scalar micro-op (valueOps), i.e. the grammar's semantics compile
+  // entirely to the tagged switch dispatch the library engines run, with
+  // long values and 0 placeholders for tokens.
+  std::vector<uint32_t> EpsOff;
+  const std::vector<MicroOp> Ops = valueOps(M, EpsOff);
+  if (!Ops.empty()) {
+    auto Field = [&](const char *Type, const char *Arr, auto Get) {
+      O += cArray(Type, Arr, Ops.size(), [&](size_t I) {
+        return format("%lld", static_cast<long long>(Get(Ops[I])));
+      });
+    };
+    Field("uint8_t", "OpK", [](const MicroOp &Op) { return Op.K; });
+    Field("uint8_t", "OpA", [](const MicroOp &Op) { return Op.Arity; });
+    Field("int16_t", "OpS", [](const MicroOp &Op) { return Op.Sel; });
+    Field("int16_t", "OpS2", [](const MicroOp &Op) { return Op.Sel2; });
+    Field("long", "OpImm", [](const MicroOp &Op) { return Op.Imm; });
+    O += cArray("uint32_t", "EpsOff", EpsOff.size(), [&](size_t I) {
+      return format("%u", EpsOff[I]);
+    });
+    // The switch dispatch — the generated analogue of
+    // ValueStack::applyMicroOp.
+    O += "\nstruct ValueSink {\n"
+         "  static constexpr bool Markers = true, Enters = false;\n"
+         "  std::vector<long> vals;\n"
+         "  void enter(uint32_t) {}\n"
+         "  void token(uint64_t mt, long, long) {\n"
+         "    if ((mt >> 48) != 0xffffu)\n      vals.push_back(0);\n  }\n"
+         "  void marker(uint32_t op) { apply(op); }\n"
+         "  void eps(uint32_t, int32_t c) {\n"
+         "    for (uint32_t j = EpsOff[c]; j < EpsOff[c + 1]; ++j)\n"
+         "      apply(j);\n  }\n"
+         "  void apply(uint32_t a) {\n"
+         "    const size_t base = vals.size() - OpA[a];\n"
+         "    long r = 0;\n"
+         "    switch (OpK[a]) {\n";
+    O += format("    case %d: return;\n", MicroOp::MNop);
+    O += format("    case %d: r = OpImm[a]; break;\n", MicroOp::MInt);
+    O += format("    case %d: r = OpImm[a] != 0; break;\n", MicroOp::MBool);
+    O += format("    case %d: r = vals[base + OpS[a]]; break;\n",
+                MicroOp::MSelect);
+    O += format("    case %d: r = vals[base + OpS[a]] + vals[base + "
+                "OpS2[a]]; break;\n",
+                MicroOp::MAddArgs);
+    O += format("    case %d: r = vals[base + OpS[a]] + OpImm[a]; break;\n",
+                MicroOp::MAddImm);
+    O += "    default: break; // unit\n    }\n"
+         "    vals.resize(base);\n    vals.push_back(r);\n  }\n};\n";
+  }
+  O += "\n} // namespace\n\n";
+
+  // The entry points: one drive() instantiation each.
+  O += "extern \"C\" long " + Name +
+       "_parse(const char *input, size_t n) {\n"
+       "  CountSink k{0};\n"
+       "  return drive(reinterpret_cast<const unsigned char *>(input), "
+       "(long)n, k) < 0 ? -1 : k.n;\n}\n\n";
+  O += "extern \"C\" long " + Name +
+       "_parse_events(const char *input, size_t n, EventFn ev, void *user) "
+       "{\n"
+       "  EventSink k{ev, user, 0};\n"
+       "  return drive(reinterpret_cast<const unsigned char *>(input), "
+       "(long)n, k) < 0 ? -1 : k.n;\n}\n";
+  if (!Ops.empty())
+    O += "\nextern \"C\" long " + Name +
+         "_parse_value(const char *input, size_t n, long *out) {\n"
+         "  ValueSink k;\n"
+         "  if (drive(reinterpret_cast<const unsigned char *>(input), "
+         "(long)n, k) < 0)\n    return -1;\n"
+         "  *out = k.vals.size() == 1 ? k.vals[0] : 0;\n  return 0;\n}\n";
   return O;
 }

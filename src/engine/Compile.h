@@ -45,15 +45,16 @@
 ///     emitter branches on byte ranges of transition rows (read through
 ///     ScanTables::next) and numClasses() counts distinct byte columns
 ///     on demand.
-///   - *Allocation-free residual loop*: continuation tails live in one
-///     contiguous TailPool (offset/length per continuation), and the
+///   - *Allocation-free residual loop*: continuation tails live in
+///     contiguous packed pools (PackedPool, NtPool; offset and length in
+///     each state's accept entry), and the
 ///     symbol/value stacks come from a caller-provided ParseScratch that
 ///     amortizes to zero allocation across parses.
 ///
 /// The same tables drive the C++ source emitter (src/codegen), whose
 /// output mirrors the §5.5 generated-code excerpt — including the same
-/// run-skip loops; the state count is the "Output Functions" column of
-/// Table 1.
+/// run-skip loops and one residual loop over the packed pools below; the
+/// state count is the "Output Functions" column of Table 1.
 ///
 /// One request, one outcome: every parse — whole buffer, batch, record
 /// run, stream, and the shard and serving tiers above them — is a
@@ -175,13 +176,15 @@ struct ParseScratch {
 /// diagnostic at the lexeme; the events before it stay. Offsets stay
 /// 64-bit, so an events request has no input-size limit.
 ///
-/// Construction: the EventSink builds each event in its vector slot
-/// (emplace_back, then field stores), never in a local it copies in —
-/// the copy would reload the record with loads wider than the stores
-/// that built it, which store-to-load forwarding cannot serve (engine/
-/// README.md "The Sink policy"). The default member initializers are
-/// what leave Begin/Len zero and TextData null on the non-Token kinds,
-/// so they are part of the contract (tests/SinkDiffTest.cpp).
+/// Construction: the EventSink builds each event in its vector slot,
+/// never in a local it copies in — the copy would reload the record with
+/// loads wider than the stores that built it, which store-to-load
+/// forwarding cannot serve (engine/README.md "The Sink policy"). A Token
+/// event goes through the all-fields constructor (emplace_back with its
+/// arguments: one store per field); the other kinds take the default
+/// member initializers — which leave Begin/Len zero and TextData null,
+/// and so are part of the contract (tests/SinkDiffTest.cpp) — and then
+/// set KindId.
 enum class EventKind : uint8_t {
   Enter, ///< a scan of nonterminal nt() begins
   Token, ///< lexeme accepted: tok() over [Begin, end()), text in text()
@@ -200,6 +203,14 @@ struct ParseEvent {
   const char *TextData = nullptr;
   uint32_t Len = 0;    ///< Token: lexeme length in bytes
   uint32_t KindId = 0; ///< kind << IdBits | id (see pack)
+
+  ParseEvent() = default;
+  /// Every field at once: what EventSink::token passes to emplace_back,
+  /// so a Token event is written once, without the zero stores of the
+  /// default member initializers.
+  ParseEvent(uint64_t Begin, const char *TextData, uint32_t Len,
+             uint32_t KindId)
+      : Begin(Begin), TextData(TextData), Len(Len), KindId(KindId) {}
 
   static constexpr uint32_t pack(EventKind K, uint32_t Id) {
     return static_cast<uint32_t>(K) << IdBits | Id;
@@ -444,7 +455,7 @@ public:
   int numClasses() const { return Scan.numClasses(); }
 
   //===--------------------------------------------------------------===//
-  // Tables (public: read by the code generator and by tests)
+  // Tables (public: read by the code generator, the verifier and tests)
   //
   // Every hot table is a Table<T> (engine/TableStore.h): owned vector
   // storage when compileFused builds it, a borrowed view into an mmap'd
@@ -493,9 +504,10 @@ public:
   /// table audit (engine/Verify.h) refuse a larger pool.
   static constexpr size_t MaxOps = size_t(ParseEvent::MaxId) + 1;
   /// [State] → continuation selected when this state is reached with the
-  /// longest match so far, or -1. Consulted by the code generator, the
-  /// verifier, tests and the bench's flap(prePR) walk; the accelerated
-  /// loop uses the state-indexed Acc* arrays below instead.
+  /// longest match so far, or -1. The reference world the verifier and
+  /// the artifacts keep, read also by tests and the bench's flap(prePR)
+  /// walk; the accelerated loop and the code generator use the
+  /// state-indexed Acc* arrays below instead.
   Table<int32_t> AcceptCont;
   Table<Cont> Conts;
   /// All continuation tails, flattened back-to-back (oldest first).
@@ -661,7 +673,7 @@ public:
   /// when a nonterminal takes its `back` (lookahead/ε) continuation —
   /// one table-driven block instead of N ValueStack::apply round-trips.
   /// Compiled from EpsChains by compileFused; the chains themselves stay
-  /// around as the source form (code generator, verifier, artifacts).
+  /// around as the source form (verifier, artifacts).
   struct EpsProgram {
     enum Kind : uint8_t {
       Unit,     ///< empty chain: push Value::unit()

@@ -219,14 +219,21 @@ private:
   const MicroOp *Ops;
 };
 
+#if defined(__GNUC__) || defined(__clang__)
+#define FLAP_FLATTEN __attribute__((flatten))
+#else
+#define FLAP_FLATTEN
+#endif
+
 /// The SAX sink: every hook appends one flat 24-byte ParseEvent — no
-/// per-event allocation — and builds it in its vector slot
-/// (emplace_back, then field stores), never in a local that push_back
-/// would copy: that copy reloads the record with 16-byte loads
-/// straddling the narrower stores that just wrote it, which
-/// store-to-load forwarding cannot serve (engine/README.md "The Sink
-/// policy"). The defaulted fields keep the other kinds' Begin/Len zero
-/// and TextData null. Both narrowed fields are checked limits: every id
+/// per-event allocation — and builds it in its vector slot, never in a
+/// local that push_back would copy: that copy reloads the record with
+/// 16-byte loads straddling the narrower stores that just wrote it,
+/// which store-to-load forwarding cannot serve (engine/README.md "The
+/// Sink policy"). A Token event is constructed there from all four
+/// fields (one store each); the other kinds take the defaulted fields —
+/// Begin/Len zero, TextData null — and set KindId. Both narrowed fields
+/// are checked limits: every id
 /// fits the 30-bit id field (the static_asserts below and
 /// CompiledParser::MaxOps), and token() refuses a lexeme longer than
 /// ParseEvent::MaxLen — one predictable branch per Token event — which
@@ -260,7 +267,10 @@ public:
     Out->emplace_back().KindId = ParseEvent::pack(EventKind::Enter, N);
   }
 
-  bool token(uint64_t Meta, uint64_t Begin, uint64_t End) {
+  /// Flattened: GCC 12, left to its heuristics, keeps the four-argument
+  /// emplace_back out of line in Compile.cpp — a call per Token event.
+  /// Flattening inlines it whole, its reallocation path on a cold branch.
+  FLAP_FLATTEN bool token(uint64_t Meta, uint64_t Begin, uint64_t End) {
     const uint32_t Tok = CompiledParser::metaTok(Meta);
     if (Tok == CompiledParser::MetaNoTok)
       return true; // skip production, or dead-token elision: no value
@@ -270,11 +280,8 @@ public:
     const char *P = Input.data() + static_cast<size_t>(Begin - Base);
     if (Text)
       P = Text->copy(P, static_cast<size_t>(Len));
-    ParseEvent &E = Out->emplace_back();
-    E.Begin = Begin;
-    E.TextData = P;
-    E.Len = static_cast<uint32_t>(Len);
-    E.KindId = ParseEvent::pack(EventKind::Token, Tok);
+    Out->emplace_back(Begin, P, static_cast<uint32_t>(Len),
+                      ParseEvent::pack(EventKind::Token, Tok));
     return true;
   }
 
